@@ -208,7 +208,7 @@ def heat_char_norm_report(
     nodes = extended_time_nodes(grid, gen) if t_nodes is None else np.asarray(t_nodes)
     parts = _spectral_parts(grid, mean_free(grid, u), gen)
     g = np.array(
-        [t ** (-s / 2.0) * lp_norm(grid, _weighted_from_parts(grid, parts, t, k), p) for t in nodes]
+        [t ** (-s / 2.0) * lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, k), p) for t in nodes]
     )
     w = 0.5 * math.log(2.0)  # dt/t per geometric node
     if np.isinf(q):

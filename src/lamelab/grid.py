@@ -78,16 +78,38 @@ class Grid:
         """|xi|^2, shape ``shape``."""
         return np.sum(self.freq**2, axis=0)
 
+    def _half_mesh(self, axis_values: np.ndarray) -> np.ndarray:
+        """Stack a per-axis 1D array (indexed like fftfreq) over the half spectrum."""
+        axes = [axis_values] * (self.dim - 1) + [axis_values[: self.n // 2 + 1]]
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
+
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """True away from every Nyquist plane (k = -n/2 has no conjugate partner)."""
-        xi1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        ny = np.abs(np.abs(xi1) - np.pi / self.spacing) > 1e-12 * np.pi / self.spacing
-        masks = np.meshgrid(*([ny] * self.dim), indexing="ij")
-        out = masks[0]
-        for m in masks[1:]:
-            out = out & m
-        return out
+    def rfreq(self) -> np.ndarray:
+        """freq on the half spectrum, shape (dim, n, ..., n/2 + 1).
+
+        The Nyquist entry of every axis is -pi/h, as in freq (rfftfreq would
+        label the last one +pi/h).
+        """
+        return self._half_mesh(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing))
+
+    @cached_property
+    def rfreq_sq(self) -> np.ndarray:
+        """|xi|^2 on the half spectrum, shape (n, ..., n/2 + 1)."""
+        return np.sum(self.rfreq**2, axis=0)
+
+    @cached_property
+    def rnyquist(self) -> np.ndarray:
+        """True where an axis sits at its Nyquist entry k = n/2, shape (dim, n, ..., n/2 + 1)."""
+        return self._half_mesh(np.arange(self.n) == self.n // 2)
+
+    @cached_property
+    def rderiv(self) -> np.ndarray:
+        """Odd-derivative symbols i*xi_a on the half spectrum, shape (dim, n, ..., n/2 + 1).
+
+        Every Nyquist plane is zeroed: mode k = -n/2 has no conjugate partner,
+        so an odd symbol carries no sign information there for real data.
+        """
+        return 1j * self.rfreq * ~np.any(self.rnyquist, axis=0)
 
     def min_image(self, delta: np.ndarray) -> np.ndarray:
         """Wrap coordinate differences into [-L/2, L/2)."""
@@ -117,6 +139,17 @@ def ifftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     return scipy.fft.ifftn(u_hat, axes=grid.spatial_axes).real
 
 
+def rfftn(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Forward DFT of a real field over the spatial axes, onto the half spectrum:
+    the last spatial axis keeps k = 0..n/2, so the trailing shape is (n, ..., n/2 + 1)."""
+    return scipy.fft.rfftn(_check_field(grid, u), axes=grid.spatial_axes)
+
+
+def irfftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
+    """Inverse of rfftn: the real field of Hermitian-symmetric half-spectrum data."""
+    return scipy.fft.irfftn(u_hat, s=grid.shape, axes=grid.spatial_axes)
+
+
 def dft_roundtrip(grid: Grid, u: np.ndarray) -> np.ndarray:
     """ifft(fft(u)); equals u to near machine precision for finite input."""
     u = _check_field(grid, u)
@@ -135,17 +168,16 @@ def spectral_derivative(grid: Grid, u: np.ndarray, axis: int, order: int = 1) ->
         raise ValueError(f"order must be 1 or 2, got {order}")
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    u_hat = fftn(grid, u)
-    xi = grid.freq[axis]
-    u_hat = u_hat * (1j * xi) ** order
-    if order % 2 == 1:
-        u_hat = u_hat * grid.nyquist_mask
-    return ifftn(grid, u_hat)
+    symbol = grid.rderiv[axis] if order == 1 else -grid.rfreq[axis] ** 2
+    return irfftn(grid, symbol * rfftn(grid, u))
 
 
 def gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Spectral gradient of a scalar field, shape (dim, *shape)."""
-    return np.stack([spectral_derivative(grid, u, a) for a in range(grid.dim)])
+    u = _check_field(grid, u)
+    if u.shape != grid.shape:
+        raise ValueError(f"expected scalar field {grid.shape}, got {u.shape}")
+    return irfftn(grid, grid.rderiv * rfftn(grid, u))
 
 
 def jacobian(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -153,13 +185,13 @@ def jacobian(grid: Grid, v: np.ndarray) -> np.ndarray:
     v = _check_field(grid, v)
     if v.shape[0] != grid.dim or v.ndim != grid.dim + 1:
         raise ValueError(f"expected vector field (dim, *shape), got {v.shape}")
-    return np.stack([gradient(grid, v[i]) for i in range(grid.dim)])
+    return irfftn(grid, grid.rderiv[None] * rfftn(grid, v)[:, None])
 
 
 def divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Spectral divergence of a vector field."""
     v = _check_field(grid, v)
-    return sum(spectral_derivative(grid, v[a], a) for a in range(grid.dim))
+    return irfftn(grid, np.sum(grid.rderiv * rfftn(grid, v), axis=0))
 
 
 def matrix_divergence(grid: Grid, m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import delta_field
-from .grid import Grid, gradient, integral, lp_norm
+from .grid import Grid, integral, jacobian, lp_norm
 from .operators import LameParams, const_semigroup
 from .varcoef import Coefficient, StepperConfig, evolve
 
@@ -220,9 +220,7 @@ def _grad_symmetrized(slc: KernelSlice) -> np.ndarray:
     """Spectral x-gradient of every kernel entry, shape (dim, dim, dim, *shape)
     with the derivative axis just before the spatial axes."""
     s = slc.symmetrized
-    return np.stack(
-        [np.stack([gradient(slc.grid, s[i, k]) for k in range(slc.grid.dim)]) for i in range(slc.grid.dim)]
-    )
+    return np.stack([jacobian(slc.grid, s[i]) for i in range(slc.grid.dim)])
 
 
 def gradient_envelope(slices, shell_width=None, min_shells=10) -> GaussianFit:

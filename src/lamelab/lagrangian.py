@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ._interp import interp_periodic, interp_periodic_components, spline_prefilter
 from .besov import BesovIndex, besov_norm_report, default_partition
@@ -125,7 +124,8 @@ def flow_map(state: LagrangianState) -> FlowMapData:
     """Integrate the velocity to trajectories and assemble DX, its inverse,
     adjugate, and determinant; raises DiffeomorphismError if det DX <= 0."""
     grid = state.grid
-    disp = cumulative_trapezoid(state.u, dx=state.dt, axis=0, initial=0.0)
+    disp = np.zeros_like(state.u)
+    np.cumsum(state.dt * (state.u[1:] + state.u[:-1]) / 2.0, axis=0, out=disp[1:])
     nt = len(state.t)
     d = grid.dim
     jac = np.empty((nt, d, d) + grid.shape)
@@ -384,7 +384,7 @@ def picard_solve(
         grad_budget = _grad_l1_besov(state, cfg.p)
         diag.flow_smallness_ok.append(bool(grad_budget <= cfg.flow_smallness_c0))
         forcing = nonlinearity_f(state, flow)
-        u_next = evolve(rho0, params, u0, t_grid, stepper, forcing=forcing)
+        u_next = evolve(rho0, params, u0, t_grid, stepper, forcing=forcing, guess=u_traj)
         delta = solution_norms(grid, u_next - u_traj, t_grid[1], params, cfg.p).total
         diag.delta_norms.append(delta)
         if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:

@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .grid import Grid, _check_field, fftn, ifftn, integral
-from .operators import LameParams, _hodge_split_hat, lame_apply
+from .grid import Grid, _check_field, integral
+from .operators import LameParams, _apply_symbols, _spectral_parts, _symbols, lame_apply
 
 
 class SolverConvergenceError(RuntimeError):
@@ -42,6 +41,8 @@ class Coefficient:
         rho = _check_field(self.grid, self.rho)
         if rho.shape != self.grid.shape:
             raise ValueError(f"rho must be a scalar field, got shape {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("rho contains non-finite samples")
         slack = 1e-12 / self.m
         if np.min(rho) < self.m - slack or np.max(rho) > 1.0 / self.m + slack:
             raise ValueError(
@@ -117,12 +118,38 @@ def _apply_operator(grid: Grid, u: np.ndarray, params: LameParams, operator: str
     return stencil_lame(grid, u, params)
 
 
-def _precondition(grid: Grid, r: np.ndarray, params: LameParams, rho_bar: float, a: float):
-    """Exact inverse of (rho_bar * a - theta*L) per frequency on the Hodge split."""
-    p_hat, q_hat = _hodge_split_hat(grid, fftn(grid, r))
-    xi2 = grid.freq_sq
-    out_hat = p_hat / (rho_bar * a + params.mu * xi2) + q_hat / (rho_bar * a + params.nu * xi2)
-    return ifftn(grid, out_hat)
+def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
+    """Exact inverse of (a - theta*L) per frequency on the Hodge split, as a
+    function of the residual. The symbols are built once, here; each
+    application costs one forward and one inverse transform."""
+    symbols = _symbols(grid, params, lambda z: 1.0 / (a + theta * z))
+    return lambda r: _apply_symbols(grid, _spectral_parts(grid, r, params), symbols)
+
+
+def _pcg(matvec, psolve, b: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned conjugate gradients from the guess x (updated in place).
+
+    Same arithmetic and stopping rule as scipy.sparse.linalg.cg: stop when
+    ||r|| < rtol * ||b||, checked before each of at most maxiter iterations.
+    Returns (x, iterations), iterations None when the rule was never met.
+    """
+    atol = rtol * np.linalg.norm(b)
+    if atol == 0.0:
+        return np.zeros_like(b), 0
+    r = b - matvec(x) if x.any() else b.copy()
+    rz_prev = p = None
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, it
+        z = psolve(r)
+        rz = np.vdot(r, z)
+        p = z if p is None else z + (rz / rz_prev) * p
+        q = matvec(p)
+        alpha = rz / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rz_prev = rz
+    return x, None
 
 
 def theta_step(
@@ -137,45 +164,31 @@ def theta_step(
 ) -> np.ndarray:
     """One implicit theta step of rho du/dt = L u + f; returns u at t + dt."""
     theta = cfg.theta
-    shape = u_old.shape
     rhs = rho * u_old / dt + (1.0 - theta) * _apply_operator(grid, u_old, params, cfg.operator)
     if f_bar is not None:
         rhs = rhs + f_bar
-    rho_bar = float(np.mean(rho))
-    a = 1.0 / dt
+    psolve = _preconditioner(grid, params, float(np.mean(rho)) / dt, theta)
 
-    def matvec(x):
-        u = x.reshape(shape)
-        out = rho * u / dt - theta * _apply_operator(grid, u, params, cfg.operator)
-        return out.ravel()
+    def matvec(u):
+        return rho * u / dt - theta * _apply_operator(grid, u, params, cfg.operator)
 
-    def psolve(x):
-        return _precondition(grid, x.reshape(shape), params, rho_bar, a / theta).ravel() / theta
-
-    ndof = rhs.size
-    lin = scipy.sparse.linalg.LinearOperator((ndof, ndof), matvec=matvec)
-    pre = scipy.sparse.linalg.LinearOperator((ndof, ndof), matvec=psolve)
-    x0 = (u_guess if u_guess is not None else u_old).ravel()
-    x, info = scipy.sparse.linalg.cg(
-        lin, rhs.ravel(), x0=x0, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_maxiter, M=pre
-    )
-    if info != 0:
-        residual = float(np.linalg.norm(matvec(x) - rhs.ravel()) / np.linalg.norm(rhs.ravel()))
+    x0 = u_guess if u_guess is not None else u_old
+    x, iterations = _pcg(matvec, psolve, rhs, np.array(x0, dtype=float), cfg.cg_tol, cfg.cg_maxiter)
+    if iterations is None:
+        residual = float(np.linalg.norm(matvec(x) - rhs) / np.linalg.norm(rhs))
         raise SolverConvergenceError(
             f"CG stalled after {cfg.cg_maxiter} iterations (relative residual {residual:.3e})",
             residual,
         )
-    return x.reshape(shape)
+    return x
 
 
-def _forcing_at(forcing, t_grid, t):
-    """Linear-in-time sample of node-sampled forcing at an arbitrary time."""
-    if forcing is None:
-        return None
+def _sample_at(samples, t_grid, t):
+    """Linear-in-time sample of a t_grid-sampled field at an arbitrary time."""
     i = np.searchsorted(t_grid, t) - 1
     i = min(max(i, 0), len(t_grid) - 2)
     w = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
-    return (1.0 - w) * forcing[i] + w * forcing[i + 1]
+    return (1.0 - w) * samples[i] + w * samples[i + 1]
 
 
 def evolve(
@@ -185,12 +198,16 @@ def evolve(
     t_grid,
     cfg: StepperConfig,
     forcing: np.ndarray | None = None,
+    guess: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrate rho du/dt = L u + f, returning samples at every t_grid node.
 
     Each t_grid interval is subdivided into uniform steps no longer than
     cfg.dt. Forcing, when given, is sampled on t_grid and interpolated
-    linearly at interior step times.
+    linearly at interior step times. guess, a trajectory sampled like the
+    output (such as the previous iterate of a fixed point), is sampled the
+    same way as each step's CG starting point; without it CG starts from the
+    previous step.
     """
     grid = coef.grid
     t_grid = np.asarray(t_grid, dtype=float)
@@ -199,10 +216,16 @@ def evolve(
     u = np.asarray(u0, dtype=float)
     if u.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"u0 must be a vector field, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u0 contains non-finite samples")
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
         if forcing.shape != (len(t_grid),) + u.shape:
             raise ValueError("forcing must be sampled on t_grid with u0's field shape")
+        if not np.all(np.isfinite(forcing)):
+            raise ValueError("forcing contains non-finite samples")
+    if guess is not None and np.shape(guess) != (len(t_grid),) + u.shape:
+        raise ValueError("guess must be sampled on t_grid with u0's field shape")
 
     out = np.empty((len(t_grid),) + u.shape)
     out[0] = u
@@ -215,10 +238,11 @@ def evolve(
         for _ in range(nsub):
             f_bar = None
             if forcing is not None:
-                f_new = _forcing_at(forcing, t_grid, t + dt)
-                f_old = _forcing_at(forcing, t_grid, t)
+                f_new = _sample_at(forcing, t_grid, t + dt)
+                f_old = _sample_at(forcing, t_grid, t)
                 f_bar = theta * f_new + (1.0 - theta) * f_old
-            u = theta_step(grid, coef.rho, params, u, dt, cfg, f_bar=f_bar, u_guess=u)
+            u_guess = None if guess is None else _sample_at(guess, t_grid, t + dt)
+            u = theta_step(grid, coef.rho, params, u, dt, cfg, f_bar=f_bar, u_guess=u_guess)
             t += dt
         out[i + 1] = u
     return out

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,3 +166,12 @@ class TestPlotdata:
         lines = (outdir / "iterations.dat").read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("# ")
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    # scipy.sparse (CG) and scipy.integrate (cumulative trapezoid) were a
+    # quarter of a second of every CLI start; the package no longer needs them
+    code = "import sys, lamelab.cli; print(sorted({'scipy.sparse', 'scipy.integrate'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 
 from lamelab.fields import checkerboard_density, plane_wave, random_band_field, trig_density
 from lamelab.grid import Grid, lp_norm
-from lamelab.operators import LameParams, const_semigroup
+from lamelab.operators import LameParams, const_semigroup, lame_apply
 from lamelab.varcoef import (
     Coefficient,
     SolverConvergenceError,
@@ -11,6 +11,8 @@ from lamelab.varcoef import (
     dense_oracle_expm,
     dense_semigroup_matrix,
     energy_dissipation_check,
+    _pcg,
+    _preconditioner,
     evolve,
     momentum_integral,
     weighted_norm,
@@ -32,6 +34,12 @@ class TestCoefficient:
     def test_rejects_range_violation(self, grid32):
         rho = np.full(grid32.shape, 3.0)
         with pytest.raises(ValueError):
+            Coefficient(grid32, rho, 0.5)
+
+    def test_rejects_nonfinite_rho(self, grid32):
+        rho = np.ones(grid32.shape)
+        rho[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
             Coefficient(grid32, rho, 0.5)
 
     def test_rejects_bad_m(self, grid32):
@@ -102,6 +110,32 @@ class TestEvolve:
         u0 = np.zeros((2,) + rough16.grid.shape)
         with pytest.raises(ValueError):
             evolve(rough16, params, u0, [0.1, 0.2], StepperConfig(dt=1e-2))
+
+    def test_rejects_nonfinite_initial_state(self, rough16, params):
+        u0 = np.zeros((2,) + rough16.grid.shape)
+        u0[0, 2, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2))
+
+    def test_rejects_nonfinite_forcing(self, rough16, params):
+        u0 = np.zeros((2,) + rough16.grid.shape)
+        forcing = np.zeros((2,) + u0.shape)
+        forcing[1, 1, 4, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2), forcing=forcing)
+
+    def test_warm_start_matches_cold_start(self, rough16, params):
+        # a guess changes only where CG starts, so the runs agree to the CG
+        # tolerance times the preconditioned condition number (<= 1/m^4) per step
+        u0 = random_band_field(rough16.grid, 1, 3, seed=12, ncomp=2)
+        t_grid = np.linspace(0.0, 0.2, 11)
+        cfg = StepperConfig(dt=1e-2, cg_tol=1e-10)
+        cold = evolve(rough16, params, u0, t_grid, cfg)
+        noise = 1e-2 * random_band_field(rough16.grid, 1, 6, seed=13, ncomp=2)
+        warm = evolve(rough16, params, u0, t_grid, cfg, guess=cold + noise)
+        rel = np.max(np.abs(warm - cold)) / np.max(np.abs(cold))
+        steps = round(t_grid[-1] / cfg.dt)
+        assert 0.0 < rel <= steps * cfg.cg_tol / rough16.m**4
 
     def test_cg_failure_raises_with_residual(self, rough16, params):
         u0 = random_band_field(rough16.grid, 1, 3, seed=4, ncomp=2)
@@ -199,3 +233,41 @@ class TestDenseOracle:
         u0 = random_band_field(rough16.grid, 1, 3, seed=10, ncomp=2)
         norms = [weighted_norm(rough16, dense_oracle_expm(rough16, params, u0, t)) for t in (0.0, 0.1, 0.3)]
         assert norms[0] >= norms[1] >= norms[2]
+
+
+class TestPCG:
+    @staticmethod
+    def _system(coef, params, dt=1e-2, theta=0.5):
+        grid, rho = coef.grid, coef.rho
+
+        def matvec(u):
+            return rho * u / dt - theta * lame_apply(grid, u, params)
+
+        return matvec, _preconditioner(grid, params, float(np.mean(rho)) / dt, theta)
+
+    def test_iterations_match_scipy_cg(self, rough16, params):
+        import scipy.sparse.linalg as sla
+
+        matvec, psolve = self._system(rough16, params)
+        grid = rough16.grid
+        b = random_band_field(grid, 1, 6, seed=14, ncomp=2)
+        x0 = random_band_field(grid, 1, 3, seed=15, ncomp=2)
+        x, iterations = _pcg(matvec, psolve, b, x0.copy(), 1e-10, 500)
+
+        shape, ndof = b.shape, b.size
+        lin = sla.LinearOperator((ndof, ndof), matvec=lambda v: matvec(v.reshape(shape)).ravel(), dtype=float)
+        pre = sla.LinearOperator((ndof, ndof), matvec=lambda v: psolve(v.reshape(shape)).ravel(), dtype=float)
+        steps = []
+        x_ref, info = sla.cg(
+            lin, b.ravel(), x0=x0.ravel(), rtol=1e-10, atol=0.0, maxiter=500, M=pre, callback=steps.append
+        )
+        assert info == 0
+        assert iterations == len(steps) > 3
+        assert np.max(np.abs(x.ravel() - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+    def test_zero_rhs_returns_zeros(self, rough16, params):
+        matvec, psolve = self._system(rough16, params)
+        guess = random_band_field(rough16.grid, 1, 3, seed=16, ncomp=2)
+        x, iterations = _pcg(matvec, psolve, np.zeros_like(guess), guess, 1e-10, 500)
+        assert iterations == 0
+        assert not np.any(x)
