@@ -11,7 +11,7 @@ solver with Eulerian cross-checks (lagrangian).
 
 __version__ = "0.1.0"
 
-from .grid import Grid, grid_new
+from .grid import Grid
 from .operators import LameParams, ScaledLaplacian
 from .besov import BesovIndex, DyadicPartition
 from .varcoef import Coefficient, StepperConfig
@@ -19,7 +19,6 @@ from .lagrangian import LagrangianState, PicardConfig
 
 __all__ = [
     "Grid",
-    "grid_new",
     "LameParams",
     "ScaledLaplacian",
     "BesovIndex",

@@ -31,6 +31,7 @@ from .grid import lp_norm
 from .fields import random_band_field, random_time_profile
 from .io import read_csv, write_csv, write_field, write_manifest, write_plotdata
 from .kernels import (
+    EnvelopeFitError,
     conservation_defect,
     davies_probe,
     davies_twisted_norm,
@@ -40,6 +41,7 @@ from .kernels import (
     symmetry_defect,
 )
 from .lagrangian import (
+    CFLError,
     DiffeomorphismError,
     FlowInversionError,
     PicardConvergenceError,
@@ -72,6 +74,8 @@ from .varcoef import (
 
 _NUMERICAL_ERRORS = (
     SolverConvergenceError,
+    EnvelopeFitError,
+    CFLError,
     DiffeomorphismError,
     FlowInversionError,
     PicardConvergenceError,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, lp_norm, mean_free
+from .grid import Grid
 
 
 def gaussian_bump(grid: Grid, sigma: float, center=None, amplitude: float = 1.0) -> np.ndarray:
@@ -117,13 +117,6 @@ def trig_density(grid: Grid, m: float, seed: int = 0, kmax: float = 3.0, gain: f
     return m ** (-g)
 
 
-def normalized_besov_amplitude(grid: Grid, u: np.ndarray, norm_value: float, target: float) -> np.ndarray:
-    """Rescale u so a previously computed norm hits the target value."""
-    if norm_value <= 0:
-        raise ValueError("cannot normalize a zero field")
-    return u * (target / norm_value)
-
-
 def random_time_profile(t_grid: np.ndarray, seed: int) -> np.ndarray:
     """Smooth positive-ish envelope over a time grid for forcing probes."""
     rng = np.random.default_rng(seed)
@@ -139,8 +132,5 @@ __all__ = [
     "delta_field",
     "checkerboard_density",
     "trig_density",
-    "normalized_besov_amplitude",
     "random_time_profile",
-    "mean_free",
-    "lp_norm",
 ]

@@ -117,11 +117,6 @@ class Grid:
         return (delta + 0.5 * L) % L - 0.5 * L
 
 
-def grid_new(dim: int, points_per_axis: int, extent: float) -> Grid:
-    """Validated grid constructor; spacing = extent / points_per_axis."""
-    return Grid(dim, points_per_axis, extent)
-
-
 def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     if u.shape[-grid.dim:] != grid.shape:
@@ -192,12 +187,6 @@ def divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Spectral divergence of a vector field."""
     v = _check_field(grid, v)
     return irfftn(grid, np.sum(grid.rderiv * rfftn(grid, v), axis=0))
-
-
-def matrix_divergence(grid: Grid, m: np.ndarray) -> np.ndarray:
-    """Row-wise spectral divergence of a matrix field: out[i] = sum_j d m[i, j] / d x_j."""
-    m = _check_field(grid, m)
-    return np.stack([divergence(grid, m[i]) for i in range(grid.dim)])
 
 
 def field_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:

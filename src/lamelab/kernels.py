@@ -18,6 +18,11 @@ from .operators import LameParams, const_semigroup
 from .varcoef import Coefficient, StepperConfig, evolve
 
 
+class EnvelopeFitError(RuntimeError):
+    """The kernel data admit no Gaussian envelope fit: too few shells in the
+    trust window, or no decay."""
+
+
 def _entry_magnitude(field: np.ndarray, dim: int) -> np.ndarray:
     """Largest |entry| of a matrix field pointwise (the bounds are per entry)."""
     return np.max(np.abs(field), axis=tuple(range(field.ndim - dim)))
@@ -182,7 +187,7 @@ def _fit_envelope(
         weighted = slc.t**weight_power * magnitude(extractor(slc), slc.grid.dim)
         pts = _shell_points(slc, weighted, width)
         if len(pts) < min_shells:
-            raise ValueError(
+            raise EnvelopeFitError(
                 f"trust window at t = {slc.t} holds {len(pts)} shells, need {min_shells}"
             )
         rows.extend(pts)
@@ -190,7 +195,7 @@ def _fit_envelope(
     y = np.log(np.array([v for _, _, v in rows]))
     slope, intercept = np.polyfit(z, y, 1)
     if slope >= 0:
-        raise ValueError(f"no Gaussian decay: fitted slope {slope:.3e} is nonnegative")
+        raise EnvelopeFitError(f"no Gaussian decay: fitted slope {slope:.3e} is nonnegative")
     resid = y - (intercept + slope * z)
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0

@@ -44,6 +44,10 @@ class FlowInversionError(RuntimeError):
     """Fixed-point inversion of the flow map failed to converge."""
 
 
+class CFLError(RuntimeError):
+    """The Eulerian reference run's velocity outgrew its advective CFL bound."""
+
+
 class PicardConvergenceError(RuntimeError):
     """Fixed-point iteration exhausted max_iters; carries the factor history."""
 
@@ -534,7 +538,7 @@ def eulerian_reference_solve(
     for i in range(nt - 1):
         umax = float(np.max(field_magnitude(grid, u[i])))
         if dt * umax / grid.spacing > 1.0:
-            raise ValueError(
+            raise CFLError(
                 f"advective CFL violated at step {i}: dt |u| / h = {dt * umax / grid.spacing:.2f}"
             )
         # departure points, midpoint rule

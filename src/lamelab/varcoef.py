@@ -1,11 +1,22 @@
 """Time integration of rho(x) du/dt = L u + f with rough bounded rho.
 
-The theta-scheme node-space system is symmetric positive definite and is
-solved by conjugate gradients, preconditioned by the exact inverse of the
-constant-coefficient operator at the mean density. The preconditioned
-spectrum is pinned inside [m^2, 1/m^2], so iteration counts are
-mesh-independent. A dense matrix-exponential oracle on small grids provides
-the independent cross-check.
+The theta-scheme node-space system A = rho/dt - theta*L is symmetric positive
+definite and is solved by conjugate gradients, preconditioned by the exact
+inverse of P = a - theta*L at the mean density, a = mean(rho)/dt. On the
+half spectrum the symbol of P is c0 I + c (xi~ xi~^T + N N^T) with
+c0 = a + theta*mu*|xi|^2 and c = theta*(lam + mu), where xi~ and N are the
+orthogonal pieces of the Nyquist rule (see operators). Two Sherman-Morrison
+updates invert it in closed form:
+
+    P^{-1} = (I - g_t xi~ xi~^T - g_n N N^T) / c0,  g = c / (c0 + c |.|^2),
+
+and c0 + c |.|^2 >= a + theta*min(mu, nu)*|xi|^2 > 0. Because the inverse is
+exact, A = P + R with R = rho/dt - a pointwise, and P applied to the search
+direction follows the direction's own recurrence: each CG iteration costs one
+forward and one inverse transform. The preconditioned spectrum is pinned
+inside [m^2, 1/m^2], so iteration counts are mesh-independent. A dense
+matrix-exponential oracle on small grids provides the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -15,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, _check_field, integral
-from .operators import LameParams, _apply_symbols, _spectral_parts, _symbols, lame_apply
+from .grid import Grid, _check_field, integral, irfftn, rfftn
+from .operators import LameParams, lame_apply
 
 
 class SolverConvergenceError(RuntimeError):
@@ -119,17 +130,29 @@ def _apply_operator(grid: Grid, u: np.ndarray, params: LameParams, operator: str
 
 
 def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
-    """Exact inverse of (a - theta*L) per frequency on the Hodge split, as a
-    function of the residual. The symbols are built once, here; each
+    """Exact inverse of a - theta*L per frequency (module docstring), as a
+    function of the residual. The inverse symbol is built once, here; each
     application costs one forward and one inverse transform."""
-    symbols = _symbols(grid, params, lambda z: 1.0 / (a + theta * z))
-    return lambda r: _apply_symbols(grid, _spectral_parts(grid, r, params), symbols)
+    xi, ny = grid.rfreq, grid.rnyquist
+    c0 = a + theta * params.mu * grid.rfreq_sq
+    c = theta * (params.lam + params.mu)
+    inv = np.zeros((grid.dim,) + xi.shape)
+    for k in range(grid.dim):
+        inv[k, k] = 1.0
+    for piece in (np.where(ny, 0.0, xi), np.where(ny, xi, 0.0)):  # xi~, then N
+        g = c / (c0 + c * np.sum(piece**2, axis=0))
+        inv -= g * np.einsum("a...,b...->ab...", piece, piece)
+    inv /= c0
+    return lambda r: irfftn(grid, np.sum(inv * rfftn(grid, r)[None], axis=1))
 
 
-def _pcg(matvec, psolve, b: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
-    """Preconditioned conjugate gradients from the guess x (updated in place).
+def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
+    """Preconditioned conjugate gradients for A = P + R from the guess x (updated in place).
 
-    Same arithmetic and stopping rule as scipy.sparse.linalg.cg: stop when
+    psolve applies P^{-1} exactly, so w = P p follows the recurrence of the
+    search direction p = z + beta p: w = r + beta w, and A p = w + R p costs
+    no application of A. matvec (A) is used only for the initial residual.
+    Same stopping rule as scipy.sparse.linalg.cg: stop when
     ||r|| < rtol * ||b||, checked before each of at most maxiter iterations.
     Returns (x, iterations), iterations None when the rule was never met.
     """
@@ -137,14 +160,19 @@ def _pcg(matvec, psolve, b: np.ndarray, x: np.ndarray, rtol: float, maxiter: int
     if atol == 0.0:
         return np.zeros_like(b), 0
     r = b - matvec(x) if x.any() else b.copy()
-    rz_prev = p = None
+    rz_prev = p = w = None
     for it in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, it
         z = psolve(r)
         rz = np.vdot(r, z)
-        p = z if p is None else z + (rz / rz_prev) * p
-        q = matvec(p)
+        if p is None:
+            p, w = z, r.copy()
+        else:
+            beta = rz / rz_prev
+            p = z + beta * p
+            w = r + beta * w
+        q = w + remainder(p)
         alpha = rz / np.vdot(p, q)
         x += alpha * p
         r -= alpha * q
@@ -167,13 +195,20 @@ def theta_step(
     rhs = rho * u_old / dt + (1.0 - theta) * _apply_operator(grid, u_old, params, cfg.operator)
     if f_bar is not None:
         rhs = rhs + f_bar
-    psolve = _preconditioner(grid, params, float(np.mean(rho)) / dt, theta)
+    a = float(np.mean(rho)) / dt
+    psolve = _preconditioner(grid, params, a, theta)
+    shift = rho / dt - a
 
     def matvec(u):
         return rho * u / dt - theta * _apply_operator(grid, u, params, cfg.operator)
 
+    def remainder(u):  # A - P
+        if cfg.operator == "spectral":
+            return shift * u
+        return shift * u - theta * (stencil_lame(grid, u, params) - lame_apply(grid, u, params))
+
     x0 = u_guess if u_guess is not None else u_old
-    x, iterations = _pcg(matvec, psolve, rhs, np.array(x0, dtype=float), cfg.cg_tol, cfg.cg_maxiter)
+    x, iterations = _pcg(matvec, psolve, remainder, rhs, np.array(x0, dtype=float), cfg.cg_tol, cfg.cg_maxiter)
     if iterations is None:
         residual = float(np.linalg.norm(matvec(x) - rhs) / np.linalg.norm(rhs))
         raise SolverConvergenceError(

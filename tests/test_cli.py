@@ -78,6 +78,22 @@ class TestKernelCommand:
         assert (outdir / "shells.csv").exists()
         assert (outdir / "fit_summary.csv").exists()
 
+    def test_thin_trust_window_is_numerical_failure(self, tmp_path, outdir):
+        # 2 sqrt(t) ~ L/4: the fit finds too few shells after the solves ran
+        cfg = {
+            "grid": SMALL_GRID,
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "times": [0.9],
+            "stepper": {"dt": 0.05},
+        }
+        path = write_config(tmp_path / "kernel.json", cfg)
+        assert run_cli(["kernel", "--config", path, "--out", outdir]) == 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] == "numerical_failure"
+        assert manifest["error"]["type"] == "EnvelopeFitError"
+        assert "trust window" in manifest["error"]["message"]
+
 
 class TestValidation:
     def test_malformed_json_exits_2(self, tmp_path, outdir):

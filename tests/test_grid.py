@@ -6,7 +6,6 @@ from lamelab.grid import (
     dft_roundtrip,
     divergence,
     gradient,
-    grid_new,
     integral,
     jacobian,
     lp_norm,
@@ -22,10 +21,10 @@ from conftest import rng_field
 
 class TestGridConstruction:
     def test_spacing_2d(self):
-        assert grid_new(2, 64, 16.0).spacing == pytest.approx(0.25)
+        assert Grid(2, 64, 16.0).spacing == pytest.approx(0.25)
 
     def test_spacing_3d(self):
-        assert grid_new(3, 16, 8.0).spacing == pytest.approx(0.5)
+        assert Grid(3, 16, 8.0).spacing == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "dim,n,extent",
@@ -33,7 +32,7 @@ class TestGridConstruction:
     )
     def test_rejects_bad_parameters(self, dim, n, extent):
         with pytest.raises(ValueError):
-            grid_new(dim, n, extent)
+            Grid(dim, n, extent)
 
 
 class TestRoundtrip:

@@ -5,6 +5,7 @@ from lamelab.fields import checkerboard_density, delta_field, random_band_field
 from lamelab.grid import Grid, fftn, ifftn, integral, lp_norm, spectral_derivative
 from lamelab.kernels import (
     DaviesProbe,
+    EnvelopeFitError,
     KernelSlice,
     conservation_defect,
     davies_probe,
@@ -160,7 +161,7 @@ class TestGaussianFit:
         grid = Grid(2, 32, 8.0)
         kern = np.ones((2, 2) + grid.shape)
         slc = KernelSlice(grid, (16, 16), 0.9, kern, 1.0, np.eye(2))  # 2 sqrt(t) ~ L/4
-        with pytest.raises(ValueError):
+        with pytest.raises(EnvelopeFitError):
             gaussian_fit([slc])
 
 

@@ -5,6 +5,7 @@ from lamelab.besov import BesovIndex, besov_norm_report, default_partition
 from lamelab.fields import checkerboard_density, plane_wave, random_band_field
 from lamelab.grid import Grid, integral, jacobian, lp_norm
 from lamelab.lagrangian import (
+    CFLError,
     DiffeomorphismError,
     LagrangianState,
     PicardConfig,
@@ -355,7 +356,7 @@ class TestEulerianReference:
 
     def test_cfl_rejection(self, grid64_8, params, rough64):
         u0 = 10.0 * np.ones((2,) + grid64_8.shape)
-        with pytest.raises(ValueError):
+        with pytest.raises(CFLError):
             eulerian_reference_solve(rough64, params, u0, 1.0, StepperConfig(dt=0.1))
 
 

@@ -214,7 +214,6 @@ class TestComplexPathAgreement:
         e_mu, e_nu = np.exp(-t * z_mu), np.exp(-t * z_nu)
         pairs = [
             (lame_apply(grid, u, params), -z_mu, -z_nu),
-            (_preconditioner(grid, params, 7.0, 0.5)(u), 1 / (7.0 + 0.5 * z_mu), 1 / (7.0 + 0.5 * z_nu)),
             (const_semigroup(grid, u, t, params), e_mu, e_nu),
             (semigroup_weighted(grid, u, t, params, 0), e_mu, e_nu),
             (semigroup_weighted(grid, u, t, params, 1), -t * z_mu * e_mu, -t * z_nu * e_nu),
@@ -223,6 +222,14 @@ class TestComplexPathAgreement:
         ]
         for got, a, b in pairs:
             assert _rel_err(got, _complex_isotropic(grid, u, a, b)) <= 1e-13
+
+    @pytest.mark.parametrize("lam", [1.5, -1.5])
+    def test_preconditioner_inverts_operator(self, case, lam):
+        # exact on every mode, the Nyquist-mixed ones included
+        grid, u, _ = case
+        params = LameParams(1.0, lam)
+        z = _preconditioner(grid, params, 7.0, 0.5)(u)
+        assert _rel_err(7.0 * z - 0.5 * lame_apply(grid, z, params), u) <= 1e-13
 
     def test_derivatives(self, case):
         grid, u, s = case

@@ -8,6 +8,7 @@ from lamelab.varcoef import (
     Coefficient,
     SolverConvergenceError,
     StepperConfig,
+    dense_lame_matrix,
     dense_oracle_expm,
     dense_semigroup_matrix,
     energy_dissipation_check,
@@ -15,6 +16,7 @@ from lamelab.varcoef import (
     _preconditioner,
     evolve,
     momentum_integral,
+    theta_step,
     weighted_norm,
 )
 
@@ -239,20 +241,24 @@ class TestPCG:
     @staticmethod
     def _system(coef, params, dt=1e-2, theta=0.5):
         grid, rho = coef.grid, coef.rho
+        a = float(np.mean(rho)) / dt
 
         def matvec(u):
             return rho * u / dt - theta * lame_apply(grid, u, params)
 
-        return matvec, _preconditioner(grid, params, float(np.mean(rho)) / dt, theta)
+        def remainder(u):
+            return (rho / dt - a) * u
+
+        return matvec, _preconditioner(grid, params, a, theta), remainder
 
     def test_iterations_match_scipy_cg(self, rough16, params):
         import scipy.sparse.linalg as sla
 
-        matvec, psolve = self._system(rough16, params)
+        matvec, psolve, remainder = self._system(rough16, params)
         grid = rough16.grid
         b = random_band_field(grid, 1, 6, seed=14, ncomp=2)
         x0 = random_band_field(grid, 1, 3, seed=15, ncomp=2)
-        x, iterations = _pcg(matvec, psolve, b, x0.copy(), 1e-10, 500)
+        x, iterations = _pcg(matvec, psolve, remainder, b, x0.copy(), 1e-10, 500)
 
         shape, ndof = b.shape, b.size
         lin = sla.LinearOperator((ndof, ndof), matvec=lambda v: matvec(v.reshape(shape)).ravel(), dtype=float)
@@ -266,8 +272,46 @@ class TestPCG:
         assert np.max(np.abs(x.ravel() - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
     def test_zero_rhs_returns_zeros(self, rough16, params):
-        matvec, psolve = self._system(rough16, params)
+        matvec, psolve, remainder = self._system(rough16, params)
         guess = random_band_field(rough16.grid, 1, 3, seed=16, ncomp=2)
-        x, iterations = _pcg(matvec, psolve, np.zeros_like(guess), guess, 1e-10, 500)
+        x, iterations = _pcg(matvec, psolve, remainder, np.zeros_like(guess), guess, 1e-10, 500)
         assert iterations == 0
         assert not np.any(x)
+
+    def test_step_applies_operator_twice(self, rough16, params, monkeypatch):
+        # the right-hand side and the initial residual; CG iterations apply none
+        import lamelab.varcoef as vc
+
+        calls, iterations = [], []
+        lame, pcg = vc.lame_apply, vc._pcg
+
+        def counted_lame(*args):
+            calls.append(1)
+            return lame(*args)
+
+        def counted_pcg(*args):
+            x, it = pcg(*args)
+            iterations.append(it)
+            return x, it
+
+        monkeypatch.setattr(vc, "lame_apply", counted_lame)
+        monkeypatch.setattr(vc, "_pcg", counted_pcg)
+        u = random_band_field(rough16.grid, 1, 6, seed=17, ncomp=2)
+        theta_step(rough16.grid, rough16.rho, params, u, 1e-2, StepperConfig(dt=1e-2))
+        assert iterations[0] > 2
+        assert len(calls) <= 2
+
+    def test_stencil_step_matches_dense_solve(self, params):
+        # the stencil operator's part of A - P goes through the remainder
+        grid = Grid(2, 8, 8.0)
+        rho = trig_density(grid, 0.5, seed=5)
+        u = random_band_field(grid, 1, 3, seed=18, ncomp=2)
+        dt, theta = 0.1, 0.5
+        cfg = StepperConfig(dt=dt, theta=theta, cg_tol=1e-13, operator="stencil")
+        lame = dense_lame_matrix(grid, params)
+        rho_v = np.broadcast_to(rho, u.shape).ravel()
+        mat = np.diag(rho_v / dt) - theta * lame
+        rhs = rho_v * u.ravel() / dt + (1.0 - theta) * lame @ u.ravel()
+        ref = np.linalg.solve(mat, rhs).reshape(u.shape)
+        x = theta_step(grid, rho, params, u, dt, cfg)
+        assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
