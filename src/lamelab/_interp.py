@@ -5,176 +5,49 @@ Interpolation is the cardinal cubic B-spline scheme: an FFT prefilter turns
 nodal samples into spline coefficients (exact on uniform periodic grids),
 then each query gathers a 4^dim stencil of coefficients with B-spline
 weights. The interpolant is C^2, reproduces cubics exactly, and converges at
-O(h^4). Two implementations of the same gather loop: a numba @njit kernel
-and a vectorized pure-numpy fallback. The numpy path is selected by setting
-``LAMELAB_NO_NUMBA`` (any non-empty value) before import, or at runtime via
-:func:`set_backend`. ``benchmarks/bench_interp.py`` compares the two.
+O(h^4). Fields may carry leading component axes (vectors, matrices): the
+stencil indices and weights are computed once per call and shared by all
+components. ``benchmarks/bench_interp.py`` times it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.fft
 
-try:
-    from numba import njit, prange
 
-    _NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_AVAILABLE = False
-
-_backend = "numpy" if (os.environ.get("LAMELAB_NO_NUMBA") or not _NUMBA_AVAILABLE) else "numba"
-
-
+# perfbench/run.py's environment probe records this name; without it every benchmark run fails.
 def get_backend() -> str:
-    return _backend
+    return "numpy"
 
 
-def set_backend(name: str) -> None:
-    """Switch interpolation backend at runtime ('numba' or 'numpy')."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _NUMBA_AVAILABLE:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
-
-
-def spline_prefilter(values: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients of periodic nodal samples (FFT division).
+def spline_prefilter(values: np.ndarray, dim: int) -> np.ndarray:
+    """Cubic B-spline coefficients of periodic nodal samples (FFT division)
+    over the trailing ``dim`` axes; leading axes are components.
 
     The interpolation condition is a cyclic (1/6, 4/6, 1/6) convolution per
     axis, diagonal in Fourier space with symbol (4 + 2 cos(2 pi k / N)) / 6.
     """
     values = np.asarray(values, dtype=np.float64)
-    hat = scipy.fft.fftn(values)
-    for axis, n in enumerate(values.shape):
+    axes = tuple(range(values.ndim - dim, values.ndim))
+    hat = scipy.fft.fftn(values, axes=axes)
+    for axis in axes:
+        n = values.shape[axis]
         sym = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n))) / 6.0
         shape = [1] * values.ndim
         shape[axis] = n
         hat = hat / sym.reshape(shape)
-    return scipy.fft.ifftn(hat).real
+    return scipy.fft.ifftn(hat, axes=axes).real
 
 
 def _bspline_weights(s):
-    """Cubic B-spline weights on nodes {-1, 0, 1, 2} for offset s in [0, 1)."""
+    """Cubic B-spline weights on nodes {-1, 0, 1, 2} for offsets s in [0, 1), shape (4, m)."""
     s2 = s * s
     s3 = s2 * s
     w0 = (1.0 - 3.0 * s + 3.0 * s2 - s3) / 6.0
     w1 = (4.0 - 6.0 * s2 + 3.0 * s3) / 6.0
     w2 = (1.0 + 3.0 * s + 3.0 * s2 - 3.0 * s3) / 6.0
-    w3 = s3 / 6.0
-    return w0, w1, w2, w3
-
-
-if _NUMBA_AVAILABLE:
-
-    @njit(parallel=True, fastmath=True)
-    def _interp2_numba(coeffs, qx, qy, n):
-        m = qx.size
-        out = np.empty(m)
-        for p in prange(m):
-            fx = qx[p]
-            fy = qy[p]
-            ix = int(np.floor(fx))
-            iy = int(np.floor(fy))
-            sx = fx - ix
-            sy = fy - iy
-            sx2 = sx * sx
-            sx3 = sx2 * sx
-            sy2 = sy * sy
-            sy3 = sy2 * sy
-            wx = (
-                (1.0 - 3.0 * sx + 3.0 * sx2 - sx3) / 6.0,
-                (4.0 - 6.0 * sx2 + 3.0 * sx3) / 6.0,
-                (1.0 + 3.0 * sx + 3.0 * sx2 - 3.0 * sx3) / 6.0,
-                sx3 / 6.0,
-            )
-            wy = (
-                (1.0 - 3.0 * sy + 3.0 * sy2 - sy3) / 6.0,
-                (4.0 - 6.0 * sy2 + 3.0 * sy3) / 6.0,
-                (1.0 + 3.0 * sy + 3.0 * sy2 - 3.0 * sy3) / 6.0,
-                sy3 / 6.0,
-            )
-            acc = 0.0
-            for a in range(4):
-                ia = (ix - 1 + a) % n
-                row = 0.0
-                for b in range(4):
-                    ib = (iy - 1 + b) % n
-                    row += wy[b] * coeffs[ia, ib]
-                acc += wx[a] * row
-            out[p] = acc
-        return out
-
-    @njit(parallel=True, fastmath=True)
-    def _interp3_numba(coeffs, qx, qy, qz, n):
-        m = qx.size
-        out = np.empty(m)
-        for p in prange(m):
-            fx = qx[p]
-            fy = qy[p]
-            fz = qz[p]
-            ix = int(np.floor(fx))
-            iy = int(np.floor(fy))
-            iz = int(np.floor(fz))
-            sx = fx - ix
-            sy = fy - iy
-            sz = fz - iz
-            sx2 = sx * sx
-            sx3 = sx2 * sx
-            sy2 = sy * sy
-            sy3 = sy2 * sy
-            sz2 = sz * sz
-            sz3 = sz2 * sz
-            wx = (
-                (1.0 - 3.0 * sx + 3.0 * sx2 - sx3) / 6.0,
-                (4.0 - 6.0 * sx2 + 3.0 * sx3) / 6.0,
-                (1.0 + 3.0 * sx + 3.0 * sx2 - 3.0 * sx3) / 6.0,
-                sx3 / 6.0,
-            )
-            wy = (
-                (1.0 - 3.0 * sy + 3.0 * sy2 - sy3) / 6.0,
-                (4.0 - 6.0 * sy2 + 3.0 * sy3) / 6.0,
-                (1.0 + 3.0 * sy + 3.0 * sy2 - 3.0 * sy3) / 6.0,
-                sy3 / 6.0,
-            )
-            wz = (
-                (1.0 - 3.0 * sz + 3.0 * sz2 - sz3) / 6.0,
-                (4.0 - 6.0 * sz2 + 3.0 * sz3) / 6.0,
-                (1.0 + 3.0 * sz + 3.0 * sz2 - 3.0 * sz3) / 6.0,
-                sz3 / 6.0,
-            )
-            acc = 0.0
-            for a in range(4):
-                ia = (ix - 1 + a) % n
-                plane = 0.0
-                for b in range(4):
-                    ib = (iy - 1 + b) % n
-                    row = 0.0
-                    for c in range(4):
-                        ic = (iz - 1 + c) % n
-                        row += wz[c] * coeffs[ia, ib, ic]
-                    plane += wy[b] * row
-                acc += wx[a] * plane
-            out[p] = acc
-        return out
-
-
-def _interp_numpy(coeffs, frac_coords, n):
-    """Vectorized fallback: gather the 4^dim stencil with advanced indexing."""
-    dim = len(frac_coords)
-    base = [np.floor(f).astype(np.int64) for f in frac_coords]
-    offs = [f - b for f, b in zip(frac_coords, base)]
-    weights = [np.stack(_bspline_weights(s)) for s in offs]  # (4, m) each
-    idx = [np.stack([(b - 1 + a) % n for a in range(4)]) for b in base]  # (4, m) each
-    if dim == 2:
-        vals = coeffs[idx[0][:, None, :], idx[1][None, :, :]]  # (4, 4, m)
-        return np.einsum("am,bm,abm->m", weights[0], weights[1], vals)
-    vals = coeffs[idx[0][:, None, None, :], idx[1][None, :, None, :], idx[2][None, None, :, :]]
-    return np.einsum("am,bm,cm,abcm->m", weights[0], weights[1], weights[2], vals)
+    return np.stack([w0, w1, w2, s3 / 6.0])
 
 
 def interp_periodic(
@@ -184,40 +57,34 @@ def interp_periodic(
 
     Parameters
     ----------
-    values : ndarray, shape (n,)*dim
+    values : ndarray, shape (*lead, n, ..., n) with dim trailing grid axes
         Nodal samples (node j at -L/2 + j*h), or spline coefficients from
-        :func:`spline_prefilter` when ``prefiltered`` is set.
+        :func:`spline_prefilter` when ``prefiltered`` is set. Each leading
+        component is interpolated; the result has shape (*lead, ...).
     coords : ndarray, shape (dim, ...)
         Physical query coordinates; wrapped periodically.
     extent : float
         Torus side length L.
     """
-    coeffs = np.ascontiguousarray(values if prefiltered else spline_prefilter(values))
-    dim = coeffs.ndim
-    n = coeffs.shape[0]
-    h = extent / n
     coords = np.asarray(coords, dtype=np.float64)
-    if coords.shape[0] != dim:
-        raise ValueError(f"coords leading axis {coords.shape[0]} != field dim {dim}")
-    qshape = coords.shape[1:]
-    # fractional index of each query point; origin of axis j is -L/2
-    frac = [(coords[a].ravel() + 0.5 * extent) / h for a in range(dim)]
-    if _backend == "numba":
-        if dim == 2:
-            out = _interp2_numba(coeffs, frac[0], frac[1], n)
-        else:
-            out = _interp3_numba(coeffs, frac[0], frac[1], frac[2], n)
-    else:
-        out = _interp_numpy(coeffs, frac, n)
-    return out.reshape(qshape)
-
-
-def interp_periodic_components(
-    values: np.ndarray, coords: np.ndarray, extent: float, prefiltered: bool = False
-) -> np.ndarray:
-    """Componentwise :func:`interp_periodic` for fields with leading axes."""
     dim = coords.shape[0]
-    lead = values.shape[: values.ndim - dim]
-    flat = values.reshape((-1,) + values.shape[values.ndim - dim:])
-    out = np.stack([interp_periodic(c, coords, extent, prefiltered) for c in flat])
+    grid_shape = np.shape(values)[np.ndim(values) - dim:]
+    if dim not in (2, 3) or len(grid_shape) != dim or len(set(grid_shape)) != 1:
+        raise ValueError(f"coords leading axis {dim} does not match field grid axes {grid_shape}")
+    coeffs = np.ascontiguousarray(values if prefiltered else spline_prefilter(values, dim))
+    n = grid_shape[0]
+    h = extent / n
+    weights, index = [], []
+    for a in range(dim):
+        # fractional index of each query point; origin of axis a is -L/2
+        frac = (coords[a].ravel() + 0.5 * extent) / h
+        base = np.floor(frac).astype(np.int64)
+        weights.append(_bspline_weights(frac - base))
+        idx = np.stack([(base - 1 + k) % n for k in range(4)])  # (4, m)
+        # stencil axis a broadcasts against the others, so a gather is (4, ..., 4, m)
+        index.append(idx.reshape((1,) * a + (4,) + (1,) * (dim - 1 - a) + idx.shape[1:]))
+    letters = "abc"[:dim]
+    spec = ",".join(f"{c}m" for c in letters) + f",{letters}m->m"  # "am,bm,abm->m" in 2D
+    lead = coeffs.shape[: coeffs.ndim - dim]
+    out = np.stack([np.einsum(spec, *weights, c[tuple(index)]) for c in coeffs.reshape((-1,) + grid_shape)])
     return out.reshape(lead + coords.shape[1:])

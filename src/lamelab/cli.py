@@ -114,6 +114,12 @@ def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     times = [float(t) for t in cfg.get("times", [0.05, 0.1, 0.2])]
     sources = cfg.get("sources") or [[grid.n // 2] * grid.dim]
     presmooth = bool(cfg.get("presmooth", False))
+    dcfg = cfg.get("davies")
+    if dcfg:
+        alphas = [float(a) for a in dcfg.get("alphas", [0.0, 0.5, 1.0, 2.0])]
+        davies_u0 = build_u0(grid, dcfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
+        if not alphas or min(alphas) < 0 or not np.any(davies_u0):
+            raise ConfigError(f"davies needs nonnegative alphas and a nonzero u0, got alphas {alphas}")
 
     slice_sets = _pool_map(
         lambda y0: kernel_column(coef, params, y0, times, stepper, presmooth=presmooth),
@@ -163,12 +169,9 @@ def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
         write_csv(out / "symmetry.csv", ["source_a", "source_b", "t", "defect"], sym_rows)
         summary["max_symmetry_defect"] = max(r[3] for r in sym_rows)
 
-    dcfg = cfg.get("davies")
     if dcfg:
-        alphas = [float(a) for a in dcfg.get("alphas", [0.0, 0.5, 1.0, 2.0])]
         probes = [davies_probe(grid, a) for a in alphas]
-        u0 = build_u0(grid, dcfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
-        rep = davies_twisted_norm(coef, params, probes, u0, times, stepper)
+        rep = davies_twisted_norm(coef, params, probes, davies_u0, times, stepper)
         rows = [
             (alpha, t, g)
             for alpha, curve in zip(rep.alphas, rep.log_growth)
@@ -226,6 +229,15 @@ def run_maxreg(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     s = float(cfg.get("s", grid.dim / cfg.get("p", 2.0) - 1.0))
     p = float(cfg.get("p", 2.0))
     T = float(cfg.get("T", 2.0))
+    if count < 1:
+        raise ConfigError(f"probes count must be >= 1, got {count}")
+    ncfg = cfg.get("norm_equiv")
+    if ncfg:
+        s_eq = float(ncfg.get("s", 0.5))
+        q_eq = float(ncfg.get("q", 1.0))
+        n_eq = int(ncfg.get("count", 5))
+        if not (0.0 < s_eq < 1.0 and q_eq > 0.0 and n_eq >= 1):
+            raise ConfigError(f"norm_equiv needs s in (0, 1), q > 0, count >= 1; got {s_eq}, {q_eq}, {n_eq}")
 
     nt = int(round(T / stepper.dt)) + 1
     t_grid = np.linspace(0.0, T, nt)
@@ -251,11 +263,7 @@ def run_maxreg(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     write_csv(out / "maxreg_summary.csv", ["quantity", "value"], [("max_ratio", max_ratio)])
 
     summary = {"max_ratio": max_ratio}
-    ncfg = cfg.get("norm_equiv")
     if ncfg:
-        s_eq = float(ncfg.get("s", 0.5))
-        q_eq = float(ncfg.get("q", 1.0))
-        n_eq = int(ncfg.get("count", 5))
         ratios = []
         for i in range(n_eq):
             x = random_band_field(grid, kmin, kmax, base + 1000 + i, ncomp=grid.dim)
@@ -394,6 +402,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="base seed for random probes")
     parser.add_argument("--threads", type=int, default=1, help="worker threads (0 = all cores)")
     args = parser.parse_args(argv)
+    if args.threads < 0:
+        print(f"config error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
+        return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._interp import interp_periodic, interp_periodic_components, spline_prefilter
+from ._interp import interp_periodic, spline_prefilter
 from .besov import BesovIndex, besov_norm_report, default_partition
 from .grid import (
     Grid,
@@ -175,11 +175,11 @@ def change_of_variable_residual(
     det = flow.det[t_index]
 
     phi_x = interp_periodic(phi, x_pts, L)
-    lhs_grad = interp_periodic_components(gradient(grid, phi), x_pts, L)
+    lhs_grad = interp_periodic(gradient(grid, phi), x_pts, L)
     rhs_grad = np.einsum("ai...,a...->i...", a_inv, gradient(grid, phi_x))
     res_grad = float(np.max(np.abs(lhs_grad - rhs_grad)))
 
-    v_x = interp_periodic_components(v, x_pts, L)
+    v_x = interp_periodic(v, x_pts, L)
     lhs_div = interp_periodic(divergence(grid, v), x_pts, L)
     dv_x = jacobian(grid, v_x)
     rhs_trace = np.einsum("ij...,ji...->...", a_inv, dv_x)
@@ -188,7 +188,7 @@ def change_of_variable_residual(
     res_piola = float(np.max(np.abs(lhs_div - rhs_piola)))
 
     lap = np.stack([divergence(grid, gradient(grid, v[m])) for m in range(grid.dim)])
-    lhs_lap = interp_periodic_components(lap, x_pts, L)
+    lhs_lap = interp_periodic(lap, x_pts, L)
     metric = np.einsum("ij...,kj...->ik...", adj, a_inv)  # adj A^T
     rhs_lap = np.stack(
         [
@@ -449,9 +449,9 @@ def invert_flow(grid: Grid, disp: np.ndarray, tol: float = 1e-12, max_iters: int
     small flows); returns Y on the grid nodes."""
     x = grid.coords
     y = x - disp
-    coeffs = np.stack([spline_prefilter(disp[a]) for a in range(grid.dim)])
+    coeffs = spline_prefilter(disp, grid.dim)
     for _ in range(max_iters):
-        y_new = x - interp_periodic_components(coeffs, y, grid.extent, prefiltered=True)
+        y_new = x - interp_periodic(coeffs, y, grid.extent, prefiltered=True)
         move = np.max(np.abs(grid.min_image(y_new - y)))
         y = y_new
         if move <= tol * grid.extent:
@@ -461,7 +461,7 @@ def invert_flow(grid: Grid, disp: np.ndarray, tol: float = 1e-12, max_iters: int
 
 def flow_roundtrip_defect(grid: Grid, disp: np.ndarray, y: np.ndarray) -> float:
     """Max-norm of X(Y(x)) - x for a computed inverse Y."""
-    x_back = y + interp_periodic_components(disp, y, grid.extent)
+    x_back = y + interp_periodic(disp, y, grid.extent)
     return float(np.max(np.abs(grid.min_image(x_back - grid.coords))))
 
 
@@ -481,7 +481,7 @@ def pushforward_eulerian(
             u_out[0] = state.u[0]
             continue
         y = invert_flow(grid, flow.disp[i])
-        u_out[i] = interp_periodic_components(state.u[i], y, grid.extent)
+        u_out[i] = interp_periodic(state.u[i], y, grid.extent)
         rho_out[i] = interp_periodic(rho0.rho / flow.det[i], y, grid.extent)
     return EulerianTrajectory(state.t.copy(), rho_out, u_out)
 
@@ -543,9 +543,9 @@ def eulerian_reference_solve(
             )
         # departure points, midpoint rule
         x_mid = x - 0.5 * dt * u[i]
-        u_mid = interp_periodic_components(u[i], x_mid, L)
+        u_mid = interp_periodic(u[i], x_mid, L)
         x_dep = x - dt * u_mid
-        u_adv = interp_periodic_components(u[i], x_dep, L)
+        u_adv = interp_periodic(u[i], x_dep, L)
         div_u = divergence(grid, u[i])
         rho_adv = interp_periodic(rho[i], x_dep, L) * np.exp(-dt * interp_periodic(div_u, x_dep, L))
         u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg, u_guess=u_adv)

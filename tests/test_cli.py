@@ -112,6 +112,28 @@ class TestValidation:
         assert run_cli(["besov", "--config", path, "--out", outdir]) == 2
 
 
+class TestConfigErrorWritesNothing:
+    # exit 2 leaves --out empty, also when the bad block is read after other artifacts are due
+    BASE = {"grid": {"dim": 2, "N": 16, "extent": 8.0}, "lame": LAME, "rho0": {"kind": "constant"}}
+    MAXREG = {"probes": {"count": 1}, "T": 0.1, "stepper": {"dt": 0.05}}
+    # the envelope fit needs more shells than a 16^2 grid holds
+    KERNEL = {"grid": {"dim": 2, "N": 64, "extent": 8.0}, "times": [0.1], "stepper": {"dt": 0.01}}
+    CASES = {
+        "norm_equiv_s": ("maxreg", {**MAXREG, "norm_equiv": {"s": 1.5}}, []),
+        "norm_equiv_q": ("maxreg", {**MAXREG, "norm_equiv": {"q": 0.0}}, []),
+        "davies_alpha": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, -1.0]}}, []),
+        "davies_u0": ("kernel", {**KERNEL, "davies": {"u0": {"kind": "zero"}}}, []),
+        "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_and_empty_out(self, case, tmp_path, outdir):
+        command, extra, flags = self.CASES[case]
+        path = write_config(tmp_path / "cfg.json", {**self.BASE, **extra})
+        assert run_cli([command, "--config", path, "--out", outdir, *flags]) == 2
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+
 class TestDeterminism:
     def test_besov_artifacts_bit_identical(self, tmp_path):
         cfg = {

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from lamelab._interp import (
-    get_backend,
-    interp_periodic,
-    interp_periodic_components,
-    set_backend,
-    spline_prefilter,
-)
+from lamelab._interp import interp_periodic, spline_prefilter
 from lamelab.fields import _mode_list, random_band_field
 from lamelab.grid import Grid
 
@@ -53,43 +47,54 @@ class TestAccuracy:
         vals = interp_periodic(u, pts, grid.extent)
         assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
+    def test_reproduces_nodal_values_3d(self):
+        grid = Grid(3, 16, 8.0)
+        u = random_band_field(grid, 1, 3, seed=0)
+        vals = interp_periodic(u, grid.coords, grid.extent)
+        assert np.max(np.abs(vals - u)) < 1e-12
 
-class TestBackends:
-    def test_backends_agree_bitwise(self, query_points):
-        pytest.importorskip("numba")
-        grid = Grid(2, 64, 16.0)
-        u = random_band_field(grid, 1, 5, seed=3)
-        current = get_backend()
-        try:
-            set_backend("numba")
-            a = interp_periodic(u, query_points, grid.extent)
-            set_backend("numpy")
-            b = interp_periodic(u, query_points, grid.extent)
-        finally:
-            set_backend(current)
-        assert np.max(np.abs(a - b)) < 1e-14
+    def test_periodic_wrap_3d(self):
+        grid = Grid(3, 16, 8.0)
+        u = random_band_field(grid, 1, 3, seed=2)
+        # one physical point, shifted by a whole period along one axis, then along all three
+        pts = np.array([[3.9, -4.1, -4.1], [0.3, 0.3, 8.3], [-1.7, -1.7, 6.3]])
+        vals = interp_periodic(u, pts, grid.extent)
+        assert vals[1] == pytest.approx(vals[0], abs=1e-12)
+        assert vals[2] == pytest.approx(vals[0], abs=1e-12)
 
-    def test_rejects_unknown_backend(self):
+
+class TestComponents:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_scalar_calls(self, dim):
+        # leading axes share one stencil; each component equals its own scalar call bitwise
+        grid = Grid(dim, 32 if dim == 2 else 16, 8.0)
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(-6.0, 6.0, size=(dim, 5, 40))
+        vec = random_band_field(grid, 1, 3, seed=6, ncomp=dim)
+        mat = rng.standard_normal((2, 2) + grid.shape)
+        vals = interp_periodic(vec, pts, grid.extent)
+        assert vals.shape == (dim, 5, 40)
+        for i in range(dim):
+            assert np.array_equal(vals[i], interp_periodic(vec[i], pts, grid.extent))
+        vals = interp_periodic(mat, pts, grid.extent)
+        assert vals.shape == (2, 2, 5, 40)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(vals[i, j], interp_periodic(mat[i, j], pts, grid.extent))
+        coeffs = spline_prefilter(vec, dim)
+        assert np.array_equal(coeffs, np.stack([spline_prefilter(c, dim) for c in vec]))
+        assert np.array_equal(interp_periodic(coeffs, pts, grid.extent, prefiltered=True),
+                              interp_periodic(vec, pts, grid.extent))
+
+    def test_rejects_malformed_input(self):
+        grid = Grid(2, 32, 8.0)
+        u = random_band_field(grid, 1, 3, seed=7)
         with pytest.raises(ValueError):
-            set_backend("fortran")
-
-    def test_env_flag_selects_numpy(self):
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "import lamelab._interp as i; print(i.get_backend())"
-        )
-        # keep the parent environment (PYTHONPATH among it) so the child imports lamelab
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "LAMELAB_NO_NUMBA": "1"},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"
+            interp_periodic(u, np.zeros((4, 7)), grid.extent)  # 4 coordinate rows
+        with pytest.raises(ValueError):
+            interp_periodic(u, np.zeros((3, 7)), grid.extent)  # more rows than grid axes
+        with pytest.raises(ValueError):
+            interp_periodic(u[:, :16], np.zeros((2, 7)), grid.extent)  # non-square grid axes
 
 
 class TestPrefilter:
@@ -97,13 +102,6 @@ class TestPrefilter:
         # interpolating the coefficients at the nodes returns the samples
         grid = Grid(2, 32, 16.0)
         u = random_band_field(grid, 1, 6, seed=4)
-        coeffs = spline_prefilter(u)
+        coeffs = spline_prefilter(u, grid.dim)
         vals = interp_periodic(coeffs, grid.coords, grid.extent, prefiltered=True)
         assert np.max(np.abs(vals - u)) < 1e-12
-
-    def test_components_wrapper(self):
-        grid = Grid(2, 32, 16.0)
-        u = random_band_field(grid, 1, 4, seed=5, ncomp=2)
-        pts = np.zeros((2, 7))
-        vals = interp_periodic_components(u, pts, grid.extent)
-        assert vals.shape == (2, 7)
