@@ -4,6 +4,12 @@ heat-semigroup characterizations.
 Norms are homogeneous: the zero mode is always excluded and fields are
 recentered to zero mean before evaluation. A norm whose dyadic sum leans on
 the first or last resolvable block is flagged (the grid cannot certify it).
+
+Each norm is a weighting of a profile that does not depend on s: the block
+norms ||block_j u||_p (besov_level_norms) weighted by 2^(j*s)
+(besov_weighting), and the semigroup profile ||(tG)^k e^{tG} u||_p at the time
+nodes (heat_profile) weighted by t^(-s/2) (heat_char_weighting). A caller
+that needs several s takes each profile once.
 """
 
 from __future__ import annotations
@@ -117,33 +123,35 @@ def _aggregate(levels: np.ndarray, r: float) -> float:
     return float(np.sum(levels**r) ** (1.0 / r))
 
 
-def besov_norm_report(
-    grid: Grid, u: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
-) -> NormReport:
+def besov_level_norms(
+    grid: Grid, u: np.ndarray, p: float, partition: DyadicPartition | None = None
+) -> np.ndarray:
+    """||block_j u||_p for each level j of the partition (free of s)."""
     part = partition or default_partition(grid)
     u_hat = fftn(grid, u)
-    if idx.p == 2.0:
+    if p == 2.0:
         # Plancherel shortcut: ||chi_j u||_2 without inverse transforms
         comp_axes = tuple(range(u_hat.ndim - grid.dim))
         power = np.sum(np.abs(u_hat) ** 2, axis=comp_axes) if comp_axes else np.abs(u_hat) ** 2
         vol = grid.cell_volume / grid.size
-        per = np.array(
-            [
-                2.0 ** (j * idx.s) * np.sqrt(vol * np.sum(part.mask(j) ** 2 * power))
-                for j in part.levels
-            ]
-        )
-    else:
-        per = np.array(
-            [
-                2.0 ** (j * idx.s) * lp_norm(grid, ifftn(grid, part.mask(j) * u_hat), idx.p)
-                for j in part.levels
-            ]
-        )
+        return np.array([np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels])
+    return np.array([lp_norm(grid, ifftn(grid, part.mask(j) * u_hat), p) for j in part.levels])
+
+
+def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: BesovIndex) -> NormReport:
+    """Weight level norms from besov_level_norms by 2^(j*s) and take their l^r sum."""
+    per = np.array([2.0 ** (j * idx.s) * n for j, n in zip(partition.levels, level_norms)])
     value = _aggregate(per, idx.r)
     total = float(np.sum(per))
     leakage = (per[0] + per[-1]) / total if total > 0 else 0.0
     return NormReport(value, float(leakage), tuple(per))
+
+
+def besov_norm_report(
+    grid: Grid, u: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
+) -> NormReport:
+    part = partition or default_partition(grid)
+    return besov_weighting(part, besov_level_norms(grid, u, idx.p, part), idx)
 
 
 def besov_norm(
@@ -191,6 +199,35 @@ def extended_time_nodes(grid: Grid, gen: Generator, above: float = 1.0) -> np.nd
     return _geometric_nodes(base[0] / 256.0, base[-1] * above)
 
 
+def heat_profile(
+    grid: Grid, u: np.ndarray, p: float, k: int, gen: Generator, t_nodes: np.ndarray | None = None
+) -> tuple:
+    """Quadrature nodes and ||(tG)^k e^{tG} u||_p at each node (free of s).
+
+    The default nodes are extended_time_nodes(grid, gen); see heat_char_norm.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
+    nodes = extended_time_nodes(grid, gen) if t_nodes is None else np.asarray(t_nodes)
+    parts = _spectral_parts(grid, mean_free(grid, u), gen)
+    profile = np.array([lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, k), p) for t in nodes])
+    return nodes, profile
+
+
+def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float, q: float) -> NormReport:
+    """Weight a heat_profile by t^(-s/2) and take its L^q(dt/t) quadrature;
+    per_level holds the weighted profile at each node."""
+    g = np.array([t ** (-s / 2.0) * v for t, v in zip(nodes, profile)])
+    w = 0.5 * math.log(2.0)  # dt/t per geometric node
+    if np.isinf(q):
+        value = float(np.max(g))
+    else:
+        value = float((w * np.sum(g**q)) ** (1.0 / q))
+    total = float(np.sum(g))
+    leakage = (g[0] + g[-1]) / total if total > 0 else 0.0
+    return NormReport(value, float(leakage), tuple(g))
+
+
 def heat_char_norm_report(
     grid: Grid,
     u: np.ndarray,
@@ -202,22 +239,10 @@ def heat_char_norm_report(
     t_nodes: np.ndarray | None = None,
 ) -> NormReport:
     """Time profile and quadrature of the heat characterization (see
-    heat_char_norm); per_level holds the profile at each node."""
+    heat_char_norm); per_level holds the weighted profile at each node."""
     if not (k > s / 2.0 and k >= 0):
         raise ValueError(f"need k > s/2 and k >= 0, got k={k}, s={s}")
-    nodes = extended_time_nodes(grid, gen) if t_nodes is None else np.asarray(t_nodes)
-    parts = _spectral_parts(grid, mean_free(grid, u), gen)
-    g = np.array(
-        [t ** (-s / 2.0) * lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, k), p) for t in nodes]
-    )
-    w = 0.5 * math.log(2.0)  # dt/t per geometric node
-    if np.isinf(q):
-        value = float(np.max(g))
-    else:
-        value = float((w * np.sum(g**q)) ** (1.0 / q))
-    total = float(np.sum(g))
-    leakage = (g[0] + g[-1]) / total if total > 0 else 0.0
-    return NormReport(value, float(leakage), tuple(g))
+    return heat_char_weighting(*heat_profile(grid, u, p, k, gen, t_nodes), s, q)
 
 
 def heat_char_norm(

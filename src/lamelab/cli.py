@@ -23,9 +23,11 @@ import numpy as np
 from . import __version__
 from .besov import (
     BesovIndex,
-    besov_norm_report,
+    besov_level_norms,
+    besov_weighting,
     default_partition,
-    heat_char_norm_report,
+    heat_char_weighting,
+    heat_profile,
 )
 from .grid import lp_norm
 from .fields import random_band_field, random_time_profile
@@ -195,18 +197,30 @@ def run_besov(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     q = float(cfg.get("q", 1.0))
     k = int(cfg.get("k", 1))
 
-    fields = [random_band_field(grid, kmin, kmax, base + i, ncomp=grid.dim) for i in range(count)]
+    indices = [BesovIndex(s, p, 1.0) for s in s_list]
+    if not all(k > idx.s / 2.0 for idx in indices):
+        raise ConfigError(f"the heat characterization needs k > s/2, got k={k}, s_list={s_list}")
+    gens = (("laplacian", ScaledLaplacian(1.0)), ("lame", params))
+
+    # block norms and heat profiles do not depend on s: take each once per field
+    levels, profiles = [], {}
+    for i in range(count):
+        u = random_band_field(grid, kmin, kmax, base + i, ncomp=grid.dim)
+        levels.append(besov_level_norms(grid, u, p, part))
+        for gname, gen in gens:
+            profiles[gname, i] = heat_profile(grid, u, p, k, gen)
     nz = grid.freq_sq > 0
     punity = float(np.max(np.abs(sum(part.masks)[nz] - 1.0)))
 
     rows = [("partition_defect", 0.0, p, 1.0, punity, 0.0)]
     summary = {"partition_defect": punity, "equivalence": {}}
-    for s in s_list:
-        for gname, gen in (("laplacian", ScaledLaplacian(1.0)), ("lame", params)):
+    for idx in indices:
+        s = idx.s
+        for gname, _ in gens:
             ratios = []
-            for i, u in enumerate(fields):
-                brep = besov_norm_report(grid, u, BesovIndex(s, p, 1.0), part)
-                hrep = heat_char_norm_report(grid, u, s, p, q, k, gen)
+            for i in range(count):
+                brep = besov_weighting(part, levels[i], idx)
+                hrep = heat_char_weighting(*profiles[gname, i], s, q)
                 ratio = hrep.value / brep.value
                 ratios.append(ratio)
                 rows.append((f"heat_over_lp_{gname}_{i}", s, p, 1.0, ratio, max(brep.leakage, hrep.leakage)))

@@ -6,18 +6,24 @@ from lamelab.besov import (
     BesovIndex,
     BoundaryLeakageWarning,
     DyadicPartition,
+    besov_level_norms,
     besov_norm,
     besov_norm_report,
+    besov_weighting,
     default_partition,
     dyadic_block,
+    extended_time_nodes,
     heat_char_norm,
+    heat_char_norm_report,
+    heat_char_weighting,
+    heat_profile,
     heat_time_nodes,
     multiplier_ratio,
     product_law_ratio,
 )
 from lamelab.fields import gaussian_bump, plane_wave, random_band_field
 from lamelab.grid import Grid, fftn, lp_norm, mean_free
-from lamelab.operators import LameParams, ScaledLaplacian
+from lamelab.operators import LameParams, ScaledLaplacian, _spectral_parts, _weighted_from_parts
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +244,62 @@ class TestProductLaw:
         u = random_band_field(grid64, 1, 4, seed=10)
         v = random_band_field(grid64, 1, 4, seed=11)
         assert 0 < product_law_ratio(grid64, u, v, 2.0, mixed=True) < 10
+
+
+class TestProfiles:
+    """A report is the s-weighting of an s-free profile, with the same scalar
+    operations in the same order as a direct evaluation at that s."""
+
+    S_VALUES = (-0.5, 0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("r", [1.0, np.inf])
+    def test_besov_report_is_weighted_level_norms(self, grid32, p, r):
+        u = random_band_field(grid32, 1, 6, seed=3, ncomp=2)
+        part = default_partition(grid32)
+        levels = besov_level_norms(grid32, u, p, part)
+        u_hat = fftn(grid32, u)
+        power = np.sum(np.abs(u_hat) ** 2, axis=0)
+        vol = grid32.cell_volume / grid32.size
+        for s in self.S_VALUES:
+            idx = BesovIndex(s, p, r)
+            rep = besov_norm_report(grid32, u, idx, part)
+            assert rep == besov_weighting(part, levels, idx)
+            # direct evaluation at this s
+            if p == 2.0:
+                block = [np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels]
+            else:
+                block = [lp_norm(grid32, dyadic_block(grid32, u, j, part), p) for j in part.levels]
+            per = np.array([2.0 ** (j * s) * b for j, b in zip(part.levels, block)])
+            value = float(np.max(per)) if np.isinf(r) else float(np.sum(per**r) ** (1.0 / r))
+            assert rep.per_level == tuple(per)
+            assert rep.value == value
+            assert rep.leakage == float((per[0] + per[-1]) / np.sum(per))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("q", [1.0, np.inf])
+    @pytest.mark.parametrize("gen_name", ["laplacian", "lame"])
+    def test_heat_report_is_weighted_profile(self, grid32, params, p, q, gen_name):
+        gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
+        u = random_band_field(grid32, 1, 6, seed=4, ncomp=2)
+        nodes, profile = heat_profile(grid32, u, p, 1, gen)
+        assert np.array_equal(nodes, extended_time_nodes(grid32, gen))
+        parts = _spectral_parts(grid32, mean_free(grid32, u), gen)
+        for s in self.S_VALUES:
+            rep = heat_char_norm_report(grid32, u, s, p, q, 1, gen)
+            assert rep == heat_char_weighting(nodes, profile, s, q)
+            # direct evaluation at this s
+            g = np.array(
+                [t ** (-s / 2.0) * lp_norm(grid32, _weighted_from_parts(grid32, parts, gen, t, 1), p) for t in nodes]
+            )
+            value = float(np.max(g)) if np.isinf(q) else float((0.5 * np.log(2.0) * np.sum(g**q)) ** (1.0 / q))
+            assert rep.per_level == tuple(g)
+            assert rep.value == value
+            assert rep.leakage == float((g[0] + g[-1]) / np.sum(g))
+
+    def test_profile_rejects_negative_k(self, grid32, params):
+        with pytest.raises(ValueError):
+            heat_profile(grid32, np.zeros(grid32.shape), 2.0, -1, params)
 
 
 def test_heat_time_nodes_cover_resolvable_scales(grid32, params):

@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lamelab.besov import BesovIndex, besov_norm_report, default_partition, heat_char_norm_report
 from lamelab.cli import main
-from lamelab.io import read_field
+from lamelab.fields import random_band_field
+from lamelab.grid import Grid
+from lamelab.io import read_csv, read_field
+from lamelab.operators import LameParams, ScaledLaplacian
 
 
 def run_cli(args):
@@ -149,6 +153,42 @@ class TestDeterminism:
         a = (out1 / "besov_report.csv").read_bytes()
         b = (out2 / "besov_report.csv").read_bytes()
         assert a == b
+
+
+class TestBesovCommand:
+    def test_rows_equal_per_s_reports(self, tmp_path, outdir):
+        # the CLI weights each field's profiles per s; the public reports evaluate each s afresh
+        cfg = {
+            "grid": {"dim": 3, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "p": 3.0,
+            "fields": {"count": 2, "kmin": 2, "kmax": 3, "seed": 4},
+        }
+        path = write_config(tmp_path / "besov.json", cfg)
+        assert run_cli(["besov", "--config", path, "--out", outdir]) == 0
+        _, rows = read_csv(outdir / "besov_report.csv")
+        grid = Grid(3, 16, 8.0)
+        part = default_partition(grid)
+        fields = [random_band_field(grid, 2.0, 3.0, 4 + i, ncomp=3) for i in range(2)]
+        expected = [("partition_defect", 0.0, None, None)]
+        for s in (0.5, -0.5, 0.0):
+            for gname, gen in (("laplacian", ScaledLaplacian(1.0)), ("lame", LameParams(1.0, 1.0))):
+                ratios = []
+                for i, u in enumerate(fields):
+                    b = besov_norm_report(grid, u, BesovIndex(s, 3.0, 1.0), part)
+                    h = heat_char_norm_report(grid, u, s, 3.0, 1.0, 1, gen)
+                    ratios.append(h.value / b.value)
+                    expected.append((f"heat_over_lp_{gname}_{i}", s, ratios[-1], max(b.leakage, h.leakage)))
+                expected.append((f"equivalence_K_{gname}", s, max(max(ratios), 1.0 / min(ratios)), 0.0))
+        assert [r[0] for r in rows] == [e[0] for e in expected]
+        for row, (_, s, value, leak) in zip(rows[1:], expected[1:]):
+            assert (float(row[1]), float(row[4]), float(row[5])) == (s, value, leak)
+
+    def test_rejects_k_not_above_half_s(self, tmp_path, outdir):
+        cfg = {"grid": SMALL_GRID, "lame": LAME, "k": 0, "s_list": [0.5], "fields": {"count": 1}}
+        path = write_config(tmp_path / "besov.json", cfg)
+        assert run_cli(["besov", "--config", path, "--out", outdir]) == 2
+        assert not any(outdir.iterdir())
 
 
 class TestOracleCommand:
