@@ -27,17 +27,19 @@ def spline_prefilter(values: np.ndarray, dim: int) -> np.ndarray:
 
     The interpolation condition is a cyclic (1/6, 4/6, 1/6) convolution per
     axis, diagonal in Fourier space with symbol (4 + 2 cos(2 pi k / N)) / 6.
+    The symbol is even in k, so on the half spectrum of a real transform the
+    last axis takes its first N/2 + 1 entries unchanged.
     """
     values = np.asarray(values, dtype=np.float64)
     axes = tuple(range(values.ndim - dim, values.ndim))
-    hat = scipy.fft.fftn(values, axes=axes)
+    hat = scipy.fft.rfftn(values, axes=axes)
     for axis in axes:
         n = values.shape[axis]
         sym = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n))) / 6.0
         shape = [1] * values.ndim
-        shape[axis] = n
-        hat = hat / sym.reshape(shape)
-    return scipy.fft.ifftn(hat, axes=axes).real
+        shape[axis] = hat.shape[axis]
+        hat = hat / sym[: hat.shape[axis]].reshape(shape)
+    return scipy.fft.irfftn(hat, s=values.shape[values.ndim - dim:], axes=axes)
 
 
 def _bspline_weights(s):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +57,7 @@ from .lagrangian import (
     pushforward_eulerian,
     scheme_residual,
 )
-from .maxreg import norm_equiv_ratio, solve_linear_maxreg
+from .maxreg import DegenerateProbeError, norm_equiv_ratio, solve_linear_maxreg
 from .operators import ScaledLaplacian
 from .scenarios import (
     ConfigError,
@@ -77,6 +78,7 @@ from .varcoef import (
 _NUMERICAL_ERRORS = (
     SolverConvergenceError,
     EnvelopeFitError,
+    DegenerateProbeError,
     CFLError,
     DiffeomorphismError,
     FlowInversionError,
@@ -97,6 +99,19 @@ def _build_stepper(cfg: dict) -> StepperConfig:
     )
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_node(grid, index) -> bool:
+    """A grid node given as a list of dim integer indices in [0, n)."""
+    return (
+        isinstance(index, list)
+        and len(index) == grid.dim
+        and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < grid.n for i in index)
+    )
+
+
 def _pool_map(fn, items, threads: int):
     if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -113,8 +128,13 @@ def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     params = build_lame(cfg["lame"])
     coef = build_rho0(grid, cfg["rho0"])
     stepper = _build_stepper(cfg.get("stepper", {"dt": 1e-3}))
-    times = [float(t) for t in cfg.get("times", [0.05, 0.1, 0.2])]
+    times = cfg.get("times", [0.05, 0.1, 0.2])
+    if not (isinstance(times, list) and times and all(_is_number(t) and math.isfinite(t) and t > 0 for t in times)):
+        raise ConfigError(f"times must be a nonempty list of finite times > 0, got {times!r}")
+    times = [float(t) for t in times]
     sources = cfg.get("sources") or [[grid.n // 2] * grid.dim]
+    if not (isinstance(sources, list) and all(_is_node(grid, y) for y in sources)):
+        raise ConfigError(f"sources must be lists of {grid.dim} node indices in [0, {grid.n}), got {sources!r}")
     presmooth = bool(cfg.get("presmooth", False))
     dcfg = cfg.get("davies")
     if dcfg:

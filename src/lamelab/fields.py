@@ -9,6 +9,7 @@ one function on two grids instead of two unrelated draws.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .grid import Grid
 
@@ -55,6 +56,10 @@ def random_band_field(
 ) -> np.ndarray:
     """Random real trigonometric polynomial supported on kmin <= |k| <= kmax.
 
+    Each mode k of the half-lattice adds a cos(2 pi k.x / L) + b sin(2 pi k.x / L)
+    per component, with (a, b) drawn in mode order. The sum is one inverse
+    real FFT of the half-spectrum coefficients.
+
     ncomp = None gives a scalar field, otherwise shape (ncomp, *grid.shape).
     ``normalize='besov_ready'`` rescales to unit max-norm (mean is zero by
     construction since |k| >= kmin > 0 excludes the DC mode).
@@ -67,15 +72,20 @@ def random_band_field(
     modes = _mode_list(grid.dim, kmin, kmax)
     if not modes:
         raise ValueError(f"no integer modes with {kmin} <= |k| <= {kmax}")
+    modes = np.array(modes)
     comps = 1 if ncomp is None else ncomp
-    out = np.zeros((comps,) + grid.shape)
-    two_pi_over_L = 2.0 * np.pi / grid.extent
-    for k in modes:
-        arg = two_pi_over_L * np.einsum("a,a...->...", np.asarray(k, dtype=float), grid.coords)
-        ca, sa = np.cos(arg), np.sin(arg)
-        for c in range(comps):
-            a, b = rng.normal(size=2)
-            out[c] += a * ca + b * sa
+    draws = rng.normal(size=(len(modes), comps, 2))
+    # a cos + b sin = Re((a - ib) e^{i theta}); nodes start at -L/2, which
+    # turns e^{i theta} into (-1)^(sum k) e^{2 pi i k.j / n} at node j
+    sign = np.where(modes.sum(axis=1) % 2, -1.0, 1.0)[:, None]
+    coef = 0.5 * sign * (draws[..., 0] - 1j * draws[..., 1])
+    # the half spectrum keeps k_last >= 0: a mode with k_last < 0 enters as the
+    # conjugate at -k, and one on the k_last = 0 plane at both k and -k
+    spec = np.zeros((comps,) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    up, down = modes[:, -1] >= 0, modes[:, -1] <= 0
+    spec[(slice(None),) + tuple((modes[up] % grid.n).T)] = coef[up].T
+    spec[(slice(None),) + tuple((-modes[down] % grid.n).T)] = np.conj(coef[down]).T
+    out = scipy.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes, norm="forward")
     if normalize == "besov_ready":
         peak = np.max(np.abs(out))
         if peak > 0:

@@ -19,6 +19,10 @@ from .operators import LameParams, const_semigroup, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve
 
 
+class DegenerateProbeError(RuntimeError):
+    """A norm-equivalence probe whose constant-coefficient profile vanished."""
+
+
 @dataclass(frozen=True)
 class SolutionNorms:
     """Components of the solution-space norm at regularity n/p - 1."""
@@ -206,5 +210,5 @@ def norm_equiv_ratio(
     num = _weighted_lq(num_vals, nodes, s, q, value_at_zero=lp_norm(grid, x, 2))
     den = _weighted_lq(den_vals, nodes, s, q, value_at_zero=lp_norm(grid, coef.rho * x, 2))
     if den == 0.0:
-        raise ValueError("degenerate probe: constant-coefficient profile vanished")
+        raise DegenerateProbeError("degenerate probe: constant-coefficient profile vanished")
     return num / den

@@ -251,25 +251,27 @@ class TestProfiles:
     operations in the same order as a direct evaluation at that s."""
 
     S_VALUES = (-0.5, 0.0, 0.5, 1.0)
+    GRID = Grid(2, 32, 10.0)  # h^2 / N^2 is no power of four, so regrouped factors round differently
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("r", [1.0, np.inf])
-    def test_besov_report_is_weighted_level_norms(self, grid32, p, r):
-        u = random_band_field(grid32, 1, 6, seed=3, ncomp=2)
-        part = default_partition(grid32)
-        levels = besov_level_norms(grid32, u, p, part)
-        u_hat = fftn(grid32, u)
+    def test_besov_report_is_weighted_level_norms(self, p, r):
+        grid = self.GRID
+        u = random_band_field(grid, 1, 6, seed=3, ncomp=2)
+        part = default_partition(grid)
+        levels = besov_level_norms(grid, u, p, part)
+        u_hat = fftn(grid, u)
         power = np.sum(np.abs(u_hat) ** 2, axis=0)
-        vol = grid32.cell_volume / grid32.size
+        vol = grid.cell_volume / grid.size
         for s in self.S_VALUES:
             idx = BesovIndex(s, p, r)
-            rep = besov_norm_report(grid32, u, idx, part)
+            rep = besov_norm_report(grid, u, idx, part)
             assert rep == besov_weighting(part, levels, idx)
             # direct evaluation at this s
             if p == 2.0:
                 block = [np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels]
             else:
-                block = [lp_norm(grid32, dyadic_block(grid32, u, j, part), p) for j in part.levels]
+                block = [lp_norm(grid, dyadic_block(grid, u, j, part), p) for j in part.levels]
             per = np.array([2.0 ** (j * s) * b for j, b in zip(part.levels, block)])
             value = float(np.max(per)) if np.isinf(r) else float(np.sum(per**r) ** (1.0 / r))
             assert rep.per_level == tuple(per)
@@ -279,27 +281,28 @@ class TestProfiles:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize("q", [1.0, np.inf])
     @pytest.mark.parametrize("gen_name", ["laplacian", "lame"])
-    def test_heat_report_is_weighted_profile(self, grid32, params, p, q, gen_name):
+    def test_heat_report_is_weighted_profile(self, params, p, q, gen_name):
+        grid = self.GRID
         gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
-        u = random_band_field(grid32, 1, 6, seed=4, ncomp=2)
-        nodes, profile = heat_profile(grid32, u, p, 1, gen)
-        assert np.array_equal(nodes, extended_time_nodes(grid32, gen))
-        parts = _spectral_parts(grid32, mean_free(grid32, u), gen)
+        u = random_band_field(grid, 1, 6, seed=4, ncomp=2)
+        nodes, profile = heat_profile(grid, u, p, 1, gen)
+        assert np.array_equal(nodes, extended_time_nodes(grid, gen))
+        parts = _spectral_parts(grid, mean_free(grid, u), gen)
         for s in self.S_VALUES:
-            rep = heat_char_norm_report(grid32, u, s, p, q, 1, gen)
+            rep = heat_char_norm_report(grid, u, s, p, q, 1, gen)
             assert rep == heat_char_weighting(nodes, profile, s, q)
             # direct evaluation at this s
             g = np.array(
-                [t ** (-s / 2.0) * lp_norm(grid32, _weighted_from_parts(grid32, parts, gen, t, 1), p) for t in nodes]
+                [t ** (-s / 2.0) * lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, 1), p) for t in nodes]
             )
             value = float(np.max(g)) if np.isinf(q) else float((0.5 * np.log(2.0) * np.sum(g**q)) ** (1.0 / q))
             assert rep.per_level == tuple(g)
             assert rep.value == value
             assert rep.leakage == float((g[0] + g[-1]) / np.sum(g))
 
-    def test_profile_rejects_negative_k(self, grid32, params):
+    def test_profile_rejects_negative_k(self, params):
         with pytest.raises(ValueError):
-            heat_profile(grid32, np.zeros(grid32.shape), 2.0, -1, params)
+            heat_profile(self.GRID, np.zeros(self.GRID.shape), 2.0, -1, params)
 
 
 def test_heat_time_nodes_cover_resolvable_scales(grid32, params):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from lamelab.besov import BesovIndex, besov_norm_report, default_partition, heat_char_norm_report
+from lamelab import cli
 from lamelab.cli import main
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid
 from lamelab.io import read_csv, read_field
+from lamelab.maxreg import DegenerateProbeError
 from lamelab.operators import LameParams, ScaledLaplacian
 
 
@@ -99,6 +101,28 @@ class TestKernelCommand:
         assert "trust window" in manifest["error"]["message"]
 
 
+class TestMaxregCommand:
+    def test_degenerate_probe_is_numerical_failure(self, tmp_path, outdir, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateProbeError("degenerate probe: constant-coefficient profile vanished")
+
+        monkeypatch.setattr(cli, "norm_equiv_ratio", degenerate)
+        cfg = {
+            "grid": {"dim": 2, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "probes": {"count": 1},
+            "T": 0.1,
+            "stepper": {"dt": 0.05},
+            "norm_equiv": {"count": 1},
+        }
+        path = write_config(tmp_path / "maxreg.json", cfg)
+        assert run_cli(["maxreg", "--config", path, "--out", outdir]) == 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] == "numerical_failure"
+        assert manifest["error"]["type"] == "DegenerateProbeError"
+
+
 class TestValidation:
     def test_malformed_json_exits_2(self, tmp_path, outdir):
         bad = tmp_path / "bad.json"
@@ -123,6 +147,13 @@ class TestConfigErrorWritesNothing:
     # the envelope fit needs more shells than a 16^2 grid holds
     KERNEL = {"grid": {"dim": 2, "N": 64, "extent": 8.0}, "times": [0.1], "stepper": {"dt": 0.01}}
     CASES = {
+        "kernel_no_times": ("kernel", {**KERNEL, "times": []}, []),
+        "kernel_nan_time": ("kernel", {**KERNEL, "times": [0.1, float("nan")]}, []),
+        "kernel_zero_time": ("kernel", {**KERNEL, "times": [0.0, 0.1]}, []),
+        "kernel_source_outside": ("kernel", {**KERNEL, "sources": [[99, 3]]}, []),
+        "kernel_source_negative": ("kernel", {**KERNEL, "sources": [[-3, 4]]}, []),
+        "kernel_source_short": ("kernel", {**KERNEL, "sources": [[8]]}, []),
+        "kernel_source_fractional": ("kernel", {**KERNEL, "sources": [[8.5, 3]]}, []),
         "norm_equiv_s": ("maxreg", {**MAXREG, "norm_equiv": {"s": 1.5}}, []),
         "norm_equiv_q": ("maxreg", {**MAXREG, "norm_equiv": {"q": 0.0}}, []),
         "davies_alpha": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, -1.0]}}, []),

@@ -9,10 +9,36 @@ from lamelab.fields import (
     random_band_field,
     trig_density,
 )
+from lamelab.fields import _mode_list
 from lamelab.grid import Grid, integral, mean_value
 
 
+def band_field_reference(grid, kmin, kmax, seed, ncomp, normalize):
+    """random_band_field summed mode by mode in physical space."""
+    rng = np.random.default_rng(seed)
+    comps = 1 if ncomp is None else ncomp
+    out = np.zeros((comps,) + grid.shape)
+    for k in _mode_list(grid.dim, kmin, kmax):
+        arg = 2.0 * np.pi / grid.extent * np.einsum("a,a...->...", np.asarray(k, dtype=float), grid.coords)
+        for c in range(comps):
+            a, b = rng.normal(size=2)
+            out[c] += a * np.cos(arg) + b * np.sin(arg)
+    if normalize == "besov_ready":
+        out = out / np.max(np.abs(out))
+    return out[0] if ncomp is None else out
+
+
 class TestBandField:
+    @pytest.mark.parametrize("normalize", [None, "besov_ready"])
+    @pytest.mark.parametrize("ncomp", [None, 2, 3])
+    @pytest.mark.parametrize("dim, n, extent, kmin, kmax", [(2, 32, 16.0, 1.0, 5.0), (3, 16, 8.0, 1.0, 3.0)])
+    def test_matches_mode_sum(self, dim, n, extent, kmin, kmax, ncomp, normalize):
+        grid = Grid(dim, n, extent)
+        u = random_band_field(grid, kmin, kmax, seed=11, ncomp=ncomp, normalize=normalize)
+        ref = band_field_reference(grid, kmin, kmax, 11, ncomp, normalize)
+        assert u.shape == ref.shape
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_continuum_stable_across_resolutions(self):
         # the same seed and band sample one function: coarse nodes are a
         # subset of fine nodes (unnormalized; the max-norm scaling is

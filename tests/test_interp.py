@@ -105,3 +105,20 @@ class TestPrefilter:
         coeffs = spline_prefilter(u, grid.dim)
         vals = interp_periodic(coeffs, grid.coords, grid.extent, prefiltered=True)
         assert np.max(np.abs(vals - u)) < 1e-12
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_matches_complex_fft_division(self, dim, n, lead):
+        # reference: divide the full complex spectrum by the per-axis symbol
+        values = np.random.default_rng(5).standard_normal(lead + (n,) * dim)
+        axes = tuple(range(len(lead), len(lead) + dim))
+        hat = np.fft.fftn(values, axes=axes)
+        sym = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n))) / 6.0
+        for axis in axes:
+            shape = [1] * values.ndim
+            shape[axis] = n
+            hat = hat / sym.reshape(shape)
+        ref = np.fft.ifftn(hat, axes=axes).real
+        coeffs = spline_prefilter(values, dim)
+        assert coeffs.shape == values.shape
+        assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))

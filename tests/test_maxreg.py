@@ -5,6 +5,7 @@ from lamelab.besov import BesovIndex, besov_norm_report, default_partition
 from lamelab.fields import checkerboard_density, plane_wave, random_band_field
 from lamelab.grid import Grid, lp_norm
 from lamelab.maxreg import (
+    DegenerateProbeError,
     SolutionNorms,
     norm_equiv_ratio,
     solution_norms,
@@ -141,6 +142,12 @@ class TestNormEquivalence:
         x = random_band_field(grid32, 1, 4, seed=6, ncomp=2)
         with pytest.raises(ValueError):
             norm_equiv_ratio(coef, params, x, 1.5, 1.0, StepperConfig(dt=1.0))
+
+    def test_zero_probe_is_degenerate(self, grid32, params):
+        coef = Coefficient.constant(grid32, 1.0)
+        x = np.zeros((2,) + grid32.shape)
+        with pytest.raises(DegenerateProbeError):
+            norm_equiv_ratio(coef, params, x, 0.5, 1.0, StepperConfig(dt=1.0))
 
     def test_rough_density_bounded(self, rough32, params):
         vals = [
