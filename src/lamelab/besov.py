@@ -10,6 +10,11 @@ norms ||block_j u||_p (besov_level_norms) weighted by 2^(j*s)
 (besov_weighting), and the semigroup profile ||(tG)^k e^{tG} u||_p at the time
 nodes (heat_profile) weighted by t^(-s/2) (heat_char_weighting). A caller
 that needs several s takes each profile once.
+
+Blocks live on the real-FFT half spectrum (grid.rfftn/irfftn), like every
+other spectral operation. The masks depend on |xi| only, so they are even and
+need no Nyquist rule; the p = 2 Plancherel sum weights each half-spectrum
+column by grid.rmultiplicity, the number of full-spectrum modes it stands for.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, fftn, ifftn, lp_norm, mean_free
+from .grid import Grid, irfftn, lp_norm, mean_free, rfftn
 from .operators import Generator, ScaledLaplacian, _spectral_parts, _weighted_from_parts
 
 
@@ -75,11 +80,11 @@ class DyadicPartition:
         xi_max = math.sqrt(grid.dim) * np.pi * grid.n / grid.extent
         j_min = math.floor(math.log2(xi_min))
         j_max = math.ceil(math.log2(xi_max))
-        r = np.sqrt(grid.freq_sq)
+        r = np.sqrt(grid.rfreq_sq)
         masks = []
         for j in range(j_min, j_max + 1):
             chi = _smooth_cutoff(r / 2.0**j) - _smooth_cutoff(r / 2.0 ** (j - 1))
-            chi[grid.freq_sq == 0.0] = 0.0
+            chi[grid.rfreq_sq == 0.0] = 0.0
             masks.append(chi)
         return cls(grid, j_min, j_max, tuple(masks))
 
@@ -105,7 +110,7 @@ def default_partition(grid: Grid) -> DyadicPartition:
 def dyadic_block(grid: Grid, u: np.ndarray, j: int, partition: DyadicPartition | None = None) -> np.ndarray:
     """Frequency-localize u to dyadic level j (the zero mode is always dropped)."""
     part = partition or default_partition(grid)
-    return ifftn(grid, part.mask(j) * fftn(grid, u))
+    return irfftn(grid, part.mask(j) * rfftn(grid, u))
 
 
 @dataclass(frozen=True)
@@ -128,14 +133,15 @@ def besov_level_norms(
 ) -> np.ndarray:
     """||block_j u||_p for each level j of the partition (free of s)."""
     part = partition or default_partition(grid)
-    u_hat = fftn(grid, u)
+    u_hat = rfftn(grid, u)
     if p == 2.0:
         # Plancherel shortcut: ||chi_j u||_2 without inverse transforms
         comp_axes = tuple(range(u_hat.ndim - grid.dim))
         power = np.sum(np.abs(u_hat) ** 2, axis=comp_axes) if comp_axes else np.abs(u_hat) ** 2
+        power *= grid.rmultiplicity
         vol = grid.cell_volume / grid.size
         return np.array([np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels])
-    return np.array([lp_norm(grid, ifftn(grid, part.mask(j) * u_hat), p) for j in part.levels])
+    return np.array([lp_norm(grid, irfftn(grid, part.mask(j) * u_hat), p) for j in part.levels])
 
 
 def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: BesovIndex) -> NormReport:
@@ -242,6 +248,8 @@ def heat_char_norm_report(
     heat_char_norm); per_level holds the weighted profile at each node."""
     if not (k > s / 2.0 and k >= 0):
         raise ValueError(f"need k > s/2 and k >= 0, got k={k}, s={s}")
+    if not q > 0:
+        raise ValueError(f"need q > 0, got q={q}")
     return heat_char_weighting(*heat_profile(grid, u, p, k, gen, t_nodes), s, q)
 
 

@@ -103,6 +103,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _times(cfg: dict, default: list) -> list:
+    """cfg["times"] (default if absent) as floats: a nonempty list of finite numbers > 0."""
+    times = cfg.get("times", default)
+    if not (isinstance(times, list) and times and all(_is_number(t) and math.isfinite(t) and t > 0 for t in times)):
+        raise ConfigError(f"times must be a nonempty list of finite times > 0, got {times!r}")
+    return [float(t) for t in times]
+
+
 def _is_node(grid, index) -> bool:
     """A grid node given as a list of dim integer indices in [0, n)."""
     return (
@@ -128,10 +136,7 @@ def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     params = build_lame(cfg["lame"])
     coef = build_rho0(grid, cfg["rho0"])
     stepper = _build_stepper(cfg.get("stepper", {"dt": 1e-3}))
-    times = cfg.get("times", [0.05, 0.1, 0.2])
-    if not (isinstance(times, list) and times and all(_is_number(t) and math.isfinite(t) and t > 0 for t in times)):
-        raise ConfigError(f"times must be a nonempty list of finite times > 0, got {times!r}")
-    times = [float(t) for t in times]
+    times = _times(cfg, [0.05, 0.1, 0.2])
     sources = cfg.get("sources") or [[grid.n // 2] * grid.dim]
     if not (isinstance(sources, list) and all(_is_node(grid, y) for y in sources)):
         raise ConfigError(f"sources must be lists of {grid.dim} node indices in [0, {grid.n}), got {sources!r}")
@@ -216,6 +221,8 @@ def run_besov(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     p = float(cfg.get("p", 2.0))
     q = float(cfg.get("q", 1.0))
     k = int(cfg.get("k", 1))
+    if count < 1 or not q > 0:
+        raise ConfigError(f"besov needs fields.count >= 1 and q > 0, got {count}, {q}")
 
     indices = [BesovIndex(s, p, 1.0) for s in s_list]
     if not all(k > idx.s / 2.0 for idx in indices):
@@ -229,7 +236,7 @@ def run_besov(cfg: dict, out: Path, seed: int, threads: int) -> dict:
         levels.append(besov_level_norms(grid, u, p, part))
         for gname, gen in gens:
             profiles[gname, i] = heat_profile(grid, u, p, k, gen)
-    nz = grid.freq_sq > 0
+    nz = grid.rfreq_sq > 0
     punity = float(np.max(np.abs(sum(part.masks)[nz] - 1.0)))
 
     rows = [("partition_defect", 0.0, p, 1.0, punity, 0.0)]
@@ -365,7 +372,7 @@ def run_oracle(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     stepper = _build_stepper(cfg.get("stepper", {"dt": 1e-4}))
     if stepper.operator != "stencil":
         stepper = StepperConfig(stepper.dt, stepper.theta, stepper.cg_tol, stepper.cg_maxiter, "stencil")
-    times = [float(t) for t in cfg.get("times", [0.05, 0.2])]
+    times = _times(cfg, [0.05, 0.2])
     u0 = build_u0(grid, cfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
 
     traj = evolve(coef, params, u0, [0.0] + times, stepper)

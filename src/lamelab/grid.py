@@ -67,17 +67,6 @@ class Grid:
         x1 = -0.5 * self.extent + self.spacing * np.arange(self.n)
         return np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
 
-    @cached_property
-    def freq(self) -> np.ndarray:
-        """Angular frequencies xi = 2*pi*k/L per axis, shape (dim, *shape)."""
-        xi1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        return np.stack(np.meshgrid(*([xi1] * self.dim), indexing="ij"))
-
-    @cached_property
-    def freq_sq(self) -> np.ndarray:
-        """|xi|^2, shape ``shape``."""
-        return np.sum(self.freq**2, axis=0)
-
     def _half_mesh(self, axis_values: np.ndarray) -> np.ndarray:
         """Stack a per-axis 1D array (indexed like fftfreq) over the half spectrum."""
         axes = [axis_values] * (self.dim - 1) + [axis_values[: self.n // 2 + 1]]
@@ -85,9 +74,10 @@ class Grid:
 
     @cached_property
     def rfreq(self) -> np.ndarray:
-        """freq on the half spectrum, shape (dim, n, ..., n/2 + 1).
+        """Angular frequencies xi = 2*pi*k/L per axis on the half spectrum,
+        shape (dim, n, ..., n/2 + 1).
 
-        The Nyquist entry of every axis is -pi/h, as in freq (rfftfreq would
+        The Nyquist entry of every axis is -pi/h, as in fftfreq (rfftfreq would
         label the last one +pi/h).
         """
         return self._half_mesh(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing))
@@ -96,6 +86,15 @@ class Grid:
     def rfreq_sq(self) -> np.ndarray:
         """|xi|^2 on the half spectrum, shape (n, ..., n/2 + 1)."""
         return np.sum(self.rfreq**2, axis=0)
+
+    @cached_property
+    def rmultiplicity(self) -> np.ndarray:
+        """Full-spectrum modes each half-spectrum column stands for, shape (n/2 + 1,),
+        broadcasting over the last axis: 1 at k = 0 and k = n/2, which are their own
+        conjugate columns, 2 in between (the column and its conjugate)."""
+        m = np.full(self.n // 2 + 1, 2.0)
+        m[[0, -1]] = 1.0
+        return m
 
     @cached_property
     def rnyquist(self) -> np.ndarray:
@@ -124,6 +123,7 @@ def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:
     return u
 
 
+# fftn/ifftn: the complex reference for tests and the benchmark; the package runs on rfftn/irfftn
 def fftn(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Forward DFT over the spatial axes (components untouched)."""
     return scipy.fft.fftn(_check_field(grid, u), axes=grid.spatial_axes)
@@ -143,14 +143,6 @@ def rfftn(grid: Grid, u: np.ndarray) -> np.ndarray:
 def irfftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     """Inverse of rfftn: the real field of Hermitian-symmetric half-spectrum data."""
     return scipy.fft.irfftn(u_hat, s=grid.shape, axes=grid.spatial_axes)
-
-
-def dft_roundtrip(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """ifft(fft(u)); equals u to near machine precision for finite input."""
-    u = _check_field(grid, u)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("field contains non-finite samples")
-    return ifftn(grid, fftn(grid, u))
 
 
 def spectral_derivative(grid: Grid, u: np.ndarray, axis: int, order: int = 1) -> np.ndarray:

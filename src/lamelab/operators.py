@@ -29,7 +29,8 @@ from typing import Union
 
 import numpy as np
 
-# fftn is unused here; perfbench/test_perfbench.py checks that its tracer replaces this binding
+# fftn is the complex reference for tests and the benchmark, unused here;
+# perfbench/test_perfbench.py checks that its tracer replaces this binding
 from .grid import Grid, _check_field, fftn, irfftn, rfftn  # noqa: F401
 
 
@@ -104,21 +105,6 @@ def hodge_project(grid: Grid, u: np.ndarray, which: str) -> np.ndarray:
         raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
     p_hat, q_hat = _hodge_split(grid, rfftn(grid, _check_vector(grid, u)))
     return irfftn(grid, p_hat if which == "P" else q_hat)
-
-
-def hodge_symbols(grid: Grid):
-    """Per-frequency projector matrices (P_hat, Q_hat) on the full spectrum, each (dim, dim, *shape).
-
-    Q_hat(xi) = xi xi^T / |xi|^2 with Q_hat(0) = 0; P_hat = I - Q_hat.
-    """
-    xi = grid.freq
-    xi2 = grid.freq_sq.copy()
-    xi2[xi2 == 0.0] = np.inf
-    q = np.einsum("a...,b...->ab...", xi, xi) / xi2
-    eye = np.zeros_like(q)
-    for a in range(grid.dim):
-        eye[a, a] = 1.0
-    return eye - q, q
 
 
 def _spectral_parts(grid: Grid, u: np.ndarray, gen: Generator) -> list:

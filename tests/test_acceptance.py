@@ -197,7 +197,7 @@ def test_criterion_6_besov_machinery(params):
     punity = []
     for grid in grids:
         part = DyadicPartition.for_grid(grid)
-        nz = grid.freq_sq > 0
+        nz = grid.rfreq_sq > 0
         punity.append(float(np.max(np.abs(sum(part.masks)[nz] - 1.0))))
     fields = {
         grid: [random_band_field(grid, 2, 4, seed=100 + i, ncomp=2) for i in range(20)]

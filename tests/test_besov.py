@@ -6,6 +6,7 @@ from lamelab.besov import (
     BesovIndex,
     BoundaryLeakageWarning,
     DyadicPartition,
+    _smooth_cutoff,
     besov_level_norms,
     besov_norm,
     besov_norm_report,
@@ -22,8 +23,10 @@ from lamelab.besov import (
     product_law_ratio,
 )
 from lamelab.fields import gaussian_bump, plane_wave, random_band_field
-from lamelab.grid import Grid, fftn, lp_norm, mean_free
+from lamelab.grid import Grid, fftn, ifftn, lp_norm, mean_free, rfftn
 from lamelab.operators import LameParams, ScaledLaplacian, _spectral_parts, _weighted_from_parts
+
+from conftest import full_freq_sq, rng_field
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +50,13 @@ class TestPartition:
         for grid in (grid32, gridpi):
             part = DyadicPartition.for_grid(grid)
             total = sum(part.masks)
-            nz = grid.freq_sq > 0
+            nz = grid.rfreq_sq > 0
             assert np.max(np.abs(total[nz] - 1.0)) < 1e-12
             assert np.max(np.abs(total[~nz])) == 0.0
 
     def test_support_annuli(self, gridpi):
         part = DyadicPartition.for_grid(gridpi)
-        r = np.sqrt(gridpi.freq_sq)
+        r = np.sqrt(gridpi.rfreq_sq)
         for j in part.levels:
             chi = part.mask(j)
             outside = (r < 2.0 ** (j - 1) - 1e-9) | (r > 2.0 ** (j + 1) + 1e-9)
@@ -140,6 +143,58 @@ class TestBesovNorm:
             besov_norm(gridpi, u, BesovIndex(0.5, 2.0, 1.0))
 
 
+def _full_masks(grid, part):
+    """The partition's masks on the full complex spectrum, built the same way."""
+    xi2 = full_freq_sq(grid)
+    r = np.sqrt(xi2)
+    masks = []
+    for j in part.levels:
+        chi = _smooth_cutoff(r / 2.0**j) - _smooth_cutoff(r / 2.0 ** (j - 1))
+        chi[xi2 == 0.0] = 0.0
+        masks.append(chi)
+    return masks
+
+
+def _rel_norm(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestComplexPathAgreement:
+    """Half-spectrum blocks reproduce the complex-FFT blocks on white noise, whose
+    k = 0 and k = n/2 columns of the last axis carry as much power as any other
+    (a wrong Plancherel multiplicity there shows at the top levels)."""
+
+    @pytest.fixture(params=[(2, 32), (3, 16)], ids=["2d", "3d"])
+    def grid(self, request):
+        dim, n = request.param
+        return Grid(dim, n, 8.0)
+
+    @pytest.fixture(params=["scalar", "vector"])
+    def field(self, request, grid):
+        return rng_field(grid, 40 + grid.dim, ncomp=None if request.param == "scalar" else grid.dim)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_level_norms(self, grid, field, p):
+        part = default_partition(grid)
+        u_hat = fftn(grid, field)
+        comp_axes = tuple(range(field.ndim - grid.dim))
+        vol = grid.cell_volume / grid.size
+        ref = []
+        for chi in _full_masks(grid, part):
+            if p == 2.0:
+                ref.append(np.sqrt(vol * np.sum(chi**2 * np.sum(np.abs(u_hat) ** 2, axis=comp_axes))))
+            else:
+                ref.append(lp_norm(grid, ifftn(grid, chi * u_hat), p))
+        assert _rel_norm(besov_level_norms(grid, field, p, part), np.array(ref)) <= 1e-13
+
+    def test_dyadic_block(self, grid, field):
+        part = default_partition(grid)
+        u_hat = fftn(grid, field)
+        ref = np.stack([ifftn(grid, chi * u_hat) for chi in _full_masks(grid, part)])
+        got = np.stack([dyadic_block(grid, field, j, part) for j in part.levels])
+        assert _rel_norm(got, ref) <= 1e-13
+
+
 class TestHeatCharacterization:
     def test_zero_field(self, grid64, params):
         v = np.zeros((2,) + grid64.shape)
@@ -149,6 +204,12 @@ class TestHeatCharacterization:
         v = np.zeros((2,) + grid64.shape)
         with pytest.raises(ValueError):
             heat_char_norm(grid64, v, 0.5, 2.0, 1.0, 0, params)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0])
+    def test_rejects_bad_q(self, grid64, params, q):
+        v = np.zeros((2,) + grid64.shape)
+        with pytest.raises(ValueError):
+            heat_char_norm_report(grid64, v, 0.5, 2.0, q, 1, params)
 
     def test_gaussian_bump_against_per_mode_integral(self, grid64):
         # p = q = 2, k = 1: Plancherel turns the quadrature into per-mode
@@ -162,7 +223,7 @@ class TestHeatCharacterization:
         val = heat_char_norm(grid64, u, s, 2.0, 2.0, k, ScaledLaplacian(1.0), t_nodes=nodes)
         u_hat = fftn(grid64, u)
         c = grid64.cell_volume / grid64.size * np.abs(u_hat) ** 2
-        xi2 = grid64.freq_sq.copy()
+        xi2 = full_freq_sq(grid64)
         xi2[xi2 == 0.0] = np.inf
         weights = xi2**2 * scipy.special.gamma(2 - s) * (2 * xi2) ** (s - 2.0)
         weights[~np.isfinite(weights)] = 0.0
@@ -260,8 +321,8 @@ class TestProfiles:
         u = random_band_field(grid, 1, 6, seed=3, ncomp=2)
         part = default_partition(grid)
         levels = besov_level_norms(grid, u, p, part)
-        u_hat = fftn(grid, u)
-        power = np.sum(np.abs(u_hat) ** 2, axis=0)
+        u_hat = rfftn(grid, u)
+        power = np.sum(np.abs(u_hat) ** 2, axis=0) * grid.rmultiplicity
         vol = grid.cell_volume / grid.size
         for s in self.S_VALUES:
             idx = BesovIndex(s, p, r)

@@ -158,6 +158,9 @@ class TestConfigErrorWritesNothing:
         "norm_equiv_q": ("maxreg", {**MAXREG, "norm_equiv": {"q": 0.0}}, []),
         "davies_alpha": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, -1.0]}}, []),
         "davies_u0": ("kernel", {**KERNEL, "davies": {"u0": {"kind": "zero"}}}, []),
+        "besov_q_zero": ("besov", {"q": 0}, []),
+        "besov_no_fields": ("besov", {"fields": {"count": 0}}, []),
+        "oracle_no_times": ("oracle", {"times": []}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
     }
 

@@ -17,8 +17,10 @@ from lamelab.kernels import (
     symmetry_defect,
     torus_distance,
 )
-from lamelab.operators import LameParams, hodge_symbols
+from lamelab.operators import LameParams
 from lamelab.varcoef import Coefficient, StepperConfig
+
+from conftest import full_freq_sq, full_hodge_symbols
 
 
 LAPLACE_LIKE = LameParams(1.0, -1.0)  # nu = mu: scalar heat flow per component
@@ -38,8 +40,8 @@ def periodized_gaussian(grid, y0, t, c=1.0):
 
 def synth_lame_kernel(grid, params, y0, t_eff):
     """Spectral synthesis of the constant-coefficient column family."""
-    P, Q = hodge_symbols(grid)
-    xi2 = grid.freq_sq
+    P, Q = full_hodge_symbols(grid)
+    xi2 = full_freq_sq(grid)
     dp = np.exp(-params.mu * t_eff * xi2)
     dq = np.exp(-params.nu * t_eff * xi2)
     delta_hat = fftn(grid, delta_field(grid, y0))
