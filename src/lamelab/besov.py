@@ -11,7 +11,7 @@ norms ||block_j u||_p (besov_level_norms) weighted by 2^(j*s)
 nodes (heat_profile) weighted by t^(-s/2) (heat_char_weighting). A caller
 that needs several s takes each profile once.
 
-Blocks live on the real-FFT half spectrum (grid.rfftn/irfftn), like every
+Blocks live on the half spectrum of the real FFT (grid.fftn/ifftn), like every
 other spectral operation. The masks depend on |xi| only, so they are even and
 need no Nyquist rule; the p = 2 Plancherel sum weights each half-spectrum
 column by grid.rmultiplicity, the number of full-spectrum modes it stands for.
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, irfftn, lp_norm, mean_free, rfftn
+from .grid import Grid, fftn, ifftn, lp_norm, mean_free
 from .operators import Generator, ScaledLaplacian, _spectral_parts, _weighted_from_parts
 
 
@@ -110,7 +110,7 @@ def default_partition(grid: Grid) -> DyadicPartition:
 def dyadic_block(grid: Grid, u: np.ndarray, j: int, partition: DyadicPartition | None = None) -> np.ndarray:
     """Frequency-localize u to dyadic level j (the zero mode is always dropped)."""
     part = partition or default_partition(grid)
-    return irfftn(grid, part.mask(j) * rfftn(grid, u))
+    return ifftn(grid, part.mask(j) * fftn(grid, u))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def besov_level_norms(
 ) -> np.ndarray:
     """||block_j u||_p for each level j of the partition (free of s)."""
     part = partition or default_partition(grid)
-    u_hat = rfftn(grid, u)
+    u_hat = fftn(grid, u)
     if p == 2.0:
         # Plancherel shortcut: ||chi_j u||_2 without inverse transforms
         comp_axes = tuple(range(u_hat.ndim - grid.dim))
@@ -141,7 +141,7 @@ def besov_level_norms(
         power *= grid.rmultiplicity
         vol = grid.cell_volume / grid.size
         return np.array([np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels])
-    return np.array([lp_norm(grid, irfftn(grid, part.mask(j) * u_hat), p) for j in part.levels])
+    return np.array([lp_norm(grid, ifftn(grid, part.mask(j) * u_hat), p) for j in part.levels])
 
 
 def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: BesovIndex) -> NormReport:

@@ -123,25 +123,15 @@ def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:
     return u
 
 
-# fftn/ifftn: the complex reference for tests and the benchmark; the package runs on rfftn/irfftn
 def fftn(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Forward DFT over the spatial axes (components untouched)."""
-    return scipy.fft.fftn(_check_field(grid, u), axes=grid.spatial_axes)
-
-
-def ifftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
-    """Inverse DFT over the spatial axes, real part (physical fields are real)."""
-    return scipy.fft.ifftn(u_hat, axes=grid.spatial_axes).real
-
-
-def rfftn(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Forward DFT of a real field over the spatial axes, onto the half spectrum:
-    the last spatial axis keeps k = 0..n/2, so the trailing shape is (n, ..., n/2 + 1)."""
+    """Forward DFT of a real field over the spatial axes, onto the half spectrum
+    (the real FFT): the last spatial axis keeps k = 0..n/2, so the trailing shape
+    is (n, ..., n/2 + 1). This is the package's only spectral layout."""
     return scipy.fft.rfftn(_check_field(grid, u), axes=grid.spatial_axes)
 
 
-def irfftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
-    """Inverse of rfftn: the real field of Hermitian-symmetric half-spectrum data."""
+def ifftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
+    """Inverse of fftn: the real field of Hermitian-symmetric half-spectrum data."""
     return scipy.fft.irfftn(u_hat, s=grid.shape, axes=grid.spatial_axes)
 
 
@@ -156,7 +146,7 @@ def spectral_derivative(grid: Grid, u: np.ndarray, axis: int, order: int = 1) ->
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
     symbol = grid.rderiv[axis] if order == 1 else -grid.rfreq[axis] ** 2
-    return irfftn(grid, symbol * rfftn(grid, u))
+    return ifftn(grid, symbol * fftn(grid, u))
 
 
 def gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -164,7 +154,7 @@ def gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     u = _check_field(grid, u)
     if u.shape != grid.shape:
         raise ValueError(f"expected scalar field {grid.shape}, got {u.shape}")
-    return irfftn(grid, grid.rderiv * rfftn(grid, u))
+    return ifftn(grid, grid.rderiv * fftn(grid, u))
 
 
 def jacobian(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -172,13 +162,13 @@ def jacobian(grid: Grid, v: np.ndarray) -> np.ndarray:
     v = _check_field(grid, v)
     if v.shape[0] != grid.dim or v.ndim != grid.dim + 1:
         raise ValueError(f"expected vector field (dim, *shape), got {v.shape}")
-    return irfftn(grid, grid.rderiv[None] * rfftn(grid, v)[:, None])
+    return ifftn(grid, grid.rderiv[None] * fftn(grid, v)[:, None])
 
 
 def divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Spectral divergence of a vector field."""
     v = _check_field(grid, v)
-    return irfftn(grid, np.sum(grid.rderiv * rfftn(grid, v), axis=0))
+    return ifftn(grid, np.sum(grid.rderiv * fftn(grid, v), axis=0))
 
 
 def field_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -5,19 +5,20 @@ frequency over the Hodge split: on curl-free modes it acts as nu*Lap with
 nu = lambda + 2*mu, on divergence-free modes as mu*Lap. Everything here is
 an exact per-frequency multiplication.
 
-All of it runs on the real-FFT half spectrum (grid.rfftn/irfftn) through one
+All of it runs on the half spectrum of the real FFT (grid.fftn/ifftn) through one
 path: a field is transformed once and split into its Hodge parts
 (_spectral_parts), and an isotropic symbol a(|xi|) P + b(|xi|) Q is applied
 to the parts (_apply_symbols).
 
-Nyquist rule. On the full spectrum the real part of ifftn keeps only the
-Hermitian part of a symbol. Where exactly one of two axes sits at its Nyquist
-entry k = -n/2, the mode's partner has the other axis's frequency negated
-but not the Nyquist one, so the mixed entries xi_a xi_b of xi xi^T cancel.
-irfftn assumes a Hermitian input instead, so the half-spectrum projector
-states the cancellation explicitly: Q = (xi~ xi~^T + N N^T) / |xi|^2, where
-xi~ is xi with each axis's Nyquist entry zeroed and N holds just those
-entries, signed -pi/h as in the complex FFT. This reproduces the complex
+Nyquist rule. On the full spectrum the real part of a complex inverse DFT
+keeps only the Hermitian part of a symbol. Where exactly one of two axes sits
+at its Nyquist entry k = -n/2, the mode's partner has the other axis's
+frequency negated but not the Nyquist one, so the mixed entries xi_a xi_b of
+xi xi^T cancel. The real inverse grid.ifftn assumes a Hermitian input instead,
+so the projector states the cancellation explicitly:
+Q = (xi~ xi~^T + N N^T) / |xi|^2, where xi~ is xi with each axis's Nyquist
+entry zeroed and N holds just those entries, signed -pi/h as in the complex
+FFT. This reproduces the complex
 path to rounding on data with Nyquist content.
 """
 
@@ -29,9 +30,7 @@ from typing import Union
 
 import numpy as np
 
-# fftn is the complex reference for tests and the benchmark, unused here;
-# perfbench/test_perfbench.py checks that its tracer replaces this binding
-from .grid import Grid, _check_field, fftn, irfftn, rfftn  # noqa: F401
+from .grid import Grid, _check_field, fftn, ifftn
 
 
 @dataclass(frozen=True)
@@ -103,16 +102,16 @@ def hodge_project(grid: Grid, u: np.ndarray, which: str) -> np.ndarray:
     """Apply the divergence-free ('P') or gradient ('Q') projector to a vector field."""
     if which not in ("P", "Q"):
         raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
-    p_hat, q_hat = _hodge_split(grid, rfftn(grid, _check_vector(grid, u)))
-    return irfftn(grid, p_hat if which == "P" else q_hat)
+    p_hat, q_hat = _hodge_split(grid, fftn(grid, _check_vector(grid, u)))
+    return ifftn(grid, p_hat if which == "P" else q_hat)
 
 
 def _spectral_parts(grid: Grid, u: np.ndarray, gen: Generator) -> list:
     """Half spectrum of u split into the parts on which gen acts as a scalar
     -c|xi|^2: [u_hat] for c*Lap, [P u_hat, Q u_hat] for the elastic operator."""
     if isinstance(gen, ScaledLaplacian):
-        return [rfftn(grid, _check_field(grid, u))]
-    return list(_hodge_split(grid, rfftn(grid, _check_vector(grid, u))))
+        return [fftn(grid, _check_field(grid, u))]
+    return list(_hodge_split(grid, fftn(grid, _check_vector(grid, u))))
 
 
 def _symbols(grid: Grid, gen: Generator, f) -> list:
@@ -129,7 +128,7 @@ def _apply_symbols(grid: Grid, parts: list, symbols: list) -> np.ndarray:
     out_hat = symbols[0] * parts[0]
     for sym, part in zip(symbols[1:], parts[1:]):
         out_hat += sym * part
-    return irfftn(grid, out_hat)
+    return ifftn(grid, out_hat)
 
 
 def lame_apply(grid: Grid, u: np.ndarray, params: LameParams) -> np.ndarray:

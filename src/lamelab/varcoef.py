@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, _check_field, integral, irfftn, rfftn
+from .grid import Grid, _check_field, fftn, ifftn, integral
 from .operators import LameParams, lame_apply
 
 
@@ -143,7 +143,7 @@ def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
         g = c / (c0 + c * np.sum(piece**2, axis=0))
         inv -= g * np.einsum("a...,b...->ab...", piece, piece)
     inv /= c0
-    return lambda r: irfftn(grid, np.sum(inv * rfftn(grid, r)[None], axis=1))
+    return lambda r: ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
 
 
 def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):

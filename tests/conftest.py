@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lamelab.besov import BoundaryLeakageWarning
 from lamelab.grid import Grid
@@ -40,6 +41,16 @@ def rng_field(grid, seed, ncomp=None):
 
 # Full complex-spectrum references (numpy.fft.fftfreq order, Nyquist entry -pi/h):
 # the package runs on the real-FFT half spectrum, tests compare it against these.
+
+
+def full_fftn(grid, u):
+    """Complex forward DFT over the spatial axes, onto the full spectrum ``grid.shape``."""
+    return scipy.fft.fftn(u, axes=grid.spatial_axes)
+
+
+def full_ifftn(grid, u_hat):
+    """Complex inverse DFT over the spatial axes, real part."""
+    return scipy.fft.ifftn(u_hat, axes=grid.spatial_axes).real
 
 
 def full_freq(grid):

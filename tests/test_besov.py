@@ -23,10 +23,10 @@ from lamelab.besov import (
     product_law_ratio,
 )
 from lamelab.fields import gaussian_bump, plane_wave, random_band_field
-from lamelab.grid import Grid, fftn, ifftn, lp_norm, mean_free, rfftn
+from lamelab.grid import Grid, fftn, lp_norm, mean_free
 from lamelab.operators import LameParams, ScaledLaplacian, _spectral_parts, _weighted_from_parts
 
-from conftest import full_freq_sq, rng_field
+from conftest import full_fftn, full_freq_sq, full_ifftn, rng_field
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +176,7 @@ class TestComplexPathAgreement:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_level_norms(self, grid, field, p):
         part = default_partition(grid)
-        u_hat = fftn(grid, field)
+        u_hat = full_fftn(grid, field)
         comp_axes = tuple(range(field.ndim - grid.dim))
         vol = grid.cell_volume / grid.size
         ref = []
@@ -184,13 +184,13 @@ class TestComplexPathAgreement:
             if p == 2.0:
                 ref.append(np.sqrt(vol * np.sum(chi**2 * np.sum(np.abs(u_hat) ** 2, axis=comp_axes))))
             else:
-                ref.append(lp_norm(grid, ifftn(grid, chi * u_hat), p))
+                ref.append(lp_norm(grid, full_ifftn(grid, chi * u_hat), p))
         assert _rel_norm(besov_level_norms(grid, field, p, part), np.array(ref)) <= 1e-13
 
     def test_dyadic_block(self, grid, field):
         part = default_partition(grid)
-        u_hat = fftn(grid, field)
-        ref = np.stack([ifftn(grid, chi * u_hat) for chi in _full_masks(grid, part)])
+        u_hat = full_fftn(grid, field)
+        ref = np.stack([full_ifftn(grid, chi * u_hat) for chi in _full_masks(grid, part)])
         got = np.stack([dyadic_block(grid, field, j, part) for j in part.levels])
         assert _rel_norm(got, ref) <= 1e-13
 
@@ -221,7 +221,7 @@ class TestHeatCharacterization:
         u = mean_free(grid64, u)
         nodes = 1e-7 * 2.0 ** (0.5 * np.arange(70))  # covers [1e-7, 3e3]
         val = heat_char_norm(grid64, u, s, 2.0, 2.0, k, ScaledLaplacian(1.0), t_nodes=nodes)
-        u_hat = fftn(grid64, u)
+        u_hat = full_fftn(grid64, u)
         c = grid64.cell_volume / grid64.size * np.abs(u_hat) ** 2
         xi2 = full_freq_sq(grid64)
         xi2[xi2 == 0.0] = np.inf
@@ -321,7 +321,7 @@ class TestProfiles:
         u = random_band_field(grid, 1, 6, seed=3, ncomp=2)
         part = default_partition(grid)
         levels = besov_level_norms(grid, u, p, part)
-        u_hat = rfftn(grid, u)
+        u_hat = fftn(grid, u)
         power = np.sum(np.abs(u_hat) ** 2, axis=0) * grid.rmultiplicity
         vol = grid.cell_volume / grid.size
         for s in self.S_VALUES:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lamelab.fields import checkerboard_density, delta_field, random_band_field
-from lamelab.grid import Grid, fftn, ifftn, integral, lp_norm, spectral_derivative
+from lamelab.grid import Grid, integral, lp_norm, spectral_derivative
 from lamelab.kernels import (
     DaviesProbe,
     EnvelopeFitError,
@@ -20,7 +20,7 @@ from lamelab.kernels import (
 from lamelab.operators import LameParams
 from lamelab.varcoef import Coefficient, StepperConfig
 
-from conftest import full_freq_sq, full_hodge_symbols
+from conftest import full_fftn, full_freq_sq, full_hodge_symbols, full_ifftn
 
 
 LAPLACE_LIKE = LameParams(1.0, -1.0)  # nu = mu: scalar heat flow per component
@@ -44,10 +44,10 @@ def synth_lame_kernel(grid, params, y0, t_eff):
     xi2 = full_freq_sq(grid)
     dp = np.exp(-params.mu * t_eff * xi2)
     dq = np.exp(-params.nu * t_eff * xi2)
-    delta_hat = fftn(grid, delta_field(grid, y0))
+    delta_hat = full_fftn(grid, delta_field(grid, y0))
     K = np.empty((grid.dim, grid.dim) + grid.shape)
     for k in range(grid.dim):
-        K[:, k] = ifftn(grid, (dp * P[:, k] + dq * Q[:, k]) * delta_hat)
+        K[:, k] = full_ifftn(grid, (dp * P[:, k] + dq * Q[:, k]) * delta_hat)
     return K
 
 

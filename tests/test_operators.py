@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import full_freq, full_freq_sq, full_hodge_symbols, rng_field
+from conftest import full_fftn, full_freq, full_freq_sq, full_hodge_symbols, full_ifftn, rng_field
 from lamelab.grid import (
     divergence,
-    fftn,
     gradient,
-    ifftn,
     integral,
     jacobian,
     lp_norm,
@@ -177,9 +175,9 @@ def _complex_isotropic(grid, u, a, b):
     xi = full_freq(grid)
     xi2 = full_freq_sq(grid)
     xi2[xi2 == 0.0] = np.inf
-    u_hat = fftn(grid, u)
+    u_hat = full_fftn(grid, u)
     q_hat = xi * np.sum(xi * u_hat, axis=0) / xi2
-    return ifftn(grid, a * (u_hat - q_hat) + b * q_hat)
+    return full_ifftn(grid, a * (u_hat - q_hat) + b * q_hat)
 
 
 def _complex_derivative(grid, u, axis, order):
@@ -189,7 +187,7 @@ def _complex_derivative(grid, u, axis, order):
     symbol = (1j * xi[axis]) ** order
     if order == 1:
         symbol = symbol * ~np.any(nyquist, axis=0)
-    return ifftn(grid, symbol * fftn(grid, u))
+    return full_ifftn(grid, symbol * full_fftn(grid, u))
 
 
 def _rel_err(got, ref):
