@@ -129,23 +129,29 @@ def _aggregate(levels: np.ndarray, r: float) -> float:
 
 
 def besov_level_norms(
-    grid: Grid, u: np.ndarray, p: float, partition: DyadicPartition | None = None
+    grid: Grid, fields: np.ndarray, p: float, partition: DyadicPartition | None = None
 ) -> np.ndarray:
-    """||block_j u||_p for each level j of the partition (free of s)."""
+    """||block_j u||_p for each field u of a stack (leading axis of m fields) and
+    each level j of the partition (free of s), shape (m, levels).
+
+    One forward transform serves the whole stack; p != 2 takes one inverse
+    transform of the stack per level.
+    """
     part = partition or default_partition(grid)
-    u_hat = fftn(grid, u)
+    u_hat = fftn(grid, fields)
     if p == 2.0:
         # Plancherel shortcut: ||chi_j u||_2 without inverse transforms
-        comp_axes = tuple(range(u_hat.ndim - grid.dim))
-        power = np.sum(np.abs(u_hat) ** 2, axis=comp_axes) if comp_axes else np.abs(u_hat) ** 2
+        power = np.sum(np.abs(u_hat) ** 2, axis=tuple(range(1, u_hat.ndim - grid.dim)))
         power *= grid.rmultiplicity
         vol = grid.cell_volume / grid.size
-        return np.array([np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels])
-    return np.array([lp_norm(grid, ifftn(grid, part.mask(j) * u_hat), p) for j in part.levels])
+        levels = [np.sqrt(vol * np.sum(chi**2 * power, axis=grid.spatial_axes)) for chi in part.masks]
+        return np.stack(levels, axis=1)
+    return np.array([[lp_norm(grid, b, p) for b in ifftn(grid, chi * u_hat)] for chi in part.masks]).T
 
 
 def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: BesovIndex) -> NormReport:
-    """Weight level norms from besov_level_norms by 2^(j*s) and take their l^r sum."""
+    """Weight one field's level norms (a row of besov_level_norms) by 2^(j*s)
+    and take their l^r sum."""
     per = np.array([2.0 ** (j * idx.s) * n for j, n in zip(partition.levels, level_norms)])
     value = _aggregate(per, idx.r)
     total = float(np.sum(per))
@@ -153,11 +159,20 @@ def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: Be
     return NormReport(value, float(leakage), tuple(per))
 
 
+def besov_norm_reports(
+    grid: Grid, fields: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
+) -> list:
+    """NormReport of each field of a stack (leading axis), from one pass of
+    besov_level_norms; a trajectory is a stack of its time slices."""
+    part = partition or default_partition(grid)
+    return [besov_weighting(part, row, idx) for row in besov_level_norms(grid, fields, idx.p, part)]
+
+
 def besov_norm_report(
     grid: Grid, u: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
 ) -> NormReport:
-    part = partition or default_partition(grid)
-    return besov_weighting(part, besov_level_norms(grid, u, idx.p, part), idx)
+    """besov_norm_reports of the stack of one field u."""
+    return besov_norm_reports(grid, np.asarray(u)[None], idx, partition)[0]
 
 
 def besov_norm(

@@ -233,7 +233,7 @@ def run_besov(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     levels, profiles = [], {}
     for i in range(count):
         u = random_band_field(grid, kmin, kmax, base + i, ncomp=grid.dim)
-        levels.append(besov_level_norms(grid, u, p, part))
+        levels.append(besov_level_norms(grid, u[None], p, part)[0])
         for gname, gen in gens:
             profiles[gname, i] = heat_profile(grid, u, p, k, gen)
     nz = grid.rfreq_sq > 0
@@ -331,7 +331,7 @@ def run_flow(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     flow = flow_map(state)
     eul = pushforward_eulerian(state, flow, rho0)
     transport = density_transport_check(state, flow, rho0, eul)
-    residual = scheme_residual(state, pcfg.theta)
+    residual = scheme_residual(state, flow, pcfg.theta)
     gsi = grad_sup_integral(state)
     diag_rows = [
         ("u0_norm", diag.u0_norm),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._interp import interp_periodic, spline_prefilter
-from .besov import BesovIndex, besov_norm_report, default_partition
+from .besov import BesovIndex, besov_norm_report, besov_norm_reports
 from .grid import (
     Grid,
     divergence,
@@ -25,7 +25,7 @@ from .grid import (
     jacobian,
     lp_norm,
 )
-from .maxreg import SolutionNorms, solution_norms
+from .maxreg import solution_norms
 from .operators import LameParams, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve, theta_step
 
@@ -249,27 +249,24 @@ class FlowEstimateReport:
 
 def _grad_l1_besov(state: LagrangianState, p: float) -> float:
     grid = state.grid
+    grads = np.stack([jacobian(grid, u) for u in state.u])
+    reps = besov_norm_reports(grid, grads, BesovIndex(grid.dim / p, p, 1.0))
+    return float(np.trapezoid([r.value for r in reps], dx=state.dt))
+
+
+def _sup_pair_norm(grid: Grid, a: np.ndarray, adj: np.ndarray, p: float) -> float:
+    """sup over time of ||a(t)|| + ||adj(t)|| at regularity n/p (leading time axis)."""
     idx = BesovIndex(grid.dim / p, p, 1.0)
-    part = default_partition(grid)
-    vals = [
-        besov_norm_report(grid, jacobian(grid, state.u[i]), idx, part).value
-        for i in range(len(state.t))
-    ]
-    return float(np.trapezoid(vals, dx=state.dt))
+    pairs = zip(besov_norm_reports(grid, a, idx), besov_norm_reports(grid, adj, idx))
+    return max(ra.value + rb.value for ra, rb in pairs)
 
 
 def flow_estimate_check(state: LagrangianState, c0: float = 0.1, p: float = 2.0) -> FlowEstimateReport:
     """Compare the flow-map deviation from the identity to the gradient budget."""
     grid = state.grid
     flow = flow_map(state)
-    idx = BesovIndex(grid.dim / p, p, 1.0)
-    part = default_partition(grid)
     eye = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
-    lhs = 0.0
-    for i in range(len(state.t)):
-        na = besov_norm_report(grid, flow.jac_inv[i] - eye, idx, part).value
-        nadj = besov_norm_report(grid, flow.adj[i] - eye, idx, part).value
-        lhs = max(lhs, na + nadj)
+    lhs = _sup_pair_norm(grid, flow.jac_inv - eye, flow.adj - eye, p)
     rhs = _grad_l1_besov(state, p)
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
     return FlowEstimateReport(lhs, rhs, ratio, bool(rhs <= c0), c0)
@@ -281,13 +278,7 @@ def flow_estimate_difference(
     """Difference variant: deviation between two flow maps against grad(v1 - v2)."""
     grid = state1.grid
     f1, f2 = flow_map(state1), flow_map(state2)
-    idx = BesovIndex(grid.dim / p, p, 1.0)
-    part = default_partition(grid)
-    lhs = 0.0
-    for i in range(len(state1.t)):
-        na = besov_norm_report(grid, f1.jac_inv[i] - f2.jac_inv[i], idx, part).value
-        nadj = besov_norm_report(grid, f1.adj[i] - f2.adj[i], idx, part).value
-        lhs = max(lhs, na + nadj)
+    lhs = _sup_pair_norm(grid, f1.jac_inv - f2.jac_inv, f1.adj - f2.adj, p)
     delta = LagrangianState(grid, state1.params, state1.rho0, state1.t, state1.u - state2.u)
     rhs = _grad_l1_besov(delta, p)
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
@@ -363,7 +354,7 @@ def picard_solve(
     """
     grid = rho0.grid
     idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p, 1.0)
-    u0_norm = besov_norm_report(grid, u0, idx, default_partition(grid)).value
+    u0_norm = besov_norm_report(grid, u0, idx).value
     diag = PicardDiagnostics(
         u0_norm=u0_norm,
         stop_tol=cfg.stop_tol_rel * max(u0_norm, 1e-300),
@@ -377,7 +368,7 @@ def picard_solve(
         return LagrangianState(grid, params, rho0, t_grid, u_traj)
 
     u_traj = evolve(rho0, params, u0, t_grid, stepper)
-    diag.iterate_norms.append(solution_norms(grid, u_traj, t_grid[1], params, cfg.p).total)
+    diag.iterate_norms.append(solution_norms(grid, u_traj, t_grid[1], params, idx).total)
     if u0_norm == 0.0:
         diag.converged = True
         return to_state(u_traj), diag
@@ -389,11 +380,11 @@ def picard_solve(
         diag.flow_smallness_ok.append(bool(grad_budget <= cfg.flow_smallness_c0))
         forcing = nonlinearity_f(state, flow)
         u_next = evolve(rho0, params, u0, t_grid, stepper, forcing=forcing, guess=u_traj)
-        delta = solution_norms(grid, u_next - u_traj, t_grid[1], params, cfg.p).total
+        delta = solution_norms(grid, u_next - u_traj, t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
         if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:
             diag.contraction_factors.append(delta / diag.delta_norms[-2])
-        diag.iterate_norms.append(solution_norms(grid, u_next, t_grid[1], params, cfg.p).total)
+        diag.iterate_norms.append(solution_norms(grid, u_next, t_grid[1], params, idx).total)
         diag.iterations += 1
         u_traj = u_next
         if delta <= diag.stop_tol:
@@ -407,30 +398,21 @@ def picard_solve(
     )
 
 
-def scheme_residual(state: LagrangianState, theta: float = 0.5) -> float:
+def scheme_residual(state: LagrangianState, flow: FlowMapData, theta: float = 0.5) -> float:
     """Defect of the converged iterate in the nonlinear theta-scheme equations.
 
-    Rebuilds the nonlinearity from the state itself and measures the
+    Rebuilds the nonlinearity from the state and its flow map and measures the
     L1-in-time Besov norm (regularity n/p - 1, p = 2) of
-    rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i.
+    rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i,
+    all steps in one stack.
     """
     grid = state.grid
-    flow = flow_map(state)
-    f = nonlinearity_f(state, flow)
-    idx = BesovIndex(grid.dim / 2.0 - 1.0, 2.0, 1.0)
-    part = default_partition(grid)
     dt = state.dt
+    rhs = np.stack([lame_apply(grid, u, state.params) for u in state.u]) + nonlinearity_f(state, flow)
+    defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - theta * rhs[1:] - (1.0 - theta) * rhs[:-1]
     total = 0.0
-    rhs_prev = lame_apply(grid, state.u[0], state.params) + f[0]
-    for i in range(len(state.t) - 1):
-        rhs_next = lame_apply(grid, state.u[i + 1], state.params) + f[i + 1]
-        defect = (
-            state.rho0.rho * (state.u[i + 1] - state.u[i]) / dt
-            - theta * rhs_next
-            - (1.0 - theta) * rhs_prev
-        )
-        total += dt * besov_norm_report(grid, defect, idx, part).value
-        rhs_prev = rhs_next
+    for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / 2.0 - 1.0, 2.0, 1.0)):
+        total += dt * rep.value
     return total
 
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, besov_norm_report, default_partition, extended_time_nodes
+from .besov import (
+    BesovIndex,
+    besov_norm_report,
+    besov_norm_reports,
+    default_partition,
+    extended_time_nodes,
+)
 from .grid import lp_norm
 from .operators import LameParams, const_semigroup, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve
@@ -25,11 +31,13 @@ class DegenerateProbeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionNorms:
-    """Components of the solution-space norm at regularity n/p - 1."""
+    """Components of the solution-space norm and the largest boundary leakage
+    among the Besov norms they were taken from."""
 
     sup_norm: float
     dt_norm: float
     op_norm: float
+    max_leakage: float
 
     @property
     def total(self) -> float:
@@ -43,26 +51,24 @@ def time_derivative(trajectory: np.ndarray, dt: float) -> np.ndarray:
     return np.gradient(trajectory, dt, axis=0)
 
 
-def solution_norms(grid, trajectory: np.ndarray, dt: float, params: LameParams, p: float) -> SolutionNorms:
+def solution_norms(
+    grid, trajectory: np.ndarray, dt: float, params: LameParams, idx: BesovIndex
+) -> SolutionNorms:
     """Solution-space norm of a uniformly sampled trajectory.
 
     sup-in-time Besov norm plus L1-in-time (trapezoid) norms of du/dt and of
-    the elastic operator, all at regularity n/p - 1, summability 1.
+    the elastic operator, each taken in one pass over the stacked time slices
+    (the maximal-regularity space uses idx = (n/p - 1, p, 1)).
     """
-    idx = BesovIndex(grid.dim / p - 1.0, p, 1.0)
     part = default_partition(grid)
     du = time_derivative(trajectory, dt)
-    sup = 0.0
-    dt_vals = np.empty(trajectory.shape[0])
-    op_vals = np.empty(trajectory.shape[0])
-    for i, u in enumerate(trajectory):
-        sup = max(sup, besov_norm_report(grid, u, idx, part).value)
-        dt_vals[i] = besov_norm_report(grid, du[i], idx, part).value
-        op_vals[i] = besov_norm_report(grid, lame_apply(grid, u, params), idx, part).value
+    op = np.stack([lame_apply(grid, u, params) for u in trajectory])
+    sup, dt_reps, op_reps = (besov_norm_reports(grid, f, idx, part) for f in (trajectory, du, op))
     return SolutionNorms(
-        sup_norm=float(sup),
-        dt_norm=float(np.trapezoid(dt_vals, dx=dt)),
-        op_norm=float(np.trapezoid(op_vals, dx=dt)),
+        sup_norm=max(r.value for r in sup),
+        dt_norm=float(np.trapezoid([r.value for r in dt_reps], dx=dt)),
+        op_norm=float(np.trapezoid([r.value for r in op_reps], dx=dt)),
+        max_leakage=max(r.leakage for r in sup + dt_reps + op_reps),
     )
 
 
@@ -116,33 +122,21 @@ def solve_linear_maxreg(
     traj = evolve(coef, params, u0, t_grid, cfg.with_dt(dt), forcing=forcing)
 
     idx = BesovIndex(s, p, 1.0)
-    part = default_partition(grid)
-    leak = 0.0
+    out = solution_norms(grid, traj, dt, params, idx)
+    u0_rep = besov_norm_report(grid, u0, idx)
+    f_reps = [] if forcing is None else besov_norm_reports(grid, forcing, idx)
+    f_l1 = float(np.trapezoid([r.value for r in f_reps], dx=dt)) if f_reps else 0.0
+    leak = max([out.max_leakage, u0_rep.leakage] + [r.leakage for r in f_reps])
 
-    def norm(u):
-        nonlocal leak
-        rep = besov_norm_report(grid, u, idx, part)
-        leak = max(leak, rep.leakage)
-        return rep.value
-
-    du = time_derivative(traj, dt)
-    sup = max(norm(u) for u in traj)
-    dt_l1 = float(np.trapezoid([norm(v) for v in du], dx=dt))
-    op_l1 = float(np.trapezoid([norm(lame_apply(grid, u, params)) for u in traj], dx=dt))
-    u0_norm = norm(u0)
-    f_l1 = 0.0
-    if forcing is not None:
-        f_l1 = float(np.trapezoid([norm(f) for f in forcing], dx=dt))
-
-    outputs = sup + dt_l1 + op_l1
-    inputs = u0_norm + f_l1
+    outputs = out.total
+    inputs = u0_rep.value + f_l1
     ratio = 0.0 if outputs == 0.0 else outputs / inputs
     return MaxRegReport(
-        u0_norm=u0_norm,
+        u0_norm=u0_rep.value,
         forcing_norm=f_l1,
-        sup_norm=sup,
-        dt_norm=dt_l1,
-        op_norm=op_l1,
+        sup_norm=out.sup_norm,
+        dt_norm=out.dt_norm,
+        op_norm=out.op_norm,
         ratio=ratio,
         s=s,
         p=p,

@@ -78,7 +78,7 @@ def standard_run():
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
     flow = flow_map(state)
     eulerian = pushforward_eulerian(state, flow, rho0)
-    residual = scheme_residual(state, pcfg.theta)
+    residual = scheme_residual(state, flow, pcfg.theta)
     elapsed = time.time() - t0
     return {
         "grid": grid,

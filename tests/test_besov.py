@@ -185,7 +185,7 @@ class TestComplexPathAgreement:
                 ref.append(np.sqrt(vol * np.sum(chi**2 * np.sum(np.abs(u_hat) ** 2, axis=comp_axes))))
             else:
                 ref.append(lp_norm(grid, full_ifftn(grid, chi * u_hat), p))
-        assert _rel_norm(besov_level_norms(grid, field, p, part), np.array(ref)) <= 1e-13
+        assert _rel_norm(besov_level_norms(grid, field[None], p, part)[0], np.array(ref)) <= 1e-13
 
     def test_dyadic_block(self, grid, field):
         part = default_partition(grid)
@@ -193,6 +193,24 @@ class TestComplexPathAgreement:
         ref = np.stack([full_ifftn(grid, chi * u_hat) for chi in _full_masks(grid, part)])
         got = np.stack([dyadic_block(grid, field, j, part) for j in part.levels])
         assert _rel_norm(got, ref) <= 1e-13
+
+
+class TestStackedLevelNorms:
+    """The level norms of a stack are the rows of its fields taken one at a time,
+    bit for bit: nothing is reduced over the stack axis."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("comps", ["scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)], ids=["2d", "3d"])
+    def test_rows_equal_single_fields(self, dim, n, comps, p):
+        grid = Grid(dim, n, 8.0)
+        comp_shape = {"scalar": (), "vector": (dim,), "matrix": (dim, dim)}[comps]
+        fields = np.random.default_rng(50 + dim).standard_normal((3,) + comp_shape + grid.shape)
+        part = default_partition(grid)
+        got = besov_level_norms(grid, fields, p, part)
+        ref = np.stack([besov_level_norms(grid, u[None], p, part)[0] for u in fields])
+        assert got.shape == (3, len(part.levels))
+        assert np.array_equal(got, ref)
 
 
 class TestHeatCharacterization:
@@ -320,7 +338,7 @@ class TestProfiles:
         grid = self.GRID
         u = random_band_field(grid, 1, 6, seed=3, ncomp=2)
         part = default_partition(grid)
-        levels = besov_level_norms(grid, u, p, part)
+        levels = besov_level_norms(grid, u[None], p, part)[0]
         u_hat = fftn(grid, u)
         power = np.sum(np.abs(u_hat) ** 2, axis=0) * grid.rmultiplicity
         vol = grid.cell_volume / grid.size

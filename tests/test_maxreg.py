@@ -71,20 +71,20 @@ class TestSolveLinear:
 class TestSolutionNorms:
     def test_zero_trajectory(self, grid32, params):
         traj = np.zeros((5, 2) + grid32.shape)
-        norms = solution_norms(grid32, traj, 0.1, params, 2.0)
+        norms = solution_norms(grid32, traj, 0.1, params, BesovIndex(0.0, 2.0, 1.0))
         assert norms.total == 0.0
 
     def test_requires_three_samples(self, grid32, params):
         traj = np.zeros((2, 2) + grid32.shape)
         with pytest.raises(ValueError):
-            solution_norms(grid32, traj, 0.1, params, 2.0)
+            solution_norms(grid32, traj, 0.1, params, BesovIndex(0.0, 2.0, 1.0))
 
     def test_constant_in_time(self, grid32, params):
         u = random_band_field(grid32, 1, 4, seed=4, ncomp=2)
         traj = np.broadcast_to(u, (9,) + u.shape).copy()
         T = 0.8
-        norms = solution_norms(grid32, traj, T / 8, params, 2.0)
         idx = BesovIndex(0.0, 2.0, 1.0)
+        norms = solution_norms(grid32, traj, T / 8, params, idx)
         part = default_partition(grid32)
         bes_u = besov_norm_report(grid32, u, idx, part).value
         bes_lame = besov_norm_report(grid32, lame_apply(grid32, u, params), idx, part).value
@@ -102,8 +102,8 @@ class TestSolutionNorms:
         nt = 801
         t = np.linspace(0.0, T, nt)
         traj = np.exp(-rate * t)[:, None, None, None] * u0
-        norms = solution_norms(grid32, traj, t[1], params, 2.0)
         idx = BesovIndex(0.0, 2.0, 1.0)
+        norms = solution_norms(grid32, traj, t[1], params, idx)
         bes_u0 = besov_norm_report(grid32, u0, idx, default_partition(grid32)).value
         decay_budget = (1.0 - np.exp(-rate * T)) * bes_u0
         assert norms.sup_norm == pytest.approx(bes_u0, rel=1e-10)
