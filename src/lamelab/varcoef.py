@@ -146,6 +146,11 @@ def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
     return lambda r: ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
 
 
+def _norm(u: np.ndarray) -> float:
+    """Euclidean norm over all entries, summed in a fixed order (see _pcg)."""
+    return np.sqrt(np.sum(u * u))
+
+
 def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, maxiter: int):
     """Preconditioned conjugate gradients for A = P + R from the guess x (updated in place).
 
@@ -155,17 +160,19 @@ def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, m
     Same stopping rule as scipy.sparse.linalg.cg: stop when
     ||r|| < rtol * ||b||, checked before each of at most maxiter iterations.
     Returns (x, iterations), iterations None when the rule was never met.
+    Inner products are np.sum of the elementwise product, not BLAS, whose
+    summation order (and so the last bits) follows its thread count.
     """
-    atol = rtol * np.linalg.norm(b)
+    atol = rtol * _norm(b)
     if atol == 0.0:
         return np.zeros_like(b), 0
     r = b - matvec(x) if x.any() else b.copy()
     rz_prev = p = w = None
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if _norm(r) < atol:
             return x, it
         z = psolve(r)
-        rz = np.vdot(r, z)
+        rz = np.sum(r * z)
         if p is None:
             p, w = z, r.copy()
         else:
@@ -173,7 +180,7 @@ def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, m
             p = z + beta * p
             w = r + beta * w
         q = w + remainder(p)
-        alpha = rz / np.vdot(p, q)
+        alpha = rz / np.sum(p * q)
         x += alpha * p
         r -= alpha * q
         rz_prev = rz
@@ -210,7 +217,7 @@ def theta_step(
     x0 = u_guess if u_guess is not None else u_old
     x, iterations = _pcg(matvec, psolve, remainder, rhs, np.array(x0, dtype=float), cfg.cg_tol, cfg.cg_maxiter)
     if iterations is None:
-        residual = float(np.linalg.norm(matvec(x) - rhs) / np.linalg.norm(rhs))
+        residual = float(_norm(matvec(x) - rhs) / _norm(rhs))
         raise SolverConvergenceError(
             f"CG stalled after {cfg.cg_maxiter} iterations (relative residual {residual:.3e})",
             residual,

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -315,3 +319,27 @@ class TestPCG:
         ref = np.linalg.solve(mat, rhs).reshape(u.shape)
         x = theta_step(grid, rho, params, u, dt, cfg)
         assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_steps_do_not_depend_on_blas_threads(self):
+        # reductions on N = 128 fields (32k entries) go to multithreaded BLAS if
+        # they go to BLAS at all, and its summation order follows its thread count
+        code = (
+            "import hashlib\n"
+            "from lamelab.fields import random_band_field, trig_density\n"
+            "from lamelab.grid import Grid\n"
+            "from lamelab.operators import LameParams\n"
+            "from lamelab.varcoef import StepperConfig, theta_step\n"
+            "grid = Grid(2, 128, 16.0)\n"
+            "rho = trig_density(grid, 0.5, 17, 2.0, 1.5)\n"
+            "u = random_band_field(grid, 1, 6, seed=3, ncomp=2)\n"
+            "for _ in range(3):\n"
+            "    u = theta_step(grid, rho, LameParams(1.0, 1.0), u, 5e-3, StepperConfig(dt=5e-3))\n"
+            "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert out.returncode == 0, out.stderr
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
