@@ -16,10 +16,10 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import __version__
 from .besov import (
@@ -120,18 +120,10 @@ def _is_node(grid, index) -> bool:
     )
 
 
-def _pool_map(fn, items, threads: int):
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = None if threads == 0 else threads
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- pipelines -----------------------------------------------------------------
 
 
-def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
+def run_kernel(cfg: dict, out: Path, seed: int) -> dict:
     grid = build_grid(cfg["grid"])
     params = build_lame(cfg["lame"])
     coef = build_rho0(grid, cfg["rho0"])
@@ -148,11 +140,7 @@ def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
         if not alphas or min(alphas) < 0 or not np.any(davies_u0):
             raise ConfigError(f"davies needs nonnegative alphas and a nonzero u0, got alphas {alphas}")
 
-    slice_sets = _pool_map(
-        lambda y0: kernel_column(coef, params, y0, times, stepper, presmooth=presmooth),
-        sources,
-        threads,
-    )
+    slice_sets = [kernel_column(coef, params, y0, times, stepper, presmooth=presmooth) for y0 in sources]
     all_slices = [s for group in slice_sets for s in group]
 
     fit = gaussian_fit(all_slices)
@@ -209,7 +197,7 @@ def run_kernel(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def run_besov(cfg: dict, out: Path, seed: int, threads: int) -> dict:
+def run_besov(cfg: dict, out: Path, seed: int) -> dict:
     grid = build_grid(cfg["grid"])
     params = build_lame(cfg["lame"])
     part = default_partition(grid)
@@ -258,7 +246,7 @@ def run_besov(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def run_maxreg(cfg: dict, out: Path, seed: int, threads: int) -> dict:
+def run_maxreg(cfg: dict, out: Path, seed: int) -> dict:
     grid = build_grid(cfg["grid"])
     params = build_lame(cfg["lame"])
     coef = build_rho0(grid, cfg["rho0"])
@@ -283,14 +271,13 @@ def run_maxreg(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     nt = int(round(T / stepper.dt)) + 1
     t_grid = np.linspace(0.0, T, nt)
 
-    def one_probe(i):
+    reports = []
+    for i in range(count):
         u0 = random_band_field(grid, kmin, kmax, base + 2 * i, ncomp=grid.dim)
         fx = random_band_field(grid, kmin, kmax, base + 2 * i + 1, ncomp=grid.dim)
         prof = random_time_profile(t_grid, base + 31 * i)
         forcing = prof.reshape((-1,) + (1,) * fx.ndim) * fx
-        return solve_linear_maxreg(coef, params, u0, forcing, s, p, T, stepper)
-
-    reports = _pool_map(one_probe, list(range(count)), threads)
+        reports.append(solve_linear_maxreg(coef, params, u0, forcing, s, p, T, stepper))
     rows = [
         (i, r.u0_norm, r.forcing_norm, r.sup_norm, r.dt_norm, r.op_norm, r.ratio, r.max_leakage)
         for i, r in enumerate(reports)
@@ -314,7 +301,7 @@ def run_maxreg(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def run_flow(cfg: dict, out: Path, seed: int, threads: int) -> dict:
+def run_flow(cfg: dict, out: Path, seed: int) -> dict:
     grid = build_grid(cfg["grid"])
     params = build_lame(cfg["lame"])
     rho0 = build_rho0(grid, cfg["rho0"])
@@ -365,7 +352,7 @@ def run_flow(cfg: dict, out: Path, seed: int, threads: int) -> dict:
     return summary
 
 
-def run_oracle(cfg: dict, out: Path, seed: int, threads: int) -> dict:
+def run_oracle(cfg: dict, out: Path, seed: int) -> dict:
     grid = build_grid(cfg["grid"])
     params = build_lame(cfg["lame"])
     coef = build_rho0(grid, cfg["rho0"])
@@ -411,7 +398,7 @@ def _iteration_columns(header, rows):
     return [ks, fs]
 
 
-def run_plotdata(cfg: dict, out: Path, seed: int, threads: int) -> dict:
+def run_plotdata(cfg: dict, out: Path, seed: int) -> dict:
     kind = cfg.get("kind")
     if kind not in _PLOT_KINDS:
         raise ConfigError(f"plotdata kind must be one of {sorted(_PLOT_KINDS)}, got {kind!r}")
@@ -441,7 +428,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True, help="output directory (created if absent)")
     parser.add_argument("--seed", type=int, default=0, help="base seed for random probes")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (0 = all cores)")
+    parser.add_argument("--threads", type=int, default=1, help="FFT worker threads (0 = all cores)")
     args = parser.parse_args(argv)
     if args.threads < 0:
         print(f"config error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
@@ -467,7 +454,8 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     try:
-        summary = _PIPELINES[args.command](cfg, out, args.seed, args.threads)
+        with scipy.fft.set_workers(args.threads or -1):
+            summary = _PIPELINES[args.command](cfg, out, args.seed)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

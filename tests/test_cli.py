@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lamelab.besov import BesovIndex, besov_norm_report, default_partition, heat_char_norm_report
 from lamelab import cli
@@ -121,6 +123,33 @@ class TestMaxregCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "numerical_failure"
         assert manifest["error"]["type"] == "DegenerateProbeError"
+
+    def test_threads_set_fft_workers_and_keep_artifacts(self, tmp_path, monkeypatch):
+        workers, solve = [], cli.solve_linear_maxreg
+
+        def recording(*args, **kwargs):
+            workers.append(scipy.fft.get_workers())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_linear_maxreg", recording)
+        cfg = {
+            "grid": SMALL_GRID,
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "probes": {"count": 2},
+            "T": 0.2,
+            "stepper": {"dt": 0.05},
+            "norm_equiv": {"count": 1},
+        }
+        path = write_config(tmp_path / "maxreg.json", cfg)
+        artifacts = []
+        for threads in (1, 2, 0):
+            out = tmp_path / f"threads{threads}"
+            assert run_cli(["maxreg", "--config", path, "--out", out, "--threads", threads]) == 0
+            artifacts.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"})
+        assert len(artifacts[0]) == 3
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+        assert workers == [1, 1, 2, 2, os.cpu_count(), os.cpu_count()]
 
 
 class TestValidation:
