@@ -205,8 +205,8 @@ def run_besov(cfg: dict, out: Path, seed: int) -> dict:
     count = int(fcfg.get("count", 20))
     kmin, kmax = float(fcfg.get("kmin", 2.0)), float(fcfg.get("kmax", 6.0))
     base = int(fcfg.get("seed", seed))
-    s_list = [float(s) for s in cfg.get("s_list", [0.5, -0.5, grid.dim / cfg.get("p", 2.0) - 1.0])]
     p = float(cfg.get("p", 2.0))
+    s_list = [float(s) for s in cfg.get("s_list", [0.5, -0.5, grid.dim / p - 1.0])]
     q = float(cfg.get("q", 1.0))
     k = int(cfg.get("k", 1))
     if count < 1 or not q > 0:
@@ -255,8 +255,8 @@ def run_maxreg(cfg: dict, out: Path, seed: int) -> dict:
     count = int(pcfg.get("count", 10))
     base = int(pcfg.get("seed", seed))
     kmin, kmax = float(pcfg.get("kmin", 1.0)), float(pcfg.get("kmax", 4.0))
-    s = float(cfg.get("s", grid.dim / cfg.get("p", 2.0) - 1.0))
     p = float(cfg.get("p", 2.0))
+    s = float(cfg.get("s", grid.dim / p - 1.0))
     T = float(cfg.get("T", 2.0))
     if count < 1:
         raise ConfigError(f"probes count must be >= 1, got {count}")

@@ -189,6 +189,8 @@ class TestConfigErrorWritesNothing:
         "davies_u0": ("kernel", {**KERNEL, "davies": {"u0": {"kind": "zero"}}}, []),
         "besov_q_zero": ("besov", {"q": 0}, []),
         "besov_no_fields": ("besov", {"fields": {"count": 0}}, []),
+        "besov_p_word": ("besov", {"p": "three"}, []),
+        "maxreg_p_word": ("maxreg", {**MAXREG, "p": "three"}, []),
         "oracle_no_times": ("oracle", {"times": []}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
     }
