@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import (
-    BesovIndex,
-    besov_norm_report,
-    besov_norm_reports,
-    default_partition,
-    extended_time_nodes,
-)
+from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes
 from .grid import lp_norm
 from .operators import LameParams, const_semigroup, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve
@@ -60,10 +54,9 @@ def solution_norms(
     the elastic operator, each taken in one pass over the stacked time slices
     (the maximal-regularity space uses idx = (n/p - 1, p, 1)).
     """
-    part = default_partition(grid)
     du = time_derivative(trajectory, dt)
     op = np.stack([lame_apply(grid, u, params) for u in trajectory])
-    sup, dt_reps, op_reps = (besov_norm_reports(grid, f, idx, part) for f in (trajectory, du, op))
+    sup, dt_reps, op_reps = (besov_norm_reports(grid, f, idx) for f in (trajectory, du, op))
     return SolutionNorms(
         sup_norm=max(r.value for r in sup),
         dt_norm=float(np.trapezoid([r.value for r in dt_reps], dx=dt)),
@@ -125,12 +118,9 @@ def solve_linear_maxreg(
     out = solution_norms(grid, traj, dt, params, idx)
     u0_rep = besov_norm_report(grid, u0, idx)
     f_reps = [] if forcing is None else besov_norm_reports(grid, forcing, idx)
-    f_l1 = float(np.trapezoid([r.value for r in f_reps], dx=dt)) if f_reps else 0.0
+    f_l1 = float(np.trapezoid([r.value for r in f_reps], dx=dt))
     leak = max([out.max_leakage, u0_rep.leakage] + [r.leakage for r in f_reps])
-
-    outputs = out.total
-    inputs = u0_rep.value + f_l1
-    ratio = 0.0 if outputs == 0.0 else outputs / inputs
+    ratio = 0.0 if out.total == 0.0 else out.total / (u0_rep.value + f_l1)
     return MaxRegReport(
         u0_norm=u0_rep.value,
         forcing_norm=f_l1,
