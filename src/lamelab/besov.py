@@ -141,7 +141,9 @@ def besov_level_norms(
     u_hat = fftn(grid, fields)
     if p == 2.0:
         # Plancherel shortcut: ||chi_j u||_2 without inverse transforms
-        power = np.sum(np.abs(u_hat) ** 2, axis=tuple(range(1, u_hat.ndim - grid.dim)))
+        power = np.abs(u_hat)
+        power **= 2  # in place: a trajectory stack keeps one spectrum-sized temporary
+        power = np.sum(power, axis=tuple(range(1, u_hat.ndim - grid.dim)))
         power *= grid.rmultiplicity
         vol = grid.cell_volume / grid.size
         levels = [np.sqrt(vol * np.sum(chi**2 * power, axis=grid.spatial_axes)) for chi in part.masks]

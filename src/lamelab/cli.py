@@ -271,13 +271,14 @@ def run_maxreg(cfg: dict, out: Path, seed: int) -> dict:
     nt = int(round(T / stepper.dt)) + 1
     t_grid = np.linspace(0.0, T, nt)
 
-    reports = []
-    for i in range(count):
+    def one_probe(i):  # a function, so that each probe's forcing is freed after its solve
         u0 = random_band_field(grid, kmin, kmax, base + 2 * i, ncomp=grid.dim)
         fx = random_band_field(grid, kmin, kmax, base + 2 * i + 1, ncomp=grid.dim)
         prof = random_time_profile(t_grid, base + 31 * i)
         forcing = prof.reshape((-1,) + (1,) * fx.ndim) * fx
-        reports.append(solve_linear_maxreg(coef, params, u0, forcing, s, p, T, stepper))
+        return solve_linear_maxreg(coef, params, u0, forcing, s, p, T, stepper)
+
+    reports = [one_probe(i) for i in range(count)]
     rows = [
         (i, r.u0_norm, r.forcing_norm, r.sup_norm, r.dt_norm, r.op_norm, r.ratio, r.max_leakage)
         for i, r in enumerate(reports)

@@ -54,9 +54,10 @@ def solution_norms(
     the elastic operator, each taken in one pass over the stacked time slices
     (the maximal-regularity space uses idx = (n/p - 1, p, 1)).
     """
-    du = time_derivative(trajectory, dt)
-    op = np.stack([lame_apply(grid, u, params) for u in trajectory])
-    sup, dt_reps, op_reps = (besov_norm_reports(grid, f, idx) for f in (trajectory, du, op))
+    # one stack at a time, so that du and Lu are not held together
+    dt_reps = besov_norm_reports(grid, time_derivative(trajectory, dt), idx)
+    op_reps = besov_norm_reports(grid, np.stack([lame_apply(grid, u, params) for u in trajectory]), idx)
+    sup = besov_norm_reports(grid, trajectory, idx)
     return SolutionNorms(
         sup_norm=max(r.value for r in sup),
         dt_norm=float(np.trapezoid([r.value for r in dt_reps], dx=dt)),
