@@ -135,6 +135,8 @@ def symmetry_defect(slice_a: KernelSlice, slice_b: KernelSlice) -> float:
 
 # -- envelope fitting -----------------------------------------------------------
 
+_MIN_SHELLS = 10  # fewest shells per slice that a fit accepts
+
 
 @dataclass(frozen=True)
 class GaussianFit:
@@ -153,8 +155,9 @@ class GaussianFit:
             raise ValueError("fit produced a non-decaying envelope")
 
 
-def _shell_points(slc: KernelSlice, weighted: np.ndarray, shell_width: float):
-    """Shell maxima of a weighted magnitude inside the trust window.
+def _shell_points(slc: KernelSlice, weighted: np.ndarray):
+    """Shell maxima of a weighted magnitude inside the trust window, in
+    shells one grid spacing wide.
 
     Each shell reports the distance at which its max is achieved, so the
     (d^2/t, log max) pairs sample the envelope exactly rather than at the
@@ -165,7 +168,7 @@ def _shell_points(slc: KernelSlice, weighted: np.ndarray, shell_width: float):
     mask = (d >= lo) & (d <= hi)
     if not np.any(mask):
         return []
-    bins = np.floor(d[mask] / shell_width).astype(int)
+    bins = np.floor(d[mask] / grid.spacing).astype(int)
     vals = weighted[mask]
     dist = d[mask]
     rows = []
@@ -176,19 +179,16 @@ def _shell_points(slc: KernelSlice, weighted: np.ndarray, shell_width: float):
     return rows
 
 
-def _fit_envelope(
-    slices, extractor, magnitude, weight_power: float, shell_width=None, min_shells=10
-) -> GaussianFit:
+def _fit_envelope(slices, extractor, magnitude, weight_power: float) -> GaussianFit:
     if len(slices) < 1:
         raise ValueError("need at least one slice")
     rows = []
     for slc in slices:
-        width = shell_width if shell_width is not None else slc.grid.spacing
         weighted = slc.t**weight_power * magnitude(extractor(slc), slc.grid.dim)
-        pts = _shell_points(slc, weighted, width)
-        if len(pts) < min_shells:
+        pts = _shell_points(slc, weighted)
+        if len(pts) < _MIN_SHELLS:
             raise EnvelopeFitError(
-                f"trust window at t = {slc.t} holds {len(pts)} shells, need {min_shells}"
+                f"trust window at t = {slc.t} holds {len(pts)} shells, need {_MIN_SHELLS}"
             )
         rows.extend(pts)
     z = np.array([d**2 / t for t, d, _ in rows])
@@ -213,12 +213,10 @@ def _fit_envelope(
     )
 
 
-def gaussian_fit(slices, shell_width=None, min_shells=10) -> GaussianFit:
+def gaussian_fit(slices) -> GaussianFit:
     """Fit log t^{n/2} |S_t| against |x - y0|^2 / t over the trust window."""
     n = slices[0].grid.dim
-    return _fit_envelope(
-        slices, lambda s: s.symmetrized, _entry_magnitude, n / 2.0, shell_width, min_shells
-    )
+    return _fit_envelope(slices, lambda s: s.symmetrized, _entry_magnitude, n / 2.0)
 
 
 def _grad_symmetrized(slc: KernelSlice) -> np.ndarray:
@@ -228,12 +226,10 @@ def _grad_symmetrized(slc: KernelSlice) -> np.ndarray:
     return np.stack([jacobian(slc.grid, s[i]) for i in range(slc.grid.dim)])
 
 
-def gradient_envelope(slices, shell_width=None, min_shells=10) -> GaussianFit:
+def gradient_envelope(slices) -> GaussianFit:
     """Same pipeline on the spatial gradient with the t^{(n+1)/2} weight."""
     n = slices[0].grid.dim
-    return _fit_envelope(
-        slices, _grad_symmetrized, _gradient_magnitude, (n + 1) / 2.0, shell_width, min_shells
-    )
+    return _fit_envelope(slices, _grad_symmetrized, _gradient_magnitude, (n + 1) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -318,8 +318,6 @@ class PicardConfig:
     stop_tol_rel: float = 1e-8
     smallness_c: float = 0.05
     flow_smallness_c0: float = 0.1
-    ball_radius_r: float = 0.5
-    contraction_tol: float = 0.5
     p: float = 2.0
     theta: float = 0.5
     cg_tol: float = 1e-11

@@ -92,6 +92,15 @@ class MaxRegReport:
         return self.u0_norm + self.forcing_norm
 
 
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Uniform nodes on [0, T] for a maximal-regularity run: spacing as close
+    to dt as a whole number of intervals allows, and at least the 3 nodes
+    that time_derivative needs. Forcing is sampled on these same nodes."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be a finite time > 0, got {T}")
+    return np.linspace(0.0, T, max(3, int(round(T / dt)) + 1))
+
+
 def solve_linear_maxreg(
     coef: Coefficient,
     params: LameParams,
@@ -104,14 +113,12 @@ def solve_linear_maxreg(
 ) -> MaxRegReport:
     """Run the linear system over [0, T] and assemble the regularity ratio.
 
-    L1-in-time norms use the trapezoid rule on the stepper's own nodes; the
-    sup norm is the max over nodes.
+    forcing, when given, is sampled on time_grid(T, cfg.dt). L1-in-time
+    norms use the trapezoid rule on the stepper's own nodes; the sup norm is
+    the max over nodes.
     """
     grid = coef.grid
-    if not (T > 0):
-        raise ValueError("T must be positive")
-    nt = max(3, int(round(T / cfg.dt)) + 1)
-    t_grid = np.linspace(0.0, T, nt)
+    t_grid = time_grid(T, cfg.dt)
     dt = t_grid[1] - t_grid[0]
     traj = evolve(coef, params, u0, t_grid, cfg.with_dt(dt), forcing=forcing)
 

@@ -14,9 +14,9 @@ and c0 + c |.|^2 >= a + theta*min(mu, nu)*|xi|^2 > 0. Because the inverse is
 exact, A = P + R with R = rho/dt - a pointwise, and P applied to the search
 direction follows the direction's own recurrence: each CG iteration costs one
 forward and one inverse transform. The preconditioned spectrum is pinned
-inside [m^2, 1/m^2], so iteration counts are mesh-independent. A dense
-matrix-exponential oracle on small grids provides the independent
-cross-check.
+inside [m^2, 1/m^2], so iteration counts are mesh-independent. On small
+grids a dense matrix exponential of the same spectral operator, taken by
+eigendecomposition, is the independent check on the stepping.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Coefficient:
         m = min(value, 1.0 / value)
         return cls(grid, np.full(grid.shape, float(value)), m)
 
-    @classmethod
-    def from_field(cls, grid: Grid, rho: np.ndarray, m: float) -> "Coefficient":
-        return cls(grid, np.asarray(rho, dtype=float), m)
-
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -84,7 +80,6 @@ class StepperConfig:
     theta: float = 0.5
     cg_tol: float = 1e-10
     cg_maxiter: int = 500
-    operator: str = "spectral"  # or "stencil", for dense-oracle comparisons
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -93,40 +88,9 @@ class StepperConfig:
             raise ValueError(f"theta must be in [1/2, 1], got {self.theta}")
         if not (self.cg_tol > 0):
             raise ValueError("cg tolerance must be positive")
-        if self.operator not in ("spectral", "stencil"):
-            raise ValueError(f"unknown operator {self.operator!r}")
 
     def with_dt(self, dt: float) -> "StepperConfig":
         return replace(self, dt=dt)
-
-
-# -- spatial operators --------------------------------------------------------
-
-
-def stencil_laplacian(grid: Grid, u: np.ndarray) -> np.ndarray:
-    h2 = grid.spacing**2
-    out = -2.0 * grid.dim * u.copy()
-    for a in grid.spatial_axes:
-        out += np.roll(u, 1, axis=a) + np.roll(u, -1, axis=a)
-    return out / h2
-
-
-def stencil_derivative(grid: Grid, u: np.ndarray, axis: int) -> np.ndarray:
-    sp = grid.spatial_axes[axis]
-    return (np.roll(u, -1, axis=sp) - np.roll(u, 1, axis=sp)) / (2.0 * grid.spacing)
-
-
-def stencil_lame(grid: Grid, u: np.ndarray, params: LameParams) -> np.ndarray:
-    """Second-order finite-difference mu*Lap + (lam+mu)*grad(div) on a vector field."""
-    div = sum(stencil_derivative(grid, u[a], a) for a in range(grid.dim))
-    grad_div = np.stack([stencil_derivative(grid, div, a) for a in range(grid.dim)])
-    return params.mu * stencil_laplacian(grid, u) + (params.lam + params.mu) * grad_div
-
-
-def _apply_operator(grid: Grid, u: np.ndarray, params: LameParams, operator: str) -> np.ndarray:
-    if operator == "spectral":
-        return lame_apply(grid, u, params)
-    return stencil_lame(grid, u, params)
 
 
 def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
@@ -199,7 +163,7 @@ def theta_step(
 ) -> np.ndarray:
     """One implicit theta step of rho du/dt = L u + f; returns u at t + dt."""
     theta = cfg.theta
-    rhs = rho * u_old / dt + (1.0 - theta) * _apply_operator(grid, u_old, params, cfg.operator)
+    rhs = rho * u_old / dt + (1.0 - theta) * lame_apply(grid, u_old, params)
     if f_bar is not None:
         rhs = rhs + f_bar
     a = float(np.mean(rho)) / dt
@@ -207,12 +171,10 @@ def theta_step(
     shift = rho / dt - a
 
     def matvec(u):
-        return rho * u / dt - theta * _apply_operator(grid, u, params, cfg.operator)
+        return rho * u / dt - theta * lame_apply(grid, u, params)
 
     def remainder(u):  # A - P
-        if cfg.operator == "spectral":
-            return shift * u
-        return shift * u - theta * (stencil_lame(grid, u, params) - lame_apply(grid, u, params))
+        return shift * u
 
     x0 = u_guess if u_guess is not None else u_old
     x, iterations = _pcg(matvec, psolve, remainder, rhs, np.array(x0, dtype=float), cfg.cg_tol, cfg.cg_maxiter)
@@ -296,7 +258,8 @@ _DENSE_DOF_LIMIT = 4096
 
 
 def dense_lame_matrix(grid: Grid, params: LameParams) -> np.ndarray:
-    """Dense matrix of the finite-difference elastic operator on flattened fields."""
+    """Dense matrix of the spectral elastic operator (lame_apply, the operator
+    theta_step steps) on flattened fields, one basis vector per column."""
     ndof = grid.dim * grid.size
     if ndof > _DENSE_DOF_LIMIT:
         raise ValueError(f"dense oracle limited to {_DENSE_DOF_LIMIT} dof, got {ndof}")
@@ -305,7 +268,7 @@ def dense_lame_matrix(grid: Grid, params: LameParams) -> np.ndarray:
     basis = np.zeros(shape)
     for j in range(ndof):
         basis.ravel()[j] = 1.0
-        mat[:, j] = stencil_lame(grid, basis, params).ravel()
+        mat[:, j] = lame_apply(grid, basis, params).ravel()
         basis.ravel()[j] = 0.0
     return mat
 

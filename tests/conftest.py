@@ -77,3 +77,26 @@ def full_hodge_symbols(grid):
     for a in range(grid.dim):
         eye[a, a] = 1.0
     return eye - q, q
+
+
+# Second-order finite-difference Lame operator: the O(h^2) reference that the
+# spectral lame_apply is compared against.
+
+
+def stencil_laplacian(grid, u):
+    out = -2.0 * grid.dim * u
+    for a in grid.spatial_axes:
+        out += np.roll(u, 1, axis=a) + np.roll(u, -1, axis=a)
+    return out / grid.spacing**2
+
+
+def stencil_derivative(grid, u, axis):
+    sp = grid.spatial_axes[axis]
+    return (np.roll(u, -1, axis=sp) - np.roll(u, 1, axis=sp)) / (2.0 * grid.spacing)
+
+
+def stencil_lame(grid, u, params):
+    """Centred-difference mu*Lap + (lam+mu)*grad(div) on a vector field."""
+    div = sum(stencil_derivative(grid, u[a], a) for a in range(grid.dim))
+    grad_div = np.stack([stencil_derivative(grid, div, a) for a in range(grid.dim)])
+    return params.mu * stencil_laplacian(grid, u) + (params.lam + params.mu) * grad_div

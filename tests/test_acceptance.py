@@ -121,7 +121,7 @@ def test_criterion_2_dense_oracle_equivalence():
     coef = Coefficient(grid, checkerboard_density(grid, 0.5), 0.5)
     params = LameParams(1.0, 1.0)
     u0 = random_band_field(grid, 1, 3, seed=2, ncomp=2)
-    cfg = StepperConfig(dt=1e-4, operator="stencil")
+    cfg = StepperConfig(dt=1e-4)
     traj = evolve(coef, params, u0, [0.0, 0.05, 0.2], cfg)
     errs = []
     syms = []

@@ -151,6 +151,22 @@ class TestMaxregCommand:
         assert artifacts[0] == artifacts[1] == artifacts[2]
         assert workers == [1, 1, 2, 2, os.cpu_count(), os.cpu_count()]
 
+    def test_horizon_of_one_step(self, tmp_path, outdir):
+        # T = dt: the forcing is sampled on the same three nodes the solve steps on
+        cfg = {
+            "grid": {"dim": 2, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "probes": {"count": 1},
+            "T": 0.01,
+            "stepper": {"dt": 0.01},
+        }
+        path = write_config(tmp_path / "maxreg.json", cfg)
+        assert run_cli(["maxreg", "--config", path, "--out", outdir]) == 0
+        header, rows = read_csv(outdir / "maxreg_probes.csv")
+        assert len(rows) == 1
+        assert np.isfinite(float(rows[0][header.index("ratio")]))
+
 
 class TestValidation:
     def test_malformed_json_exits_2(self, tmp_path, outdir):
@@ -191,6 +207,7 @@ class TestConfigErrorWritesNothing:
         "besov_no_fields": ("besov", {"fields": {"count": 0}}, []),
         "besov_p_word": ("besov", {"p": "three"}, []),
         "maxreg_p_word": ("maxreg", {**MAXREG, "p": "three"}, []),
+        "maxreg_T_zero": ("maxreg", {**MAXREG, "T": 0}, []),
         "oracle_no_times": ("oracle", {"times": []}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
     }

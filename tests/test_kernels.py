@@ -308,7 +308,7 @@ class TestDavies:
         t = 0.1
         from lamelab.varcoef import dense_oracle_expm, evolve
 
-        cfg = StepperConfig(dt=1e-3, operator="stencil")
+        cfg = StepperConfig(dt=1e-3)
         v_num = evolve(coef, params, probe.phi * u0, [0.0, t], cfg)[-1] / probe.phi
         v_ora = dense_oracle_expm(coef, params, probe.phi * u0, t) / probe.phi
         rel = lp_norm(grid, v_num - v_ora, 2) / lp_norm(grid, v_ora, 2)

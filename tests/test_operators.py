@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import full_fftn, full_freq, full_freq_sq, full_hodge_symbols, full_ifftn, rng_field
+from conftest import (
+    full_fftn,
+    full_freq,
+    full_freq_sq,
+    full_hodge_symbols,
+    full_ifftn,
+    rng_field,
+    stencil_lame,
+)
 from lamelab.grid import (
     divergence,
     gradient,
@@ -19,7 +27,7 @@ from lamelab.operators import (
     lame_apply,
     semigroup_weighted,
 )
-from lamelab.varcoef import _preconditioner, stencil_lame
+from lamelab.varcoef import _preconditioner
 from lamelab.fields import plane_wave, random_band_field
 from lamelab.grid import Grid
 

@@ -67,10 +67,6 @@ class TestStepperConfig:
         with pytest.raises(ValueError):
             StepperConfig(dt=0.0)
 
-    def test_rejects_unknown_operator(self):
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.1, operator="magic")
-
 
 class TestEvolve:
     def test_constant_density_matches_exact_semigroup(self, grid32, params):
@@ -208,8 +204,7 @@ class TestDenseOracle:
         assert np.max(np.abs(sym - sym.T)) / np.max(np.abs(sym)) < 1e-10
 
     def test_constant_density_against_spectral(self, params):
-        # stencil discretization error decays O(h^2)
-        errs = []
+        # at rho = 1 the oracle exponentiates the very symbol const_semigroup applies
         for n in (16, 32):
             grid = Grid(2, n, 8.0)
             coef = Coefficient.constant(grid, 1.0)
@@ -217,13 +212,17 @@ class TestDenseOracle:
             t = 0.1
             oracle = dense_oracle_expm(coef, params, u0, t)
             exact = const_semigroup(grid, u0, t, params)
-            errs.append(lp_norm(grid, oracle - exact, 2) / lp_norm(grid, exact, 2))
-        assert errs[0] < 2e-2
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
+            assert lp_norm(grid, oracle - exact, 2) / lp_norm(grid, exact, 2) <= 1e-12
+
+    @pytest.mark.parametrize("dim, n, lam", [(2, 16, 1.0), (3, 8, -0.5)])
+    def test_lame_matrix_symmetric(self, dim, n, lam):
+        # dense_semigroup_matrix symmetrizes before eigh, which would hide an asymmetric operator
+        mat = dense_lame_matrix(Grid(dim, n, 8.0), LameParams(1.0, lam))
+        assert np.max(np.abs(mat - mat.T)) <= 1e-13 * np.max(np.abs(mat))
 
     def test_evolve_agrees_with_oracle(self, rough16, params):
         u0 = random_band_field(rough16.grid, 1, 3, seed=9, ncomp=2)
-        cfg = StepperConfig(dt=1e-3, operator="stencil")
+        cfg = StepperConfig(dt=1e-3)
         traj = evolve(rough16, params, u0, [0.0, 0.05], cfg)
         oracle = dense_oracle_expm(rough16, params, u0, 0.05)
         rel = lp_norm(rough16.grid, traj[-1] - oracle, 2) / lp_norm(rough16.grid, oracle, 2)
@@ -305,13 +304,12 @@ class TestPCG:
         assert iterations[0] > 2
         assert len(calls) <= 2
 
-    def test_stencil_step_matches_dense_solve(self, params):
-        # the stencil operator's part of A - P goes through the remainder
+    def test_step_matches_dense_solve(self, params):
         grid = Grid(2, 8, 8.0)
         rho = trig_density(grid, 0.5, seed=5)
         u = random_band_field(grid, 1, 3, seed=18, ncomp=2)
         dt, theta = 0.1, 0.5
-        cfg = StepperConfig(dt=dt, theta=theta, cg_tol=1e-13, operator="stencil")
+        cfg = StepperConfig(dt=dt, theta=theta, cg_tol=1e-13)
         lame = dense_lame_matrix(grid, params)
         rho_v = np.broadcast_to(rho, u.shape).ravel()
         mat = np.diag(rho_v / dt) - theta * lame
