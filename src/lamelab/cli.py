@@ -1,21 +1,24 @@
 """Experiment runner: config in, deterministic artifacts out.
 
-Subcommands: kernel, besov, maxreg, flow, oracle, plotdata. Every run writes
-a manifest (config echo, version, wall time, status) even when the
-numerics fail; artifacts other than the manifest are bit-identical across
-reruns of the same config, seed, and version.
+Subcommands: kernel, besov, maxreg, flow, oracle, plotdata. Each command
+first parses its whole config (lamelab.scenarios), then creates --out and
+runs. Every run writes a manifest (config echo, version, wall time, status),
+also when it fails; a rejected config writes nothing. Artifacts other than
+the manifest are bit-identical across reruns of the same config, seed, and
+version.
 
-Exit codes: 0 success, 1 numerical failure (named in the manifest),
-2 config or input validation failure.
+Exit codes: 0 success; 2 the config was rejected before --out was created,
+so nothing was written; 1 the run failed after that, and the manifest names
+the error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,6 @@ import scipy.fft
 
 from . import __version__
 from .besov import (
-    BesovIndex,
     besov_level_norms,
     besov_weighting,
     default_partition,
@@ -32,11 +34,9 @@ from .besov import (
 )
 from .grid import lp_norm
 from .fields import random_band_field, random_time_profile
-from .io import read_csv, write_csv, write_field, write_manifest, write_plotdata
+from .io import write_csv, write_field, write_manifest, write_plotdata
 from .kernels import (
-    EnvelopeFitError,
     conservation_defect,
-    davies_probe,
     davies_twisted_norm,
     gaussian_fit,
     gradient_envelope,
@@ -44,10 +44,6 @@ from .kernels import (
     symmetry_defect,
 )
 from .lagrangian import (
-    CFLError,
-    DiffeomorphismError,
-    FlowInversionError,
-    PicardConvergenceError,
     density_transport_check,
     eulerian_reference_solve,
     flow_map,
@@ -57,87 +53,23 @@ from .lagrangian import (
     pushforward_eulerian,
     scheme_residual,
 )
-from .maxreg import DegenerateProbeError, norm_equiv_ratio, solve_linear_maxreg, time_grid
+from .maxreg import norm_equiv_ratio, solve_linear_maxreg, time_grid
 from .operators import ScaledLaplacian
 from .scenarios import (
     ConfigError,
-    build_grid,
-    build_lame,
-    build_picard,
-    build_rho0,
-    build_u0,
+    parse_besov,
+    parse_flow,
+    parse_kernel,
+    parse_maxreg,
+    parse_oracle,
+    parse_plotdata,
 )
-from .varcoef import (
-    SolverConvergenceError,
-    StepperConfig,
-    dense_semigroup_matrix,
-    evolve,
-)
+from .varcoef import dense_semigroup_matrix, evolve
 
-_NUMERICAL_ERRORS = (
-    SolverConvergenceError,
-    EnvelopeFitError,
-    DegenerateProbeError,
-    CFLError,
-    DiffeomorphismError,
-    FlowInversionError,
-    PicardConvergenceError,
-    FloatingPointError,
-)
+# -- pipelines: each takes --out and the keyword arguments its parser returns ----------
 
 
-def _build_stepper(cfg: dict) -> StepperConfig:
-    if "dt" not in cfg:
-        raise ConfigError("stepper config needs 'dt'")
-    return StepperConfig(
-        dt=float(cfg["dt"]),
-        theta=float(cfg.get("theta", 0.5)),
-        cg_tol=float(cfg.get("cg_tol", 1e-10)),
-        cg_maxiter=int(cfg.get("cg_maxiter", 500)),
-    )
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _times(cfg: dict, default: list) -> list:
-    """cfg["times"] (default if absent) as floats: a nonempty list of finite numbers > 0."""
-    times = cfg.get("times", default)
-    if not (isinstance(times, list) and times and all(_is_number(t) and math.isfinite(t) and t > 0 for t in times)):
-        raise ConfigError(f"times must be a nonempty list of finite times > 0, got {times!r}")
-    return [float(t) for t in times]
-
-
-def _is_node(grid, index) -> bool:
-    """A grid node given as a list of dim integer indices in [0, n)."""
-    return (
-        isinstance(index, list)
-        and len(index) == grid.dim
-        and all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < grid.n for i in index)
-    )
-
-
-# -- pipelines -----------------------------------------------------------------
-
-
-def run_kernel(cfg: dict, out: Path, seed: int) -> dict:
-    grid = build_grid(cfg["grid"])
-    params = build_lame(cfg["lame"])
-    coef = build_rho0(grid, cfg["rho0"])
-    stepper = _build_stepper(cfg.get("stepper", {"dt": 1e-3}))
-    times = _times(cfg, [0.05, 0.1, 0.2])
-    sources = cfg.get("sources") or [[grid.n // 2] * grid.dim]
-    if not (isinstance(sources, list) and all(_is_node(grid, y) for y in sources)):
-        raise ConfigError(f"sources must be lists of {grid.dim} node indices in [0, {grid.n}), got {sources!r}")
-    presmooth = bool(cfg.get("presmooth", False))
-    dcfg = cfg.get("davies")
-    if dcfg:
-        alphas = [float(a) for a in dcfg.get("alphas", [0.0, 0.5, 1.0, 2.0])]
-        davies_u0 = build_u0(grid, dcfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
-        if not alphas or min(alphas) < 0 or not np.any(davies_u0):
-            raise ConfigError(f"davies needs nonnegative alphas and a nonzero u0, got alphas {alphas}")
-
+def run_kernel(out: Path, *, coef, params, stepper, times, sources, presmooth, gradient, davies) -> dict:
     slice_sets = [kernel_column(coef, params, y0, times, stepper, presmooth=presmooth) for y0 in sources]
     all_slices = [s for group in slice_sets for s in group]
 
@@ -152,7 +84,7 @@ def run_kernel(cfg: dict, out: Path, seed: int) -> dict:
         "r_squared": fit.r_squared,
         "max_exceedance": fit.max_exceedance,
     }
-    if cfg.get("gradient", True):
+    if gradient:
         gfit = gradient_envelope(all_slices)
         write_csv(
             out / "gradient_shells.csv", ["t", "d", "shell_max", "model_value"], gfit.shells
@@ -182,8 +114,8 @@ def run_kernel(cfg: dict, out: Path, seed: int) -> dict:
         write_csv(out / "symmetry.csv", ["source_a", "source_b", "t", "defect"], sym_rows)
         summary["max_symmetry_defect"] = max(r[3] for r in sym_rows)
 
-    if dcfg:
-        probes = [davies_probe(grid, a) for a in alphas]
+    if davies is not None:
+        probes, davies_u0 = davies
         rep = davies_twisted_norm(coef, params, probes, davies_u0, times, stepper)
         rows = [
             (alpha, t, g)
@@ -195,30 +127,14 @@ def run_kernel(cfg: dict, out: Path, seed: int) -> dict:
     return summary
 
 
-def run_besov(cfg: dict, out: Path, seed: int) -> dict:
-    grid = build_grid(cfg["grid"])
-    params = build_lame(cfg["lame"])
+def run_besov(out: Path, *, grid, params, band, count, base, p, q, k, indices) -> dict:
     part = default_partition(grid)
-    fcfg = cfg.get("fields", {})
-    count = int(fcfg.get("count", 20))
-    kmin, kmax = float(fcfg.get("kmin", 2.0)), float(fcfg.get("kmax", 6.0))
-    base = int(fcfg.get("seed", seed))
-    p = float(cfg.get("p", 2.0))
-    s_list = [float(s) for s in cfg.get("s_list", [0.5, -0.5, grid.dim / p - 1.0])]
-    q = float(cfg.get("q", 1.0))
-    k = int(cfg.get("k", 1))
-    if count < 1 or not q > 0:
-        raise ConfigError(f"besov needs fields.count >= 1 and q > 0, got {count}, {q}")
-
-    indices = [BesovIndex(s, p, 1.0) for s in s_list]
-    if not all(k > idx.s / 2.0 for idx in indices):
-        raise ConfigError(f"the heat characterization needs k > s/2, got k={k}, s_list={s_list}")
     gens = (("laplacian", ScaledLaplacian(1.0)), ("lame", params))
 
     # block norms and heat profiles do not depend on s: take each once per field
     levels, profiles = [], {}
     for i in range(count):
-        u = random_band_field(grid, kmin, kmax, base + i, ncomp=grid.dim)
+        u = random_band_field(grid, *band, base + i, ncomp=grid.dim)
         levels.append(besov_level_norms(grid, u[None], p, part)[0])
         for gname, gen in gens:
             profiles[gname, i] = heat_profile(grid, u, p, k, gen)
@@ -244,38 +160,16 @@ def run_besov(cfg: dict, out: Path, seed: int) -> dict:
     return summary
 
 
-def run_maxreg(cfg: dict, out: Path, seed: int) -> dict:
-    grid = build_grid(cfg["grid"])
-    params = build_lame(cfg["lame"])
-    coef = build_rho0(grid, cfg["rho0"])
-    stepper = _build_stepper(cfg.get("stepper", {"dt": 0.01}))
-    pcfg = cfg.get("probes", {})
-    count = int(pcfg.get("count", 10))
-    base = int(pcfg.get("seed", seed))
-    kmin, kmax = float(pcfg.get("kmin", 1.0)), float(pcfg.get("kmax", 4.0))
-    p = float(cfg.get("p", 2.0))
-    s = float(cfg.get("s", grid.dim / p - 1.0))
-    T = float(cfg.get("T", 2.0))
-    if not (math.isfinite(T) and T > 0):
-        raise ConfigError(f"T must be a finite time > 0, got {T}")
-    if count < 1:
-        raise ConfigError(f"probes count must be >= 1, got {count}")
-    ncfg = cfg.get("norm_equiv")
-    if ncfg:
-        s_eq = float(ncfg.get("s", 0.5))
-        q_eq = float(ncfg.get("q", 1.0))
-        n_eq = int(ncfg.get("count", 5))
-        if not (0.0 < s_eq < 1.0 and q_eq > 0.0 and n_eq >= 1):
-            raise ConfigError(f"norm_equiv needs s in (0, 1), q > 0, count >= 1; got {s_eq}, {q_eq}, {n_eq}")
-
+def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, norm_equiv) -> dict:
+    grid = coef.grid
     t_grid = time_grid(T, stepper.dt)
 
     def one_probe(i):  # a function, so that each probe's forcing is freed after its solve
-        u0 = random_band_field(grid, kmin, kmax, base + 2 * i, ncomp=grid.dim)
-        fx = random_band_field(grid, kmin, kmax, base + 2 * i + 1, ncomp=grid.dim)
+        u0 = random_band_field(grid, *band, base + 2 * i, ncomp=grid.dim)
+        fx = random_band_field(grid, *band, base + 2 * i + 1, ncomp=grid.dim)
         prof = random_time_profile(t_grid, base + 31 * i)
         forcing = prof.reshape((-1,) + (1,) * fx.ndim) * fx
-        return solve_linear_maxreg(coef, params, u0, forcing, s, p, T, stepper)
+        return solve_linear_maxreg(coef, params, u0, forcing, idx.s, idx.p, T, stepper)
 
     reports = [one_probe(i) for i in range(count)]
     rows = [
@@ -291,23 +185,19 @@ def run_maxreg(cfg: dict, out: Path, seed: int) -> dict:
     write_csv(out / "maxreg_summary.csv", ["quantity", "value"], [("max_ratio", max_ratio)])
 
     summary = {"max_ratio": max_ratio}
-    if ncfg:
+    if norm_equiv is not None:
+        s_eq, q_eq, n_eq = norm_equiv
         ratios = []
         for i in range(n_eq):
-            x = random_band_field(grid, kmin, kmax, base + 1000 + i, ncomp=grid.dim)
+            x = random_band_field(grid, *band, base + 1000 + i, ncomp=grid.dim)
             ratios.append(norm_equiv_ratio(coef, params, x, s_eq, q_eq, stepper))
         write_csv(out / "norm_equiv.csv", ["probe", "ratio"], list(enumerate(ratios)))
         summary["norm_equiv_K"] = max(max(ratios), 1.0 / min(ratios))
     return summary
 
 
-def run_flow(cfg: dict, out: Path, seed: int) -> dict:
-    grid = build_grid(cfg["grid"])
-    params = build_lame(cfg["lame"])
-    rho0 = build_rho0(grid, cfg["rho0"])
-    T, pcfg = build_picard(cfg["picard"])
-    u0 = build_u0(grid, cfg["u0"], pcfg.p)
-
+def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
+    grid = rho0.grid
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
     iter_rows = []
     for k, delta in enumerate(diag.delta_norms):
@@ -338,7 +228,7 @@ def run_flow(cfg: dict, out: Path, seed: int) -> dict:
         "grad_sup_integral": gsi,
         "density_transport_defect": transport.max_pointwise_defect,
     }
-    if cfg.get("cross_validate", False):
+    if cross_validate:
         ref = eulerian_reference_solve(rho0, params, u0, T, pcfg.stepper)
         rel = lp_norm(grid, eul.u[-1] - ref.u[-1], 2) / lp_norm(grid, ref.u[-1], 2)
         diag_rows.append(("cross_validation_rel_l2", rel))
@@ -352,14 +242,8 @@ def run_flow(cfg: dict, out: Path, seed: int) -> dict:
     return summary
 
 
-def run_oracle(cfg: dict, out: Path, seed: int) -> dict:
-    grid = build_grid(cfg["grid"])
-    params = build_lame(cfg["lame"])
-    coef = build_rho0(grid, cfg["rho0"])
-    stepper = _build_stepper(cfg.get("stepper", {"dt": 1e-4}))
-    times = _times(cfg, [0.05, 0.2])
-    u0 = build_u0(grid, cfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
-
+def run_oracle(out: Path, *, coef, params, stepper, times, u0) -> dict:
+    grid = coef.grid
     traj = evolve(coef, params, u0, [0.0] + times, stepper)
     rows = []
     for i, t in enumerate(times):
@@ -373,42 +257,19 @@ def run_oracle(cfg: dict, out: Path, seed: int) -> dict:
     return {"max_rel_l2": max(r[1] for r in rows), "max_symmetry_defect": max(r[2] for r in rows)}
 
 
-_PLOT_KINDS = {
-    "shells": (["d2_over_t", "log_shell_max"], lambda hdr, rows: _shell_columns(hdr, rows)),
-    "iterations": (["k", "contraction_factor"], lambda hdr, rows: _iteration_columns(hdr, rows)),
-}
-
-
-def _shell_columns(header, rows):
-    it, id_, iv = header.index("t"), header.index("d"), header.index("shell_max")
-    z = [float(r[id_]) ** 2 / float(r[it]) for r in rows]
-    y = [float(np.log(float(r[iv]))) for r in rows]
-    return [z, y]
-
-
-def _iteration_columns(header, rows):
-    ik, ifac = header.index("k"), header.index("contraction_factor")
-    ks, fs = [], []
-    for r in rows:
-        if r[ifac] != "":
-            ks.append(float(r[ik]))
-            fs.append(float(r[ifac]))
-    return [ks, fs]
-
-
-def run_plotdata(cfg: dict, out: Path, seed: int) -> dict:
-    kind = cfg.get("kind")
-    if kind not in _PLOT_KINDS:
-        raise ConfigError(f"plotdata kind must be one of {sorted(_PLOT_KINDS)}, got {kind!r}")
-    src = Path(cfg.get("input", ""))
-    if not src.is_file():
-        raise ConfigError(f"input report {src} does not exist")
-    header, rows = read_csv(src)
-    names, extract = _PLOT_KINDS[kind]
-    columns = extract(header, rows)
+def run_plotdata(out: Path, *, kind, names, columns) -> dict:
     write_plotdata(out / f"{kind}.dat", names, columns)
     return {"rows": len(columns[0]) if columns else 0}
 
+
+_PARSERS = {
+    "kernel": parse_kernel,
+    "besov": parse_besov,
+    "maxreg": parse_maxreg,
+    "flow": parse_flow,
+    "oracle": parse_oracle,
+    "plotdata": parse_plotdata,
+}
 
 _PIPELINES = {
     "kernel": run_kernel,
@@ -431,19 +292,22 @@ def main(argv=None) -> int:
     if args.threads < 0:
         print(f"config error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
         return 2
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
+    # parse: a config that fails here is rejected before --out exists
     try:
         cfg = json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be a JSON object")
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        with scipy.fft.set_workers(args.threads or -1):
+            plan = _PARSERS[args.command](cfg, args.seed)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # run: any failure from here on is named in the manifest
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
         "config": cfg,
@@ -453,18 +317,15 @@ def main(argv=None) -> int:
     }
     try:
         with scipy.fft.set_workers(args.threads or -1):
-            summary = _PIPELINES[args.command](cfg, out, args.seed)
-    except (ConfigError, KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+            summary = _PIPELINES[args.command](out, **plan)
+    except Exception as exc:
         manifest.update(
             status="numerical_failure",
             error={"type": type(exc).__name__, "message": str(exc)},
             wall_time_s=time.time() - started,
         )
         write_manifest(out / "manifest.json", manifest)
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
     manifest.update(status="ok", summary=summary, wall_time_s=time.time() - started)
     write_manifest(out / "manifest.json", manifest)

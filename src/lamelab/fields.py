@@ -46,6 +46,20 @@ def _mode_list(dim: int, kmin: float, kmax: float):
     return sorted(modes)
 
 
+def band_modes(grid: Grid, kmin: float, kmax: float) -> list:
+    """The half-lattice modes of random_band_field's band; raises ValueError
+    unless the band is mean-free (kmin > 0), representable at grid.n
+    (2 kmax < n) and holds an integer mode."""
+    if kmin <= 0:
+        raise ValueError("kmin must be positive so the field is mean-free")
+    if 2 * kmax >= grid.n:
+        raise ValueError(f"band |k| <= {kmax} not representable at n = {grid.n}")
+    modes = _mode_list(grid.dim, kmin, kmax)
+    if not modes:
+        raise ValueError(f"no integer modes with {kmin} <= |k| <= {kmax}")
+    return modes
+
+
 def random_band_field(
     grid: Grid,
     kmin: float,
@@ -64,15 +78,8 @@ def random_band_field(
     ``normalize='besov_ready'`` rescales to unit max-norm (mean is zero by
     construction since |k| >= kmin > 0 excludes the DC mode).
     """
-    if kmin <= 0:
-        raise ValueError("kmin must be positive so the field is mean-free")
-    if 2 * kmax >= grid.n:
-        raise ValueError(f"band |k| <= {kmax} not representable at n = {grid.n}")
     rng = np.random.default_rng(seed)
-    modes = _mode_list(grid.dim, kmin, kmax)
-    if not modes:
-        raise ValueError(f"no integer modes with {kmin} <= |k| <= {kmax}")
-    modes = np.array(modes)
+    modes = np.array(band_modes(grid, kmin, kmax))
     comps = 1 if ncomp is None else ncomp
     draws = rng.normal(size=(len(modes), comps, 2))
     # a cos + b sin = Re((a - ib) e^{i theta}); nodes start at -L/2, which
@@ -138,6 +145,7 @@ def random_time_profile(t_grid: np.ndarray, seed: int) -> np.ndarray:
 __all__ = [
     "gaussian_bump",
     "plane_wave",
+    "band_modes",
     "random_band_field",
     "delta_field",
     "checkerboard_density",

@@ -69,6 +69,18 @@ def torus_distance(grid: Grid, y0) -> np.ndarray:
     return np.sqrt(np.sum(grid.min_image(grid.coords - y) ** 2, axis=0))
 
 
+def check_kernel_times(grid: Grid, params: LameParams, t_list) -> list:
+    """t_list as sorted floats; raises ValueError unless every time is positive
+    and at least the resolvable threshold 4 h^2 / nu."""
+    t_list = sorted(float(t) for t in t_list)
+    if t_list[0] <= 0:
+        raise ValueError("kernel times must be positive")
+    t_min_ok = 4.0 * grid.spacing**2 / params.nu
+    if t_list[0] < t_min_ok:
+        raise ValueError(f"t = {t_list[0]} below resolvable threshold {t_min_ok:.3e}")
+    return t_list
+
+
 def kernel_column(
     coef: Coefficient,
     params: LameParams,
@@ -85,12 +97,7 @@ def kernel_column(
     """
     grid = coef.grid
     y0 = tuple(int(i) for i in y0)
-    t_list = sorted(float(t) for t in t_list)
-    if t_list[0] <= 0:
-        raise ValueError("kernel times must be positive")
-    t_min_ok = 4.0 * grid.spacing**2 / params.nu
-    if t_list[0] < t_min_ok:
-        raise ValueError(f"t = {t_list[0]} below resolvable threshold {t_min_ok:.3e}")
+    t_list = check_kernel_times(grid, params, t_list)
     t_smooth = 2.0 * grid.spacing**2 if presmooth else 0.0
 
     delta = delta_field(grid, y0)
@@ -299,7 +306,11 @@ def davies_probe(grid: Grid, alpha: float, axis: int = 0) -> DaviesProbe:
         hess_max = amp / scale**2
         if grad_max > alpha * (1 + 1e-12) or hess_max > alpha**2 * (1 + 1e-12):
             raise ValueError("twist weight violates its slope constraints")
-    return DaviesProbe(alpha, psi, np.exp(psi))
+    with np.errstate(over="ignore"):
+        phi = np.exp(psi)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"twist weight exp(psi) is not finite at alpha = {alpha}")
+    return DaviesProbe(alpha, psi, phi)
 
 
 @dataclass(frozen=True, eq=False)

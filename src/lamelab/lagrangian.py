@@ -25,7 +25,7 @@ from .grid import (
     jacobian,
     lp_norm,
 )
-from .maxreg import solution_norms
+from .maxreg import solution_norms, time_grid
 from .operators import LameParams, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve, theta_step
 
@@ -348,7 +348,8 @@ def picard_solve(
 
     Starts from the unforced linear solution and refreshes the forcing with
     the previous iterate's nonlinearity; stops when the solution-norm of the
-    update falls below stop_tol_rel times the data norm.
+    update falls below stop_tol_rel times the data norm. The time nodes are
+    time_grid(T, cfg.dt).
     """
     grid = rho0.grid
     idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p, 1.0)
@@ -358,8 +359,7 @@ def picard_solve(
         stop_tol=cfg.stop_tol_rel * max(u0_norm, 1e-300),
         smallness_ok=bool(u0_norm <= cfg.smallness_c * (1.0 + 1e-12)),
     )
-    nt = int(round(T / cfg.dt)) + 1
-    t_grid = np.linspace(0.0, T, nt)
+    t_grid = time_grid(T, cfg.dt)
     stepper = cfg.stepper.with_dt(float(t_grid[1]))
 
     def to_state(u_traj):
@@ -504,10 +504,11 @@ def eulerian_reference_solve(
 ) -> EulerianTrajectory:
     """Independent Eulerian solver: semi-Lagrangian transport of density and
     momentum followed by the implicit viscous step with the transported
-    density frozen. Shares nothing with the flow-map pipeline."""
+    density frozen. Shares nothing with the flow-map pipeline but its time
+    nodes, time_grid(T, cfg.dt)."""
     grid = rho0.grid
-    nt = int(round(T / cfg.dt)) + 1
-    t_grid = np.linspace(0.0, T, nt)
+    t_grid = time_grid(T, cfg.dt)
+    nt = len(t_grid)
     dt = float(t_grid[1])
     rho = np.empty((nt,) + grid.shape)
     u = np.empty((nt, grid.dim) + grid.shape)

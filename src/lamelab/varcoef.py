@@ -86,8 +86,8 @@ class StepperConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (0.5 <= self.theta <= 1.0):
             raise ValueError(f"theta must be in [1/2, 1], got {self.theta}")
-        if not (self.cg_tol > 0):
-            raise ValueError("cg tolerance must be positive")
+        if not (0 < self.cg_tol < 1):  # relative to ||b||: from 1 up CG may stop before iterating
+            raise ValueError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
 
     def with_dt(self, dt: float) -> "StepperConfig":
         return replace(self, dt=dt)
@@ -257,12 +257,18 @@ def evolve(
 _DENSE_DOF_LIMIT = 4096
 
 
-def dense_lame_matrix(grid: Grid, params: LameParams) -> np.ndarray:
-    """Dense matrix of the spectral elastic operator (lame_apply, the operator
-    theta_step steps) on flattened fields, one basis vector per column."""
+def dense_dof(grid: Grid) -> int:
+    """Unknowns of a dense oracle on grid; raises ValueError above the limit."""
     ndof = grid.dim * grid.size
     if ndof > _DENSE_DOF_LIMIT:
         raise ValueError(f"dense oracle limited to {_DENSE_DOF_LIMIT} dof, got {ndof}")
+    return ndof
+
+
+def dense_lame_matrix(grid: Grid, params: LameParams) -> np.ndarray:
+    """Dense matrix of the spectral elastic operator (lame_apply, the operator
+    theta_step steps) on flattened fields, one basis vector per column."""
+    ndof = dense_dof(grid)
     shape = (grid.dim,) + grid.shape
     mat = np.empty((ndof, ndof))
     basis = np.zeros(shape)

@@ -69,6 +69,22 @@ class TestFlowCommand:
         assert manifest["status"] == "numerical_failure"
         assert manifest["error"]["type"] == "PicardConvergenceError"
 
+    def test_horizon_of_one_step(self, tmp_path, outdir):
+        # T = dt: the solve steps on the three nodes of maxreg.time_grid
+        cfg = {
+            "grid": SMALL_GRID,
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "u0": {"kind": "band", "seed": 1, "amplitude": 0.05, "kmin": 1, "kmax": 3},
+            "picard": {"T": 0.1, "dt": 0.1},
+            "cross_validate": True,
+        }
+        path = write_config(tmp_path / "flow.json", cfg)
+        assert run_cli(["flow", "--config", path, "--out", outdir]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["summary"]["iterations"] >= 1
+
 
 class TestKernelCommand:
     def test_constant_density_fit(self, tmp_path, outdir):
@@ -186,7 +202,7 @@ class TestValidation:
 
 
 class TestConfigErrorWritesNothing:
-    # exit 2 leaves --out empty, also when the bad block is read after other artifacts are due
+    # exit 2 comes before --out is created, also when the bad block is used after other artifacts are due
     BASE = {"grid": {"dim": 2, "N": 16, "extent": 8.0}, "lame": LAME, "rho0": {"kind": "constant"}}
     MAXREG = {"probes": {"count": 1}, "T": 0.1, "stepper": {"dt": 0.05}}
     # the envelope fit needs more shells than a 16^2 grid holds
@@ -203,12 +219,28 @@ class TestConfigErrorWritesNothing:
         "norm_equiv_q": ("maxreg", {**MAXREG, "norm_equiv": {"q": 0.0}}, []),
         "davies_alpha": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, -1.0]}}, []),
         "davies_u0": ("kernel", {**KERNEL, "davies": {"u0": {"kind": "zero"}}}, []),
+        # exp(psi) overflows: the twist weights are built before any kernel column
+        "davies_overflow": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, 1000.0]}}, []),
+        "grid_not_object": ("maxreg", {**MAXREG, "grid": 5}, []),
+        "stepper_not_object": ("maxreg", {**MAXREG, "stepper": 5}, []),
+        "fields_not_object": ("besov", {"fields": []}, []),
         "besov_q_zero": ("besov", {"q": 0}, []),
         "besov_no_fields": ("besov", {"fields": {"count": 0}}, []),
         "besov_p_word": ("besov", {"p": "three"}, []),
         "maxreg_p_word": ("maxreg", {**MAXREG, "p": "three"}, []),
         "maxreg_T_zero": ("maxreg", {**MAXREG, "T": 0}, []),
+        # cg_tol is relative to |b|: from 1 up it asks for no accuracy
+        "kernel_cg_tol_one": ("kernel", {**KERNEL, "stepper": {"dt": 0.01, "cg_tol": 1.0}}, []),
         "oracle_no_times": ("oracle", {"times": []}, []),
+        "flow_nan_horizon": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": float("nan"), "dt": 0.1}}, []),
+        # p = 1 in 2D puts the gradient budget at s = n/p = 2, outside the Besov range
+        "flow_p_one": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "p": 1.0}}, []),
+        "flow_nan_amplitude": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": float("nan")},
+                                        "picard": {"T": 0.2, "dt": 0.1}}, []),
+        "besov_negative_seed": ("besov", {"fields": {"count": 1, "seed": -1}}, []),
+        "oracle_zero_density": ("oracle", {"rho0": {"kind": "constant", "value": 0}}, []),
+        # the twisted flow steps the times in the given order
+        "davies_unsorted_times": ("kernel", {**KERNEL, "times": [0.2, 0.1], "davies": {"alphas": [0.0]}}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
     }
 
@@ -217,7 +249,49 @@ class TestConfigErrorWritesNothing:
         command, extra, flags = self.CASES[case]
         path = write_config(tmp_path / "cfg.json", {**self.BASE, **extra})
         assert run_cli([command, "--config", path, "--out", outdir, *flags]) == 2
-        assert not outdir.exists() or not any(outdir.iterdir())
+        assert not outdir.exists()
+
+
+class TestRunFailureWritesManifest:
+    # after parsing, any exception exits 1 with a manifest naming it, also a ValueError
+    CASES = {
+        "kernel": {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.KERNEL},
+        "besov": {"grid": SMALL_GRID, "lame": LAME, "fields": {"count": 1}, "s_list": [0.5]},
+        "maxreg": {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.MAXREG},
+        "flow": {
+            "grid": {"dim": 2, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "u0": {"kind": "zero"},
+            "picard": {"T": 0.2, "dt": 0.1},
+        },
+        "oracle": {
+            "grid": {"dim": 2, "N": 8, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "times": [0.01],
+            "stepper": {"dt": 1e-3},
+        },
+        "plotdata": {"kind": "iterations"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_writer_value_error_exits_1(self, command, tmp_path, outdir, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("disk says no")
+
+        for writer in ("write_csv", "write_field", "write_plotdata"):
+            monkeypatch.setattr(cli, writer, failing)
+        cfg = dict(self.CASES[command])
+        if command == "plotdata":
+            src = tmp_path / "iterations.csv"
+            src.write_text("k,solution_norm,update_norm,contraction_factor\r\n1,1.0,0.5,\r\n2,1.0,0.1,0.2\r\n")
+            cfg["input"] = str(src)
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run_cli([command, "--config", path, "--out", outdir]) == 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] == "numerical_failure"
+        assert manifest["error"] == {"type": "ValueError", "message": "disk says no"}
 
 
 class TestDeterminism:
@@ -270,7 +344,7 @@ class TestBesovCommand:
         cfg = {"grid": SMALL_GRID, "lame": LAME, "k": 0, "s_list": [0.5], "fields": {"count": 1}}
         path = write_config(tmp_path / "besov.json", cfg)
         assert run_cli(["besov", "--config", path, "--out", outdir]) == 2
-        assert not any(outdir.iterdir())
+        assert not outdir.exists()
 
 
 class TestOracleCommand:
@@ -288,6 +362,22 @@ class TestOracleCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["summary"]["max_rel_l2"] < 1e-3
         assert manifest["summary"]["max_symmetry_defect"] < 1e-10
+
+    def test_size_checked_before_stepping(self, tmp_path, outdir, monkeypatch):
+        # 2 x 64^2 unknowns exceed the dense oracle's limit: rejected before any step
+        def never(*args, **kwargs):
+            raise AssertionError("evolve ran on a config the oracle cannot check")
+
+        monkeypatch.setattr(cli, "evolve", never)
+        cfg = {
+            "grid": {"dim": 2, "N": 64, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "times": [0.2],
+        }
+        path = write_config(tmp_path / "oracle.json", cfg)
+        assert run_cli(["oracle", "--config", path, "--out", outdir]) == 2
+        assert not outdir.exists()
 
 
 class TestPlotdata:
