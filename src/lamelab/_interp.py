@@ -7,7 +7,7 @@ then each query gathers a 4^dim stencil of coefficients with B-spline
 weights. The interpolant is C^2, reproduces cubics exactly, and converges at
 O(h^4). Fields may carry leading component axes (vectors, matrices): the
 stencil indices and weights are computed once per call and shared by all
-components. ``benchmarks/bench_interp.py`` times it.
+components.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ column by grid.rmultiplicity, the number of full-spectrum modes it stands for.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,10 +27,6 @@ import numpy as np
 
 from .grid import Grid, fftn, ifftn, lp_norm, mean_free
 from .operators import Generator, ScaledLaplacian, _spectral_parts, _weighted_from_parts
-
-
-class BoundaryLeakageWarning(UserWarning):
-    """More than 1% of a dyadic sum sits in the first or last resolvable block."""
 
 
 @dataclass(frozen=True)
@@ -107,12 +102,6 @@ def default_partition(grid: Grid) -> DyadicPartition:
     return _partition_cache(grid)
 
 
-def dyadic_block(grid: Grid, u: np.ndarray, j: int, partition: DyadicPartition | None = None) -> np.ndarray:
-    """Frequency-localize u to dyadic level j (the zero mode is always dropped)."""
-    part = partition or default_partition(grid)
-    return ifftn(grid, part.mask(j) * fftn(grid, u))
-
-
 @dataclass(frozen=True)
 class NormReport:
     """A norm value with its per-level breakdown and boundary-leakage fraction."""
@@ -177,21 +166,6 @@ def besov_norm_report(
     return besov_norm_reports(grid, np.asarray(u)[None], idx, partition)[0]
 
 
-def besov_norm(
-    grid: Grid, u: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
-) -> float:
-    """Homogeneous Besov norm: l^r over j of 2^(j*s) * ||block_j u||_p."""
-    rep = besov_norm_report(grid, u, idx, partition)
-    if rep.leakage > 0.01:
-        warnings.warn(
-            f"boundary blocks carry {rep.leakage:.1%} of the dyadic sum; "
-            f"resolution insufficient for s={idx.s}, p={idx.p}",
-            BoundaryLeakageWarning,
-            stacklevel=2,
-        )
-    return rep.value
-
-
 def _min_diffusivity(gen: Generator) -> float:
     if isinstance(gen, ScaledLaplacian):
         return gen.c
@@ -217,7 +191,14 @@ def heat_time_nodes(grid: Grid, gen: Generator) -> np.ndarray:
 
 def extended_time_nodes(grid: Grid, gen: Generator, above: float = 1.0) -> np.ndarray:
     """heat_time_nodes extended 256 times below its first node and `above`
-    times over its last, on the same sqrt 2 ratio."""
+    times over its last, on the same sqrt 2 ratio.
+
+    The heat characterization integrates over all t > 0 (Bahouri-Chemin-Danchin
+    2011, Thm 2.34). At t = h^2/c the profile of a field in the middle bands
+    is still large (e^{tG} is far from 1 there), so cutting the integral at
+    that node would make the norm depend on h; the default nodes of
+    heat_profile therefore start 256 times lower and end at t = L^2/c.
+    """
     base = heat_time_nodes(grid, gen)
     return _geometric_nodes(base[0] / 256.0, base[-1] * above)
 
@@ -227,7 +208,8 @@ def heat_profile(
 ) -> tuple:
     """Quadrature nodes and ||(tG)^k e^{tG} u||_p at each node (free of s).
 
-    The default nodes are extended_time_nodes(grid, gen); see heat_char_norm.
+    The default nodes are extended_time_nodes(grid, gen), which says why they
+    reach below the resolvable range.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
@@ -238,8 +220,10 @@ def heat_profile(
 
 
 def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float, q: float) -> NormReport:
-    """Weight a heat_profile by t^(-s/2) and take its L^q(dt/t) quadrature;
-    per_level holds the weighted profile at each node."""
+    """Weight a heat_profile by t^(-s/2) and take its L^q(dt/t) quadrature,
+    || t^{-s/2} ||(tG)^k e^{tG} u||_p ||_{L^q(dt/t)}: a Besov-equivalent norm
+    for k > s/2 and q > 0, exponentially accurate on geometric nodes for these
+    log-smooth integrands. per_level holds the weighted profile at each node."""
     g = np.array([t ** (-s / 2.0) * v for t, v in zip(nodes, profile)])
     w = 0.5 * math.log(2.0)  # dt/t per geometric node
     if np.isinf(q):
@@ -249,97 +233,3 @@ def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float, q: flo
     total = float(np.sum(g))
     leakage = (g[0] + g[-1]) / total if total > 0 else 0.0
     return NormReport(value, float(leakage), tuple(g))
-
-
-def heat_char_norm_report(
-    grid: Grid,
-    u: np.ndarray,
-    s: float,
-    p: float,
-    q: float,
-    k: int,
-    gen: Generator,
-    t_nodes: np.ndarray | None = None,
-) -> NormReport:
-    """Time profile and quadrature of the heat characterization (see
-    heat_char_norm); per_level holds the weighted profile at each node."""
-    if not (k > s / 2.0 and k >= 0):
-        raise ValueError(f"need k > s/2 and k >= 0, got k={k}, s={s}")
-    if not q > 0:
-        raise ValueError(f"need q > 0, got q={q}")
-    return heat_char_weighting(*heat_profile(grid, u, p, k, gen, t_nodes), s, q)
-
-
-def heat_char_norm(
-    grid: Grid,
-    u: np.ndarray,
-    s: float,
-    p: float,
-    q: float,
-    k: int,
-    gen: Generator,
-    t_nodes: np.ndarray | None = None,
-) -> float:
-    """Besov-equivalent norm from the time profile of (tG)^k e^{tG} u.
-
-    Quadrature of || t^{-s/2} ||(tG)^k e^{tG} u||_p ||_{L^q(dt/t)} on a
-    geometric grid; exponentially accurate for these log-smooth integrands.
-    The integral runs over all t > 0 (Bahouri-Chemin-Danchin 2011,
-    Thm 2.34). The default nodes start 256 times below the resolvable range
-    of heat_time_nodes and end at its top, t = L^2/c: at t = h^2/c the
-    profile of a field in the middle bands is still large (e^{tG} is far
-    from 1 there), so cutting the integral at that node makes the norm
-    depend on h.
-    """
-    rep = heat_char_norm_report(grid, u, s, p, q, k, gen, t_nodes)
-    if rep.leakage > 0.01:
-        warnings.warn(
-            f"boundary time nodes carry {rep.leakage:.1%} of the semigroup profile",
-            BoundaryLeakageWarning,
-            stacklevel=2,
-        )
-    return rep.value
-
-
-def multiplier_ratio(grid: Grid, rho: np.ndarray, idx: BesovIndex, test_fields) -> float:
-    """Empirical multiplier norm: sup over the test set of ||rho*u|| / ||u||.
-
-    A lower estimate of the operator norm of pointwise multiplication by rho
-    on the Besov space.
-    """
-    test_fields = list(test_fields)
-    if not test_fields:
-        raise ValueError("test set must be nonempty")
-    part = default_partition(grid)
-    worst = 0.0
-    for u in test_fields:
-        u = mean_free(grid, u)
-        denom = besov_norm_report(grid, u, idx, part).value
-        if denom == 0.0:
-            raise ValueError("test field with zero Besov norm")
-        num = besov_norm_report(grid, rho * u, idx, part).value
-        worst = max(worst, num / denom)
-    return worst
-
-
-def product_law_ratio(grid: Grid, u: np.ndarray, v: np.ndarray, p: float, mixed: bool = False) -> float:
-    """Observed constant in the Besov product law.
-
-    Plain form: ||uv|| / (||u|| ||v||) at regularity n/p for all three norms.
-    Mixed form pairs regularity n/p on u with n/p - 1 on v and the product.
-    """
-    part = default_partition(grid)
-    s_high = grid.dim / p
-    idx_high = BesovIndex(s_high, p, 1.0)
-    if mixed:
-        idx_low = BesovIndex(s_high - 1.0, p, 1.0)
-        nu = besov_norm_report(grid, u, idx_high, part).value
-        nv = besov_norm_report(grid, v, idx_low, part).value
-        npr = besov_norm_report(grid, mean_free(grid, u * v), idx_low, part).value
-    else:
-        nu = besov_norm_report(grid, u, idx_high, part).value
-        nv = besov_norm_report(grid, v, idx_high, part).value
-        npr = besov_norm_report(grid, mean_free(grid, u * v), idx_high, part).value
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("product law ratio undefined for zero-norm factors")
-    return npr / (nu * nv)

@@ -14,22 +14,6 @@ import scipy.fft
 from .grid import Grid
 
 
-def gaussian_bump(grid: Grid, sigma: float, center=None, amplitude: float = 1.0) -> np.ndarray:
-    """Periodized Gaussian exp(-|x-c|^2 / (2 sigma^2)) via minimum-image distance."""
-    if center is None:
-        center = (0.0,) * grid.dim
-    delta = grid.coords - np.asarray(center).reshape((grid.dim,) + (1,) * grid.dim)
-    d2 = np.sum(grid.min_image(delta) ** 2, axis=0)
-    return amplitude * np.exp(-0.5 * d2 / sigma**2)
-
-
-def plane_wave(grid: Grid, kvec, amplitude: float = 1.0, phase: float = 0.0) -> np.ndarray:
-    """cos(2 pi k.x / L + phase) for an integer mode vector k."""
-    kvec = np.asarray(kvec, dtype=float)
-    arg = 2.0 * np.pi / grid.extent * np.einsum("a,a...->...", kvec, grid.coords)
-    return amplitude * np.cos(arg + phase)
-
-
 def _mode_list(dim: int, kmin: float, kmax: float):
     """Half-lattice of integer modes with kmin <= |k| <= kmax, fixed order."""
     kint = int(np.ceil(kmax))
@@ -143,8 +127,6 @@ def random_time_profile(t_grid: np.ndarray, seed: int) -> np.ndarray:
 
 
 __all__ = [
-    "gaussian_bump",
-    "plane_wave",
     "band_modes",
     "random_band_field",
     "delta_field",

@@ -135,20 +135,6 @@ def ifftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(u_hat, s=grid.shape, axes=grid.spatial_axes)
 
 
-def spectral_derivative(grid: Grid, u: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-    """Exact derivative of the trigonometric interpolant along one axis.
-
-    Multiplies the coefficient of mode k by (i*xi_axis)^order. Odd orders
-    zero the Nyquist planes, which carry no sign information for real data.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if not 0 <= axis < grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-    symbol = grid.rderiv[axis] if order == 1 else -grid.rfreq[axis] ** 2
-    return ifftn(grid, symbol * fftn(grid, u))
-
-
 def gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Spectral gradient of a scalar field, shape (dim, *shape)."""
     u = _check_field(grid, u)
@@ -193,10 +179,6 @@ def lp_norm(grid: Grid, u: np.ndarray, p: float) -> float:
     return float((grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
 
 
-def mean_value(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return np.mean(_check_field(grid, u), axis=grid.spatial_axes)
-
-
 def mean_free(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Recenter each component to zero mean (torus stand-in for decaying data)."""
     u = _check_field(grid, u)
@@ -207,9 +189,3 @@ def integral(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Riemann-sum integral over the torus, componentwise."""
     u = _check_field(grid, u)
     return grid.cell_volume * np.sum(u, axis=grid.spatial_axes)
-
-
-def translate(grid: Grid, u: np.ndarray, steps) -> np.ndarray:
-    """Shift a field by whole grid steps along each axis (periodic)."""
-    u = _check_field(grid, u)
-    return np.roll(u, shift=tuple(steps), axis=grid.spatial_axes)

@@ -239,48 +239,6 @@ def gradient_envelope(slices) -> GaussianFit:
     return _fit_envelope(slices, _grad_symmetrized, _gradient_magnitude, (n + 1) / 2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class HolderReport:
-    quotient: np.ndarray
-    max_in_window: float
-    h_norm: float
-
-
-def holder_quotient(slc: KernelSlice, h_steps, gamma: float, c_ref: float) -> HolderReport:
-    """Weighted Hoelder quotient of the kernel gradient for a grid-step shift h.
-
-    Computes |grad S(x+h) - grad S(x)| * (sqrt(t)/|h|)^gamma * t^{(n+1)/2}
-    * exp(+d^2 / (c_ref t)); finite c_ref from the gradient fit makes the
-    maximum over the trust window the observable Hoelder constant.
-
-    |.| is the Frobenius norm over the (i, k, derivative) axes of the
-    gradient difference. The quotient is compared across shift directions,
-    so its norm must be rotation-invariant: a rotation carries an axial
-    shift onto a diagonal one and mixes all three axes, and the largest
-    entry (the envelope fits' per-entry norm) changes under it, which
-    makes even the exact constant-coefficient kernel look direction-dependent.
-    """
-    grid = slc.grid
-    h_steps = np.asarray(h_steps, dtype=int)
-    h_norm = float(np.sqrt(np.sum(h_steps.astype(float) ** 2))) * grid.spacing
-    if 2.0 * h_norm > np.sqrt(slc.t):
-        raise ValueError(f"shift |h| = {h_norm:.3g} violates 2|h| <= sqrt(t)")
-    if h_norm == 0.0:
-        return HolderReport(np.zeros(grid.shape), 0.0, 0.0)
-    g = _grad_symmetrized(slc)
-    shifted = np.roll(g, shift=tuple(-h_steps), axis=grid.spatial_axes)
-    diff = np.sqrt(np.sum((shifted - g) ** 2, axis=tuple(range(g.ndim - grid.dim))))
-    d = torus_distance(grid, slc.y0)
-    q = (
-        diff
-        * (np.sqrt(slc.t) / h_norm) ** gamma
-        * slc.t ** ((grid.dim + 1) / 2.0)
-        * np.exp(d**2 / (c_ref * slc.t))
-    )
-    window = (d >= 2.0 * np.sqrt(slc.t)) & (d <= grid.extent / 4.0)
-    return HolderReport(q, float(np.max(q[window])), h_norm)
-
-
 # -- Davies twisted-norm probes ---------------------------------------------------
 
 

@@ -23,7 +23,6 @@ from .grid import (
     gradient,
     integral,
     jacobian,
-    lp_norm,
 )
 from .maxreg import solution_norms, time_grid
 from .operators import LameParams, lame_apply
@@ -146,60 +145,6 @@ def flow_map(state: LagrangianState) -> FlowMapData:
     return FlowMapData(disp, jac, jac_inv, adj, det)
 
 
-# -- change-of-variable identities --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChangeOfVariableReport:
-    """Max-norm residuals of the pullback identities at one time sample."""
-
-    gradient: float
-    divergence_trace: float
-    divergence_piola: float
-    laplacian: float
-
-
-def change_of_variable_residual(
-    grid: Grid, phi: np.ndarray, v: np.ndarray, flow: FlowMapData, t_index: int
-) -> ChangeOfVariableReport:
-    """Check the pullback identities for a scalar phi and a vector field v.
-
-    (grad phi) o X = A^T grad(phi o X); (div v) o X equals both the trace
-    form Tr[A D(v o X)] and the conservation form div(adj (v o X)) / J; and
-    (Lap v) o X = div(adj A^T grad(v o X)) / J, componentwise.
-    """
-    L = grid.extent
-    x_pts = grid.coords + flow.disp[t_index]
-    a_inv = flow.jac_inv[t_index]
-    adj = flow.adj[t_index]
-    det = flow.det[t_index]
-
-    phi_x = interp_periodic(phi, x_pts, L)
-    lhs_grad = interp_periodic(gradient(grid, phi), x_pts, L)
-    rhs_grad = np.einsum("ai...,a...->i...", a_inv, gradient(grid, phi_x))
-    res_grad = float(np.max(np.abs(lhs_grad - rhs_grad)))
-
-    v_x = interp_periodic(v, x_pts, L)
-    lhs_div = interp_periodic(divergence(grid, v), x_pts, L)
-    dv_x = jacobian(grid, v_x)
-    rhs_trace = np.einsum("ij...,ji...->...", a_inv, dv_x)
-    rhs_piola = divergence(grid, np.einsum("ij...,j...->i...", adj, v_x)) / det
-    res_trace = float(np.max(np.abs(lhs_div - rhs_trace)))
-    res_piola = float(np.max(np.abs(lhs_div - rhs_piola)))
-
-    lap = np.stack([divergence(grid, gradient(grid, v[m])) for m in range(grid.dim)])
-    lhs_lap = interp_periodic(lap, x_pts, L)
-    metric = np.einsum("ij...,kj...->ik...", adj, a_inv)  # adj A^T
-    rhs_lap = np.stack(
-        [
-            divergence(grid, np.einsum("ik...,k...->i...", metric, gradient(grid, v_x[m]))) / det
-            for m in range(grid.dim)
-        ]
-    )
-    res_lap = float(np.max(np.abs(lhs_lap - rhs_lap)))
-    return ChangeOfVariableReport(res_grad, res_trace, res_piola, res_lap)
-
-
 # -- the Lagrangian nonlinearity -----------------------------------------------------
 
 
@@ -238,51 +183,13 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
 # -- flow estimates -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowEstimateReport:
-    lhs: float  # sup-in-time Besov distance of (A, adj) from the identity
-    rhs: float  # L1-in-time Besov norm of the velocity gradient
-    ratio: float
-    smallness_ok: bool
-    c0: float
-
-
 def _grad_l1_besov(state: LagrangianState, p: float) -> float:
+    """L1-in-time Besov norm (regularity n/p) of the velocity gradient, the
+    budget of the flow-map estimate."""
     grid = state.grid
     grads = np.stack([jacobian(grid, u) for u in state.u])
     reps = besov_norm_reports(grid, grads, BesovIndex(grid.dim / p, p, 1.0))
     return float(np.trapezoid([r.value for r in reps], dx=state.dt))
-
-
-def _sup_pair_norm(grid: Grid, a: np.ndarray, adj: np.ndarray, p: float) -> float:
-    """sup over time of ||a(t)|| + ||adj(t)|| at regularity n/p (leading time axis)."""
-    idx = BesovIndex(grid.dim / p, p, 1.0)
-    pairs = zip(besov_norm_reports(grid, a, idx), besov_norm_reports(grid, adj, idx))
-    return max(ra.value + rb.value for ra, rb in pairs)
-
-
-def flow_estimate_check(state: LagrangianState, c0: float = 0.1, p: float = 2.0) -> FlowEstimateReport:
-    """Compare the flow-map deviation from the identity to the gradient budget."""
-    grid = state.grid
-    flow = flow_map(state)
-    eye = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
-    lhs = _sup_pair_norm(grid, flow.jac_inv - eye, flow.adj - eye, p)
-    rhs = _grad_l1_besov(state, p)
-    ratio = 0.0 if rhs == 0.0 else lhs / rhs
-    return FlowEstimateReport(lhs, rhs, ratio, bool(rhs <= c0), c0)
-
-
-def flow_estimate_difference(
-    state1: LagrangianState, state2: LagrangianState, p: float = 2.0
-) -> FlowEstimateReport:
-    """Difference variant: deviation between two flow maps against grad(v1 - v2)."""
-    grid = state1.grid
-    f1, f2 = flow_map(state1), flow_map(state2)
-    lhs = _sup_pair_norm(grid, f1.jac_inv - f2.jac_inv, f1.adj - f2.adj, p)
-    delta = LagrangianState(grid, state1.params, state1.rho0, state1.t, state1.u - state2.u)
-    rhs = _grad_l1_besov(delta, p)
-    ratio = 0.0 if rhs == 0.0 else lhs / rhs
-    return FlowEstimateReport(lhs, rhs, ratio, True, np.inf)
 
 
 def grad_sup_integral(state: LagrangianState) -> float:
@@ -322,6 +229,10 @@ class PicardConfig:
     theta: float = 0.5
     cg_tol: float = 1e-11
     cg_maxiter: int = 500
+
+    def __post_init__(self):
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
     @property
     def stepper(self) -> StepperConfig:
@@ -437,12 +348,6 @@ def invert_flow(grid: Grid, disp: np.ndarray, tol: float = 1e-12, max_iters: int
         if move <= tol * grid.extent:
             return y
     raise FlowInversionError(f"flow inversion stalled (last move {move:.3e})")
-
-
-def flow_roundtrip_defect(grid: Grid, disp: np.ndarray, y: np.ndarray) -> float:
-    """Max-norm of X(Y(x)) - x for a computed inverse Y."""
-    x_back = y + interp_periodic(disp, y, grid.extent)
-    return float(np.max(np.abs(grid.min_image(x_back - grid.coords))))
 
 
 def pushforward_eulerian(

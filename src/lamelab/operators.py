@@ -98,14 +98,6 @@ def _hodge_split(grid: Grid, u_hat: np.ndarray):
     return u_hat - q_hat, q_hat
 
 
-def hodge_project(grid: Grid, u: np.ndarray, which: str) -> np.ndarray:
-    """Apply the divergence-free ('P') or gradient ('Q') projector to a vector field."""
-    if which not in ("P", "Q"):
-        raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
-    p_hat, q_hat = _hodge_split(grid, fftn(grid, _check_vector(grid, u)))
-    return ifftn(grid, p_hat if which == "P" else q_hat)
-
-
 def _spectral_parts(grid: Grid, u: np.ndarray, gen: Generator) -> list:
     """Half spectrum of u split into the parts on which gen acts as a scalar
     -c|xi|^2: [u_hat] for c*Lap, [P u_hat, Q u_hat] for the elastic operator."""
@@ -131,13 +123,9 @@ def _apply_symbols(grid: Grid, parts: list, symbols: list) -> np.ndarray:
     return ifftn(grid, out_hat)
 
 
-def lame_apply(grid: Grid, u: np.ndarray, params: LameParams) -> np.ndarray:
-    """Spectral application of mu*Lap + (lam+mu)*grad(div) to a vector field."""
-    return _apply_symbols(grid, _spectral_parts(grid, u, params), _symbols(grid, params, np.negative))
-
-
-def apply_generator(grid: Grid, u: np.ndarray, gen: Generator) -> np.ndarray:
-    """Apply a constant-coefficient generator (c*Lap or the elastic operator)."""
+def lame_apply(grid: Grid, u: np.ndarray, gen: Generator) -> np.ndarray:
+    """Spectral application of a constant-coefficient generator: the elastic
+    operator mu*Lap + (lam+mu)*grad(div) to a vector field, or c*Lap to any field."""
     return _apply_symbols(grid, _spectral_parts(grid, u, gen), _symbols(grid, gen, np.negative))
 
 
@@ -146,15 +134,6 @@ def const_semigroup(grid: Grid, u: np.ndarray, t: float, gen: Generator) -> np.n
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return _weighted_from_parts(grid, _spectral_parts(grid, u, gen), gen, t, 0)
-
-
-def semigroup_weighted(grid: Grid, u: np.ndarray, t: float, gen: Generator, k: int) -> np.ndarray:
-    """(t*G)^k e^{t*G} u for the heat flow of G; k = 0 reduces to the semigroup."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return _weighted_from_parts(grid, _spectral_parts(grid, u, gen), gen, t, k)
 
 
 def _weighted_from_parts(grid: Grid, parts: list, gen: Generator, t: float, k: int) -> np.ndarray:

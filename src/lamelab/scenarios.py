@@ -10,7 +10,6 @@ reports all run the same bytes."""
 
 from __future__ import annotations
 
-import copy
 import math
 from pathlib import Path
 
@@ -240,16 +239,21 @@ def parse_flow(cfg: dict, seed: int) -> dict:
     grid, params, rho0 = _medium(cfg)
     T, pcfg = build_picard(_require(cfg, "picard", "top-level"))
     BesovIndex(grid.dim / pcfg.p, pcfg.p, 1.0)  # picard_solve's gradient budget: p > n/2
-    return dict(rho0=rho0, params=params, u0=build_u0(grid, _require(cfg, "u0", "top-level"), pcfg.p), T=T,
-                pcfg=pcfg, cross_validate=bool(cfg.get("cross_validate", False)))
+    u0 = build_u0(grid, _require(cfg, "u0", "top-level"), pcfg.p)
+    cross_validate = bool(cfg.get("cross_validate", False))
+    if cross_validate and not np.any(u0):  # the error is relative to the Eulerian reference
+        raise ConfigError("cross_validate needs a nonzero u0")
+    return dict(rho0=rho0, params=params, u0=u0, T=T, pcfg=pcfg, cross_validate=cross_validate)
 
 
 def parse_oracle(cfg: dict, seed: int) -> dict:
     grid, params, coef = _medium(cfg)
     dense_dof(grid)
+    u0 = build_u0(grid, cfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
+    if not np.any(u0):  # the error is relative to the oracle's solution
+        raise ConfigError("oracle needs a nonzero u0")
     return dict(coef=coef, params=params, stepper=_build_stepper(_block(cfg, "stepper", {"dt": 1e-4})),
-                times=_times(cfg, [0.05, 0.2], increasing=True),
-                u0=build_u0(grid, cfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0})))
+                times=_times(cfg, [0.05, 0.2], increasing=True), u0=u0)
 
 
 def _shell_columns(header, rows):
@@ -302,7 +306,3 @@ DEFAULT_FLOW_SCENARIO = {
     "u0": {"kind": "band", "kmin": 1.0, "kmax": 3.0, "seed": 7, "amplitude": 0.05},
     "picard": {"T": 6.5, "dt": 0.05, "max_iters": 25, "tol": 1e-8},
 }
-
-
-def default_flow_scenario() -> dict:
-    return copy.deepcopy(DEFAULT_FLOW_SCENARIO)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, _check_field, fftn, ifftn, integral
+from .grid import Grid, _check_field, fftn, ifftn
 from .operators import LameParams, lame_apply
 
 
@@ -295,44 +295,3 @@ def dense_semigroup_matrix(coef: Coefficient, params: LameParams, t: float) -> n
     lam, vec = np.linalg.eigh(sym)
     core = (vec * np.exp(t * lam)) @ vec.T
     return sqrt_b[:, None] * core / sqrt_b[None, :]
-
-
-def dense_oracle_expm(coef: Coefficient, params: LameParams, u0: np.ndarray, t: float) -> np.ndarray:
-    """Apply the dense matrix exponential of b*L to u0 (small grids only)."""
-    u0 = np.asarray(u0, dtype=float)
-    mat = dense_semigroup_matrix(coef, params, t)
-    return (mat @ u0.ravel()).reshape(u0.shape)
-
-
-# -- diagnostics ----------------------------------------------------------------
-
-
-def weighted_norm(coef: Coefficient, u: np.ndarray) -> float:
-    """rho-weighted L2 norm sqrt(h^n sum rho |u|^2)."""
-    grid = coef.grid
-    mag2 = np.sum(np.asarray(u) ** 2, axis=tuple(range(u.ndim - grid.dim)))
-    return float(np.sqrt(grid.cell_volume * np.sum(coef.rho * mag2)))
-
-
-@dataclass(frozen=True)
-class DissipationReport:
-    times: tuple
-    norms: tuple
-    monotone: bool
-    max_uptick: float
-
-
-def energy_dissipation_check(
-    coef: Coefficient, params: LameParams, trajectory: np.ndarray, t_grid
-) -> DissipationReport:
-    """Check that the rho-weighted norm of an unforced run never increases."""
-    norms = np.array([weighted_norm(coef, u) for u in trajectory])
-    scale = max(norms[0], 1e-300)
-    upticks = np.diff(norms) / scale
-    max_uptick = float(np.max(upticks)) if len(upticks) else 0.0
-    return DissipationReport(tuple(np.asarray(t_grid)), tuple(norms), bool(max_uptick <= 1e-10), max_uptick)
-
-
-def momentum_integral(coef: Coefficient, u: np.ndarray) -> np.ndarray:
-    """int rho u dx, the quantity conserved by the unforced flow."""
-    return integral(coef.grid, coef.rho * u)

@@ -1,12 +1,10 @@
-import warnings
-
 import numpy as np
 import pytest
 import scipy.fft
 
-from lamelab.besov import BoundaryLeakageWarning
-from lamelab.grid import Grid
-from lamelab.operators import LameParams
+from lamelab.besov import default_partition
+from lamelab.grid import Grid, fftn, ifftn
+from lamelab.operators import LameParams, _check_vector, _hodge_split
 
 
 @pytest.fixture(scope="session")
@@ -24,12 +22,23 @@ def params():
     return LameParams(1.0, 1.0)
 
 
-@pytest.fixture
-def quiet_leakage():
-    """Silence the resolution warning where a test intentionally runs coarse."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryLeakageWarning)
-        yield
+# Closed-form test fields.
+
+
+def gaussian_bump(grid, sigma, center=None, amplitude=1.0):
+    """Periodized Gaussian exp(-|x-c|^2 / (2 sigma^2)) via minimum-image distance."""
+    if center is None:
+        center = (0.0,) * grid.dim
+    delta = grid.coords - np.asarray(center).reshape((grid.dim,) + (1,) * grid.dim)
+    d2 = np.sum(grid.min_image(delta) ** 2, axis=0)
+    return amplitude * np.exp(-0.5 * d2 / sigma**2)
+
+
+def plane_wave(grid, kvec, amplitude=1.0, phase=0.0):
+    """cos(2 pi k.x / L + phase) for an integer mode vector k."""
+    kvec = np.asarray(kvec, dtype=float)
+    arg = 2.0 * np.pi / grid.extent * np.einsum("a,a...->...", kvec, grid.coords)
+    return amplitude * np.cos(arg + phase)
 
 
 def rng_field(grid, seed, ncomp=None):
@@ -37,6 +46,24 @@ def rng_field(grid, seed, ncomp=None):
     rng = np.random.default_rng(seed)
     shape = grid.shape if ncomp is None else (ncomp,) + grid.shape
     return rng.standard_normal(shape)
+
+
+# Projections through the package's own spectral pieces: the Hodge split of
+# the elastic operator and the dyadic masks of the Besov norms.
+
+
+def hodge_project(grid, u, which):
+    """Apply the divergence-free ('P') or gradient ('Q') projector to a vector field."""
+    if which not in ("P", "Q"):
+        raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
+    p_hat, q_hat = _hodge_split(grid, fftn(grid, _check_vector(grid, u)))
+    return ifftn(grid, p_hat if which == "P" else q_hat)
+
+
+def dyadic_block(grid, u, j, partition=None):
+    """Frequency-localize u to dyadic level j (the zero mode is always dropped)."""
+    part = partition or default_partition(grid)
+    return ifftn(grid, part.mask(j) * fftn(grid, u))
 
 
 # Full complex-spectrum references (numpy.fft.fftfreq order, Nyquist entry -pi/h):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from lamelab.besov import BesovIndex, besov_norm_report, default_partition, heat_char_norm_report
+from lamelab.besov import BesovIndex, besov_norm_report, default_partition, heat_char_weighting, heat_profile
 from lamelab import cli
 from lamelab.cli import main
 from lamelab.fields import random_band_field
@@ -239,6 +239,12 @@ class TestConfigErrorWritesNothing:
                                         "picard": {"T": 0.2, "dt": 0.1}}, []),
         "besov_negative_seed": ("besov", {"fields": {"count": 1, "seed": -1}}, []),
         "oracle_zero_density": ("oracle", {"rho0": {"kind": "constant", "value": 0}}, []),
+        # both errors are relative to a reference that a zero u0 makes zero
+        "oracle_zero_u0": ("oracle", {"u0": {"kind": "zero"}, "times": [0.05], "stepper": {"dt": 0.01}}, []),
+        "flow_cross_validate_zero_u0": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1},
+                                                 "cross_validate": True}, []),
+        "flow_max_iters_zero": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
+                                         "picard": {"T": 0.2, "dt": 0.1, "max_iters": 0}}, []),
         # the twisted flow steps the times in the given order
         "davies_unsorted_times": ("kernel", {**KERNEL, "times": [0.2, 0.1], "davies": {"alphas": [0.0]}}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
@@ -332,7 +338,7 @@ class TestBesovCommand:
                 ratios = []
                 for i, u in enumerate(fields):
                     b = besov_norm_report(grid, u, BesovIndex(s, 3.0, 1.0), part)
-                    h = heat_char_norm_report(grid, u, s, 3.0, 1.0, 1, gen)
+                    h = heat_char_weighting(*heat_profile(grid, u, 3.0, 1, gen), s, 1.0)
                     ratios.append(h.value / b.value)
                     expected.append((f"heat_over_lp_{gname}_{i}", s, ratios[-1], max(b.leakage, h.leakage)))
                 expected.append((f"equivalence_K_{gname}", s, max(max(ratios), 1.0 / min(ratios)), 0.0))

@@ -11,13 +11,11 @@ from lamelab.grid import (
     jacobian,
     lp_norm,
     mean_free,
-    spectral_derivative,
-    translate,
 )
-from lamelab.fields import gaussian_bump, plane_wave, random_band_field
+from lamelab.fields import random_band_field
 from lamelab.io import read_field, write_field
 
-from conftest import rng_field
+from conftest import full_fftn, full_freq_sq, full_ifftn, gaussian_bump, plane_wave, rng_field
 
 
 class TestGridConstruction:
@@ -62,11 +60,11 @@ class TestSpectralDerivative:
         L = grid64.extent
         u = np.sin(2 * np.pi * grid64.coords[0] / L)
         exact = (2 * np.pi / L) * np.cos(2 * np.pi * grid64.coords[0] / L)
-        assert np.max(np.abs(spectral_derivative(grid64, u, 0) - exact)) < 1e-12
+        assert np.max(np.abs(gradient(grid64, u)[0] - exact)) < 1e-12
 
     def test_constant_derivative_zero(self, grid64):
         u = 3.5 * np.ones(grid64.shape)
-        assert np.max(np.abs(spectral_derivative(grid64, u, 0))) < 1e-12
+        assert np.max(np.abs(gradient(grid64, u))) < 1e-12
 
     def test_against_finite_differences(self):
         # centered-difference oracle on the same continuum function at h and h/2
@@ -74,7 +72,7 @@ class TestSpectralDerivative:
         for n in (32, 64):
             grid = Grid(2, n, 16.0)
             u = random_band_field(grid, 1, 4, seed=11)
-            du = spectral_derivative(grid, u, 0)
+            du = gradient(grid, u)[0]
             fd = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * grid.spacing)
             errs.append(np.max(np.abs(du - fd)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
@@ -82,20 +80,14 @@ class TestSpectralDerivative:
     def test_second_order(self, grid64):
         L = grid64.extent
         u = plane_wave(grid64, (2, 1))
-        d2 = spectral_derivative(grid64, u, 0, order=2)
+        d2 = jacobian(grid64, gradient(grid64, u))[0, 0]
         assert np.max(np.abs(d2 + (2 * np.pi * 2 / L) ** 2 * u)) < 1e-10
-
-    def test_rejects_bad_axis_order(self, grid32):
-        u = np.zeros(grid32.shape)
-        with pytest.raises(ValueError):
-            spectral_derivative(grid32, u, 2)
-        with pytest.raises(ValueError):
-            spectral_derivative(grid32, u, 0, order=3)
 
     def test_translation_commutes(self, grid32):
         u = random_band_field(grid32, 1, 5, seed=3)
-        shifted_then_d = spectral_derivative(grid32, translate(grid32, u, (3, 5)), 0)
-        d_then_shifted = translate(grid32, spectral_derivative(grid32, u, 0), (3, 5))
+        shift, axes = (3, 5), grid32.spatial_axes
+        shifted_then_d = gradient(grid32, np.roll(u, shift, axis=axes))
+        d_then_shifted = np.roll(gradient(grid32, u), shift, axis=axes)
         assert np.max(np.abs(shifted_then_d - d_then_shifted)) < 1e-12
 
 
@@ -143,14 +135,14 @@ class TestCalculusHelpers:
     def test_divergence_of_gradient_is_laplacian(self, grid32):
         phi = random_band_field(grid32, 1, 4, seed=5)
         lap = divergence(grid32, gradient(grid32, phi))
-        d2 = sum(spectral_derivative(grid32, phi, a, order=2) for a in range(2))
+        d2 = full_ifftn(grid32, -full_freq_sq(grid32) * full_fftn(grid32, phi))
         assert np.max(np.abs(lap - d2)) < 1e-10
 
     def test_jacobian_shape_and_content(self, grid32):
         v = random_band_field(grid32, 1, 4, seed=6, ncomp=2)
         jac = jacobian(grid32, v)
         assert jac.shape == (2, 2) + grid32.shape
-        assert np.max(np.abs(jac[1, 0] - spectral_derivative(grid32, v[1], 0))) < 1e-12
+        assert np.max(np.abs(jac[1, 0] - gradient(grid32, v[1])[0])) < 1e-12
 
     def test_mean_free(self, grid32):
         u = rng_field(grid32, 0) + 4.0

@@ -1,26 +1,28 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from lamelab.fields import checkerboard_density, delta_field, random_band_field
-from lamelab.grid import Grid, integral, lp_norm, spectral_derivative
+from lamelab.grid import Grid, gradient, integral, lp_norm
 from lamelab.kernels import (
     DaviesProbe,
     EnvelopeFitError,
     KernelSlice,
+    _grad_symmetrized,
     conservation_defect,
     davies_probe,
     davies_twisted_norm,
     gaussian_fit,
     gradient_envelope,
-    holder_quotient,
     kernel_column,
     symmetry_defect,
     torus_distance,
 )
 from lamelab.operators import LameParams
-from lamelab.varcoef import Coefficient, StepperConfig
+from lamelab.varcoef import Coefficient, StepperConfig, dense_semigroup_matrix, evolve
 
-from conftest import full_fftn, full_freq_sq, full_hodge_symbols, full_ifftn
+from conftest import full_fftn, full_freq, full_freq_sq, full_hodge_symbols, full_ifftn
 
 
 LAPLACE_LIKE = LameParams(1.0, -1.0)  # nu = mu: scalar heat flow per component
@@ -208,6 +210,48 @@ class TestSymmetry:
             symmetry_defect(a, b)
 
 
+@dataclass(frozen=True, eq=False)
+class HolderReport:
+    quotient: np.ndarray
+    max_in_window: float
+    h_norm: float
+
+
+def holder_quotient(slc, h_steps, gamma, c_ref):
+    """Weighted Hoelder quotient of the kernel gradient for a grid-step shift h.
+
+    Computes |grad S(x+h) - grad S(x)| * (sqrt(t)/|h|)^gamma * t^{(n+1)/2}
+    * exp(+d^2 / (c_ref t)); finite c_ref from the gradient fit makes the
+    maximum over the trust window the observable Hoelder constant.
+
+    |.| is the Frobenius norm over the (i, k, derivative) axes of the
+    gradient difference. The quotient is compared across shift directions,
+    so its norm must be rotation-invariant: a rotation carries an axial
+    shift onto a diagonal one and mixes all three axes, and the largest
+    entry (the envelope fits' per-entry norm) changes under it, which
+    makes even the exact constant-coefficient kernel look direction-dependent.
+    """
+    grid = slc.grid
+    h_steps = np.asarray(h_steps, dtype=int)
+    h_norm = float(np.sqrt(np.sum(h_steps.astype(float) ** 2))) * grid.spacing
+    if 2.0 * h_norm > np.sqrt(slc.t):
+        raise ValueError(f"shift |h| = {h_norm:.3g} violates 2|h| <= sqrt(t)")
+    if h_norm == 0.0:
+        return HolderReport(np.zeros(grid.shape), 0.0, 0.0)
+    g = _grad_symmetrized(slc)
+    shifted = np.roll(g, shift=tuple(-h_steps), axis=grid.spatial_axes)
+    diff = np.sqrt(np.sum((shifted - g) ** 2, axis=tuple(range(g.ndim - grid.dim))))
+    d = torus_distance(grid, slc.y0)
+    q = (
+        diff
+        * (np.sqrt(slc.t) / h_norm) ** gamma
+        * slc.t ** ((grid.dim + 1) / 2.0)
+        * np.exp(d**2 / (c_ref * slc.t))
+    )
+    window = (d >= 2.0 * np.sqrt(slc.t)) & (d <= grid.extent / 4.0)
+    return HolderReport(q, float(np.max(q[window])), h_norm)
+
+
 class TestHolder:
     def test_zero_shift_is_zero(self, rough_slices):
         _, _, slices = rough_slices
@@ -269,10 +313,9 @@ class TestDavies:
     def test_probe_constraints(self, grid32):
         for alpha in (0.5, 1.0, 2.0):
             probe = davies_probe(grid32, alpha)
-            grad = np.stack([spectral_derivative(grid32, probe.psi, a) for a in range(2)])
-            hess = np.stack(
-                [spectral_derivative(grid32, probe.psi, a, order=2) for a in range(2)]
-            )
+            grad = gradient(grid32, probe.psi)
+            psi_hat = full_fftn(grid32, probe.psi)
+            hess = np.stack([full_ifftn(grid32, -full_freq(grid32)[a] ** 2 * psi_hat) for a in range(2)])
             assert np.max(np.abs(grad)) <= alpha * (1 + 1e-9)
             assert np.max(np.abs(hess)) <= alpha**2 * (1 + 1e-9)
 
@@ -306,11 +349,9 @@ class TestDavies:
         probe = davies_probe(grid, 1.0)
         u0 = random_band_field(grid, 1, 3, seed=3, ncomp=2)
         t = 0.1
-        from lamelab.varcoef import dense_oracle_expm, evolve
-
         cfg = StepperConfig(dt=1e-3)
         v_num = evolve(coef, params, probe.phi * u0, [0.0, t], cfg)[-1] / probe.phi
-        v_ora = dense_oracle_expm(coef, params, probe.phi * u0, t) / probe.phi
+        v_ora = (dense_semigroup_matrix(coef, params, t) @ (probe.phi * u0).ravel()).reshape(u0.shape) / probe.phi
         rel = lp_norm(grid, v_num - v_ora, 2) / lp_norm(grid, v_ora, 2)
         assert rel < 1e-4
 

@@ -1,22 +1,23 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from lamelab.besov import BesovIndex, besov_norm_report, default_partition
-from lamelab.fields import checkerboard_density, plane_wave, random_band_field
-from lamelab.grid import Grid, integral, jacobian, lp_norm
+from lamelab._interp import interp_periodic
+from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports, default_partition
+from lamelab.fields import checkerboard_density, random_band_field
+from lamelab.grid import Grid, divergence, gradient, integral, jacobian, lp_norm
 from lamelab.lagrangian import (
     CFLError,
     DiffeomorphismError,
+    FlowMapData,
     LagrangianState,
     PicardConfig,
     PicardConvergenceError,
-    change_of_variable_residual,
+    _grad_l1_besov,
     density_transport_check,
     eulerian_reference_solve,
-    flow_estimate_check,
-    flow_estimate_difference,
     flow_map,
-    flow_roundtrip_defect,
     grad_sup_integral,
     invert_flow,
     matrix_adjugate,
@@ -27,8 +28,10 @@ from lamelab.lagrangian import (
     scheme_residual,
 )
 from lamelab.maxreg import solution_norms
-from lamelab.operators import LameParams, const_semigroup, hodge_project
+from lamelab.operators import LameParams, const_semigroup
 from lamelab.varcoef import Coefficient, StepperConfig
+
+from conftest import hodge_project, plane_wave
 
 
 def make_state(grid, params, rho0, u_of_t, T=1.0, nt=11):
@@ -117,6 +120,57 @@ class TestFlowMap:
         assert len(err.value.node) == 2
 
 
+@dataclass(frozen=True)
+class ChangeOfVariableReport:
+    """Max-norm residuals of the pullback identities at one time sample."""
+
+    gradient: float
+    divergence_trace: float
+    divergence_piola: float
+    laplacian: float
+
+
+def change_of_variable_residual(
+    grid: Grid, phi: np.ndarray, v: np.ndarray, flow: FlowMapData, t_index: int
+) -> ChangeOfVariableReport:
+    """Check the pullback identities for a scalar phi and a vector field v.
+
+    (grad phi) o X = A^T grad(phi o X); (div v) o X equals both the trace
+    form Tr[A D(v o X)] and the conservation form div(adj (v o X)) / J; and
+    (Lap v) o X = div(adj A^T grad(v o X)) / J, componentwise.
+    """
+    L = grid.extent
+    x_pts = grid.coords + flow.disp[t_index]
+    a_inv = flow.jac_inv[t_index]
+    adj = flow.adj[t_index]
+    det = flow.det[t_index]
+
+    phi_x = interp_periodic(phi, x_pts, L)
+    lhs_grad = interp_periodic(gradient(grid, phi), x_pts, L)
+    rhs_grad = np.einsum("ai...,a...->i...", a_inv, gradient(grid, phi_x))
+    res_grad = float(np.max(np.abs(lhs_grad - rhs_grad)))
+
+    v_x = interp_periodic(v, x_pts, L)
+    lhs_div = interp_periodic(divergence(grid, v), x_pts, L)
+    dv_x = jacobian(grid, v_x)
+    rhs_trace = np.einsum("ij...,ji...->...", a_inv, dv_x)
+    rhs_piola = divergence(grid, np.einsum("ij...,j...->i...", adj, v_x)) / det
+    res_trace = float(np.max(np.abs(lhs_div - rhs_trace)))
+    res_piola = float(np.max(np.abs(lhs_div - rhs_piola)))
+
+    lap = np.stack([divergence(grid, gradient(grid, v[m])) for m in range(grid.dim)])
+    lhs_lap = interp_periodic(lap, x_pts, L)
+    metric = np.einsum("ij...,kj...->ik...", adj, a_inv)  # adj A^T
+    rhs_lap = np.stack(
+        [
+            divergence(grid, np.einsum("ik...,k...->i...", metric, gradient(grid, v_x[m]))) / det
+            for m in range(grid.dim)
+        ]
+    )
+    res_lap = float(np.max(np.abs(lhs_lap - rhs_lap)))
+    return ChangeOfVariableReport(res_grad, res_trace, res_piola, res_lap)
+
+
 class TestChangeOfVariable:
     def test_identity_flow_zero_residuals(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
@@ -190,6 +244,46 @@ class TestNonlinearity:
             assert a / b == pytest.approx(4.0, rel=0.2)
 
 
+@dataclass(frozen=True)
+class FlowEstimateReport:
+    lhs: float  # sup-in-time Besov distance of (A, adj) from the identity
+    rhs: float  # L1-in-time Besov norm of the velocity gradient
+    ratio: float
+    smallness_ok: bool
+    c0: float
+
+
+def _sup_pair_norm(grid: Grid, a: np.ndarray, adj: np.ndarray, p: float) -> float:
+    """sup over time of ||a(t)|| + ||adj(t)|| at regularity n/p (leading time axis)."""
+    idx = BesovIndex(grid.dim / p, p, 1.0)
+    pairs = zip(besov_norm_reports(grid, a, idx), besov_norm_reports(grid, adj, idx))
+    return max(ra.value + rb.value for ra, rb in pairs)
+
+
+def flow_estimate_check(state: LagrangianState, c0: float = 0.1, p: float = 2.0) -> FlowEstimateReport:
+    """Compare the flow-map deviation from the identity to the gradient budget."""
+    grid = state.grid
+    flow = flow_map(state)
+    eye = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
+    lhs = _sup_pair_norm(grid, flow.jac_inv - eye, flow.adj - eye, p)
+    rhs = _grad_l1_besov(state, p)
+    ratio = 0.0 if rhs == 0.0 else lhs / rhs
+    return FlowEstimateReport(lhs, rhs, ratio, bool(rhs <= c0), c0)
+
+
+def flow_estimate_difference(
+    state1: LagrangianState, state2: LagrangianState, p: float = 2.0
+) -> FlowEstimateReport:
+    """Difference variant: deviation between two flow maps against grad(v1 - v2)."""
+    grid = state1.grid
+    f1, f2 = flow_map(state1), flow_map(state2)
+    lhs = _sup_pair_norm(grid, f1.jac_inv - f2.jac_inv, f1.adj - f2.adj, p)
+    delta = LagrangianState(grid, state1.params, state1.rho0, state1.t, state1.u - state2.u)
+    rhs = _grad_l1_besov(delta, p)
+    ratio = 0.0 if rhs == 0.0 else lhs / rhs
+    return FlowEstimateReport(lhs, rhs, ratio, True, np.inf)
+
+
 class TestFlowEstimates:
     def test_zero_velocity_both_sides_zero(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
@@ -250,6 +344,12 @@ class TestGradSupIntegral:
         rate = params.mu * xi**2
         exact = a * xi / rate * (1.0 - np.exp(-rate * T))
         assert grad_sup_integral(state) == pytest.approx(exact, rel=1e-3)
+
+
+def flow_roundtrip_defect(grid: Grid, disp: np.ndarray, y: np.ndarray) -> float:
+    """Max-norm of X(Y(x)) - x for a computed inverse Y."""
+    x_back = y + interp_periodic(disp, y, grid.extent)
+    return float(np.max(np.abs(grid.min_image(x_back - grid.coords))))
 
 
 class TestPushforward:
@@ -332,6 +432,12 @@ class TestPicard:
         with pytest.raises(PicardConvergenceError) as err:
             picard_solve(rho0, params, u0, 1.0, cfg)
         assert len(err.value.diagnostics.delta_norms) == 1
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_rejects_no_iterations(self, max_iters):
+        # without one iteration there is no update to judge convergence by
+        with pytest.raises(ValueError):
+            PicardConfig(dt=0.1, max_iters=max_iters)
 
 
 class TestEulerianReference:

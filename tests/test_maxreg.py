@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lamelab.besov import BesovIndex, besov_norm_report, default_partition
-from lamelab.fields import checkerboard_density, plane_wave, random_band_field
+from lamelab.fields import checkerboard_density, random_band_field
 from lamelab.grid import Grid, lp_norm
 from lamelab.maxreg import (
     DegenerateProbeError,
@@ -14,6 +14,8 @@ from lamelab.maxreg import (
 )
 from lamelab.operators import LameParams, const_semigroup, lame_apply
 from lamelab.varcoef import Coefficient, StepperConfig
+
+from conftest import hodge_project, plane_wave
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +36,6 @@ class TestSolveLinear:
         # s = n/p - 1 = 0, p = 2, single-polarization one-octave bump: the
         # flow is a single decay rate per mode, so each L1 budget is below
         # the sup and the ratio stays under 1 + 2 = 3
-        from lamelab.operators import hodge_project
-
         coef = Coefficient.constant(grid32, 1.0)
         u0 = hodge_project(grid32, random_band_field(grid32, 2, 3, seed=1, ncomp=2), "P")
         rep = solve_linear_maxreg(coef, params, u0, None, 0.0, 2.0, 4.0, StepperConfig(dt=0.01))

@@ -7,28 +7,30 @@ from conftest import (
     full_freq_sq,
     full_hodge_symbols,
     full_ifftn,
+    hodge_project,
+    plane_wave,
     rng_field,
     stencil_lame,
 )
+from lamelab.besov import heat_profile
 from lamelab.grid import (
     divergence,
     gradient,
     integral,
     jacobian,
     lp_norm,
-    spectral_derivative,
+    mean_free,
 )
 from lamelab.operators import (
     LameParams,
     ScaledLaplacian,
-    apply_generator,
+    _spectral_parts,
+    _weighted_from_parts,
     const_semigroup,
-    hodge_project,
     lame_apply,
-    semigroup_weighted,
 )
 from lamelab.varcoef import _preconditioner
-from lamelab.fields import plane_wave, random_band_field
+from lamelab.fields import random_band_field
 from lamelab.grid import Grid
 
 
@@ -90,12 +92,12 @@ class TestHodge:
 class TestLameApply:
     def test_divergence_free_reduces_to_laplacian(self, grid32, params):
         u = _divergence_free_field(grid32, 4)
-        lap = apply_generator(grid32, u, ScaledLaplacian(params.mu))
+        lap = lame_apply(grid32, u, ScaledLaplacian(params.mu))
         assert np.max(np.abs(lame_apply(grid32, u, params) - lap)) < 1e-10
 
     def test_gradient_reduces_to_nu_laplacian(self, grid32, params):
         u = _gradient_field(grid32, 5)
-        lap = apply_generator(grid32, u, ScaledLaplacian(params.nu))
+        lap = lame_apply(grid32, u, ScaledLaplacian(params.nu))
         assert np.max(np.abs(lame_apply(grid32, u, params) - lap)) < 1e-10
 
     def test_against_stencil(self, params):
@@ -123,7 +125,7 @@ class TestLameApply:
         u = random_band_field(grid32, 1, 5, seed=9, ncomp=2)
         lame = lame_apply(grid32, u, params)
         recon = hodge_project(grid32, lame, "P") / params.mu + hodge_project(grid32, lame, "Q") / params.nu
-        lap = apply_generator(grid32, u, ScaledLaplacian(1.0))
+        lap = lame_apply(grid32, u, ScaledLaplacian(1.0))
         scale = np.max(np.abs(lap))
         assert np.max(np.abs(recon - lap)) / scale < 1e-10
 
@@ -162,10 +164,11 @@ class TestSemigroup:
         assert np.max(np.abs(ab - once)) < 1e-12
 
     def test_weighted_semigroup_k0(self, grid32, params):
+        # the k = 0 heat profile is the L^p norm of the semigroup at each node
         u = random_band_field(grid32, 1, 5, seed=13, ncomp=2)
-        a = semigroup_weighted(grid32, u, 0.4, params, 0)
-        b = const_semigroup(grid32, u, 0.4, params)
-        assert np.max(np.abs(a - b)) < 1e-12
+        nodes, profile = heat_profile(grid32, u, 2.0, 0, params, t_nodes=[0.1, 0.4])
+        ref = [lp_norm(grid32, const_semigroup(grid32, mean_free(grid32, u), t, params), 2.0) for t in nodes]
+        assert np.max(np.abs(profile - ref)) < 1e-12 * max(ref)
 
     def test_weighted_semigroup_single_mode(self, grid64):
         # (tG)^k e^{tG} on one mode = (-c t |xi|^2)^k exp(-c t |xi|^2)
@@ -175,7 +178,8 @@ class TestSemigroup:
         t = 0.11
         z = -gen.c * t * xi2
         expected = z * np.exp(z) * u
-        assert np.max(np.abs(semigroup_weighted(grid64, u, t, gen, 1) - expected)) < 1e-12
+        got = _weighted_from_parts(grid64, _spectral_parts(grid64, u, gen), gen, t, 1)
+        assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def _complex_isotropic(grid, u, a, b):
@@ -188,14 +192,11 @@ def _complex_isotropic(grid, u, a, b):
     return full_ifftn(grid, a * (u_hat - q_hat) + b * q_hat)
 
 
-def _complex_derivative(grid, u, axis, order):
-    """Full complex-FFT reference: multiply by (i xi)^order, odd orders zero every Nyquist plane."""
+def _complex_derivative(grid, u, axis):
+    """Full complex-FFT reference: multiply by i xi, zeroing every Nyquist plane."""
     xi = full_freq(grid)
     nyquist = np.isclose(np.abs(xi), np.pi / grid.spacing, rtol=1e-12, atol=0.0)
-    symbol = (1j * xi[axis]) ** order
-    if order == 1:
-        symbol = symbol * ~np.any(nyquist, axis=0)
-    return full_ifftn(grid, symbol * full_fftn(grid, u))
+    return full_ifftn(grid, 1j * xi[axis] * ~np.any(nyquist, axis=0) * full_fftn(grid, u))
 
 
 def _rel_err(got, ref):
@@ -219,11 +220,11 @@ class TestComplexPathAgreement:
         z_mu, z_nu = params.mu * xi2, params.nu * xi2
         t = 0.03
         e_mu, e_nu = np.exp(-t * z_mu), np.exp(-t * z_nu)
+        parts = _spectral_parts(grid, u, params)
         pairs = [
             (lame_apply(grid, u, params), -z_mu, -z_nu),
             (const_semigroup(grid, u, t, params), e_mu, e_nu),
-            (semigroup_weighted(grid, u, t, params, 0), e_mu, e_nu),
-            (semigroup_weighted(grid, u, t, params, 1), -t * z_mu * e_mu, -t * z_nu * e_nu),
+            (_weighted_from_parts(grid, parts, params, t, 1), -t * z_mu * e_mu, -t * z_nu * e_nu),
             (hodge_project(grid, u, "P"), 1.0, 0.0),
             (hodge_project(grid, u, "Q"), 0.0, 1.0),
         ]
@@ -240,9 +241,7 @@ class TestComplexPathAgreement:
 
     def test_derivatives(self, case):
         grid, u, s = case
-        for axis in range(grid.dim):
-            for order in (1, 2):
-                ref = _complex_derivative(grid, s, axis, order)
-                assert _rel_err(spectral_derivative(grid, s, axis, order), ref) <= 1e-13
-        ref = np.stack([[_complex_derivative(grid, u[i], j, 1) for j in range(grid.dim)] for i in range(grid.dim)])
+        ref = np.stack([_complex_derivative(grid, s, axis) for axis in range(grid.dim)])
+        assert _rel_err(gradient(grid, s), ref) <= 1e-13
+        ref = np.stack([[_complex_derivative(grid, u[i], j) for j in range(grid.dim)] for i in range(grid.dim)])
         assert _rel_err(jacobian(grid, u), ref) <= 1e-13
