@@ -31,17 +31,15 @@ from .operators import Generator, ScaledLaplacian, _spectral_parts, _weighted_fr
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Regularity/integrability indices (s, p, r) of a homogeneous Besov norm."""
+    """Regularity/integrability indices (s, p) of a homogeneous Besov norm
+    B^s_{p,1}: the level norms are summed (third index 1)."""
 
     s: float
     p: float
-    r: float = 1.0
 
     def __post_init__(self):
         if not (1.0 <= self.p):
             raise ValueError(f"p must be in [1, inf], got {self.p}")
-        if not (1.0 <= self.r):
-            raise ValueError(f"r must be in [1, inf], got {self.r}")
         if abs(self.s) >= 2.0:
             raise ValueError(f"|s| must be < 2 for the k <= 1 heat characterizations, got {self.s}")
 
@@ -87,19 +85,10 @@ class DyadicPartition:
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def mask(self, j: int) -> np.ndarray:
-        if not self.j_min <= j <= self.j_max:
-            raise ValueError(f"block {j} outside resolvable range [{self.j_min}, {self.j_max}]")
-        return self.masks[j - self.j_min]
-
 
 @lru_cache(maxsize=8)
-def _partition_cache(grid: Grid) -> DyadicPartition:
-    return DyadicPartition.for_grid(grid)
-
-
 def default_partition(grid: Grid) -> DyadicPartition:
-    return _partition_cache(grid)
+    return DyadicPartition.for_grid(grid)
 
 
 @dataclass(frozen=True)
@@ -111,22 +100,14 @@ class NormReport:
     per_level: tuple
 
 
-def _aggregate(levels: np.ndarray, r: float) -> float:
-    if np.isinf(r):
-        return float(np.max(levels)) if levels.size else 0.0
-    return float(np.sum(levels**r) ** (1.0 / r))
-
-
-def besov_level_norms(
-    grid: Grid, fields: np.ndarray, p: float, partition: DyadicPartition | None = None
-) -> np.ndarray:
+def besov_level_norms(grid: Grid, fields: np.ndarray, p: float) -> np.ndarray:
     """||block_j u||_p for each field u of a stack (leading axis of m fields) and
     each level j of the partition (free of s), shape (m, levels).
 
     One forward transform serves the whole stack; p != 2 takes one inverse
     transform of the stack per level.
     """
-    part = partition or default_partition(grid)
+    part = default_partition(grid)
     u_hat = fftn(grid, fields)
     if p == 2.0:
         # Plancherel shortcut: ||chi_j u||_2 without inverse transforms
@@ -142,28 +123,23 @@ def besov_level_norms(
 
 def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: BesovIndex) -> NormReport:
     """Weight one field's level norms (a row of besov_level_norms) by 2^(j*s)
-    and take their l^r sum."""
+    and sum them."""
     per = np.array([2.0 ** (j * idx.s) * n for j, n in zip(partition.levels, level_norms)])
-    value = _aggregate(per, idx.r)
-    total = float(np.sum(per))
-    leakage = (per[0] + per[-1]) / total if total > 0 else 0.0
+    value = float(np.sum(per))
+    leakage = (per[0] + per[-1]) / value if value > 0 else 0.0
     return NormReport(value, float(leakage), tuple(per))
 
 
-def besov_norm_reports(
-    grid: Grid, fields: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
-) -> list:
+def besov_norm_reports(grid: Grid, fields: np.ndarray, idx: BesovIndex) -> list:
     """NormReport of each field of a stack (leading axis), from one pass of
     besov_level_norms; a trajectory is a stack of its time slices."""
-    part = partition or default_partition(grid)
-    return [besov_weighting(part, row, idx) for row in besov_level_norms(grid, fields, idx.p, part)]
+    part = default_partition(grid)
+    return [besov_weighting(part, row, idx) for row in besov_level_norms(grid, fields, idx.p)]
 
 
-def besov_norm_report(
-    grid: Grid, u: np.ndarray, idx: BesovIndex, partition: DyadicPartition | None = None
-) -> NormReport:
+def besov_norm_report(grid: Grid, u: np.ndarray, idx: BesovIndex) -> NormReport:
     """besov_norm_reports of the stack of one field u."""
-    return besov_norm_reports(grid, np.asarray(u)[None], idx, partition)[0]
+    return besov_norm_reports(grid, np.asarray(u)[None], idx)[0]
 
 
 def _min_diffusivity(gen: Generator) -> float:
@@ -196,24 +172,22 @@ def extended_time_nodes(grid: Grid, gen: Generator, above: float = 1.0) -> np.nd
     The heat characterization integrates over all t > 0 (Bahouri-Chemin-Danchin
     2011, Thm 2.34). At t = h^2/c the profile of a field in the middle bands
     is still large (e^{tG} is far from 1 there), so cutting the integral at
-    that node would make the norm depend on h; the default nodes of
-    heat_profile therefore start 256 times lower and end at t = L^2/c.
+    that node would make the norm depend on h; the nodes of heat_profile
+    therefore start 256 times lower and end at t = L^2/c.
     """
     base = heat_time_nodes(grid, gen)
     return _geometric_nodes(base[0] / 256.0, base[-1] * above)
 
 
-def heat_profile(
-    grid: Grid, u: np.ndarray, p: float, k: int, gen: Generator, t_nodes: np.ndarray | None = None
-) -> tuple:
+def heat_profile(grid: Grid, u: np.ndarray, p: float, k: int, gen: Generator) -> tuple:
     """Quadrature nodes and ||(tG)^k e^{tG} u||_p at each node (free of s).
 
-    The default nodes are extended_time_nodes(grid, gen), which says why they
-    reach below the resolvable range.
+    The nodes are extended_time_nodes(grid, gen), which says why they reach
+    below the resolvable range.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
-    nodes = extended_time_nodes(grid, gen) if t_nodes is None else np.asarray(t_nodes)
+    nodes = extended_time_nodes(grid, gen)
     parts = _spectral_parts(grid, mean_free(grid, u), gen)
     profile = np.array([lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, k), p) for t in nodes])
     return nodes, profile

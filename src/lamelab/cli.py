@@ -47,8 +47,8 @@ from .lagrangian import (
     density_transport_check,
     eulerian_reference_solve,
     flow_map,
+    grad_besov_l1,
     grad_sup_integral,
-    grad_sup_tail_estimate,
     picard_solve,
     pushforward_eulerian,
     scheme_residual,
@@ -64,7 +64,7 @@ from .scenarios import (
     parse_oracle,
     parse_plotdata,
 )
-from .varcoef import dense_semigroup_matrix, evolve
+from .varcoef import dense_semigroup_matrices, evolve
 
 # -- pipelines: each takes --out and the keyword arguments its parser returns ----------
 
@@ -135,7 +135,7 @@ def run_besov(out: Path, *, grid, params, band, count, base, p, q, k, indices) -
     levels, profiles = [], {}
     for i in range(count):
         u = random_band_field(grid, *band, base + i, ncomp=grid.dim)
-        levels.append(besov_level_norms(grid, u[None], p, part)[0])
+        levels.append(besov_level_norms(grid, u[None], p)[0])
         for gname, gen in gens:
             profiles[gname, i] = heat_profile(grid, u, p, k, gen)
     nz = grid.rfreq_sq > 0
@@ -199,6 +199,8 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
 def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
     grid = rho0.grid
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
+    # the flow-map budget of the converged state, taken before flow_map's arrays exist
+    flow_budget = grad_besov_l1(state, pcfg.p)
     iter_rows = []
     for k, delta in enumerate(diag.delta_norms):
         factor = diag.contraction_factors[k - 1] if k >= 1 else ""
@@ -206,17 +208,19 @@ def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
     write_csv(out / "iterations.csv", ["k", "solution_norm", "update_norm", "contraction_factor"], iter_rows)
 
     flow = flow_map(state)
-    eul = pushforward_eulerian(state, flow, rho0)
-    transport = density_transport_check(state, flow, rho0, eul)
-    residual = scheme_residual(state, flow, pcfg.theta)
-    gsi = grad_sup_integral(state)
+    eul = pushforward_eulerian(state, flow)
+    transport = density_transport_check(state, flow, eul)
+    residual = scheme_residual(state, flow, pcfg.stepper.theta)
+    gsi, gsi_extrapolated = grad_sup_integral(state)
     diag_rows = [
         ("u0_norm", diag.u0_norm),
         ("smallness_ok", int(diag.smallness_ok)),
+        ("flow_budget", flow_budget),
+        ("flow_smallness_ok", int(flow_budget <= pcfg.flow_smallness_c0)),
         ("iterations", diag.iterations),
         ("residual_l1", residual),
         ("grad_sup_integral", gsi),
-        ("grad_sup_integral_extrapolated", grad_sup_tail_estimate(state)),
+        ("grad_sup_integral_extrapolated", gsi_extrapolated),
         ("jac_det_min", float(np.min(flow.det))),
         ("jac_det_max", float(np.max(flow.det))),
         ("density_transport_defect", transport.max_pointwise_defect),
@@ -246,8 +250,7 @@ def run_oracle(out: Path, *, coef, params, stepper, times, u0) -> dict:
     grid = coef.grid
     traj = evolve(coef, params, u0, [0.0] + times, stepper)
     rows = []
-    for i, t in enumerate(times):
-        mat = dense_semigroup_matrix(coef, params, t)
+    for i, (t, mat) in enumerate(zip(times, dense_semigroup_matrices(coef, params, times))):
         oracle = (mat @ u0.ravel()).reshape(u0.shape)
         rel = lp_norm(grid, traj[i + 1] - oracle, 2) / lp_norm(grid, oracle, 2)
         bmat = mat * np.broadcast_to(coef.b, (grid.dim,) + grid.shape).ravel()[None, :]
@@ -333,4 +336,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

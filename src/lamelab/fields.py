@@ -44,23 +44,16 @@ def band_modes(grid: Grid, kmin: float, kmax: float) -> list:
     return modes
 
 
-def random_band_field(
-    grid: Grid,
-    kmin: float,
-    kmax: float,
-    seed: int,
-    ncomp: int | None = None,
-    normalize: str | None = "besov_ready",
-) -> np.ndarray:
-    """Random real trigonometric polynomial supported on kmin <= |k| <= kmax.
+def random_band_field(grid: Grid, kmin: float, kmax: float, seed: int, ncomp: int | None = None) -> np.ndarray:
+    """Random real trigonometric polynomial supported on kmin <= |k| <= kmax,
+    scaled to unit max-norm (its mean is zero: |k| >= kmin > 0 excludes the
+    DC mode).
 
     Each mode k of the half-lattice adds a cos(2 pi k.x / L) + b sin(2 pi k.x / L)
     per component, with (a, b) drawn in mode order. The sum is one inverse
     real FFT of the half-spectrum coefficients.
 
     ncomp = None gives a scalar field, otherwise shape (ncomp, *grid.shape).
-    ``normalize='besov_ready'`` rescales to unit max-norm (mean is zero by
-    construction since |k| >= kmin > 0 excludes the DC mode).
     """
     rng = np.random.default_rng(seed)
     modes = np.array(band_modes(grid, kmin, kmax))
@@ -77,10 +70,9 @@ def random_band_field(
     spec[(slice(None),) + tuple((modes[up] % grid.n).T)] = coef[up].T
     spec[(slice(None),) + tuple((-modes[down] % grid.n).T)] = np.conj(coef[down]).T
     out = scipy.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes, norm="forward")
-    if normalize == "besov_ready":
-        peak = np.max(np.abs(out))
-        if peak > 0:
-            out = out / peak
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out = out / peak
     if ncomp is None:
         return out[0]
     return out
@@ -113,7 +105,6 @@ def trig_density(grid: Grid, m: float, seed: int = 0, kmax: float = 3.0, gain: f
     if not (0 < m <= 1):
         raise ValueError(f"m must be in (0, 1], got {m}")
     t = random_band_field(grid, 1.0, kmax, seed)
-    t = t / np.max(np.abs(t))
     g = np.clip(gain * t, -1.0, 1.0)
     return m ** (-g)
 

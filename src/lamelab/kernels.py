@@ -153,7 +153,6 @@ class GaussianFit:
     c_dec: float
     r_squared: float
     max_exceedance: float
-    weight_power: float
     n_shells: int
     shells: tuple  # rows (t, d, shell_max, model_value)
 
@@ -214,7 +213,6 @@ def _fit_envelope(slices, extractor, magnitude, weight_power: float) -> Gaussian
         c_dec=float(-1.0 / slope),
         r_squared=r_squared,
         max_exceedance=float(np.max(np.exp(resid)) - 1.0),
-        weight_power=weight_power,
         n_shells=len(rows),
         shells=shells,
     )
@@ -251,14 +249,14 @@ class DaviesProbe:
     phi: np.ndarray
 
 
-def davies_probe(grid: Grid, alpha: float, axis: int = 0) -> DaviesProbe:
-    """Lowest-mode twist along one axis, amplitude chosen so that
+def davies_probe(grid: Grid, alpha: float) -> DaviesProbe:
+    """Lowest-mode twist along the first axis, amplitude chosen so that
     |grad psi| <= alpha and |hess psi| <= alpha^2 hold on the grid."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     scale = grid.extent / (2.0 * np.pi)
     amp = min(alpha * scale, (alpha * scale) ** 2)
-    psi = amp * np.sin(grid.coords[axis] * 2.0 * np.pi / grid.extent)
+    psi = amp * np.sin(grid.coords[0] * 2.0 * np.pi / grid.extent)
     if alpha > 0:
         grad_max = amp / scale
         hess_max = amp / scale**2
@@ -277,7 +275,6 @@ class TwistReport:
     times: tuple
     log_growth: tuple  # per alpha, array over times of log(||v(t)|| / ||u0||)
     growth_constant: float  # smallest C with g <= C (1 + alpha^2 t) over the scan
-    per_alpha_constant: tuple
 
 
 def davies_twisted_norm(
@@ -305,4 +302,4 @@ def davies_twisted_norm(
         curves.append(tuple(g))
         consts.append(float(np.max(g / (1.0 + probe.alpha**2 * np.asarray(t_list)))))
         alphas.append(probe.alpha)
-    return TwistReport(tuple(alphas), tuple(t_list), tuple(curves), float(max(consts)), tuple(consts))
+    return TwistReport(tuple(alphas), tuple(t_list), tuple(curves), float(max(consts)))

@@ -81,9 +81,8 @@ def matrix_adjugate(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_determinant(mat: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
-    if adj is None:
-        adj = matrix_adjugate(mat)
+def matrix_determinant(mat: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Determinant of a matrix field from its adjugate (first-row cofactor expansion)."""
     return sum(mat[0, j] * adj[j, 0] for j in range(mat.shape[0]))
 
 
@@ -183,33 +182,30 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
 # -- flow estimates -------------------------------------------------------------------
 
 
-def _grad_l1_besov(state: LagrangianState, p: float) -> float:
+def grad_besov_l1(state: LagrangianState, p: float) -> float:
     """L1-in-time Besov norm (regularity n/p) of the velocity gradient, the
-    budget of the flow-map estimate."""
+    budget of the flow-map estimate: the flow stays a small perturbation of
+    the identity while it is below c0."""
     grid = state.grid
     grads = np.stack([jacobian(grid, u) for u in state.u])
-    reps = besov_norm_reports(grid, grads, BesovIndex(grid.dim / p, p, 1.0))
+    reps = besov_norm_reports(grid, grads, BesovIndex(grid.dim / p, p))
     return float(np.trapezoid([r.value for r in reps], dx=state.dt))
 
 
-def grad_sup_integral(state: LagrangianState) -> float:
-    """Trapezoid quadrature of the sup-norm of the velocity gradient over time."""
+def grad_sup_integral(state: LagrangianState) -> tuple:
+    """Trapezoid quadrature of the sup-norm of the velocity gradient over time,
+    and the same integral extrapolated past the horizon from the decay rate of
+    its last two samples (the plain integral when they do not decay)."""
     vals = [
         float(np.max(field_magnitude(state.grid, jacobian(state.grid, state.u[i]))))
         for i in range(len(state.t))
     ]
-    return float(np.trapezoid(vals, dx=state.dt))
-
-
-def grad_sup_tail_estimate(state: LagrangianState) -> float:
-    """Extrapolate the integral past the horizon from the observed decay rate."""
-    grid = state.grid
-    g_end = float(np.max(field_magnitude(grid, jacobian(grid, state.u[-1]))))
-    g_prev = float(np.max(field_magnitude(grid, jacobian(grid, state.u[-2]))))
+    total = float(np.trapezoid(vals, dx=state.dt))
+    g_prev, g_end = vals[-2], vals[-1]
     if g_end <= 0 or g_prev <= g_end:
-        return grad_sup_integral(state)
+        return total, total
     rate = np.log(g_prev / g_end) / state.dt
-    return grad_sup_integral(state) + g_end / rate
+    return total, total + g_end / rate
 
 
 # -- Picard fixed point ----------------------------------------------------------------
@@ -226,17 +222,16 @@ class PicardConfig:
     smallness_c: float = 0.05
     flow_smallness_c0: float = 0.1
     p: float = 2.0
-    theta: float = 0.5
-    cg_tol: float = 1e-11
-    cg_maxiter: int = 500
 
     def __post_init__(self):
         if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (np.isfinite(self.stop_tol_rel) and self.stop_tol_rel > 0):
+            raise ValueError(f"tol must be a finite number > 0, got {self.stop_tol_rel}")
 
     @property
     def stepper(self) -> StepperConfig:
-        return StepperConfig(self.dt, self.theta, self.cg_tol, self.cg_maxiter)
+        return StepperConfig(self.dt, cg_tol=1e-11)
 
 
 @dataclass
@@ -244,7 +239,6 @@ class PicardDiagnostics:
     u0_norm: float
     stop_tol: float
     smallness_ok: bool
-    flow_smallness_ok: list = field(default_factory=list)
     iterate_norms: list = field(default_factory=list)  # solution norm per iterate
     delta_norms: list = field(default_factory=list)
     contraction_factors: list = field(default_factory=list)
@@ -263,7 +257,7 @@ def picard_solve(
     time_grid(T, cfg.dt).
     """
     grid = rho0.grid
-    idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p, 1.0)
+    idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p)
     u0_norm = besov_norm_report(grid, u0, idx).value
     diag = PicardDiagnostics(
         u0_norm=u0_norm,
@@ -284,10 +278,7 @@ def picard_solve(
 
     for _ in range(cfg.max_iters):
         state = to_state(u_traj)
-        flow = flow_map(state)
-        grad_budget = _grad_l1_besov(state, cfg.p)
-        diag.flow_smallness_ok.append(bool(grad_budget <= cfg.flow_smallness_c0))
-        forcing = nonlinearity_f(state, flow)
+        forcing = nonlinearity_f(state, flow_map(state))
         u_next = evolve(rho0, params, u0, t_grid, stepper, forcing=forcing, guess=u_traj)
         delta = solution_norms(grid, u_next - u_traj, t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
@@ -307,7 +298,7 @@ def picard_solve(
     )
 
 
-def scheme_residual(state: LagrangianState, flow: FlowMapData, theta: float = 0.5) -> float:
+def scheme_residual(state: LagrangianState, flow: FlowMapData, theta: float) -> float:
     """Defect of the converged iterate in the nonlinear theta-scheme equations.
 
     Rebuilds the nonlinearity from the state and its flow map and measures the
@@ -320,7 +311,7 @@ def scheme_residual(state: LagrangianState, flow: FlowMapData, theta: float = 0.
     rhs = np.stack([lame_apply(grid, u, state.params) for u in state.u]) + nonlinearity_f(state, flow)
     defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - theta * rhs[1:] - (1.0 - theta) * rhs[:-1]
     total = 0.0
-    for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / 2.0 - 1.0, 2.0, 1.0)):
+    for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / 2.0 - 1.0, 2.0)):
         total += dt * rep.value
     return total
 
@@ -335,28 +326,31 @@ class EulerianTrajectory:
     u: np.ndarray  # (nt, dim, *shape)
 
 
-def invert_flow(grid: Grid, disp: np.ndarray, tol: float = 1e-12, max_iters: int = 80) -> np.ndarray:
+_INVERT_TOL = 1e-12  # largest last move of invert_flow, relative to the extent
+_INVERT_MAX_ITERS = 80
+
+
+def invert_flow(grid: Grid, disp: np.ndarray) -> np.ndarray:
     """Solve X(Y(x)) = x by the fixed point Y <- x - disp(Y) (contractive for
     small flows); returns Y on the grid nodes."""
     x = grid.coords
     y = x - disp
     coeffs = spline_prefilter(disp, grid.dim)
-    for _ in range(max_iters):
+    for _ in range(_INVERT_MAX_ITERS):
         y_new = x - interp_periodic(coeffs, y, grid.extent, prefiltered=True)
         move = np.max(np.abs(grid.min_image(y_new - y)))
         y = y_new
-        if move <= tol * grid.extent:
+        if move <= _INVERT_TOL * grid.extent:
             return y
     raise FlowInversionError(f"flow inversion stalled (last move {move:.3e})")
 
 
-def pushforward_eulerian(
-    state: LagrangianState, flow: FlowMapData, rho0: Coefficient
-) -> EulerianTrajectory:
+def pushforward_eulerian(state: LagrangianState, flow: FlowMapData) -> EulerianTrajectory:
     """Reconstruct Eulerian fields: u(t, x) = u(t, Y(x)) and
     rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the mass-consistent transport
     (J rho-along-the-flow stays equal to rho0)."""
     grid = state.grid
+    rho0 = state.rho0
     nt = len(state.t)
     rho_out = np.empty((nt,) + grid.shape)
     u_out = np.empty_like(state.u)
@@ -378,14 +372,12 @@ class DensityTransportReport:
 
 
 def density_transport_check(
-    state: LagrangianState,
-    flow: FlowMapData,
-    rho0: Coefficient,
-    eulerian: EulerianTrajectory | None = None,
+    state: LagrangianState, flow: FlowMapData, eulerian: EulerianTrajectory
 ) -> DensityTransportReport:
+    """Defects of the transported density (pushforward_eulerian of state and
+    flow) against state.rho0 along the flow."""
     grid = state.grid
-    if eulerian is None:
-        eulerian = pushforward_eulerian(state, flow, rho0)
+    rho0 = state.rho0
     mass0 = float(integral(grid, rho0.rho))
     scale = float(np.max(np.abs(rho0.rho)))
     worst_point = 0.0

@@ -76,20 +76,7 @@ class MaxRegReport:
     dt_norm: float
     op_norm: float
     ratio: float
-    s: float
-    p: float
-    T: float
-    dt: float
-    n: int
     max_leakage: float
-
-    @property
-    def output_total(self) -> float:
-        return self.sup_norm + self.dt_norm + self.op_norm
-
-    @property
-    def input_total(self) -> float:
-        return self.u0_norm + self.forcing_norm
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
@@ -122,7 +109,7 @@ def solve_linear_maxreg(
     dt = t_grid[1] - t_grid[0]
     traj = evolve(coef, params, u0, t_grid, cfg.with_dt(dt), forcing=forcing)
 
-    idx = BesovIndex(s, p, 1.0)
+    idx = BesovIndex(s, p)
     out = solution_norms(grid, traj, dt, params, idx)
     u0_rep = besov_norm_report(grid, u0, idx)
     f_reps = [] if forcing is None else besov_norm_reports(grid, forcing, idx)
@@ -136,21 +123,14 @@ def solve_linear_maxreg(
         dt_norm=out.dt_norm,
         op_norm=out.op_norm,
         ratio=ratio,
-        s=s,
-        p=p,
-        T=T,
-        dt=dt,
-        n=grid.n,
         max_leakage=leak,
     )
 
 
-def _weighted_lq(
-    values: np.ndarray, t_nodes: np.ndarray, s: float, q: float, value_at_zero: float = 0.0
-) -> float:
+def _weighted_lq(values: np.ndarray, t_nodes: np.ndarray, s: float, q: float, value_at_zero: float) -> float:
     """|| t^s g ||_{L^q(dt/t)} on geometric nodes with ratio sqrt(2).
 
-    value_at_zero, when given, supplies the analytic t -> 0 tail
+    value_at_zero = g(0+) supplies the analytic t -> 0 tail
     int_0^{t_0} (t^s g(0))^q dt/t of a profile with g(0+) finite, which the
     truncated node sum would otherwise drop (the integrand is edge-heavy for
     s in (0, 1))."""

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .besov import BesovIndex, besov_norm_report, default_partition
+from .besov import BesovIndex, besov_norm_report
 from .fields import band_modes, checkerboard_density, random_band_field, trig_density
 from .grid import Grid
 from .io import read_csv
@@ -97,7 +97,7 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
     """Zero, or a band field scaled to the given amplitude in B^{n/p-1}_{p,1};
     the index must be valid for either kind."""
     kind = _require(cfg, "kind", "u0")
-    idx = BesovIndex(grid.dim / p - 1.0, p, 1.0)
+    idx = BesovIndex(grid.dim / p - 1.0, p)
     if kind == "zero":
         return np.zeros((grid.dim,) + grid.shape)
     if kind != "band":
@@ -107,7 +107,7 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
     amplitude = float(_require(cfg, "amplitude", "u0"))
     if not math.isfinite(amplitude):
         raise ConfigError(f"u0 amplitude must be finite, got {amplitude}")
-    norm = besov_norm_report(grid, u, idx, default_partition(grid)).value
+    norm = besov_norm_report(grid, u, idx).value
     return u * (amplitude / norm)
 
 
@@ -203,7 +203,7 @@ def parse_besov(cfg: dict, seed: int) -> dict:
     k = int(cfg.get("k", 1))
     if count < 1 or not q > 0:
         raise ConfigError(f"besov needs fields.count >= 1 and q > 0, got {count}, {q}")
-    indices = [BesovIndex(s, p, 1.0) for s in s_list]
+    indices = [BesovIndex(s, p) for s in s_list]
     if not all(k > idx.s / 2.0 for idx in indices):
         raise ConfigError(f"the heat characterization needs k > s/2, got k={k}, s_list={s_list}")
     band_modes(grid, *band)
@@ -218,7 +218,7 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
     base = _seed(pcfg.get("seed", seed))
     band = float(pcfg.get("kmin", 1.0)), float(pcfg.get("kmax", 4.0))
     p = _integrability(cfg.get("p", 2.0))
-    idx = BesovIndex(float(cfg.get("s", grid.dim / p - 1.0)), p, 1.0)
+    idx = BesovIndex(float(cfg.get("s", grid.dim / p - 1.0)), p)
     T = float(cfg.get("T", 2.0))
     time_grid(T, stepper.dt)  # the solve's nodes: T a finite time > 0
     if count < 1:
@@ -238,7 +238,7 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
 def parse_flow(cfg: dict, seed: int) -> dict:
     grid, params, rho0 = _medium(cfg)
     T, pcfg = build_picard(_require(cfg, "picard", "top-level"))
-    BesovIndex(grid.dim / pcfg.p, pcfg.p, 1.0)  # picard_solve's gradient budget: p > n/2
+    BesovIndex(grid.dim / pcfg.p, pcfg.p)  # the flow budget grad_besov_l1 of run_flow: p > n/2
     u0 = build_u0(grid, _require(cfg, "u0", "top-level"), pcfg.p)
     cross_validate = bool(cfg.get("cross_validate", False))
     if cross_validate and not np.any(u0):  # the error is relative to the Eulerian reference

@@ -88,6 +88,8 @@ class StepperConfig:
             raise ValueError(f"theta must be in [1/2, 1], got {self.theta}")
         if not (0 < self.cg_tol < 1):  # relative to ||b||: from 1 up CG may stop before iterating
             raise ValueError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
+        if not self.cg_maxiter >= 1:
+            raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter}")
 
     def with_dt(self, dt: float) -> "StepperConfig":
         return replace(self, dt=dt)
@@ -279,13 +281,17 @@ def dense_lame_matrix(grid: Grid, params: LameParams) -> np.ndarray:
     return mat
 
 
-def dense_semigroup_matrix(coef: Coefficient, params: LameParams, t: float) -> np.ndarray:
-    """Dense matrix of exp(t * b * L) via eigendecomposition in the rho-weighted metric.
+def dense_semigroup_matrices(coef: Coefficient, params: LameParams, times):
+    """Dense matrices of exp(t * b * L), one per t of times, in order, from one
+    eigendecomposition in the rho-weighted metric.
 
     sqrt(b) * L * sqrt(b) is symmetric, so b*L = D_sqrtb M D_sqrtb^{-1} with M
-    symmetric; the exponential is D_sqrtb V e^{t Lam} V^T D_sqrtb^{-1}.
+    symmetric; the exponential is D_sqrtb V e^{t Lam} V^T D_sqrtb^{-1}. The
+    decomposition is taken here; each matrix is formed when the returned
+    iterator reaches its time, so only one is held at a time.
     """
-    if t < 0:
+    times = [float(t) for t in times]
+    if min(times) < 0:
         raise ValueError("time must be nonnegative")
     grid = coef.grid
     lame = dense_lame_matrix(grid, params)
@@ -293,5 +299,4 @@ def dense_semigroup_matrix(coef: Coefficient, params: LameParams, t: float) -> n
     sym = sqrt_b[:, None] * lame * sqrt_b[None, :]
     sym = 0.5 * (sym + sym.T)  # scrub rounding asymmetry before eigh
     lam, vec = np.linalg.eigh(sym)
-    core = (vec * np.exp(t * lam)) @ vec.T
-    return sqrt_b[:, None] * core / sqrt_b[None, :]
+    return (sqrt_b[:, None] * ((vec * np.exp(t * lam)) @ vec.T) / sqrt_b[None, :] for t in times)

@@ -60,10 +60,10 @@ def hodge_project(grid, u, which):
     return ifftn(grid, p_hat if which == "P" else q_hat)
 
 
-def dyadic_block(grid, u, j, partition=None):
+def dyadic_block(grid, u, j):
     """Frequency-localize u to dyadic level j (the zero mode is always dropped)."""
-    part = partition or default_partition(grid)
-    return ifftn(grid, part.mask(j) * fftn(grid, u))
+    part = default_partition(grid)
+    return ifftn(grid, part.masks[j - part.j_min] * fftn(grid, u))
 
 
 # Full complex-spectrum references (numpy.fft.fftfreq order, Nyquist entry -pi/h):

@@ -32,11 +32,11 @@ def gridpi():
 class TestIndex:
     def test_rejects_large_s(self):
         with pytest.raises(ValueError):
-            BesovIndex(2.0, 2.0, 1.0)
+            BesovIndex(2.0, 2.0)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            BesovIndex(0.5, 0.5, 1.0)
+            BesovIndex(0.5, 0.5)
 
 
 class TestPartition:
@@ -51,15 +51,9 @@ class TestPartition:
     def test_support_annuli(self, gridpi):
         part = DyadicPartition.for_grid(gridpi)
         r = np.sqrt(gridpi.rfreq_sq)
-        for j in part.levels:
-            chi = part.mask(j)
+        for j, chi in zip(part.levels, part.masks):
             outside = (r < 2.0 ** (j - 1) - 1e-9) | (r > 2.0 ** (j + 1) + 1e-9)
             assert np.max(np.abs(chi[outside])) == 0.0
-
-    def test_rejects_out_of_range_level(self, gridpi):
-        part = DyadicPartition.for_grid(gridpi)
-        with pytest.raises(ValueError):
-            part.mask(part.j_max + 1)
 
 
 class TestDyadicBlock:
@@ -84,11 +78,11 @@ class TestDyadicBlock:
 
 class TestBesovNorm:
     def test_zero_field(self, gridpi):
-        assert besov_norm_report(gridpi, np.zeros(gridpi.shape), BesovIndex(0.5, 2.0, 1.0)).value == 0.0
+        assert besov_norm_report(gridpi, np.zeros(gridpi.shape), BesovIndex(0.5, 2.0)).value == 0.0
 
     def test_homogeneity(self, gridpi):
         u = random_band_field(gridpi, 1, 6, seed=2)
-        idx = BesovIndex(0.5, 2.0, 1.0)
+        idx = BesovIndex(0.5, 2.0)
         a = besov_norm_report(gridpi, 3.7 * u, idx).value
         b = 3.7 * besov_norm_report(gridpi, u, idx).value
         assert a == pytest.approx(b, rel=1e-12)
@@ -98,32 +92,34 @@ class TestBesovNorm:
         # spectrum at |xi| = 2^j: norm = 2^{js} ||u||_p within the overlap factor
         j, p = 2, 2.0
         u = plane_wave(gridpi, (4, 0))
-        val = besov_norm_report(gridpi, u, BesovIndex(s, p, 1.0)).value
+        val = besov_norm_report(gridpi, u, BesovIndex(s, p)).value
         ref = 2.0 ** (j * s) * lp_norm(gridpi, u, p)
         assert 0.5 * ref <= val <= 2.0 * ref
 
     def test_plancherel_comparison(self, gridpi):
-        # s = 0, p = r = 2: within [1/K, K] of the L2 norm with K <= 2
+        # s = 0, p = 2: the l^2 sum of the level norms is within [1/K, K] of
+        # the L2 norm with K <= 2
         for seed in range(5):
             u = mean_free(gridpi, random_band_field(gridpi, 1, 8, seed=seed))
-            val = besov_norm_report(gridpi, u, BesovIndex(0.0, 2.0, 2.0)).value
+            per_level = besov_norm_report(gridpi, u, BesovIndex(0.0, 2.0)).per_level
+            val = float(np.sum(np.square(per_level)) ** 0.5)
             l2 = lp_norm(gridpi, u, 2.0)
             assert l2 / 2.0 <= val <= 2.0 * l2
 
     def test_block_contraction(self, gridpi):
         u = random_band_field(gridpi, 1, 8, seed=4)
-        idx = BesovIndex(0.5, 2.0, 1.0)
+        idx = BesovIndex(0.5, 2.0)
         part = default_partition(gridpi)
-        total = besov_norm_report(gridpi, u, idx, part).value
+        total = besov_norm_report(gridpi, u, idx).value
         for j in part.levels:
-            blocked = besov_norm_report(gridpi, dyadic_block(gridpi, u, j), idx, part).value
+            blocked = besov_norm_report(gridpi, dyadic_block(gridpi, u, j), idx).value
             assert blocked <= total * (1 + 1e-10)
 
     def test_p2_fast_path_matches_physical(self, gridpi):
         # Plancherel shortcut must agree with the Riemann-sum route
         u = random_band_field(gridpi, 1, 6, seed=5)
         part = default_partition(gridpi)
-        fast = besov_norm_report(gridpi, u, BesovIndex(0.3, 2.0, 1.0), part)
+        fast = besov_norm_report(gridpi, u, BesovIndex(0.3, 2.0))
         slow_levels = [
             2.0 ** (j * 0.3) * lp_norm(gridpi, dyadic_block(gridpi, u, j), 2.0)
             for j in part.levels
@@ -133,7 +129,7 @@ class TestBesovNorm:
     def test_boundary_leakage_flagged(self, gridpi):
         # the lowest resolvable mode sits entirely in the first block
         u = plane_wave(gridpi, (1, 0))
-        assert besov_norm_report(gridpi, u, BesovIndex(0.5, 2.0, 1.0)).leakage > 0.01
+        assert besov_norm_report(gridpi, u, BesovIndex(0.5, 2.0)).leakage > 0.01
 
 
 def _full_masks(grid, part):
@@ -178,13 +174,13 @@ class TestComplexPathAgreement:
                 ref.append(np.sqrt(vol * np.sum(chi**2 * np.sum(np.abs(u_hat) ** 2, axis=comp_axes))))
             else:
                 ref.append(lp_norm(grid, full_ifftn(grid, chi * u_hat), p))
-        assert _rel_norm(besov_level_norms(grid, field[None], p, part)[0], np.array(ref)) <= 1e-13
+        assert _rel_norm(besov_level_norms(grid, field[None], p)[0], np.array(ref)) <= 1e-13
 
     def test_dyadic_block(self, grid, field):
         part = default_partition(grid)
         u_hat = full_fftn(grid, field)
         ref = np.stack([full_ifftn(grid, chi * u_hat) for chi in _full_masks(grid, part)])
-        got = np.stack([dyadic_block(grid, field, j, part) for j in part.levels])
+        got = np.stack([dyadic_block(grid, field, j) for j in part.levels])
         assert _rel_norm(got, ref) <= 1e-13
 
 
@@ -200,8 +196,8 @@ class TestStackedLevelNorms:
         comp_shape = {"scalar": (), "vector": (dim,), "matrix": (dim, dim)}[comps]
         fields = np.random.default_rng(50 + dim).standard_normal((3,) + comp_shape + grid.shape)
         part = default_partition(grid)
-        got = besov_level_norms(grid, fields, p, part)
-        ref = np.stack([besov_level_norms(grid, u[None], p, part)[0] for u in fields])
+        got = besov_level_norms(grid, fields, p)
+        ref = np.stack([besov_level_norms(grid, u[None], p)[0] for u in fields])
         assert got.shape == (3, len(part.levels))
         assert np.array_equal(got, ref)
 
@@ -232,7 +228,10 @@ class TestHeatCharacterization:
         u = gaussian_bump(grid64, 1.0)
         u = mean_free(grid64, u)
         nodes = 1e-7 * 2.0 ** (0.5 * np.arange(70))  # covers [1e-7, 3e3]
-        val = heat_char_weighting(*heat_profile(grid64, u, 2.0, k, ScaledLaplacian(1.0), nodes), s, 2.0).value
+        gen = ScaledLaplacian(1.0)
+        parts = _spectral_parts(grid64, u, gen)  # heat_profile's path on these nodes
+        profile = [lp_norm(grid64, _weighted_from_parts(grid64, parts, gen, t, k), 2.0) for t in nodes]
+        val = heat_char_weighting(nodes, profile, s, 2.0).value
         u_hat = full_fftn(grid64, u)
         c = grid64.cell_volume / grid64.size * np.abs(u_hat) ** 2
         xi2 = full_freq_sq(grid64)
@@ -248,7 +247,7 @@ class TestHeatCharacterization:
         gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
         u = random_band_field(grid64, 2, 6, seed=7, ncomp=2)
         hv = heat_char_weighting(*heat_profile(grid64, u, 2.0, 1, gen), s, 1.0).value
-        bv = besov_norm_report(grid64, u, BesovIndex(s, 2.0, 1.0)).value
+        bv = besov_norm_report(grid64, u, BesovIndex(s, 2.0)).value
         ratio = hv / bv
         assert 0.2 <= ratio <= 5.0
 
@@ -266,10 +265,10 @@ def multiplier_ratio(grid, rho, idx, test_fields):
     worst = 0.0
     for u in test_fields:
         u = mean_free(grid, u)
-        denom = besov_norm_report(grid, u, idx, part).value
+        denom = besov_norm_report(grid, u, idx).value
         if denom == 0.0:
             raise ValueError("test field with zero Besov norm")
-        num = besov_norm_report(grid, rho * u, idx, part).value
+        num = besov_norm_report(grid, rho * u, idx).value
         worst = max(worst, num / denom)
     return worst
 
@@ -278,17 +277,17 @@ class TestMultiplier:
     def test_constant_multiplier(self, grid32):
         rho = np.full(grid32.shape, 1.7)
         fields = [random_band_field(grid32, 1, 4, seed=s) for s in range(3)]
-        r = multiplier_ratio(grid32, rho, BesovIndex(0.0, 2.0, 1.0), fields)
+        r = multiplier_ratio(grid32, rho, BesovIndex(0.0, 2.0), fields)
         assert r == pytest.approx(1.7, rel=1e-10)
 
     def test_identity_multiplier(self, grid32):
         fields = [random_band_field(grid32, 1, 4, seed=5)]
-        r = multiplier_ratio(grid32, np.ones(grid32.shape), BesovIndex(0.0, 2.0, 1.0), fields)
+        r = multiplier_ratio(grid32, np.ones(grid32.shape), BesovIndex(0.0, 2.0), fields)
         assert r == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_empty_test_set(self, grid32):
         with pytest.raises(ValueError):
-            multiplier_ratio(grid32, np.ones(grid32.shape), BesovIndex(0.0, 2.0, 1.0), [])
+            multiplier_ratio(grid32, np.ones(grid32.shape), BesovIndex(0.0, 2.0), [])
 
     def test_smooth_multiplier_stable_under_refinement(self):
         # the same continuum rho and probes, two resolutions: within 20%
@@ -299,7 +298,7 @@ class TestMultiplier:
                 2 * np.pi * grid.coords[1] / grid.extent
             )
             fields = [random_band_field(grid, 1, 4, seed=s, ncomp=2) for s in range(6)]
-            vals.append(multiplier_ratio(grid, rho, BesovIndex(0.0, 2.0, 1.0), fields))
+            vals.append(multiplier_ratio(grid, rho, BesovIndex(0.0, 2.0), fields))
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
 
 
@@ -311,16 +310,16 @@ def product_law_ratio(grid, u, v, p, mixed=False):
     """
     part = default_partition(grid)
     s_high = grid.dim / p
-    idx_high = BesovIndex(s_high, p, 1.0)
+    idx_high = BesovIndex(s_high, p)
     if mixed:
-        idx_low = BesovIndex(s_high - 1.0, p, 1.0)
-        nu = besov_norm_report(grid, u, idx_high, part).value
-        nv = besov_norm_report(grid, v, idx_low, part).value
-        npr = besov_norm_report(grid, mean_free(grid, u * v), idx_low, part).value
+        idx_low = BesovIndex(s_high - 1.0, p)
+        nu = besov_norm_report(grid, u, idx_high).value
+        nv = besov_norm_report(grid, v, idx_low).value
+        npr = besov_norm_report(grid, mean_free(grid, u * v), idx_low).value
     else:
-        nu = besov_norm_report(grid, u, idx_high, part).value
-        nv = besov_norm_report(grid, v, idx_high, part).value
-        npr = besov_norm_report(grid, mean_free(grid, u * v), idx_high, part).value
+        nu = besov_norm_report(grid, u, idx_high).value
+        nv = besov_norm_report(grid, v, idx_high).value
+        npr = besov_norm_report(grid, mean_free(grid, u * v), idx_high).value
     if nu == 0.0 or nv == 0.0:
         raise ValueError("product law ratio undefined for zero-norm factors")
     return npr / (nu * nv)
@@ -371,26 +370,25 @@ class TestProfiles:
     GRID = Grid(2, 32, 10.0)  # h^2 / N^2 is no power of four, so regrouped factors round differently
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    @pytest.mark.parametrize("r", [1.0, np.inf])
-    def test_besov_report_is_weighted_level_norms(self, p, r):
+    def test_besov_report_is_weighted_level_norms(self, p):
         grid = self.GRID
         u = random_band_field(grid, 1, 6, seed=3, ncomp=2)
         part = default_partition(grid)
-        levels = besov_level_norms(grid, u[None], p, part)[0]
+        levels = besov_level_norms(grid, u[None], p)[0]
         u_hat = fftn(grid, u)
         power = np.sum(np.abs(u_hat) ** 2, axis=0) * grid.rmultiplicity
         vol = grid.cell_volume / grid.size
         for s in self.S_VALUES:
-            idx = BesovIndex(s, p, r)
-            rep = besov_norm_report(grid, u, idx, part)
+            idx = BesovIndex(s, p)
+            rep = besov_norm_report(grid, u, idx)
             assert rep == besov_weighting(part, levels, idx)
             # direct evaluation at this s
             if p == 2.0:
-                block = [np.sqrt(vol * np.sum(part.mask(j) ** 2 * power)) for j in part.levels]
+                block = [np.sqrt(vol * np.sum(chi**2 * power)) for chi in part.masks]
             else:
-                block = [lp_norm(grid, dyadic_block(grid, u, j, part), p) for j in part.levels]
+                block = [lp_norm(grid, dyadic_block(grid, u, j), p) for j in part.levels]
             per = np.array([2.0 ** (j * s) * b for j, b in zip(part.levels, block)])
-            value = float(np.max(per)) if np.isinf(r) else float(np.sum(per**r) ** (1.0 / r))
+            value = float(np.sum(per))
             assert rep.per_level == tuple(per)
             assert rep.value == value
             assert rep.leakage == float((per[0] + per[-1]) / np.sum(per))

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from lamelab.besov import BesovIndex, besov_norm_report, default_partition, heat_char_weighting, heat_profile
+from lamelab.besov import BesovIndex, besov_norm_report, heat_char_weighting, heat_profile
 from lamelab import cli
 from lamelab.cli import main
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid
 from lamelab.io import read_csv, read_field
+from lamelab.lagrangian import grad_besov_l1, picard_solve
 from lamelab.maxreg import DegenerateProbeError
 from lamelab.operators import LameParams, ScaledLaplacian
+from lamelab.scenarios import parse_flow
 
 
 def run_cli(args):
@@ -84,6 +86,28 @@ class TestFlowCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["summary"]["iterations"] >= 1
+
+    def test_flow_budget_rows(self, tmp_path):
+        # the flow-map budget of the converged state, and its test against picard.c0
+        cfg = {
+            "grid": SMALL_GRID,
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "u0": {"kind": "band", "seed": 1, "amplitude": 0.05, "kmin": 1, "kmax": 3},
+            "picard": {"T": 0.3, "dt": 0.1},
+        }
+        plan = parse_flow(cfg, 0)
+        state, _ = picard_solve(plan["rho0"], plan["params"], plan["u0"], plan["T"], plan["pcfg"])
+        budget = grad_besov_l1(state, plan["pcfg"].p)
+        rows = {}
+        for side, c0 in (("below", budget * (1.0 - 1e-9)), ("above", budget * (1.0 + 1e-9))):
+            path = write_config(tmp_path / f"{side}.json", {**cfg, "picard": {**cfg["picard"], "c0": c0}})
+            assert run_cli(["flow", "--config", path, "--out", tmp_path / side]) == 0
+            _, rows[side] = read_csv(tmp_path / side / "diagnostics.csv")
+        assert [r[0] for r in rows["below"][:4]] == ["u0_norm", "smallness_ok", "flow_budget", "flow_smallness_ok"]
+        assert float(rows["below"][2][1]) == pytest.approx(budget, rel=1e-14)
+        assert (rows["below"][3][1], rows["above"][3][1]) == ("0", "1")
+        assert rows["below"][:3] + rows["below"][4:] == rows["above"][:3] + rows["above"][4:]
 
 
 class TestKernelCommand:
@@ -232,6 +256,8 @@ class TestConfigErrorWritesNothing:
         # cg_tol is relative to |b|: from 1 up it asks for no accuracy
         "kernel_cg_tol_one": ("kernel", {**KERNEL, "stepper": {"dt": 0.01, "cg_tol": 1.0}}, []),
         "oracle_no_times": ("oracle", {"times": []}, []),
+        # CG that may not iterate never meets its tolerance
+        "oracle_cg_maxiter_zero": ("oracle", {"times": [0.05], "stepper": {"dt": 0.01, "cg_maxiter": 0}}, []),
         "flow_nan_horizon": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": float("nan"), "dt": 0.1}}, []),
         # p = 1 in 2D puts the gradient budget at s = n/p = 2, outside the Besov range
         "flow_p_one": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "p": 1.0}}, []),
@@ -245,6 +271,11 @@ class TestConfigErrorWritesNothing:
                                                  "cross_validate": True}, []),
         "flow_max_iters_zero": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
                                          "picard": {"T": 0.2, "dt": 0.1, "max_iters": 0}}, []),
+        # no update norm falls to a tolerance <= 0 or NaN
+        "flow_tol_negative": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
+                                       "picard": {"T": 0.2, "dt": 0.1, "tol": -1e-8}}, []),
+        "flow_tol_nan": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
+                                  "picard": {"T": 0.2, "dt": 0.1, "tol": float("nan")}}, []),
         # the twisted flow steps the times in the given order
         "davies_unsorted_times": ("kernel", {**KERNEL, "times": [0.2, 0.1], "davies": {"alphas": [0.0]}}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
@@ -330,14 +361,13 @@ class TestBesovCommand:
         assert run_cli(["besov", "--config", path, "--out", outdir]) == 0
         _, rows = read_csv(outdir / "besov_report.csv")
         grid = Grid(3, 16, 8.0)
-        part = default_partition(grid)
         fields = [random_band_field(grid, 2.0, 3.0, 4 + i, ncomp=3) for i in range(2)]
         expected = [("partition_defect", 0.0, None, None)]
         for s in (0.5, -0.5, 0.0):
             for gname, gen in (("laplacian", ScaledLaplacian(1.0)), ("lame", LameParams(1.0, 1.0))):
                 ratios = []
                 for i, u in enumerate(fields):
-                    b = besov_norm_report(grid, u, BesovIndex(s, 3.0, 1.0), part)
+                    b = besov_norm_report(grid, u, BesovIndex(s, 3.0))
                     h = heat_char_weighting(*heat_profile(grid, u, 3.0, 1, gen), s, 1.0)
                     ratios.append(h.value / b.value)
                     expected.append((f"heat_over_lp_{gname}_{i}", s, ratios[-1], max(b.leakage, h.leakage)))

@@ -1,6 +1,8 @@
 """The package is what its commands run: every top-level function and class in
 src/lamelab is used somewhere in src/, so no code there exists only for tests.
-Test references and paper checks that no command runs live under tests/."""
+Test references and paper checks that no command runs live under tests/.
+Likewise every parameter default is a choice some call in src/ overrides: a
+default that no call passes is a constant, and lives in the body."""
 
 import ast
 from collections import defaultdict
@@ -12,6 +14,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lamelab"
 # the format between src/ and tests/ would put one decision in two modules.
 # _interp.get_backend is read by the benchmark's environment probe.
 EXEMPT = {"read_field", "get_backend"}
+
+# maxreg.norm_equiv_ratio(substeps=): the maxreg command runs the default 16;
+# criterion 7 and test_maxreg pass 8 to keep the suite's run time. Settling on
+# one value needs criterion 7 measured again at that value.
+DEFAULT_EXEMPT = {"substeps"}
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -29,3 +36,34 @@ def test_every_definition_has_a_caller_in_src():
             break
         unused |= found
     assert sorted(d.name for d in unused) == []
+
+
+def test_every_default_is_passed_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    most_positional = defaultdict(int)  # callee name -> most positional arguments at one call
+    keywords = defaultdict(set)  # callee name -> keywords passed at some call
+    for call in (n for n in nodes if isinstance(n, ast.Call)):
+        if isinstance(call.func, (ast.Name, ast.Attribute)):
+            name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            most_positional[name] = max(most_positional[name], len(call.args))  # *args counts as one
+            keywords[name] |= {k.arg for k in call.keywords}
+    methods = {
+        fn
+        for cls in nodes
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+    }
+    unset = []
+    for module, tree in trees.items():
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            args = fn.args.posonlyargs + fn.args.args
+            bound = 1 if fn in methods else 0  # self or cls is not passed by position
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(args) if i >= len(args) - len(fn.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            for position, name in defaulted:
+                by_position = position is not None and most_positional[fn.name] > position
+                if name not in DEFAULT_EXEMPT and name not in keywords[fn.name] and not by_position:
+                    unset.append(f"{module}.{fn.name}({name}=)")
+    assert unset == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lamelab.besov import BesovIndex, besov_norm_report, default_partition
+from lamelab.besov import BesovIndex, besov_norm_report
 from lamelab.fields import checkerboard_density, random_band_field
 from lamelab.grid import Grid, lp_norm
 from lamelab.maxreg import (
@@ -30,7 +30,7 @@ class TestSolveLinear:
         u0 = np.zeros((2,) + grid32.shape)
         rep = solve_linear_maxreg(coef, params, u0, None, 0.0, 2.0, 1.0, StepperConfig(dt=0.05))
         assert rep.ratio == 0.0
-        assert rep.output_total == 0.0
+        assert rep.sup_norm == rep.dt_norm == rep.op_norm == 0.0
 
     def test_constant_density_dyadic_bump(self, grid32, params):
         # s = n/p - 1 = 0, p = 2, single-polarization one-octave bump: the
@@ -50,11 +50,10 @@ class TestSolveLinear:
         s, p, T, dt = 0.0, 2.0, 2.0, 0.005
         rep = solve_linear_maxreg(coef, params, u0, None, s, p, T, StepperConfig(dt=dt))
 
-        idx = BesovIndex(s, p, 1.0)
-        part = default_partition(grid32)
+        idx = BesovIndex(s, p)
         nodes = np.linspace(0.0, T, int(round(T / dt)) + 1)
         traj = np.stack([const_semigroup(grid32, u0, t, params) for t in nodes])
-        bes = lambda u: besov_norm_report(grid32, u, idx, part).value
+        bes = lambda u: besov_norm_report(grid32, u, idx).value
         sup = max(bes(u) for u in traj)
         op_vals = [bes(lame_apply(grid32, u, params)) for u in traj]
         op_l1 = float(np.trapezoid(op_vals, dx=dt))
@@ -71,23 +70,22 @@ class TestSolveLinear:
 class TestSolutionNorms:
     def test_zero_trajectory(self, grid32, params):
         traj = np.zeros((5, 2) + grid32.shape)
-        norms = solution_norms(grid32, traj, 0.1, params, BesovIndex(0.0, 2.0, 1.0))
+        norms = solution_norms(grid32, traj, 0.1, params, BesovIndex(0.0, 2.0))
         assert norms.total == 0.0
 
     def test_requires_three_samples(self, grid32, params):
         traj = np.zeros((2, 2) + grid32.shape)
         with pytest.raises(ValueError):
-            solution_norms(grid32, traj, 0.1, params, BesovIndex(0.0, 2.0, 1.0))
+            solution_norms(grid32, traj, 0.1, params, BesovIndex(0.0, 2.0))
 
     def test_constant_in_time(self, grid32, params):
         u = random_band_field(grid32, 1, 4, seed=4, ncomp=2)
         traj = np.broadcast_to(u, (9,) + u.shape).copy()
         T = 0.8
-        idx = BesovIndex(0.0, 2.0, 1.0)
+        idx = BesovIndex(0.0, 2.0)
         norms = solution_norms(grid32, traj, T / 8, params, idx)
-        part = default_partition(grid32)
-        bes_u = besov_norm_report(grid32, u, idx, part).value
-        bes_lame = besov_norm_report(grid32, lame_apply(grid32, u, params), idx, part).value
+        bes_u = besov_norm_report(grid32, u, idx).value
+        bes_lame = besov_norm_report(grid32, lame_apply(grid32, u, params), idx).value
         assert norms.dt_norm == pytest.approx(0.0, abs=1e-12)
         assert norms.sup_norm == pytest.approx(bes_u, rel=1e-12)
         assert norms.op_norm == pytest.approx(T * bes_lame, rel=1e-12)
@@ -102,9 +100,9 @@ class TestSolutionNorms:
         nt = 801
         t = np.linspace(0.0, T, nt)
         traj = np.exp(-rate * t)[:, None, None, None] * u0
-        idx = BesovIndex(0.0, 2.0, 1.0)
+        idx = BesovIndex(0.0, 2.0)
         norms = solution_norms(grid32, traj, t[1], params, idx)
-        bes_u0 = besov_norm_report(grid32, u0, idx, default_partition(grid32)).value
+        bes_u0 = besov_norm_report(grid32, u0, idx).value
         decay_budget = (1.0 - np.exp(-rate * T)) * bes_u0
         assert norms.sup_norm == pytest.approx(bes_u0, rel=1e-10)
         assert norms.dt_norm == pytest.approx(decay_budget, rel=1e-3)

@@ -15,7 +15,7 @@ from lamelab.varcoef import (
     SolverConvergenceError,
     StepperConfig,
     dense_lame_matrix,
-    dense_semigroup_matrix,
+    dense_semigroup_matrices,
     _pcg,
     _preconditioner,
     evolve,
@@ -66,6 +66,12 @@ class TestStepperConfig:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             StepperConfig(dt=0.0)
+
+    @pytest.mark.parametrize("cg_maxiter", [0, -3])
+    def test_rejects_no_cg_iterations(self, cg_maxiter):
+        # CG that may not iterate never meets its tolerance
+        with pytest.raises(ValueError):
+            StepperConfig(dt=0.1, cg_maxiter=cg_maxiter)
 
 
 def momentum_integral(coef: Coefficient, u: np.ndarray) -> np.ndarray:
@@ -223,13 +229,13 @@ class TestDissipation:
 class TestDenseOracle:
     def test_t_zero_identity(self, rough16, params):
         u0 = random_band_field(rough16.grid, 1, 3, seed=7, ncomp=2)
-        out = (dense_semigroup_matrix(rough16, params, 0.0) @ u0.ravel()).reshape(u0.shape)
+        out = (next(dense_semigroup_matrices(rough16, params, [0.0])) @ u0.ravel()).reshape(u0.shape)
         assert np.max(np.abs(out - u0)) < 1e-12
 
     def test_weighted_symmetry(self, rough16, params):
         # e^{t b L} times multiplication by b is symmetric
         grid = rough16.grid
-        mat = dense_semigroup_matrix(rough16, params, 0.1)
+        mat = next(dense_semigroup_matrices(rough16, params, [0.1]))
         bdiag = np.broadcast_to(rough16.b, (grid.dim,) + grid.shape).ravel()
         sym = mat * bdiag[None, :]
         assert np.max(np.abs(sym - sym.T)) / np.max(np.abs(sym)) < 1e-10
@@ -241,13 +247,13 @@ class TestDenseOracle:
             coef = Coefficient.constant(grid, 1.0)
             u0 = random_band_field(grid, 1, 2, seed=8, ncomp=2)
             t = 0.1
-            oracle = (dense_semigroup_matrix(coef, params, t) @ u0.ravel()).reshape(u0.shape)
+            oracle = (next(dense_semigroup_matrices(coef, params, [t])) @ u0.ravel()).reshape(u0.shape)
             exact = const_semigroup(grid, u0, t, params)
             assert lp_norm(grid, oracle - exact, 2) / lp_norm(grid, exact, 2) <= 1e-12
 
     @pytest.mark.parametrize("dim, n, lam", [(2, 16, 1.0), (3, 8, -0.5)])
     def test_lame_matrix_symmetric(self, dim, n, lam):
-        # dense_semigroup_matrix symmetrizes before eigh, which would hide an asymmetric operator
+        # dense_semigroup_matrices symmetrizes before eigh, which would hide an asymmetric operator
         mat = dense_lame_matrix(Grid(dim, n, 8.0), LameParams(1.0, lam))
         assert np.max(np.abs(mat - mat.T)) <= 1e-13 * np.max(np.abs(mat))
 
@@ -255,19 +261,27 @@ class TestDenseOracle:
         u0 = random_band_field(rough16.grid, 1, 3, seed=9, ncomp=2)
         cfg = StepperConfig(dt=1e-3)
         traj = evolve(rough16, params, u0, [0.0, 0.05], cfg)
-        oracle = (dense_semigroup_matrix(rough16, params, 0.05) @ u0.ravel()).reshape(u0.shape)
+        oracle = (next(dense_semigroup_matrices(rough16, params, [0.05])) @ u0.ravel()).reshape(u0.shape)
         rel = lp_norm(rough16.grid, traj[-1] - oracle, 2) / lp_norm(rough16.grid, oracle, 2)
         assert rel < 1e-4
+
+    def test_times_share_one_decomposition(self, rough16, params):
+        # the matrices of a list of times are those of each time alone
+        times = (0.05, 0.0, 0.2)
+        for t, mat in zip(times, dense_semigroup_matrices(rough16, params, times)):
+            assert np.array_equal(mat, next(dense_semigroup_matrices(rough16, params, [t])))
+        with pytest.raises(ValueError):
+            dense_semigroup_matrices(rough16, params, [0.1, -0.1])
 
     def test_rejects_oversize_grid(self, params):
         grid = Grid(2, 64, 8.0)
         coef = Coefficient.constant(grid, 1.0)
         with pytest.raises(ValueError):
-            dense_semigroup_matrix(coef, params, 0.1)
+            dense_semigroup_matrices(coef, params, [0.1])
 
     def test_dissipation_expm_norm_nonincreasing(self, rough16, params):
         u0 = random_band_field(rough16.grid, 1, 3, seed=10, ncomp=2)
-        mats = [dense_semigroup_matrix(rough16, params, t) for t in (0.0, 0.1, 0.3)]
+        mats = dense_semigroup_matrices(rough16, params, (0.0, 0.1, 0.3))
         norms = [weighted_norm(rough16, (mat @ u0.ravel()).reshape(u0.shape)) for mat in mats]
         assert norms[0] >= norms[1] >= norms[2]
 
