@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid, fftn, ifftn, lp_norm, mean_free
-from .operators import Generator, ScaledLaplacian, _spectral_parts, _weighted_from_parts
+from .operators import Generator, ScaledLaplacian, _apply, _heat, _spectral
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,8 @@ def heat_profile(grid: Grid, u: np.ndarray, p: float, k: int, gen: Generator) ->
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
     nodes = extended_time_nodes(grid, gen)
-    parts = _spectral_parts(grid, mean_free(grid, u), gen)
-    profile = np.array([lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, k), p) for t in nodes])
+    spec = _spectral(grid, mean_free(grid, u), gen)
+    profile = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, k)), p) for t in nodes])
     return nodes, profile
 
 

@@ -102,6 +102,26 @@ class Grid:
         return self._half_mesh(np.arange(self.n) == self.n // 2)
 
     @cached_property
+    def rfreq_split(self) -> tuple:
+        """xi split by the Nyquist rule into the orthogonal pieces xi~ and N on the
+        half spectrum, as (unit directions, squared lengths) of shapes
+        (2, dim, n, ..., n/2 + 1) and (2, n, ..., n/2 + 1); a zero piece has a zero
+        direction. xi~ is xi with each axis's Nyquist entry zeroed, N holds just
+        those entries (-pi/h).
+
+        On the full spectrum the real part of a complex inverse DFT keeps only the
+        Hermitian part of a symbol. Where one axis sits at its Nyquist entry and
+        another does not, the mode's partner has the other axis's frequency negated
+        but not the Nyquist one, so the mixed entries xi_a xi_b of xi xi^T cancel:
+        the real-data symbol of xi xi^T is xi~ xi~^T + N N^T. Both outer products
+        are even in k, so a symbol built from them maps Hermitian data to Hermitian
+        data, as the real inverse transform assumes.
+        """
+        pieces = np.stack([np.where(self.rnyquist, 0.0, self.rfreq), np.where(self.rnyquist, self.rfreq, 0.0)])
+        sq = np.sum(pieces**2, axis=1)
+        return pieces / np.sqrt(np.where(sq > 0.0, sq, np.inf))[:, None], sq
+
+    @cached_property
     def rderiv(self) -> np.ndarray:
         """Odd-derivative symbols i*xi_a on the half spectrum, shape (dim, n, ..., n/2 + 1).
 

@@ -226,8 +226,9 @@ class PicardConfig:
     def __post_init__(self):
         if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (np.isfinite(self.stop_tol_rel) and self.stop_tol_rel > 0):
-            raise ValueError(f"tol must be a finite number > 0, got {self.stop_tol_rel}")
+        for name, value in (("tol", self.stop_tol_rel), ("c", self.smallness_c), ("c0", self.flow_smallness_c0)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
     @property
     def stepper(self) -> StepperConfig:

@@ -1,31 +1,27 @@
 """Constant-coefficient operators and their exact semigroups.
 
-The elastic operator mu*Lap + (lambda+mu)*grad(div) diagonalizes per
-frequency over the Hodge split: on curl-free modes it acts as nu*Lap with
-nu = lambda + 2*mu, on divergence-free modes as mu*Lap. Everything here is
-an exact per-frequency multiplication.
+Every operator function here is f(-G^) for one scalar function f of the
+half-spectrum symbol of a generator G, applied on the half spectrum of the
+real FFT (grid.fftn/ifftn). c*Lap has the one eigenvalue c|xi|^2. The elastic
+operator mu*Lap + (lam+mu)*grad(div) has the symbol
+-(z0 I + (lam+mu) (xi~ xi~^T + N N^T)), z0 = mu|xi|^2, where xi~ and N are the
+orthogonal Nyquist-rule pieces of xi (Grid.rfreq_split). Its eigenvalues are
+z0 off span{xi~, N}, z0 + (lam+mu)|xi~|^2 on xi~ and z0 + (lam+mu)|N|^2 on N,
+so
 
-All of it runs on the half spectrum of the real FFT (grid.fftn/ifftn) through one
-path: a field is transformed once and split into its Hodge parts
-(_spectral_parts), and an isotropic symbol a(|xi|) P + b(|xi|) Q is applied
-to the parts (_apply_symbols).
+    f(-G^) = f(z0) I + sum over v = xi~, N of (f(z_v) - f(z0)) v v^T / |v|^2.
 
-Nyquist rule. On the full spectrum the real part of a complex inverse DFT
-keeps only the Hermitian part of a symbol. Where exactly one of two axes sits
-at its Nyquist entry k = -n/2, the mode's partner has the other axis's
-frequency negated but not the Nyquist one, so the mixed entries xi_a xi_b of
-xi xi^T cancel. The real inverse grid.ifftn assumes a Hermitian input instead,
-so the projector states the cancellation explicitly:
-Q = (xi~ xi~^T + N N^T) / |xi|^2, where xi~ is xi with each axis's Nyquist
-entry zeroed and N holds just those entries, signed -pi/h as in the complex
-FFT. This reproduces the complex
-path to rounding on data with Nyquist content.
+lame_apply is f = -z, the semigroups are f = (-tz)^k e^{-tz}, and the CG
+preconditioner of varcoef is f = 1/(a + theta z). A field's spectrum and its
+coordinates on v/|v| are taken once (_spectral) and any number of f are
+applied to them (_apply). Away from the Nyquist planes xi~ = xi and N = 0, and
+this is the Hodge split: nu|xi|^2 on curl-free modes, mu|xi|^2 on
+divergence-free ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -72,70 +68,60 @@ def _check_vector(grid: Grid, u: np.ndarray) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=8)
-def _gradient_projector(grid: Grid) -> np.ndarray:
-    """Q(xi) on the half spectrum with the Nyquist rule, shape (dim, dim, n, ..., n/2 + 1).
-
-    Q = (xi~ xi~^T + N N^T) / |xi|^2 with Q(0) = 0, where xi~ is xi with each
-    axis's Nyquist entry zeroed and N holds just those entries (-pi/h).
-    """
-    xi, ny = grid.rfreq, grid.rnyquist
-    xi_t = np.where(ny, 0.0, xi)
-    nyq = np.where(ny, xi, 0.0)
-    xi2 = grid.rfreq_sq.copy()
-    xi2[xi2 == 0.0] = np.inf  # sends the zero mode's Q-part to zero
-    outer = np.einsum("a...,b...->ab...", xi_t, xi_t) + np.einsum("a...,b...->ab...", nyq, nyq)
-    return outer / xi2
-
-
-def _hodge_split(grid: Grid, u_hat: np.ndarray):
-    """Split half-spectrum vector data into (divergence-free part, curl-free part).
-
-    The zero mode goes entirely to the divergence-free part: the gradient
-    projector annihilates constants.
-    """
-    q_hat = np.sum(_gradient_projector(grid) * u_hat[None], axis=1)
-    return u_hat - q_hat, q_hat
-
-
-def _spectral_parts(grid: Grid, u: np.ndarray, gen: Generator) -> list:
-    """Half spectrum of u split into the parts on which gen acts as a scalar
-    -c|xi|^2: [u_hat] for c*Lap, [P u_hat, Q u_hat] for the elastic operator."""
+def _eigen(grid: Grid, gen: Generator) -> tuple:
+    """Eigen-decomposition of the half-spectrum symbol -G^ of gen (module docstring):
+    (z0, pieces) with z0 the eigenvalue off the pieces and (z_v, e_v) per unit
+    direction e_v = v/|v| of grid.rfreq_split. c*Lap has no pieces."""
     if isinstance(gen, ScaledLaplacian):
-        return [fftn(grid, _check_field(grid, u))]
-    return list(_hodge_split(grid, fftn(grid, _check_vector(grid, u))))
+        return gen.c * grid.rfreq_sq, []
+    z0 = gen.mu * grid.rfreq_sq
+    units, sq = grid.rfreq_split
+    return z0, [(z0 + (gen.lam + gen.mu) * s, e) for e, s in zip(units, sq)]
 
 
-def _symbols(grid: Grid, gen: Generator, f) -> list:
-    """f(c|xi|^2) on the half spectrum for each diffusivity c of gen, in part order."""
-    xi2 = grid.rfreq_sq
-    if isinstance(gen, ScaledLaplacian):
-        return [f(gen.c * xi2)]
-    return [f(gen.mu * xi2), f(gen.nu * xi2)]
+def _spectral(grid: Grid, u: np.ndarray, gen: Generator) -> tuple:
+    """The spectral data of u that _apply reads, taken once per field: the
+    decomposition of -G^, the half spectrum u_hat and e_v.u_hat per piece.
+    c*Lap acts componentwise on any field, the elastic operator on vector fields."""
+    z0, pieces = _eigen(grid, gen)
+    check = _check_field if isinstance(gen, ScaledLaplacian) else _check_vector
+    u_hat = fftn(grid, check(grid, u))
+    return z0, pieces, u_hat, [np.sum(e * u_hat, axis=0) for _, e in pieces]
 
 
-def _apply_symbols(grid: Grid, parts: list, symbols: list) -> np.ndarray:
-    """The isotropic symbol a(|xi|) P + b(|xi|) Q (a(|xi|) on scalars) applied to
-    spectral parts: the one spectral-symbol path of the package."""
-    out_hat = symbols[0] * parts[0]
-    for sym, part in zip(symbols[1:], parts[1:]):
-        out_hat += sym * part
+def _apply(grid: Grid, spec: tuple, f) -> np.ndarray:
+    """f(-G^) u on the grid, from the spectral data of u (see _spectral)."""
+    z0, pieces, u_hat, coords = spec
+    f0 = f(z0)
+    out_hat = f0 * u_hat
+    for (z, e), c in zip(pieces, coords):
+        out_hat += e * ((f(z) - f0) * c)
     return ifftn(grid, out_hat)
+
+
+def _symbol_matrix(grid: Grid, gen: Generator, f) -> np.ndarray:
+    """f(-G^) per mode as a dense matrix, shape (dim, dim, n, ..., n/2 + 1)."""
+    z0, pieces = _eigen(grid, gen)
+    f0 = f(z0)
+    mat = np.einsum("ab,...->ab...", np.eye(grid.dim), f0)
+    for z, e in pieces:
+        mat += np.einsum("a...,b...->ab...", (f(z) - f0) * e, e)
+    return mat
+
+
+def _heat(t: float, k: int):
+    """The f of (tG)^k e^{tG}: z -> (-tz)^k e^{-tz}."""
+    return lambda z: (-t * z) ** k * np.exp(-t * z)
 
 
 def lame_apply(grid: Grid, u: np.ndarray, gen: Generator) -> np.ndarray:
     """Spectral application of a constant-coefficient generator: the elastic
     operator mu*Lap + (lam+mu)*grad(div) to a vector field, or c*Lap to any field."""
-    return _apply_symbols(grid, _spectral_parts(grid, u, gen), _symbols(grid, gen, np.negative))
+    return _apply(grid, _spectral(grid, u, gen), np.negative)
 
 
 def const_semigroup(grid: Grid, u: np.ndarray, t: float, gen: Generator) -> np.ndarray:
     """Heat flow of the generator at time t >= 0 (exact per-frequency decay)."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return _weighted_from_parts(grid, _spectral_parts(grid, u, gen), gen, t, 0)
-
-
-def _weighted_from_parts(grid: Grid, parts: list, gen: Generator, t: float, k: int) -> np.ndarray:
-    """(t*G)^k e^{t*G} u from the spectral parts of u (see _spectral_parts)."""
-    return _apply_symbols(grid, parts, _symbols(grid, gen, lambda z: (-t * z) ** k * np.exp(-t * z)))
+    return _apply(grid, _spectral(grid, u, gen), _heat(t, 0))

@@ -2,16 +2,11 @@
 
 The theta-scheme node-space system A = rho/dt - theta*L is symmetric positive
 definite and is solved by conjugate gradients, preconditioned by the exact
-inverse of P = a - theta*L at the mean density, a = mean(rho)/dt. On the
-half spectrum the symbol of P is c0 I + c (xi~ xi~^T + N N^T) with
-c0 = a + theta*mu*|xi|^2 and c = theta*(lam + mu), where xi~ and N are the
-orthogonal pieces of the Nyquist rule (see operators). Two Sherman-Morrison
-updates invert it in closed form:
-
-    P^{-1} = (I - g_t xi~ xi~^T - g_n N N^T) / c0,  g = c / (c0 + c |.|^2),
-
-and c0 + c |.|^2 >= a + theta*min(mu, nu)*|xi|^2 > 0. Because the inverse is
-exact, A = P + R with R = rho/dt - a pointwise, and P applied to the search
+inverse of P = a - theta*L at the mean density, a = mean(rho)/dt: the symbol
+function f = 1/(a + theta*z) of the eigen-decomposition of -L^ (see
+operators), built once per step as a dense dim x dim matrix per mode. Its
+eigenvalues a + theta*z are >= a > 0. Because the inverse is exact,
+A = P + R with R = rho/dt - a pointwise, and P applied to the search
 direction follows the direction's own recurrence: each CG iteration costs one
 forward and one inverse transform. The preconditioned spectrum is pinned
 inside [m^2, 1/m^2], so iteration counts are mesh-independent. On small
@@ -27,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, _check_field, fftn, ifftn
-from .operators import LameParams, lame_apply
+from .operators import LameParams, _symbol_matrix, lame_apply
 
 
 class SolverConvergenceError(RuntimeError):
@@ -99,16 +94,7 @@ def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
     """Exact inverse of a - theta*L per frequency (module docstring), as a
     function of the residual. The inverse symbol is built once, here; each
     application costs one forward and one inverse transform."""
-    xi, ny = grid.rfreq, grid.rnyquist
-    c0 = a + theta * params.mu * grid.rfreq_sq
-    c = theta * (params.lam + params.mu)
-    inv = np.zeros((grid.dim,) + xi.shape)
-    for k in range(grid.dim):
-        inv[k, k] = 1.0
-    for piece in (np.where(ny, 0.0, xi), np.where(ny, xi, 0.0)):  # xi~, then N
-        g = c / (c0 + c * np.sum(piece**2, axis=0))
-        inv -= g * np.einsum("a...,b...->ab...", piece, piece)
-    inv /= c0
+    inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + theta * z))
     return lambda r: ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
 
 

@@ -4,7 +4,7 @@ import scipy.fft
 
 from lamelab.besov import default_partition
 from lamelab.grid import Grid, fftn, ifftn
-from lamelab.operators import LameParams, _check_vector, _hodge_split
+from lamelab.operators import LameParams
 
 
 @pytest.fixture(scope="session")
@@ -48,16 +48,7 @@ def rng_field(grid, seed, ncomp=None):
     return rng.standard_normal(shape)
 
 
-# Projections through the package's own spectral pieces: the Hodge split of
-# the elastic operator and the dyadic masks of the Besov norms.
-
-
-def hodge_project(grid, u, which):
-    """Apply the divergence-free ('P') or gradient ('Q') projector to a vector field."""
-    if which not in ("P", "Q"):
-        raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
-    p_hat, q_hat = _hodge_split(grid, fftn(grid, _check_vector(grid, u)))
-    return ifftn(grid, p_hat if which == "P" else q_hat)
+# Projection through the package's own dyadic masks of the Besov norms.
 
 
 def dyadic_block(grid, u, j):
@@ -104,6 +95,14 @@ def full_hodge_symbols(grid):
     for a in range(grid.dim):
         eye[a, a] = 1.0
     return eye - q, q
+
+
+def hodge_project(grid, u, which):
+    """Apply the divergence-free ('P') or gradient ('Q') projector of full_hodge_symbols to a vector field."""
+    if which not in ("P", "Q"):
+        raise ValueError(f"which must be 'P' or 'Q', got {which!r}")
+    sym = full_hodge_symbols(grid)[0 if which == "P" else 1]
+    return full_ifftn(grid, np.einsum("ab...,b...->a...", sym, full_fftn(grid, u)))
 
 
 # Second-order finite-difference Lame operator: the O(h^2) reference that the

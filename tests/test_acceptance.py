@@ -242,7 +242,7 @@ def test_criterion_7_norm_equivalence(params):
         ratios = [
             norm_equiv_ratio(
                 coef, params, random_band_field(grid, 1, 4, seed=200 + s, ncomp=2),
-                0.5, 1.0, StepperConfig(dt=1.0), substeps=8,
+                0.5, 1.0, StepperConfig(dt=1.0),
             )
             for s in range(20)
         ]

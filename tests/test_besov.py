@@ -17,7 +17,7 @@ from lamelab.besov import (
 )
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid, fftn, lp_norm, mean_free
-from lamelab.operators import ScaledLaplacian, _spectral_parts, _weighted_from_parts
+from lamelab.operators import ScaledLaplacian, _apply, _heat, _spectral
 from lamelab.scenarios import ConfigError, parse_besov
 
 from conftest import dyadic_block, full_fftn, full_freq_sq, full_ifftn, gaussian_bump, plane_wave, rng_field
@@ -229,8 +229,8 @@ class TestHeatCharacterization:
         u = mean_free(grid64, u)
         nodes = 1e-7 * 2.0 ** (0.5 * np.arange(70))  # covers [1e-7, 3e3]
         gen = ScaledLaplacian(1.0)
-        parts = _spectral_parts(grid64, u, gen)  # heat_profile's path on these nodes
-        profile = [lp_norm(grid64, _weighted_from_parts(grid64, parts, gen, t, k), 2.0) for t in nodes]
+        spec = _spectral(grid64, u, gen)  # heat_profile's path on these nodes
+        profile = [lp_norm(grid64, _apply(grid64, spec, _heat(t, k)), 2.0) for t in nodes]
         val = heat_char_weighting(nodes, profile, s, 2.0).value
         u_hat = full_fftn(grid64, u)
         c = grid64.cell_volume / grid64.size * np.abs(u_hat) ** 2
@@ -402,12 +402,12 @@ class TestProfiles:
         u = random_band_field(grid, 1, 6, seed=4, ncomp=2)
         nodes, profile = heat_profile(grid, u, p, 1, gen)
         assert np.array_equal(nodes, extended_time_nodes(grid, gen))
-        parts = _spectral_parts(grid, mean_free(grid, u), gen)
+        spec = _spectral(grid, mean_free(grid, u), gen)
         for s in self.S_VALUES:
             rep = heat_char_weighting(nodes, profile, s, q)
             # direct evaluation at this s
             g = np.array(
-                [t ** (-s / 2.0) * lp_norm(grid, _weighted_from_parts(grid, parts, gen, t, 1), p) for t in nodes]
+                [t ** (-s / 2.0) * lp_norm(grid, _apply(grid, spec, _heat(t, 1)), p) for t in nodes]
             )
             value = float(np.max(g)) if np.isinf(q) else float((0.5 * np.log(2.0) * np.sum(g**q)) ** (1.0 / q))
             assert rep.per_level == tuple(g)

@@ -276,6 +276,10 @@ class TestConfigErrorWritesNothing:
                                        "picard": {"T": 0.2, "dt": 0.1, "tol": -1e-8}}, []),
         "flow_tol_nan": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
                                   "picard": {"T": 0.2, "dt": 0.1, "tol": float("nan")}}, []),
+        # the certified-smallness constants bound norms: finite and > 0
+        "flow_c0_nan": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "c0": float("nan")}}, []),
+        "flow_c0_negative": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "c0": -1}}, []),
+        "flow_c_negative": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "c": -1}}, []),
         # the twisted flow steps the times in the given order
         "davies_unsorted_times": ("kernel", {**KERNEL, "times": [0.2, 0.1], "davies": {"alphas": [0.0]}}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),

@@ -2,7 +2,8 @@
 src/lamelab is used somewhere in src/, so no code there exists only for tests.
 Test references and paper checks that no command runs live under tests/.
 Likewise every parameter default is a choice some call in src/ overrides: a
-default that no call passes is a constant, and lives in the body."""
+default that no call passes is a constant, and lives in the body. And the
+Nyquist rule of the half spectrum is stated once, in grid.py."""
 
 import ast
 from collections import defaultdict
@@ -14,11 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "lamelab"
 # the format between src/ and tests/ would put one decision in two modules.
 # _interp.get_backend is read by the benchmark's environment probe.
 EXEMPT = {"read_field", "get_backend"}
-
-# maxreg.norm_equiv_ratio(substeps=): the maxreg command runs the default 16;
-# criterion 7 and test_maxreg pass 8 to keep the suite's run time. Settling on
-# one value needs criterion 7 measured again at that value.
-DEFAULT_EXEMPT = {"substeps"}
 
 
 def test_every_definition_has_a_caller_in_src():
@@ -64,6 +60,16 @@ def test_every_default_is_passed_in_src():
             defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
             for position, name in defaulted:
                 by_position = position is not None and most_positional[fn.name] > position
-                if name not in DEFAULT_EXEMPT and name not in keywords[fn.name] and not by_position:
+                if name not in keywords[fn.name] and not by_position:
                     unset.append(f"{module}.{fn.name}({name}=)")
     assert unset == []
+
+
+def test_nyquist_rule_lives_in_grid():
+    # the other modules read the rule's result (Grid.rfreq_split, Grid.rderiv), never the mask
+    readers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if any(isinstance(n, ast.Attribute) and n.attr == "rnyquist" for n in ast.walk(ast.parse(path.read_text())))
+    )
+    assert readers == ["grid.py"]

@@ -24,12 +24,13 @@ from lamelab.grid import (
 from lamelab.operators import (
     LameParams,
     ScaledLaplacian,
-    _spectral_parts,
-    _weighted_from_parts,
+    _apply,
+    _heat,
+    _spectral,
     const_semigroup,
     lame_apply,
 )
-from lamelab.varcoef import _preconditioner
+from lamelab.varcoef import Coefficient, _preconditioner, dense_lame_matrix, dense_semigroup_matrices
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid
 
@@ -178,7 +179,7 @@ class TestSemigroup:
         t = 0.11
         z = -gen.c * t * xi2
         expected = z * np.exp(z) * u
-        got = _weighted_from_parts(grid64, _spectral_parts(grid64, u, gen), gen, t, 1)
+        got = _apply(grid64, _spectral(grid64, u, gen), _heat(t, 1))
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -205,7 +206,10 @@ def _rel_err(got, ref):
 
 class TestComplexPathAgreement:
     """The half-spectrum path reproduces the complex-FFT path on white noise,
-    which carries full Nyquist content (where a naive port is off by percents)."""
+    which carries full Nyquist content (where a naive port is off by percents).
+    The semigroups are checked against the dense exponential of lame_apply
+    instead: on the Nyquist-mixed modes the complex path's a P + b Q is not a
+    function of the real-data symbol (its Q is not idempotent there)."""
 
     @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
     def case(self, request):
@@ -217,19 +221,14 @@ class TestComplexPathAgreement:
         grid, u, _ = case
         params = LameParams(1.0, 1.5)
         xi2 = full_freq_sq(grid)
-        z_mu, z_nu = params.mu * xi2, params.nu * xi2
+        ref = _complex_isotropic(grid, u, -params.mu * xi2, -params.nu * xi2)
+        assert _rel_err(lame_apply(grid, u, params), ref) <= 1e-13
         t = 0.03
-        e_mu, e_nu = np.exp(-t * z_mu), np.exp(-t * z_nu)
-        parts = _spectral_parts(grid, u, params)
-        pairs = [
-            (lame_apply(grid, u, params), -z_mu, -z_nu),
-            (const_semigroup(grid, u, t, params), e_mu, e_nu),
-            (_weighted_from_parts(grid, parts, params, t, 1), -t * z_mu * e_mu, -t * z_nu * e_nu),
-            (hodge_project(grid, u, "P"), 1.0, 0.0),
-            (hodge_project(grid, u, "Q"), 0.0, 1.0),
-        ]
-        for got, a, b in pairs:
-            assert _rel_err(got, _complex_isotropic(grid, u, a, b)) <= 1e-13
+        expm = next(dense_semigroup_matrices(Coefficient.constant(grid, 1.0), params, [t]))
+        ref = (expm @ u.ravel()).reshape(u.shape)
+        assert _rel_err(const_semigroup(grid, u, t, params), ref) <= 1e-13
+        ref = t * (dense_lame_matrix(grid, params) @ ref.ravel()).reshape(u.shape)
+        assert _rel_err(_apply(grid, _spectral(grid, u, params), _heat(t, 1)), ref) <= 1e-13
 
     @pytest.mark.parametrize("lam", [1.5, -1.5])
     def test_preconditioner_inverts_operator(self, case, lam):

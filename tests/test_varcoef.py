@@ -22,7 +22,7 @@ from lamelab.varcoef import (
     theta_step,
 )
 
-from conftest import plane_wave
+from conftest import plane_wave, rng_field
 
 
 @pytest.fixture(scope="module")
@@ -241,14 +241,20 @@ class TestDenseOracle:
         assert np.max(np.abs(sym - sym.T)) / np.max(np.abs(sym)) < 1e-10
 
     def test_constant_density_against_spectral(self, params):
-        # at rho = 1 the oracle exponentiates the very symbol const_semigroup applies
+        # at rho = 1 the oracle exponentiates the very symbol const_semigroup applies, also on
+        # white noise, which fills the Nyquist-mixed modes where xi~ and N are distinct eigenvectors
+        cases = []
         for n in (16, 32):
             grid = Grid(2, n, 8.0)
+            cases.append((grid, random_band_field(grid, 1, 2, seed=8, ncomp=2), params))
+        for dim, n in ((2, 16), (3, 8)):
+            grid = Grid(dim, n, 8.0)
+            cases += [(grid, rng_field(grid, 40 + dim, ncomp=dim), LameParams(1.0, lam)) for lam in (1.5, -1.5)]
+        t = 0.1
+        for grid, u0, gen in cases:
             coef = Coefficient.constant(grid, 1.0)
-            u0 = random_band_field(grid, 1, 2, seed=8, ncomp=2)
-            t = 0.1
-            oracle = (next(dense_semigroup_matrices(coef, params, [t])) @ u0.ravel()).reshape(u0.shape)
-            exact = const_semigroup(grid, u0, t, params)
+            oracle = (next(dense_semigroup_matrices(coef, gen, [t])) @ u0.ravel()).reshape(u0.shape)
+            exact = const_semigroup(grid, u0, t, gen)
             assert lp_norm(grid, oracle - exact, 2) / lp_norm(grid, exact, 2) <= 1e-12
 
     @pytest.mark.parametrize("dim, n, lam", [(2, 16, 1.0), (3, 8, -0.5)])
