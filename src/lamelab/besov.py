@@ -153,6 +153,15 @@ def _geometric_nodes(t_lo: float, t_hi: float) -> np.ndarray:
     return t_lo * 2.0 ** (0.5 * np.arange(count))
 
 
+def geometric_lq(g: np.ndarray, q: float, tail: float = 0.0) -> float:
+    """|| g ||_{L^q(dt/t)} of a weighted profile g sampled on _geometric_nodes
+    (ratio sqrt 2, so each node stands for dt/t = log(2)/2); tail is a known
+    part of the integral of g^q dt/t that the nodes do not cover."""
+    if np.isinf(q):
+        return float(np.max(g))
+    return float((0.5 * math.log(2.0) * np.sum(g**q) + tail) ** (1.0 / q))
+
+
 def heat_time_nodes(grid: Grid, gen: Generator) -> np.ndarray:
     """Geometric quadrature nodes (ratio sqrt 2) covering the grid-resolvable
     scales, from t = h^2/c to t = L^2/c with c the smallest diffusivity.
@@ -199,11 +208,6 @@ def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float, q: flo
     for k > s/2 and q > 0, exponentially accurate on geometric nodes for these
     log-smooth integrands. per_level holds the weighted profile at each node."""
     g = np.array([t ** (-s / 2.0) * v for t, v in zip(nodes, profile)])
-    w = 0.5 * math.log(2.0)  # dt/t per geometric node
-    if np.isinf(q):
-        value = float(np.max(g))
-    else:
-        value = float((w * np.sum(g**q)) ** (1.0 / q))
     total = float(np.sum(g))
     leakage = (g[0] + g[-1]) / total if total > 0 else 0.0
-    return NormReport(value, float(leakage), tuple(g))
+    return NormReport(geometric_lq(g, q), float(leakage), tuple(g))

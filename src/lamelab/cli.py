@@ -199,19 +199,18 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
 def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
     grid = rho0.grid
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
-    # the flow-map budget of the converged state, taken before flow_map's arrays exist
-    flow_budget = grad_besov_l1(state, pcfg.p)
+    flow = flow_map(state)
+    flow_budget = grad_besov_l1(state, flow, pcfg.p)
     iter_rows = []
     for k, delta in enumerate(diag.delta_norms):
         factor = diag.contraction_factors[k - 1] if k >= 1 else ""
         iter_rows.append((k + 1, diag.iterate_norms[k + 1], delta, factor))
     write_csv(out / "iterations.csv", ["k", "solution_norm", "update_norm", "contraction_factor"], iter_rows)
 
-    flow = flow_map(state)
     eul = pushforward_eulerian(state, flow)
     transport = density_transport_check(state, flow, eul)
     residual = scheme_residual(state, flow, pcfg.stepper.theta)
-    gsi, gsi_extrapolated = grad_sup_integral(state)
+    gsi, gsi_extrapolated = grad_sup_integral(state, flow)
     diag_rows = [
         ("u0_norm", diag.u0_norm),
         ("smallness_ok", int(diag.smallness_ok)),

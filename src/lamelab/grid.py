@@ -155,26 +155,19 @@ def ifftn(grid: Grid, u_hat: np.ndarray) -> np.ndarray:
     return scipy.fft.irfftn(u_hat, s=grid.shape, axes=grid.spatial_axes)
 
 
-def gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a scalar field, shape (dim, *shape)."""
-    u = _check_field(grid, u)
-    if u.shape != grid.shape:
-        raise ValueError(f"expected scalar field {grid.shape}, got {u.shape}")
-    return ifftn(grid, grid.rderiv * fftn(grid, u))
-
-
-def jacobian(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Spectral Jacobian of a vector field: out[i, j] = d v_i / d x_j."""
-    v = _check_field(grid, v)
-    if v.shape[0] != grid.dim or v.ndim != grid.dim + 1:
-        raise ValueError(f"expected vector field (dim, *shape), got {v.shape}")
-    return ifftn(grid, grid.rderiv[None] * fftn(grid, v)[:, None])
+def jacobian(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Spectral derivative of every component of a field or stack of fields:
+    u of shape (..., *shape) gives (..., dim, *shape), where index a of the
+    axis before the spatial ones holds d/dx_a. A scalar field gives its
+    gradient, a vector field v its Jacobian out[i, j] = d v_i / d x_j."""
+    u_hat = np.expand_dims(fftn(grid, u), -grid.dim - 1)
+    return ifftn(grid, grid.rderiv * u_hat)
 
 
 def divergence(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a vector field."""
-    v = _check_field(grid, v)
-    return ifftn(grid, np.sum(grid.rderiv * fftn(grid, v), axis=0))
+    """Spectral divergence over the axis just before the spatial axes, for a
+    vector field or any stack of them: shape (..., dim, *shape) -> (..., *shape)."""
+    return ifftn(grid, np.sum(grid.rderiv * fftn(grid, v), axis=-grid.dim - 1))
 
 
 def field_magnitude(grid: Grid, u: np.ndarray) -> np.ndarray:

@@ -227,8 +227,7 @@ def gaussian_fit(slices) -> GaussianFit:
 def _grad_symmetrized(slc: KernelSlice) -> np.ndarray:
     """Spectral x-gradient of every kernel entry, shape (dim, dim, dim, *shape)
     with the derivative axis just before the spatial axes."""
-    s = slc.symmetrized
-    return np.stack([jacobian(slc.grid, s[i]) for i in range(slc.grid.dim)])
+    return jacobian(slc.grid, slc.symmetrized)
 
 
 def gradient_envelope(slices) -> GaussianFit:

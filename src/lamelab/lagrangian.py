@@ -2,10 +2,12 @@
 for the pressureless viscous system, and its Eulerian cross-checks.
 
 Unknowns live on the initial (Lagrangian) grid; trajectories are
-X(t, y) = y + integral of the velocity, and all geometry (Jacobian, its
-inverse, adjugate, determinant) is carried nodewise with closed-form
-cofactors, which is exact for dim <= 3. Compositions with X or its inverse
-go through periodic cubic interpolation.
+X(t, y) = y + integral of the velocity. The velocity gradient Du is taken once
+per flow map, as one stack over the time samples, and everything else reads
+it: DX = I + integral of Du, the flow-map budget, and the nonlinearity. The
+geometry of DX (adjugate, determinant; the inverse is adj / det) is carried
+nodewise with closed-form cofactors, which is exact for dim <= 3.
+Compositions with X or its inverse go through periodic cubic interpolation.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ import numpy as np
 
 from ._interp import interp_periodic, spline_prefilter
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports
-from .grid import (
-    Grid,
-    divergence,
-    field_magnitude,
-    gradient,
-    integral,
-    jacobian,
-)
+from .grid import Grid, divergence, field_magnitude, integral, jacobian
 from .maxreg import solution_norms, time_grid
 from .operators import LameParams, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve, theta_step
@@ -113,35 +108,38 @@ class LagrangianState:
 
 @dataclass(frozen=True, eq=False)
 class FlowMapData:
-    """Trajectory geometry: displacement X - id and its Jacobian package."""
+    """Trajectory geometry: displacement X - id, the velocity gradient, and the
+    adjugate and determinant of DX = I + integral of grad."""
 
     disp: np.ndarray  # (nt, dim, *shape)
-    jac: np.ndarray  # DX,      (nt, dim, dim, *shape)
-    jac_inv: np.ndarray  # (DX)^-1
-    adj: np.ndarray  # adjugate, det * inverse
+    grad: np.ndarray  # Du, grad[:, a, b] = d_b u_a, (nt, dim, dim, *shape)
+    adj: np.ndarray  # adjugate of DX, det * inverse
     det: np.ndarray  # (nt, *shape)
 
 
+def _time_integral(f: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid integral from t = 0 to every time sample (leading axis)."""
+    out = np.zeros_like(f)
+    np.cumsum(dt * (f[1:] + f[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
+
+
 def flow_map(state: LagrangianState) -> FlowMapData:
-    """Integrate the velocity to trajectories and assemble DX, its inverse,
-    adjugate, and determinant; raises DiffeomorphismError if det DX <= 0."""
-    grid = state.grid
-    disp = np.zeros_like(state.u)
-    np.cumsum(state.dt * (state.u[1:] + state.u[:-1]) / 2.0, axis=0, out=disp[1:])
-    nt = len(state.t)
-    d = grid.dim
-    jac = np.empty((nt, d, d) + grid.shape)
-    for i in range(nt):
-        jac[i] = jacobian(grid, disp[i])
-        for a in range(d):
-            jac[i, a, a] += 1.0
-    adj = np.stack([matrix_adjugate(jac[i]) for i in range(nt)])
-    det = np.stack([matrix_determinant(jac[i], adj[i]) for i in range(nt)])
+    """Integrate the velocity to trajectories and its gradient to DX, and
+    assemble the adjugate and determinant of DX; raises DiffeomorphismError if
+    det DX <= 0. The spectral derivative commutes with the trapezoid rule, so
+    DX - I is the derivative of the displacement without a transform of it."""
+    disp = _time_integral(state.u, state.dt)
+    grad = jacobian(state.grid, state.u)
+    dx = np.moveaxis(_time_integral(grad, state.dt), (1, 2), (0, 1))  # matrix axes first
+    for a in range(state.grid.dim):
+        dx[a, a] += 1.0
+    adj = matrix_adjugate(dx)
+    det = matrix_determinant(dx, adj)
     if np.min(det) <= 0.0:
         i, *node = np.unravel_index(np.argmin(det), det.shape)
         raise DiffeomorphismError(int(i), tuple(int(c) for c in node), float(np.min(det)))
-    jac_inv = adj / det[:, None, None]
-    return FlowMapData(disp, jac, jac_inv, adj, det)
+    return FlowMapData(disp, grad, np.moveaxis(adj, (0, 1), (1, 2)), det)
 
 
 # -- the Lagrangian nonlinearity -----------------------------------------------------
@@ -160,21 +158,16 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
     out = np.empty_like(state.u)
     eye = np.eye(d).reshape((d, d) + (1,) * d)
     for i in range(len(state.t)):
-        du = jacobian(grid, state.u[i])  # du[a, b] = d_b u_a
-        a_inv = flow.jac_inv[i]
+        du = flow.grad[i]  # du[a, b] = d_b u_a
         adj = flow.adj[i]
+        a_inv = adj / flow.det[i]
         metric = np.einsum("ij...,kj...->ik...", adj, a_inv) - eye
-        term1 = np.stack(
-            [
-                divergence(grid, np.einsum("ij...,j...->i...", metric, du[m]))
-                for m in range(d)
-            ]
+        term1 = divergence(grid, np.einsum("ij...,mj...->mi...", metric, du))
+        traces = np.stack(
+            [np.einsum("ij...,ji...->...", a_inv, du), np.einsum("ij...,ji...->...", a_inv - eye, du)]
         )
-        trace_full = np.einsum("ij...,ji...->...", a_inv, du)
-        g_full = gradient(grid, trace_full)
+        g_full, term3 = jacobian(grid, traces)
         term2 = np.einsum("ji...,j...->i...", adj, g_full) - g_full
-        trace_dev = np.einsum("ij...,ji...->...", a_inv - eye, du)
-        term3 = gradient(grid, trace_dev)
         out[i] = mu * term1 + (mu + lam) * (term2 + term3)
     return out
 
@@ -182,24 +175,20 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
 # -- flow estimates -------------------------------------------------------------------
 
 
-def grad_besov_l1(state: LagrangianState, p: float) -> float:
+def grad_besov_l1(state: LagrangianState, flow: FlowMapData, p: float) -> float:
     """L1-in-time Besov norm (regularity n/p) of the velocity gradient, the
     budget of the flow-map estimate: the flow stays a small perturbation of
     the identity while it is below c0."""
     grid = state.grid
-    grads = np.stack([jacobian(grid, u) for u in state.u])
-    reps = besov_norm_reports(grid, grads, BesovIndex(grid.dim / p, p))
+    reps = besov_norm_reports(grid, flow.grad, BesovIndex(grid.dim / p, p))
     return float(np.trapezoid([r.value for r in reps], dx=state.dt))
 
 
-def grad_sup_integral(state: LagrangianState) -> tuple:
+def grad_sup_integral(state: LagrangianState, flow: FlowMapData) -> tuple:
     """Trapezoid quadrature of the sup-norm of the velocity gradient over time,
     and the same integral extrapolated past the horizon from the decay rate of
     its last two samples (the plain integral when they do not decay)."""
-    vals = [
-        float(np.max(field_magnitude(state.grid, jacobian(state.grid, state.u[i]))))
-        for i in range(len(state.t))
-    ]
+    vals = [float(np.max(field_magnitude(state.grid, g))) for g in flow.grad]
     total = float(np.trapezoid(vals, dx=state.dt))
     g_prev, g_end = vals[-2], vals[-1]
     if g_end <= 0 or g_prev <= g_end:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes
+from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_lq
 from .grid import lp_norm
 from .operators import LameParams, _apply, _heat, _spectral, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve
@@ -133,19 +133,15 @@ def solve_linear_maxreg(
 
 
 def _weighted_lq(values: np.ndarray, t_nodes: np.ndarray, s: float, q: float, value_at_zero: float) -> float:
-    """|| t^s g ||_{L^q(dt/t)} on geometric nodes with ratio sqrt(2).
+    """|| t^s g ||_{L^q(dt/t)} by geometric_lq on the nodes of extended_time_nodes.
 
     value_at_zero = g(0+) supplies the analytic t -> 0 tail
     int_0^{t_0} (t^s g(0))^q dt/t of a profile with g(0+) finite, which the
     truncated node sum would otherwise drop (the integrand is edge-heavy for
     s in (0, 1))."""
-    g = t_nodes**s * values
-    if np.isinf(q):
-        return float(np.max(g))
-    w = 0.5 * np.log(2.0)
     t_cut = t_nodes[0] * 2.0 ** (-0.25)  # lower edge of the first node's cell
-    tail = t_cut ** (s * q) * value_at_zero**q / (s * q)
-    return float((w * np.sum(g**q) + tail) ** (1.0 / q))
+    tail = 0.0 if np.isinf(q) else t_cut ** (s * q) * value_at_zero**q / (s * q)
+    return geometric_lq(t_nodes**s * values, q, tail=tail)
 
 
 def refine_time_grid(t_nodes: np.ndarray, substeps: int) -> np.ndarray:

@@ -288,7 +288,7 @@ def test_criterion_9_picard_global_solver(standard_run):
     factors_after_first = diag.contraction_factors
     contraction_ok = len(factors_after_first) > 0 and all(f <= 0.5 for f in factors_after_first)
     residual_ok = r["residual"] <= 10.0 * diag.stop_tol
-    gsi, _ = grad_sup_integral(r["state"])
+    gsi, _ = grad_sup_integral(r["state"], r["flow"])
     jmin, jmax = float(np.min(r["flow"].det)), float(np.max(r["flow"].det))
     transport = density_transport_check(r["state"], r["flow"], r["eulerian"])
     ok = (

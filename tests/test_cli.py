@@ -14,7 +14,7 @@ from lamelab.cli import main
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid
 from lamelab.io import read_csv, read_field
-from lamelab.lagrangian import grad_besov_l1, picard_solve
+from lamelab.lagrangian import flow_map, grad_besov_l1, picard_solve
 from lamelab.maxreg import DegenerateProbeError
 from lamelab.operators import LameParams, ScaledLaplacian
 from lamelab.scenarios import parse_flow
@@ -98,7 +98,7 @@ class TestFlowCommand:
         }
         plan = parse_flow(cfg, 0)
         state, _ = picard_solve(plan["rho0"], plan["params"], plan["u0"], plan["T"], plan["pcfg"])
-        budget = grad_besov_l1(state, plan["pcfg"].p)
+        budget = grad_besov_l1(state, flow_map(state), plan["pcfg"].p)
         rows = {}
         for side, c0 in (("below", budget * (1.0 - 1e-9)), ("above", budget * (1.0 + 1e-9))):
             path = write_config(tmp_path / f"{side}.json", {**cfg, "picard": {**cfg["picard"], "c0": c0}})

@@ -5,7 +5,6 @@ from lamelab.grid import (
     Grid,
     divergence,
     fftn,
-    gradient,
     ifftn,
     integral,
     jacobian,
@@ -60,11 +59,11 @@ class TestSpectralDerivative:
         L = grid64.extent
         u = np.sin(2 * np.pi * grid64.coords[0] / L)
         exact = (2 * np.pi / L) * np.cos(2 * np.pi * grid64.coords[0] / L)
-        assert np.max(np.abs(gradient(grid64, u)[0] - exact)) < 1e-12
+        assert np.max(np.abs(jacobian(grid64, u)[0] - exact)) < 1e-12
 
     def test_constant_derivative_zero(self, grid64):
         u = 3.5 * np.ones(grid64.shape)
-        assert np.max(np.abs(gradient(grid64, u))) < 1e-12
+        assert np.max(np.abs(jacobian(grid64, u))) < 1e-12
 
     def test_against_finite_differences(self):
         # centered-difference oracle on the same continuum function at h and h/2
@@ -72,7 +71,7 @@ class TestSpectralDerivative:
         for n in (32, 64):
             grid = Grid(2, n, 16.0)
             u = random_band_field(grid, 1, 4, seed=11)
-            du = gradient(grid, u)[0]
+            du = jacobian(grid, u)[0]
             fd = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * grid.spacing)
             errs.append(np.max(np.abs(du - fd)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
@@ -80,14 +79,14 @@ class TestSpectralDerivative:
     def test_second_order(self, grid64):
         L = grid64.extent
         u = plane_wave(grid64, (2, 1))
-        d2 = jacobian(grid64, gradient(grid64, u))[0, 0]
+        d2 = jacobian(grid64, jacobian(grid64, u))[0, 0]
         assert np.max(np.abs(d2 + (2 * np.pi * 2 / L) ** 2 * u)) < 1e-10
 
     def test_translation_commutes(self, grid32):
         u = random_band_field(grid32, 1, 5, seed=3)
         shift, axes = (3, 5), grid32.spatial_axes
-        shifted_then_d = gradient(grid32, np.roll(u, shift, axis=axes))
-        d_then_shifted = np.roll(gradient(grid32, u), shift, axis=axes)
+        shifted_then_d = jacobian(grid32, np.roll(u, shift, axis=axes))
+        d_then_shifted = np.roll(jacobian(grid32, u), shift, axis=axes)
         assert np.max(np.abs(shifted_then_d - d_then_shifted)) < 1e-12
 
 
@@ -134,7 +133,7 @@ class TestLpNorm:
 class TestCalculusHelpers:
     def test_divergence_of_gradient_is_laplacian(self, grid32):
         phi = random_band_field(grid32, 1, 4, seed=5)
-        lap = divergence(grid32, gradient(grid32, phi))
+        lap = divergence(grid32, jacobian(grid32, phi))
         d2 = full_ifftn(grid32, -full_freq_sq(grid32) * full_fftn(grid32, phi))
         assert np.max(np.abs(lap - d2)) < 1e-10
 
@@ -142,7 +141,34 @@ class TestCalculusHelpers:
         v = random_band_field(grid32, 1, 4, seed=6, ncomp=2)
         jac = jacobian(grid32, v)
         assert jac.shape == (2, 2) + grid32.shape
-        assert np.max(np.abs(jac[1, 0] - gradient(grid32, v[1])[0])) < 1e-12
+        assert np.max(np.abs(jac[1, 0] - jacobian(grid32, v[1])[0])) < 1e-12
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16, 4.0), Grid(3, 8, 4.0)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("lead", ["scalar", "vector", "matrix", "vector stack"])
+    def test_stacked_jacobian_is_per_field(self, grid, lead):
+        # one call on a stack equals the one-axis derivative of each field, bit for bit
+        d = grid.dim
+        lead = {"scalar": (), "vector": (d,), "matrix": (d, d), "vector stack": (5, d)}[lead]
+        u = np.random.default_rng(0).standard_normal(lead + grid.shape)
+        out = jacobian(grid, u)
+        assert out.shape == lead + (d,) + grid.shape
+        for idx in np.ndindex(lead):
+            for a in range(d):
+                assert np.array_equal(out[idx][a], ifftn(grid, grid.rderiv[a] * fftn(grid, u[idx])))
+
+    @pytest.mark.parametrize("grid", [Grid(2, 16, 4.0), Grid(3, 8, 4.0)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("lead", ["vector", "matrix", "vector stack"])
+    def test_stacked_divergence_is_per_field(self, grid, lead):
+        # contracts the axis before the spatial ones: each row of a matrix, each field of a stack
+        d = grid.dim
+        lead = {"vector": (), "matrix": (d,), "vector stack": (5,)}[lead]
+        v = np.random.default_rng(1).standard_normal(lead + (d,) + grid.shape)
+        out = divergence(grid, v)
+        assert out.shape == lead + grid.shape
+        for idx in np.ndindex(lead):
+            per_axis = [ifftn(grid, grid.rderiv[a] * fftn(grid, v[idx][a])) for a in range(d)]
+            assert np.allclose(out[idx], sum(per_axis), rtol=0.0, atol=1e-12)
+            assert np.array_equal(out[idx], divergence(grid, v[idx]))
 
     def test_mean_free(self, grid32):
         u = rng_field(grid32, 0) + 4.0

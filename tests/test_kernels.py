@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lamelab.fields import checkerboard_density, delta_field, random_band_field
-from lamelab.grid import Grid, gradient, integral, lp_norm
+from lamelab.grid import Grid, jacobian, lp_norm
 from lamelab.kernels import (
-    DaviesProbe,
     EnvelopeFitError,
     KernelSlice,
     _grad_symmetrized,
@@ -313,7 +312,7 @@ class TestDavies:
     def test_probe_constraints(self, grid32):
         for alpha in (0.5, 1.0, 2.0):
             probe = davies_probe(grid32, alpha)
-            grad = gradient(grid32, probe.psi)
+            grad = jacobian(grid32, probe.psi)
             psi_hat = full_fftn(grid32, probe.psi)
             hess = np.stack([full_ifftn(grid32, -full_freq(grid32)[a] ** 2 * psi_hat) for a in range(2)])
             assert np.max(np.abs(grad)) <= alpha * (1 + 1e-9)

@@ -2,14 +2,16 @@
 src/lamelab is used somewhere in src/, so no code there exists only for tests.
 Test references and paper checks that no command runs live under tests/.
 Likewise every parameter default is a choice some call in src/ overrides: a
-default that no call passes is a constant, and lives in the body. And the
-Nyquist rule of the half spectrum is stated once, in grid.py."""
+default that no call passes is a constant, and lives in the body. The
+Nyquist rule of the half spectrum and the derivative symbol built on it are
+stated once, in grid.py. And every imported name is used where it is imported."""
 
 import ast
 from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lamelab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lamelab"
 
 # io.read_field is the reader half of the PLF1 format that io owns: splitting
 # the format between src/ and tests/ would put one decision in two modules.
@@ -66,10 +68,28 @@ def test_every_default_is_passed_in_src():
 
 
 def test_nyquist_rule_lives_in_grid():
-    # the other modules read the rule's result (Grid.rfreq_split, Grid.rderiv), never the mask
+    # the other modules read the rule's result (Grid.rfreq_split, grid.jacobian and
+    # grid.divergence), never the mask or the derivative symbol
     readers = sorted(
         path.name
         for path in SRC.glob("*.py")
-        if any(isinstance(n, ast.Attribute) and n.attr == "rnyquist" for n in ast.walk(ast.parse(path.read_text())))
+        if any(
+            isinstance(n, ast.Attribute) and n.attr in ("rnyquist", "rderiv")
+            for n in ast.walk(ast.parse(path.read_text()))
+        )
     )
     assert readers == ["grid.py"]
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export, so its names are used by importers
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.parent.name}/{path.name}: {name}" for name in names if name not in used]
+    assert unused == []

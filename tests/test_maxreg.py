@@ -3,17 +3,16 @@ import pytest
 
 from lamelab.besov import BesovIndex, besov_norm_report
 from lamelab.fields import checkerboard_density, random_band_field
-from lamelab.grid import Grid, lp_norm
+from lamelab.grid import Grid
 from lamelab.maxreg import (
     DegenerateProbeError,
-    SolutionNorms,
     norm_equiv_ratio,
     solution_norms,
     solve_linear_maxreg,
     time_derivative,
     time_grid,
 )
-from lamelab.operators import LameParams, const_semigroup, lame_apply
+from lamelab.operators import const_semigroup, lame_apply
 from lamelab.varcoef import Coefficient, StepperConfig
 
 from conftest import hodge_project, plane_wave

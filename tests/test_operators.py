@@ -15,7 +15,6 @@ from conftest import (
 from lamelab.besov import heat_profile
 from lamelab.grid import (
     divergence,
-    gradient,
     integral,
     jacobian,
     lp_norm,
@@ -54,12 +53,12 @@ class TestParams:
 
 def _gradient_field(grid, seed):
     phi = random_band_field(grid, 1, 4, seed=seed)
-    return gradient(grid, phi)
+    return jacobian(grid, phi)
 
 
 def _divergence_free_field(grid, seed):
     psi = random_band_field(grid, 1, 4, seed=seed)
-    g = gradient(grid, psi)
+    g = jacobian(grid, psi)
     return np.stack([-g[1], g[0]])
 
 
@@ -241,6 +240,6 @@ class TestComplexPathAgreement:
     def test_derivatives(self, case):
         grid, u, s = case
         ref = np.stack([_complex_derivative(grid, s, axis) for axis in range(grid.dim)])
-        assert _rel_err(gradient(grid, s), ref) <= 1e-13
+        assert _rel_err(jacobian(grid, s), ref) <= 1e-13
         ref = np.stack([[_complex_derivative(grid, u[i], j) for j in range(grid.dim)] for i in range(grid.dim)])
         assert _rel_err(jacobian(grid, u), ref) <= 1e-13
