@@ -298,7 +298,7 @@ def scheme_residual(state: LagrangianState, flow: FlowMapData, theta: float) -> 
     """
     grid = state.grid
     dt = state.dt
-    rhs = np.stack([lame_apply(grid, u, state.params) for u in state.u]) + nonlinearity_f(state, flow)
+    rhs = lame_apply(grid, state.u, state.params) + nonlinearity_f(state, flow)
     defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - theta * rhs[1:] - (1.0 - theta) * rhs[:-1]
     total = 0.0
     for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / 2.0 - 1.0, 2.0)):

@@ -61,7 +61,7 @@ def solution_norms(
     """
     # one stack at a time, so that du and Lu are not held together
     dt_reps = besov_norm_reports(grid, time_derivative(trajectory, dt), idx)
-    op_reps = besov_norm_reports(grid, np.stack([lame_apply(grid, u, params) for u in trajectory]), idx)
+    op_reps = besov_norm_reports(grid, lame_apply(grid, trajectory, params), idx)
     sup = besov_norm_reports(grid, trajectory, idx)
     return SolutionNorms(
         sup_norm=max(r.value for r in sup),

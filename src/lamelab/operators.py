@@ -14,9 +14,9 @@ so
 lame_apply is f = -z, the semigroups are f = (-tz)^k e^{-tz}, and the CG
 preconditioner of varcoef is f = 1/(a + theta z). A field's spectrum and its
 coordinates on v/|v| are taken once (_spectral) and any number of f are
-applied to them (_apply). Away from the Nyquist planes xi~ = xi and N = 0, and
-this is the Hodge split: nu|xi|^2 on curl-free modes, mu|xi|^2 on
-divergence-free ones.
+applied to them (_apply), for one field or a stack. Away from the Nyquist
+planes xi~ = xi and N = 0, and this is the Hodge split: nu|xi|^2 on
+curl-free modes, mu|xi|^2 on divergence-free ones.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ Generator = Union[ScaledLaplacian, LameParams]
 
 def _check_vector(grid: Grid, u: np.ndarray) -> np.ndarray:
     u = _check_field(grid, u)
-    if u.ndim != grid.dim + 1 or u.shape[0] != grid.dim:
-        raise ValueError(f"expected vector field (dim, *shape), got {u.shape}")
+    if u.ndim < grid.dim + 1 or u.shape[-grid.dim - 1] != grid.dim:
+        raise ValueError(f"expected vector field or stack of them (..., dim, *shape), got {u.shape}")
     return u
 
 
@@ -80,22 +80,25 @@ def _eigen(grid: Grid, gen: Generator) -> tuple:
 
 
 def _spectral(grid: Grid, u: np.ndarray, gen: Generator) -> tuple:
-    """The spectral data of u that _apply reads, taken once per field: the
-    decomposition of -G^, the half spectrum u_hat and e_v.u_hat per piece.
-    c*Lap acts componentwise on any field, the elastic operator on vector fields."""
+    """The spectral data of u that _apply reads, taken once per field or stack:
+    the decomposition of -G^, the half spectrum u_hat and e_v.u_hat per piece,
+    contracted over the component axis. c*Lap acts componentwise on any field,
+    the elastic operator on a vector field or a stack of them (..., dim, *shape)."""
     z0, pieces = _eigen(grid, gen)
     check = _check_field if isinstance(gen, ScaledLaplacian) else _check_vector
     u_hat = fftn(grid, check(grid, u))
-    return z0, pieces, u_hat, [np.sum(e * u_hat, axis=0) for _, e in pieces]
+    return z0, pieces, u_hat, [np.sum(e * u_hat, axis=-grid.dim - 1) for _, e in pieces]
 
 
 def _apply(grid: Grid, spec: tuple, f) -> np.ndarray:
     """f(-G^) u on the grid, from the spectral data of u (see _spectral)."""
     z0, pieces, u_hat, coords = spec
+    del spec  # a spectrum taken for one f (lame_apply's stacks) is freed before the inverse transform
     f0 = f(z0)
     out_hat = f0 * u_hat
+    del u_hat
     for (z, e), c in zip(pieces, coords):
-        out_hat += e * ((f(z) - f0) * c)
+        out_hat += e * np.expand_dims((f(z) - f0) * c, -grid.dim - 1)
     return ifftn(grid, out_hat)
 
 
@@ -116,7 +119,8 @@ def _heat(t: float, k: int):
 
 def lame_apply(grid: Grid, u: np.ndarray, gen: Generator) -> np.ndarray:
     """Spectral application of a constant-coefficient generator: the elastic
-    operator mu*Lap + (lam+mu)*grad(div) to a vector field, or c*Lap to any field."""
+    operator mu*Lap + (lam+mu)*grad(div) to a vector field or a stack of them
+    (..., dim, *shape), or c*Lap to any field."""
     return _apply(grid, _spectral(grid, u, gen), np.negative)
 
 

@@ -16,6 +16,7 @@ eigendecomposition, is the independent check on the stepping.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -26,11 +27,15 @@ from .operators import LameParams, _symbol_matrix, lame_apply
 
 
 class SolverConvergenceError(RuntimeError):
-    """Inner CG failed to reach tolerance; carries the final residual."""
+    """Inner CG failed to reach tolerance; carries the final residual and, when
+    raised by evolve, the index (from 1) of the step that stalled and the time
+    it was stepping to (None from a lone theta_step)."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, step: int | None, time: float | None):
         super().__init__(message)
         self.residual = residual
+        self.step = step
+        self.time = time
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +176,8 @@ def theta_step(
         raise SolverConvergenceError(
             f"CG stalled after {cfg.cg_maxiter} iterations (relative residual {residual:.3e})",
             residual,
+            None,
+            None,
         )
     return x
 
@@ -181,6 +188,25 @@ def _sample_at(samples, t_grid, t):
     i = min(max(i, 0), len(t_grid) - 2)
     w = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
     return (1.0 - w) * samples[i] + w * samples[i + 1]
+
+
+# Degree of the polynomial in time that evolve extrapolates to start each step's
+# CG: the Lagrange polynomial through the last _PREDICTOR_ORDER + 1 states.
+_PREDICTOR_ORDER = 3
+
+
+def _extrapolate(history, t: float) -> np.ndarray:
+    """Value at t of the Lagrange polynomial through the (t_j, d_j) of history,
+    on the actual (possibly uneven) times t_j."""
+    times = [tj for tj, _ in history]
+    out = 0.0
+    for j, (tj, dj) in enumerate(history):
+        weight = 1.0
+        for k, tk in enumerate(times):
+            if k != j:
+                weight *= (t - tk) / (tj - tk)
+        out = out + weight * dj
+    return out
 
 
 def evolve(
@@ -198,8 +224,12 @@ def evolve(
     cfg.dt. Forcing, when given, is sampled on t_grid and interpolated
     linearly at interior step times. guess, a trajectory sampled like the
     output (such as the previous iterate of a fixed point), is sampled the
-    same way as each step's CG starting point; without it CG starts from the
-    previous step.
+    same way; without it the guess is zero. Each step's CG starts from the
+    guess at the new time plus the polynomial extrapolation, in time, of the
+    departures u - guess of the last _PREDICTOR_ORDER + 1 step states (fewer
+    at the start: the first step starts from the guess plus u0's departure,
+    u0 itself without a guess). A step whose CG stalls raises
+    SolverConvergenceError with its step index and time.
     """
     grid = coef.grid
     t_grid = np.asarray(t_grid, dtype=float)
@@ -222,20 +252,31 @@ def evolve(
     out = np.empty((len(t_grid),) + u.shape)
     out[0] = u
     theta = cfg.theta
+    g = 0.0 if guess is None else _sample_at(guess, t_grid, 0.0)
+    history = deque([(0.0, u - g)], maxlen=_PREDICTOR_ORDER + 1)  # (t_j, u_j - g(t_j))
+    step = 0
     for i in range(len(t_grid) - 1):
         span = t_grid[i + 1] - t_grid[i]
         nsub = max(1, int(np.ceil(span / cfg.dt - 1e-12)))
         dt = span / nsub
         t = t_grid[i]
         for _ in range(nsub):
+            t_new = t + dt
             f_bar = None
             if forcing is not None:
-                f_new = _sample_at(forcing, t_grid, t + dt)
+                f_new = _sample_at(forcing, t_grid, t_new)
                 f_old = _sample_at(forcing, t_grid, t)
                 f_bar = theta * f_new + (1.0 - theta) * f_old
-            u_guess = None if guess is None else _sample_at(guess, t_grid, t + dt)
-            u = theta_step(grid, coef.rho, params, u, dt, cfg, f_bar=f_bar, u_guess=u_guess)
-            t += dt
+            g = 0.0 if guess is None else _sample_at(guess, t_grid, t_new)
+            step += 1
+            try:
+                start = g + _extrapolate(history, t_new)
+                u = theta_step(grid, coef.rho, params, u, dt, cfg, f_bar=f_bar, u_guess=start)
+            except SolverConvergenceError as err:
+                where = f"step {step} (t = {t_new:.6g})"
+                raise SolverConvergenceError(f"{where}: {err}", err.residual, step, t_new) from err
+            t = t_new
+            history.append((t, u - g))
         out[i + 1] = u
     return out
 

@@ -237,6 +237,13 @@ class TestComplexPathAgreement:
         z = _preconditioner(grid, params, 7.0, 0.5)(u)
         assert _rel_err(7.0 * z - 0.5 * lame_apply(grid, z, params), u) <= 1e-13
 
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_stacked_lame_apply_is_per_field(self, dim, n):
+        grid = Grid(dim, n, 8.0)
+        params = LameParams(1.0, -0.5)
+        stack = np.stack([rng_field(grid, 50 + k, ncomp=dim) for k in range(7)])
+        assert np.array_equal(lame_apply(grid, stack, params), np.stack([lame_apply(grid, u, params) for u in stack]))
+
     def test_derivatives(self, case):
         grid, u, s = case
         ref = np.stack([_complex_derivative(grid, s, axis) for axis in range(grid.dim)])

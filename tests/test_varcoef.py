@@ -7,8 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lamelab.fields import checkerboard_density, random_band_field, trig_density
+from lamelab.besov import extended_time_nodes
+from lamelab.fields import checkerboard_density, random_band_field, random_time_profile, trig_density
 from lamelab.grid import Grid, integral, lp_norm
+from lamelab.maxreg import refine_time_grid, time_grid
 from lamelab.operators import LameParams, const_semigroup, lame_apply
 from lamelab.varcoef import (
     Coefficient,
@@ -156,6 +158,10 @@ class TestEvolve:
         with pytest.raises(SolverConvergenceError) as err:
             evolve(rough16, params, u0, [0.0, 0.1], cfg)
         assert err.value.residual > 0
+        # the first step stalls, and the error says where
+        assert err.value.step == 1
+        assert err.value.time == pytest.approx(0.01)
+        assert "step 1 (t = 0.01)" in str(err.value)
 
     def test_forcing_reaches_steady_state(self, grid32, params):
         # with f = -L w held fixed, u relaxes toward w, which is an exact
@@ -170,6 +176,85 @@ class TestEvolve:
         traj = evolve(coef, params, np.zeros_like(w), t_grid, StepperConfig(dt=0.1), forcing=forcing)
         rel = lp_norm(grid32, traj[-1] - w, 2) / lp_norm(grid32, w, 2)
         assert rel < 1e-3
+
+
+class TestPredictor:
+    """Each step's CG starts from a Lagrange extrapolation in time of the last
+    states (evolve's docstring)."""
+
+    @staticmethod
+    def _starts(monkeypatch, coef, params, u_of_t, t_grid, dt):
+        """Run evolve with theta_step replaced by u_of_t at the step's new time;
+        returns each step's CG starting point and u_of_t at that time."""
+        import lamelab.varcoef as vc
+
+        starts, clock = [], [0.0]
+
+        def exact_step(grid, rho, params, u, dt, cfg, f_bar=None, u_guess=None):
+            clock[0] += dt
+            starts.append((u_guess, u_of_t(clock[0])))
+            return u_of_t(clock[0])
+
+        monkeypatch.setattr(vc, "theta_step", exact_step)
+        evolve(coef, params, u_of_t(0.0), t_grid, StepperConfig(dt=dt))
+        return starts
+
+    @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "norm_equiv"])
+    def test_cubic_trajectory_is_reproduced(self, rough16, params, monkeypatch, uneven):
+        grid = rough16.grid
+        c = [rng_field(grid, 60 + k, ncomp=2) for k in range(4)]
+        if uneven:  # the step times of norm_equiv_ratio: one step per refined interval
+            t_grid = refine_time_grid(extended_time_nodes(grid, params, above=4.0), 8)
+            dt = float(t_grid[-1])
+        else:
+            t_grid, dt = [0.0, 0.35, 1.0], 0.05
+        T = float(t_grid[-1])
+
+        def cubic(t):  # in t / T, so that no power of t dominates
+            return c[0] + (t / T) * c[1] + (t / T) ** 2 * c[2] + (t / T) ** 3 * c[3]
+
+        starts = self._starts(monkeypatch, rough16, params, cubic, t_grid, dt)
+        assert len(starts) > 10
+        assert np.array_equal(starts[0][0], cubic(0.0))  # the first step starts from u0
+        for guess, exact in starts[3:]:  # from four states on, the cubic is exact
+            assert np.max(np.abs(guess - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_predictor_cuts_iterations(self, monkeypatch):
+        # one maxreg probe of the probes benchmark config (seed 300, N = 32)
+        import lamelab.varcoef as vc
+        from lamelab.scenarios import parse_maxreg
+
+        cfg = {
+            "grid": {"dim": 2, "N": 32, "extent": 16.0},
+            "lame": {"mu": 1.0, "lambda": 1.0},
+            "rho0": {"kind": "checkerboard", "m": 0.5, "cells": 2, "sharpness": 2.0},
+            "stepper": {"dt": 0.01},
+            "T": 1.0,
+            "probes": {"count": 1, "seed": 300},
+        }
+        run = parse_maxreg(cfg, 0)
+        coef, params, stepper, base = run["coef"], run["params"], run["stepper"], run["base"]
+        grid = coef.grid
+        t_grid = time_grid(run["T"], stepper.dt)
+        u0 = random_band_field(grid, *run["band"], base, ncomp=2)
+        fx = random_band_field(grid, *run["band"], base + 1, ncomp=2)
+        forcing = random_time_profile(t_grid, base)[:, None, None, None] * fx
+
+        pcg, iterations = vc._pcg, []
+
+        def counted_pcg(*args):
+            x, it = pcg(*args)
+            iterations.append(it)
+            return x, it
+
+        monkeypatch.setattr(vc, "_pcg", counted_pcg)
+        totals = []
+        for order in (0, vc._PREDICTOR_ORDER):  # order 0: each step starts from the previous state
+            monkeypatch.setattr(vc, "_PREDICTOR_ORDER", order)
+            iterations.clear()
+            evolve(coef, params, u0, t_grid, stepper.with_dt(t_grid[1]), forcing=forcing)
+            totals.append(sum(iterations))
+        assert totals[1] <= 0.7 * totals[0]
 
 
 def weighted_norm(coef: Coefficient, u: np.ndarray) -> float:
