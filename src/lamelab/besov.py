@@ -40,7 +40,7 @@ class BesovIndex:
     def __post_init__(self):
         if not (1.0 <= self.p):
             raise ValueError(f"p must be in [1, inf], got {self.p}")
-        if abs(self.s) >= 2.0:
+        if not abs(self.s) < 2.0:  # NaN too
             raise ValueError(f"|s| must be < 2 for the k <= 1 heat characterizations, got {self.s}")
 
 

@@ -190,7 +190,7 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
         ratios = []
         for i in range(n_eq):
             x = random_band_field(grid, *band, base + 1000 + i, ncomp=grid.dim)
-            ratios.append(norm_equiv_ratio(coef, params, x, s_eq, q_eq, stepper))
+            ratios.append(norm_equiv_ratio(coef, params, x, s_eq, q_eq))
         write_csv(out / "norm_equiv.csv", ["probe", "ratio"], list(enumerate(ratios)))
         summary["norm_equiv_K"] = max(max(ratios), 1.0 / min(ratios))
     return summary
@@ -209,7 +209,7 @@ def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
 
     eul = pushforward_eulerian(state, flow)
     transport = density_transport_check(state, flow, eul)
-    residual = scheme_residual(state, flow, pcfg.stepper.theta)
+    residual = scheme_residual(state, flow)
     gsi, gsi_extrapolated = grad_sup_integral(state, flow)
     diag_rows = [
         ("u0_norm", diag.u0_norm),

@@ -21,7 +21,7 @@ from .besov import BesovIndex, besov_norm_report, besov_norm_reports
 from .grid import Grid, divergence, field_magnitude, integral, jacobian
 from .maxreg import solution_norms, time_grid
 from .operators import LameParams, lame_apply
-from .varcoef import Coefficient, StepperConfig, evolve, theta_step
+from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step
 
 
 class DiffeomorphismError(RuntimeError):
@@ -288,18 +288,18 @@ def picard_solve(
     )
 
 
-def scheme_residual(state: LagrangianState, flow: FlowMapData, theta: float) -> float:
-    """Defect of the converged iterate in the nonlinear theta-scheme equations.
+def scheme_residual(state: LagrangianState, flow: FlowMapData) -> float:
+    """Defect of the converged iterate in the nonlinear Crank-Nicolson equations.
 
     Rebuilds the nonlinearity from the state and its flow map and measures the
     L1-in-time Besov norm (regularity n/p - 1, p = 2) of
-    rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i,
-    all steps in one stack.
+    rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i at
+    the stepper's theta = 1/2, all steps in one stack.
     """
     grid = state.grid
     dt = state.dt
     rhs = lame_apply(grid, state.u, state.params) + nonlinearity_f(state, flow)
-    defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - theta * rhs[1:] - (1.0 - theta) * rhs[:-1]
+    defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - _THETA * rhs[1:] - (1.0 - _THETA) * rhs[:-1]
     total = 0.0
     for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / 2.0 - 1.0, 2.0)):
         total += dt * rep.value
@@ -416,6 +416,6 @@ def eulerian_reference_solve(
         u_adv = interp_periodic(u[i], x_dep, L)
         div_u = divergence(grid, u[i])
         rho_adv = interp_periodic(rho[i], x_dep, L) * np.exp(-dt * interp_periodic(div_u, x_dep, L))
-        u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg, u_guess=u_adv)
+        u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg.cg_tol, u_guess=u_adv)
         rho[i + 1] = rho_adv
     return EulerianTrajectory(t_grid, rho, u)

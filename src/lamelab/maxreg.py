@@ -158,7 +158,6 @@ def norm_equiv_ratio(
     x: np.ndarray,
     s: float,
     q: float,
-    cfg: StepperConfig,
 ) -> float:
     """Ratio of semigroup-profile norms: rough flow of x over heat flow of rho*x.
 
@@ -174,8 +173,8 @@ def norm_equiv_ratio(
     grid = coef.grid
     nodes = extended_time_nodes(grid, params, above=4.0)
     fine = refine_time_grid(nodes, _SUBSTEPS)
-    cfg_one = cfg.with_dt(float(fine[-1]))  # intervals already refined; one step each
-    traj = evolve(coef, params, x, fine, cfg_one)
+    # the intervals are already refined: one step each, at the default CG tolerance
+    traj = evolve(coef, params, x, fine, StepperConfig(float(fine[-1])))
     node_idx = np.searchsorted(fine, nodes)
     num_vals = np.array([lp_norm(grid, traj[i], 2) for i in node_idx])
     spec = _spectral(grid, coef.rho * x, params)

@@ -11,8 +11,9 @@ so
 
     f(-G^) = f(z0) I + sum over v = xi~, N of (f(z_v) - f(z0)) v v^T / |v|^2.
 
-lame_apply is f = -z, the semigroups are f = (-tz)^k e^{-tz}, and the CG
-preconditioner of varcoef is f = 1/(a + theta z). A field's spectrum and its
+lame_apply is f = -z, the semigroups are f = (-tz)^k e^{-tz}, and the
+Crank-Nicolson preconditioner of varcoef is f = 1/(a + z/2), a dense per-mode
+matrix (_symbol_matrix) built once per step size. A field's spectrum and its
 coordinates on v/|v| are taken once (_spectral) and any number of f are
 applied to them (_apply), for one field or a stack. Away from the Nyquist
 planes xi~ = xi and N = 0, and this is the Hodge split: nu|xi|^2 on

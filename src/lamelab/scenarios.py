@@ -127,12 +127,11 @@ def build_picard(cfg: dict) -> tuple:
 
 
 def _build_stepper(cfg: dict) -> StepperConfig:
-    return StepperConfig(
-        dt=float(_require(cfg, "dt", "stepper")),
-        theta=float(cfg.get("theta", 0.5)),
-        cg_tol=float(cfg.get("cg_tol", 1e-10)),
-        cg_maxiter=int(cfg.get("cg_maxiter", 500)),
-    )
+    """The stepper block sets only dt: every step is Crank-Nicolson at the default CG tolerance."""
+    extra = sorted(set(cfg) - {"dt"})
+    if extra:
+        raise ConfigError(f"the stepper block takes only dt, got {extra}")
+    return StepperConfig(float(_require(cfg, "dt", "stepper")))
 
 
 def _is_number(x) -> bool:

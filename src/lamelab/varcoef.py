@@ -1,12 +1,12 @@
 """Time integration of rho(x) du/dt = L u + f with rough bounded rho.
 
-The theta-scheme node-space system A = rho/dt - theta*L is symmetric positive
-definite and is solved by conjugate gradients, preconditioned by the exact
-inverse of P = a - theta*L at the mean density, a = mean(rho)/dt: the symbol
-function f = 1/(a + theta*z) of the eigen-decomposition of -L^ (see
-operators), built once per step as a dense dim x dim matrix per mode. Its
-eigenvalues a + theta*z are >= a > 0. Because the inverse is exact,
-A = P + R with R = rho/dt - a pointwise, and P applied to the search
+Every step is Crank-Nicolson (theta = 1/2). Its node-space system
+A = rho/dt - L/2 is symmetric positive definite and is solved by conjugate
+gradients, preconditioned by the exact inverse of P = a - L/2 at the mean
+density, a = mean(rho)/dt: the symbol function f = 1/(a + z/2) of the
+eigen-decomposition of -L^ (see operators), a dense dim x dim matrix per mode
+built once per step size. Its eigenvalues are >= a > 0. As the inverse is
+exact, A = P + R with R = rho/dt - a pointwise, and P applied to the search
 direction follows the direction's own recurrence: each CG iteration costs one
 forward and one inverse transform. The preconditioned spectrum is pinned
 inside [m^2, 1/m^2], so iteration counts are mesh-independent. On small
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,34 +72,37 @@ class Coefficient:
         return cls(grid, np.full(grid.shape, float(value)), m)
 
 
+# Every step is Crank-Nicolson, and its CG raises SolverConvergenceError past _CG_MAXITER iterations.
+_THETA = 0.5
+_CG_MAXITER = 500
+# Degree of the polynomial in time that evolve extrapolates to start each step's
+# CG: the Lagrange polynomial through the last _PREDICTOR_ORDER + 1 states.
+_PREDICTOR_ORDER = 3
+
+
 @dataclass(frozen=True)
 class StepperConfig:
-    """theta-scheme controls; theta = 1/2 is the second-order default."""
+    """Largest step dt and the CG tolerance, relative to the right-hand side."""
 
     dt: float
-    theta: float = 0.5
     cg_tol: float = 1e-10
-    cg_maxiter: int = 500
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (0.5 <= self.theta <= 1.0):
-            raise ValueError(f"theta must be in [1/2, 1], got {self.theta}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
         if not (0 < self.cg_tol < 1):  # relative to ||b||: from 1 up CG may stop before iterating
             raise ValueError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
-        if not self.cg_maxiter >= 1:
-            raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter}")
 
     def with_dt(self, dt: float) -> "StepperConfig":
         return replace(self, dt=dt)
 
 
-def _preconditioner(grid: Grid, params: LameParams, a: float, theta: float):
-    """Exact inverse of a - theta*L per frequency (module docstring), as a
-    function of the residual. The inverse symbol is built once, here; each
-    application costs one forward and one inverse transform."""
-    inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + theta * z))
+@lru_cache(maxsize=8)
+def _preconditioner(grid: Grid, params: LameParams, a: float):
+    """Exact inverse of a - L/2 per frequency (module docstring), as a function
+    of the residual, built once per distinct a and kept for 8 (the steps of one
+    linspace alternate in the last bit). Each application costs two transforms."""
+    inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + _THETA * z))
     return lambda r: ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
 
 
@@ -150,31 +153,30 @@ def theta_step(
     params: LameParams,
     u_old: np.ndarray,
     dt: float,
-    cfg: StepperConfig,
+    cg_tol: float,
     f_bar: np.ndarray | None = None,
     u_guess: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One implicit theta step of rho du/dt = L u + f; returns u at t + dt."""
-    theta = cfg.theta
-    rhs = rho * u_old / dt + (1.0 - theta) * lame_apply(grid, u_old, params)
+    """One Crank-Nicolson step of rho du/dt = L u + f; returns u at t + dt."""
+    rhs = rho * u_old / dt + (1.0 - _THETA) * lame_apply(grid, u_old, params)
     if f_bar is not None:
         rhs = rhs + f_bar
     a = float(np.mean(rho)) / dt
-    psolve = _preconditioner(grid, params, a, theta)
+    psolve = _preconditioner(grid, params, a)
     shift = rho / dt - a
 
     def matvec(u):
-        return rho * u / dt - theta * lame_apply(grid, u, params)
+        return rho * u / dt - _THETA * lame_apply(grid, u, params)
 
     def remainder(u):  # A - P
         return shift * u
 
     x0 = u_guess if u_guess is not None else u_old
-    x, iterations = _pcg(matvec, psolve, remainder, rhs, np.array(x0, dtype=float), cfg.cg_tol, cfg.cg_maxiter)
+    x, iterations = _pcg(matvec, psolve, remainder, rhs, np.array(x0, dtype=float), cg_tol, _CG_MAXITER)
     if iterations is None:
         residual = float(_norm(matvec(x) - rhs) / _norm(rhs))
         raise SolverConvergenceError(
-            f"CG stalled after {cfg.cg_maxiter} iterations (relative residual {residual:.3e})",
+            f"CG stalled after {_CG_MAXITER} iterations (relative residual {residual:.3e})",
             residual,
             None,
             None,
@@ -188,11 +190,6 @@ def _sample_at(samples, t_grid, t):
     i = min(max(i, 0), len(t_grid) - 2)
     w = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
     return (1.0 - w) * samples[i] + w * samples[i + 1]
-
-
-# Degree of the polynomial in time that evolve extrapolates to start each step's
-# CG: the Lagrange polynomial through the last _PREDICTOR_ORDER + 1 states.
-_PREDICTOR_ORDER = 3
 
 
 def _extrapolate(history, t: float) -> np.ndarray:
@@ -251,7 +248,6 @@ def evolve(
 
     out = np.empty((len(t_grid),) + u.shape)
     out[0] = u
-    theta = cfg.theta
     g = 0.0 if guess is None else _sample_at(guess, t_grid, 0.0)
     history = deque([(0.0, u - g)], maxlen=_PREDICTOR_ORDER + 1)  # (t_j, u_j - g(t_j))
     step = 0
@@ -266,12 +262,12 @@ def evolve(
             if forcing is not None:
                 f_new = _sample_at(forcing, t_grid, t_new)
                 f_old = _sample_at(forcing, t_grid, t)
-                f_bar = theta * f_new + (1.0 - theta) * f_old
+                f_bar = _THETA * f_new + (1.0 - _THETA) * f_old
             g = 0.0 if guess is None else _sample_at(guess, t_grid, t_new)
             step += 1
             try:
                 start = g + _extrapolate(history, t_new)
-                u = theta_step(grid, coef.rho, params, u, dt, cfg, f_bar=f_bar, u_guess=start)
+                u = theta_step(grid, coef.rho, params, u, dt, cfg.cg_tol, f_bar=f_bar, u_guess=start)
             except SolverConvergenceError as err:
                 where = f"step {step} (t = {t_new:.6g})"
                 raise SolverConvergenceError(f"{where}: {err}", err.residual, step, t_new) from err

@@ -78,7 +78,7 @@ def standard_run():
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
     flow = flow_map(state)
     eulerian = pushforward_eulerian(state, flow)
-    residual = scheme_residual(state, flow, pcfg.stepper.theta)
+    residual = scheme_residual(state, flow)
     elapsed = time.time() - t0
     return {
         "grid": grid,
@@ -227,10 +227,7 @@ def test_criterion_7_norm_equivalence(params):
     grid32 = Grid(2, 32, 16.0)
     unit = Coefficient.constant(grid32, 1.0)
     unit_ratios = [
-        norm_equiv_ratio(
-            unit, params, random_band_field(grid32, 1, 4, seed=s, ncomp=2), 0.5, 1.0,
-            StepperConfig(dt=1.0),
-        )
+        norm_equiv_ratio(unit, params, random_band_field(grid32, 1, 4, seed=s, ncomp=2), 0.5, 1.0)
         for s in range(3)
     ]
     unit_err = max(abs(r - 1.0) for r in unit_ratios)
@@ -240,10 +237,7 @@ def test_criterion_7_norm_equivalence(params):
         grid = Grid(2, n, 16.0)
         coef = Coefficient(grid, checkerboard_density(grid, 0.5, sharpness=2.0), 0.5)
         ratios = [
-            norm_equiv_ratio(
-                coef, params, random_band_field(grid, 1, 4, seed=200 + s, ncomp=2),
-                0.5, 1.0, StepperConfig(dt=1.0),
-            )
+            norm_equiv_ratio(coef, params, random_band_field(grid, 1, 4, seed=200 + s, ncomp=2), 0.5, 1.0)
             for s in range(20)
         ]
         kk.append(max(max(ratios), 1.0 / min(ratios)))

@@ -253,12 +253,17 @@ class TestConfigErrorWritesNothing:
         "besov_p_word": ("besov", {"p": "three"}, []),
         "maxreg_p_word": ("maxreg", {**MAXREG, "p": "three"}, []),
         "maxreg_T_zero": ("maxreg", {**MAXREG, "T": 0}, []),
-        # cg_tol is relative to |b|: from 1 up it asks for no accuracy
+        # the stepper block takes only dt: the CG tolerance is not a config key
         "kernel_cg_tol_one": ("kernel", {**KERNEL, "stepper": {"dt": 0.01, "cg_tol": 1.0}}, []),
+        # every step is Crank-Nicolson: a config asking for backward Euler is refused, not run as CN
+        "stepper_theta_one": ("maxreg", {**MAXREG, "stepper": {"dt": 0.05, "theta": 1.0}}, []),
+        "maxreg_infinite_dt": ("maxreg", {**MAXREG, "stepper": {"dt": float("inf")}}, []),
+        "maxreg_nan_s": ("maxreg", {**MAXREG, "s": float("nan")}, []),
         "oracle_no_times": ("oracle", {"times": []}, []),
-        # CG that may not iterate never meets its tolerance
+        # nor is the CG iteration cap, a constant of the stepper
         "oracle_cg_maxiter_zero": ("oracle", {"times": [0.05], "stepper": {"dt": 0.01, "cg_maxiter": 0}}, []),
         "flow_nan_horizon": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": float("nan"), "dt": 0.1}}, []),
+        "flow_infinite_dt": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": float("inf")}}, []),
         # p = 1 in 2D puts the gradient budget at s = n/p = 2, outside the Besov range
         "flow_p_one": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "p": 1.0}}, []),
         "flow_nan_amplitude": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": float("nan")},

@@ -416,7 +416,7 @@ class TestPicard:
         assert diag.converged
         assert diag.smallness_ok
         assert all(f <= 0.5 for f in diag.contraction_factors)
-        res = scheme_residual(state, flow_map(state), cfg.stepper.theta)
+        res = scheme_residual(state, flow_map(state))
         assert res <= 10.0 * diag.stop_tol
 
     def test_nonconvergence_carries_history(self, params):

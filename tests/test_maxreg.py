@@ -124,17 +124,14 @@ class TestNormEquivalence:
     def test_constant_density_is_unity(self, grid32, params):
         coef = Coefficient.constant(grid32, 1.0)
         x = random_band_field(grid32, 1, 4, seed=5, ncomp=2)
-        r = norm_equiv_ratio(coef, params, x, 0.5, 1.0, StepperConfig(dt=1.0))
+        r = norm_equiv_ratio(coef, params, x, 0.5, 1.0)
         assert r == pytest.approx(1.0, abs=1e-3)
 
     def test_scaled_constant_density_x_independent(self, grid32, params):
         # both profiles rescale deterministically: the ratio loses its x dependence
         coef = Coefficient.constant(grid32, 1.25)
         vals = [
-            norm_equiv_ratio(
-                coef, params, random_band_field(grid32, 1, 4, seed=s, ncomp=2), 0.5, 1.0,
-                StepperConfig(dt=1.0),
-            )
+            norm_equiv_ratio(coef, params, random_band_field(grid32, 1, 4, seed=s, ncomp=2), 0.5, 1.0)
             for s in range(10)
         ]
         spread = (max(vals) - min(vals)) / np.mean(vals)
@@ -144,20 +141,17 @@ class TestNormEquivalence:
         coef = Coefficient.constant(grid32, 1.0)
         x = random_band_field(grid32, 1, 4, seed=6, ncomp=2)
         with pytest.raises(ValueError):
-            norm_equiv_ratio(coef, params, x, 1.5, 1.0, StepperConfig(dt=1.0))
+            norm_equiv_ratio(coef, params, x, 1.5, 1.0)
 
     def test_zero_probe_is_degenerate(self, grid32, params):
         coef = Coefficient.constant(grid32, 1.0)
         x = np.zeros((2,) + grid32.shape)
         with pytest.raises(DegenerateProbeError):
-            norm_equiv_ratio(coef, params, x, 0.5, 1.0, StepperConfig(dt=1.0))
+            norm_equiv_ratio(coef, params, x, 0.5, 1.0)
 
     def test_rough_density_bounded(self, rough32, params):
         vals = [
-            norm_equiv_ratio(
-                rough32, params, random_band_field(rough32.grid, 1, 4, seed=s, ncomp=2),
-                0.5, 1.0, StepperConfig(dt=1.0),
-            )
+            norm_equiv_ratio(rough32, params, random_band_field(rough32.grid, 1, 4, seed=s, ncomp=2), 0.5, 1.0)
             for s in range(6)
         ]
         k = max(max(vals), 1.0 / min(vals))

@@ -234,7 +234,7 @@ class TestComplexPathAgreement:
         # exact on every mode, the Nyquist-mixed ones included
         grid, u, _ = case
         params = LameParams(1.0, lam)
-        z = _preconditioner(grid, params, 7.0, 0.5)(u)
+        z = _preconditioner(grid, params, 7.0)(u)
         assert _rel_err(7.0 * z - 0.5 * lame_apply(grid, z, params), u) <= 1e-13
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
