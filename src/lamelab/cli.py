@@ -53,7 +53,7 @@ from .lagrangian import (
     pushforward_eulerian,
     scheme_residual,
 )
-from .maxreg import norm_equiv_ratio, solve_linear_maxreg, time_grid
+from .maxreg import norm_equiv_ratio, solve_linear_maxreg
 from .operators import ScaledLaplacian
 from .scenarios import (
     ConfigError,
@@ -64,7 +64,7 @@ from .scenarios import (
     parse_oracle,
     parse_plotdata,
 )
-from .varcoef import dense_semigroup_matrices, evolve
+from .varcoef import dense_semigroup_matrices, evolve, time_grid
 
 # -- pipelines: each takes --out and the keyword arguments its parser returns ----------
 

@@ -19,9 +19,9 @@ import numpy as np
 from ._interp import interp_periodic, spline_prefilter
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports
 from .grid import Grid, divergence, field_magnitude, integral, jacobian
-from .maxreg import solution_norms, time_grid
+from .maxreg import solution_norms
 from .operators import LameParams, lame_apply
-from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step
+from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step, time_grid
 
 
 class DiffeomorphismError(RuntimeError):
@@ -244,7 +244,7 @@ def picard_solve(
     Starts from the unforced linear solution and refreshes the forcing with
     the previous iterate's nonlinearity; stops when the solution-norm of the
     update falls below stop_tol_rel times the data norm. The time nodes are
-    time_grid(T, cfg.dt).
+    varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart.
     """
     grid = rho0.grid
     idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p)
@@ -255,12 +255,11 @@ def picard_solve(
         smallness_ok=bool(u0_norm <= cfg.smallness_c * (1.0 + 1e-12)),
     )
     t_grid = time_grid(T, cfg.dt)
-    stepper = cfg.stepper.with_dt(float(t_grid[1]))
 
     def to_state(u_traj):
         return LagrangianState(grid, params, rho0, t_grid, u_traj)
 
-    u_traj = evolve(rho0, params, u0, t_grid, stepper)
+    u_traj = evolve(rho0, params, u0, t_grid, cfg.stepper)
     diag.iterate_norms.append(solution_norms(grid, u_traj, t_grid[1], params, idx).total)
     if u0_norm == 0.0:
         diag.converged = True
@@ -269,7 +268,7 @@ def picard_solve(
     for _ in range(cfg.max_iters):
         state = to_state(u_traj)
         forcing = nonlinearity_f(state, flow_map(state))
-        u_next = evolve(rho0, params, u0, t_grid, stepper, forcing=forcing, guess=u_traj)
+        u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=forcing, guess=u_traj)
         delta = solution_norms(grid, u_next - u_traj, t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
         if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:
@@ -392,7 +391,7 @@ def eulerian_reference_solve(
     """Independent Eulerian solver: semi-Lagrangian transport of density and
     momentum followed by the implicit viscous step with the transported
     density frozen. Shares nothing with the flow-map pipeline but its time
-    nodes, time_grid(T, cfg.dt)."""
+    nodes, varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart."""
     grid = rho0.grid
     t_grid = time_grid(T, cfg.dt)
     nt = len(t_grid)
@@ -416,6 +415,6 @@ def eulerian_reference_solve(
         u_adv = interp_periodic(u[i], x_dep, L)
         div_u = divergence(grid, u[i])
         rho_adv = interp_periodic(rho[i], x_dep, L) * np.exp(-dt * interp_periodic(div_u, x_dep, L))
-        u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg.cg_tol, u_guess=u_adv)
+        u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg.cg_tol)
         rho[i + 1] = rho_adv
     return EulerianTrajectory(t_grid, rho, u)

@@ -16,7 +16,7 @@ import numpy as np
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_lq
 from .grid import lp_norm
 from .operators import LameParams, _apply, _heat, _spectral, lame_apply
-from .varcoef import Coefficient, StepperConfig, evolve
+from .varcoef import Coefficient, StepperConfig, evolve, time_grid
 
 
 # Uniform steps per geometric node interval of the norm-equivalence probe: at 8
@@ -84,15 +84,6 @@ class MaxRegReport:
     max_leakage: float
 
 
-def time_grid(T: float, dt: float) -> np.ndarray:
-    """Uniform nodes on [0, T] for a maximal-regularity run: spacing as close
-    to dt as a whole number of intervals allows, and at least the 3 nodes
-    that time_derivative needs. Forcing is sampled on these same nodes."""
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"T must be a finite time > 0, got {T}")
-    return np.linspace(0.0, T, max(3, int(round(T / dt)) + 1))
-
-
 def solve_linear_maxreg(
     coef: Coefficient,
     params: LameParams,
@@ -105,14 +96,14 @@ def solve_linear_maxreg(
 ) -> MaxRegReport:
     """Run the linear system over [0, T] and assemble the regularity ratio.
 
-    forcing is sampled on time_grid(T, cfg.dt). L1-in-time
-    norms use the trapezoid rule on the stepper's own nodes; the sup norm is
-    the max over nodes.
+    forcing is sampled on varcoef.time_grid(T, cfg.dt), the nodes the solve
+    steps on. L1-in-time norms use the trapezoid rule on those nodes; the sup
+    norm is the max over nodes.
     """
     grid = coef.grid
     t_grid = time_grid(T, cfg.dt)
     dt = t_grid[1] - t_grid[0]
-    traj = evolve(coef, params, u0, t_grid, cfg.with_dt(dt), forcing=forcing)
+    traj = evolve(coef, params, u0, t_grid, cfg, forcing=forcing)
 
     idx = BesovIndex(s, p)
     out = solution_norms(grid, traj, dt, params, idx)
@@ -174,7 +165,7 @@ def norm_equiv_ratio(
     nodes = extended_time_nodes(grid, params, above=4.0)
     fine = refine_time_grid(nodes, _SUBSTEPS)
     # the intervals are already refined: one step each, at the default CG tolerance
-    traj = evolve(coef, params, x, fine, StepperConfig(float(fine[-1])))
+    traj = evolve(coef, params, x, fine, StepperConfig(float(np.max(np.diff(fine)))))
     node_idx = np.searchsorted(fine, nodes)
     num_vals = np.array([lp_norm(grid, traj[i], 2) for i in node_idx])
     spec = _spectral(grid, coef.rho * x, params)

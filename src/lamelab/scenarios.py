@@ -21,9 +21,8 @@ from .grid import Grid
 from .io import read_csv
 from .kernels import check_kernel_times, davies_probe
 from .lagrangian import PicardConfig
-from .maxreg import time_grid
 from .operators import LameParams
-from .varcoef import Coefficient, StepperConfig, dense_dof
+from .varcoef import Coefficient, StepperConfig, dense_dof, time_grid
 
 
 class ConfigError(ValueError):
@@ -52,11 +51,19 @@ def _switch(cfg: dict, key: str) -> dict:
     return _object(cfg.get(key) or {}, key)
 
 
-def _seed(value) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise ConfigError(f"seeds must be >= 0, got {seed}")
-    return seed
+def _integer(value, name: str, least: int) -> int:
+    """A whole number >= least: 16 or 16.0, not 16.7, "16" or true."""
+    if not (_is_number(value) and value % 1 == 0 and value >= least):
+        raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
+def _flag(cfg: dict, key: str, default: bool) -> bool:
+    """An on/off setting: true or false, nothing else."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _integrability(value) -> float:
@@ -67,8 +74,8 @@ def _integrability(value) -> float:
 
 
 def build_grid(cfg: dict) -> Grid:
-    return Grid(int(_require(cfg, "dim", "grid")), int(_require(cfg, "N", "grid")),
-                float(_require(cfg, "extent", "grid")))
+    dim, n = (_integer(_require(cfg, key, "grid"), f"grid.{key}", 1) for key in ("dim", "N"))
+    return Grid(dim, n, float(_require(cfg, "extent", "grid")))
 
 
 def build_lame(cfg: dict) -> LameParams:
@@ -84,9 +91,10 @@ def build_rho0(grid: Grid, cfg: dict) -> Coefficient:
         return Coefficient.constant(grid, value)
     m = float(_require(cfg, "m", "rho0"))
     if kind == "checkerboard":
-        rho = checkerboard_density(grid, m, int(cfg.get("cells", 2)), float(cfg.get("sharpness", 6.0)))
+        cells = _integer(cfg.get("cells", 2), "rho0.cells", 0)
+        rho = checkerboard_density(grid, m, cells, float(cfg.get("sharpness", 6.0)))
     elif kind == "trig":
-        rho = trig_density(grid, m, _seed(cfg.get("seed", 0)), float(cfg.get("kmax", 3.0)),
+        rho = trig_density(grid, m, _integer(cfg.get("seed", 0), "rho0.seed", 0), float(cfg.get("kmax", 3.0)),
                            float(cfg.get("gain", 2.0)))
     else:
         raise ConfigError(f"unknown rho0 kind {kind!r}")
@@ -103,7 +111,7 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
     if kind != "band":
         raise ConfigError(f"unknown u0 kind {kind!r}")
     u = random_band_field(grid, float(cfg.get("kmin", 1.0)), float(cfg.get("kmax", 3.0)),
-                          _seed(_require(cfg, "seed", "u0")), ncomp=grid.dim)
+                          _integer(_require(cfg, "seed", "u0"), "u0.seed", 0), ncomp=grid.dim)
     amplitude = float(_require(cfg, "amplitude", "u0"))
     if not math.isfinite(amplitude):
         raise ConfigError(f"u0 amplitude must be finite, got {amplitude}")
@@ -116,7 +124,7 @@ def build_picard(cfg: dict) -> tuple:
     T = float(_require(cfg, "T", "picard"))
     pc = PicardConfig(
         dt=float(_require(cfg, "dt", "picard")),
-        max_iters=int(cfg.get("max_iters", 25)),
+        max_iters=_integer(cfg.get("max_iters", 25), "picard.max_iters", 1),
         stop_tol_rel=float(cfg.get("tol", 1e-8)),
         smallness_c=float(cfg.get("c", 0.05)),
         flow_smallness_c0=float(cfg.get("c0", 0.1)),
@@ -186,22 +194,22 @@ def parse_kernel(cfg: dict, seed: int) -> dict:
             raise ConfigError(f"davies needs nonnegative alphas and a nonzero u0, got alphas {alphas}")
         davies = ([davies_probe(grid, a) for a in alphas], u0)
     return dict(coef=coef, params=params, stepper=stepper, times=times, sources=sources,
-                presmooth=bool(cfg.get("presmooth", False)), gradient=bool(cfg.get("gradient", True)), davies=davies)
+                presmooth=_flag(cfg, "presmooth", False), gradient=_flag(cfg, "gradient", True), davies=davies)
 
 
 def parse_besov(cfg: dict, seed: int) -> dict:
     grid = build_grid(_require(cfg, "grid", "top-level"))
     params = build_lame(_require(cfg, "lame", "top-level"))
     fcfg = _block(cfg, "fields", {})
-    count = int(fcfg.get("count", 20))
+    count = _integer(fcfg.get("count", 20), "fields.count", 1)
     band = float(fcfg.get("kmin", 2.0)), float(fcfg.get("kmax", 6.0))
-    base = _seed(fcfg.get("seed", seed))
+    base = _integer(fcfg.get("seed", seed), "fields.seed", 0)
     p = _integrability(cfg.get("p", 2.0))
     s_list = [float(s) for s in cfg.get("s_list", [0.5, -0.5, grid.dim / p - 1.0])]
     q = float(cfg.get("q", 1.0))
-    k = int(cfg.get("k", 1))
-    if count < 1 or not q > 0:
-        raise ConfigError(f"besov needs fields.count >= 1 and q > 0, got {count}, {q}")
+    k = _integer(cfg.get("k", 1), "k", 0)
+    if not q > 0:
+        raise ConfigError(f"besov needs q > 0, got {q}")
     indices = [BesovIndex(s, p) for s in s_list]
     if not all(k > idx.s / 2.0 for idx in indices):
         raise ConfigError(f"the heat characterization needs k > s/2, got k={k}, s_list={s_list}")
@@ -213,22 +221,21 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
     grid, params, coef = _medium(cfg)
     stepper = _build_stepper(_block(cfg, "stepper", {"dt": 0.01}))
     pcfg = _block(cfg, "probes", {})
-    count = int(pcfg.get("count", 10))
-    base = _seed(pcfg.get("seed", seed))
+    count = _integer(pcfg.get("count", 10), "probes.count", 1)
+    base = _integer(pcfg.get("seed", seed), "probes.seed", 0)
     band = float(pcfg.get("kmin", 1.0)), float(pcfg.get("kmax", 4.0))
     p = _integrability(cfg.get("p", 2.0))
     idx = BesovIndex(float(cfg.get("s", grid.dim / p - 1.0)), p)
     T = float(cfg.get("T", 2.0))
     time_grid(T, stepper.dt)  # the solve's nodes: T a finite time > 0
-    if count < 1:
-        raise ConfigError(f"probes count must be >= 1, got {count}")
     band_modes(grid, *band)
     norm_equiv = None
     ncfg = _switch(cfg, "norm_equiv")
     if ncfg:
-        s_eq, q_eq, n_eq = float(ncfg.get("s", 0.5)), float(ncfg.get("q", 1.0)), int(ncfg.get("count", 5))
-        if not (0.0 < s_eq < 1.0 and q_eq > 0.0 and n_eq >= 1):
-            raise ConfigError(f"norm_equiv needs s in (0, 1), q > 0, count >= 1; got {s_eq}, {q_eq}, {n_eq}")
+        s_eq, q_eq = float(ncfg.get("s", 0.5)), float(ncfg.get("q", 1.0))
+        n_eq = _integer(ncfg.get("count", 5), "norm_equiv.count", 1)
+        if not (0.0 < s_eq < 1.0 and q_eq > 0.0):
+            raise ConfigError(f"norm_equiv needs s in (0, 1) and q > 0, got {s_eq}, {q_eq}")
         norm_equiv = (s_eq, q_eq, n_eq)
     return dict(coef=coef, params=params, stepper=stepper, idx=idx, T=T, band=band, count=count, base=base,
                 norm_equiv=norm_equiv)
@@ -239,7 +246,7 @@ def parse_flow(cfg: dict, seed: int) -> dict:
     T, pcfg = build_picard(_require(cfg, "picard", "top-level"))
     BesovIndex(grid.dim / pcfg.p, pcfg.p)  # the flow budget grad_besov_l1 of run_flow: p > n/2
     u0 = build_u0(grid, _require(cfg, "u0", "top-level"), pcfg.p)
-    cross_validate = bool(cfg.get("cross_validate", False))
+    cross_validate = _flag(cfg, "cross_validate", False)
     if cross_validate and not np.any(u0):  # the error is relative to the Eulerian reference
         raise ConfigError("cross_validate needs a nonzero u0")
     return dict(rho0=rho0, params=params, u0=u0, T=T, pcfg=pcfg, cross_validate=cross_validate)

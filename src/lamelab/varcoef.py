@@ -17,7 +17,7 @@ eigendecomposition, is the independent check on the stepping.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -82,7 +82,7 @@ _PREDICTOR_ORDER = 3
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Largest step dt and the CG tolerance, relative to the right-hand side."""
+    """Largest step dt (of time_grid and evolve) and the CG tolerance, relative to the right-hand side."""
 
     dt: float
     cg_tol: float = 1e-10
@@ -92,9 +92,6 @@ class StepperConfig:
             raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
         if not (0 < self.cg_tol < 1):  # relative to ||b||: from 1 up CG may stop before iterating
             raise ValueError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
-
-    def with_dt(self, dt: float) -> "StepperConfig":
-        return replace(self, dt=dt)
 
 
 @lru_cache(maxsize=8)
@@ -184,14 +181,6 @@ def theta_step(
     return x
 
 
-def _sample_at(samples, t_grid, t):
-    """Linear-in-time sample of a t_grid-sampled field at an arbitrary time."""
-    i = np.searchsorted(t_grid, t) - 1
-    i = min(max(i, 0), len(t_grid) - 2)
-    w = (t - t_grid[i]) / (t_grid[i + 1] - t_grid[i])
-    return (1.0 - w) * samples[i] + w * samples[i + 1]
-
-
 def _extrapolate(history, t: float) -> np.ndarray:
     """Value at t of the Lagrange polynomial through the (t_j, d_j) of history,
     on the actual (possibly uneven) times t_j."""
@@ -206,6 +195,20 @@ def _extrapolate(history, t: float) -> np.ndarray:
     return out
 
 
+def _steps(span: float, dt: float) -> int:
+    """How an interval becomes steps: the fewest uniform ones of at most dt (to a relative 1e-12)."""
+    return max(1, int(np.ceil(span / dt - 1e-12)))
+
+
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """Uniform nodes on [0, T] no more than dt apart, as evolve would step
+    [0, T], and at least 3 of them (the centered time derivative of maxreg
+    needs 3). Forcing and guesses of a solve are sampled on these nodes."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be a finite time > 0, got {T}")
+    return np.linspace(0.0, T, max(2, _steps(T, dt)) + 1)
+
+
 def evolve(
     coef: Coefficient,
     params: LameParams,
@@ -217,16 +220,16 @@ def evolve(
 ) -> np.ndarray:
     """Integrate rho du/dt = L u + f, returning samples at every t_grid node.
 
-    Each t_grid interval is subdivided into uniform steps no longer than
-    cfg.dt. Forcing, when given, is sampled on t_grid and interpolated
-    linearly at interior step times. guess, a trajectory sampled like the
-    output (such as the previous iterate of a fixed point), is sampled the
-    same way; without it the guess is zero. Each step's CG starts from the
-    guess at the new time plus the polynomial extrapolation, in time, of the
-    departures u - guess of the last _PREDICTOR_ORDER + 1 step states (fewer
-    at the start: the first step starts from the guess plus u0's departure,
-    u0 itself without a guess). A step whose CG stalls raises
-    SolverConvergenceError with its step index and time.
+    Each t_grid interval is split into _steps(interval, cfg.dt) uniform steps.
+    Forcing (each step takes the mean of its ends) and guess (a trajectory
+    such as the previous iterate of a fixed point; zero without it) are
+    sampled on t_grid, so they need one step per interval, as on time_grid's
+    nodes. Each step's CG starts from the guess at the new time plus the
+    polynomial extrapolation, in time, of the departures u - guess of the
+    last _PREDICTOR_ORDER + 1 step states (fewer at the start: the first step
+    starts from the guess plus u0's departure, u0 itself without a guess). A
+    step whose CG stalls raises SolverConvergenceError with its step index
+    and time.
     """
     grid = coef.grid
     t_grid = np.asarray(t_grid, dtype=float)
@@ -245,25 +248,23 @@ def evolve(
             raise ValueError("forcing contains non-finite samples")
     if guess is not None and np.shape(guess) != (len(t_grid),) + u.shape:
         raise ValueError("guess must be sampled on t_grid with u0's field shape")
+    spans = np.diff(t_grid)
+    nsubs = [_steps(span, cfg.dt) for span in spans]
+    if (forcing is not None or guess is not None) and max(nsubs, default=1) > 1:
+        raise ValueError(f"forcing and guess need t_grid intervals of at most dt = {cfg.dt}, got {max(spans):.6g}")
 
     out = np.empty((len(t_grid),) + u.shape)
     out[0] = u
-    g = 0.0 if guess is None else _sample_at(guess, t_grid, 0.0)
+    g = 0.0 if guess is None else guess[0]
     history = deque([(0.0, u - g)], maxlen=_PREDICTOR_ORDER + 1)  # (t_j, u_j - g(t_j))
     step = 0
-    for i in range(len(t_grid) - 1):
-        span = t_grid[i + 1] - t_grid[i]
-        nsub = max(1, int(np.ceil(span / cfg.dt - 1e-12)))
+    for i, (span, nsub) in enumerate(zip(spans, nsubs)):
         dt = span / nsub
         t = t_grid[i]
+        f_bar = None if forcing is None else _THETA * forcing[i + 1] + (1.0 - _THETA) * forcing[i]
+        g = 0.0 if guess is None else guess[i + 1]
         for _ in range(nsub):
             t_new = t + dt
-            f_bar = None
-            if forcing is not None:
-                f_new = _sample_at(forcing, t_grid, t_new)
-                f_old = _sample_at(forcing, t_grid, t)
-                f_bar = _THETA * f_new + (1.0 - _THETA) * f_old
-            g = 0.0 if guess is None else _sample_at(guess, t_grid, t_new)
             step += 1
             try:
                 start = g + _extrapolate(history, t_new)

@@ -72,7 +72,7 @@ class TestFlowCommand:
         assert manifest["error"]["type"] == "PicardConvergenceError"
 
     def test_horizon_of_one_step(self, tmp_path, outdir):
-        # T = dt: the solve steps on the three nodes of maxreg.time_grid
+        # T = dt: the solve steps on the three nodes of varcoef.time_grid, half a dt apart
         cfg = {
             "grid": SMALL_GRID,
             "lame": LAME,
@@ -192,7 +192,7 @@ class TestMaxregCommand:
         assert workers == [1, 1, 2, 2, os.cpu_count(), os.cpu_count()]
 
     def test_horizon_of_one_step(self, tmp_path, outdir):
-        # T = dt: the forcing is sampled on the same three nodes the solve steps on
+        # T = dt: the forcing is sampled on the same three nodes of varcoef.time_grid the solve steps on
         cfg = {
             "grid": {"dim": 2, "N": 16, "extent": 8.0},
             "lame": LAME,
@@ -208,7 +208,65 @@ class TestMaxregCommand:
         assert np.isfinite(float(rows[0][header.index("ratio")]))
 
 
+class TestLargestStep:
+    """dt is the largest step of every command, also when T is not a whole number of steps."""
+
+    @staticmethod
+    def _record_steps(monkeypatch):
+        import lamelab.lagrangian
+        import lamelab.varcoef
+
+        steps, step = [], lamelab.varcoef.theta_step
+
+        def recording(grid, rho, params, u_old, dt, *args, **kwargs):
+            steps.append(dt)
+            return step(grid, rho, params, u_old, dt, *args, **kwargs)
+
+        monkeypatch.setattr(lamelab.varcoef, "theta_step", recording)
+        monkeypatch.setattr(lamelab.lagrangian, "theta_step", recording)  # the Eulerian reference's steps
+        return steps
+
+    def test_maxreg(self, tmp_path, outdir, monkeypatch):
+        steps = self._record_steps(monkeypatch)
+        cfg = {
+            "grid": {"dim": 2, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "probes": {"count": 1},
+            "T": 0.25,
+            "stepper": {"dt": 0.1},
+        }
+        path = write_config(tmp_path / "maxreg.json", cfg)
+        assert run_cli(["maxreg", "--config", path, "--out", outdir]) == 0
+        assert steps and max(steps) <= 0.1
+
+    def test_flow_and_its_eulerian_reference(self, tmp_path, outdir, monkeypatch):
+        steps = self._record_steps(monkeypatch)
+        cfg = {
+            "grid": {"dim": 2, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "u0": {"kind": "band", "seed": 1, "amplitude": 0.05, "kmin": 1, "kmax": 3},
+            "picard": {"T": 0.25, "dt": 0.1},
+            "cross_validate": True,
+        }
+        path = write_config(tmp_path / "flow.json", cfg)
+        assert run_cli(["flow", "--config", path, "--out", outdir]) == 0
+        assert steps and max(steps) <= 0.1
+
+
 class TestValidation:
+    def test_whole_number_floats_are_integers(self):
+        cfg = {
+            "grid": {"dim": 2.0, "N": 16.0, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "constant"},
+            "u0": {"kind": "zero"},
+            "picard": {"T": 0.2, "dt": 0.1, "max_iters": 3.0},
+        }
+        plan = parse_flow(cfg, 0)
+        assert (plan["rho0"].grid.dim, plan["rho0"].grid.n, plan["pcfg"].max_iters) == (2, 16, 3)
+
     def test_malformed_json_exits_2(self, tmp_path, outdir):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -288,6 +346,12 @@ class TestConfigErrorWritesNothing:
         # the twisted flow steps the times in the given order
         "davies_unsorted_times": ("kernel", {**KERNEL, "times": [0.2, 0.1], "davies": {"alphas": [0.0]}}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
+        # integer settings are whole numbers and on/off settings true or false, not coerced
+        "maxreg_fractional_count": ("maxreg", {**MAXREG, "probes": {"count": 1.9}}, []),
+        "grid_fractional_N": ("maxreg", {**MAXREG, "grid": {"dim": 2, "N": 16.7, "extent": 8.0}}, []),
+        "flow_cross_validate_word": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
+                                              "picard": {"T": 0.2, "dt": 0.1}, "cross_validate": "no"}, []),
+        "kernel_presmooth_number": ("kernel", {**KERNEL, "presmooth": 1}, []),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -4,7 +4,8 @@ Test references and paper checks that no command runs live under tests/.
 Likewise every parameter default is a choice some call in src/ overrides: a
 default that no call passes is a constant, and lives in the body. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
-stated once, in grid.py. And every imported name is used where it is imported."""
+stated once, in grid.py. Every imported name is used where it is imported,
+and is imported from the module that defines it."""
 
 import ast
 from collections import defaultdict
@@ -12,6 +13,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "lamelab"
+PERFBENCH = TESTS.parent / "perfbench"
 
 # io.read_field is the reader half of the PLF1 format that io owns: splitting
 # the format between src/ and tests/ would put one decision in two modules.
@@ -93,3 +95,33 @@ def test_every_import_is_used():
                 names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{path.parent.name}/{path.name}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_names_are_imported_from_their_definer():
+    # a name passed on by an importing module has two owners; the package
+    # __init__ re-exports on purpose, so `from lamelab import name` is exempt
+    defined = {}  # module -> its top-level definitions
+    for path in SRC.glob("*.py"):
+        names = set()
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        defined[path.stem] = names
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    passed_on = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level == 1 and path.parent == SRC:
+                module = node.module
+            elif node.level == 0 and node.module.startswith("lamelab."):
+                module = node.module.removeprefix("lamelab.")
+            else:
+                continue
+            passed_on += [f"{path.parent.name}/{path.name}: {module}.{a.name}"
+                          for a in node.names if a.name not in defined[module]]
+    assert passed_on == []

@@ -10,10 +10,9 @@ from lamelab.maxreg import (
     solution_norms,
     solve_linear_maxreg,
     time_derivative,
-    time_grid,
 )
 from lamelab.operators import const_semigroup, lame_apply
-from lamelab.varcoef import Coefficient, StepperConfig
+from lamelab.varcoef import Coefficient, StepperConfig, time_grid
 
 from conftest import hodge_project, plane_wave
 

@@ -10,7 +10,7 @@ import pytest
 from lamelab.besov import extended_time_nodes
 from lamelab.fields import checkerboard_density, random_band_field, random_time_profile, trig_density
 from lamelab.grid import Grid, integral, lp_norm
-from lamelab.maxreg import refine_time_grid, time_grid
+from lamelab.maxreg import refine_time_grid
 from lamelab.operators import LameParams, const_semigroup, lame_apply
 from lamelab.varcoef import (
     Coefficient,
@@ -22,6 +22,7 @@ from lamelab.varcoef import (
     _preconditioner,
     evolve,
     theta_step,
+    time_grid,
 )
 
 from conftest import plane_wave, rng_field
@@ -64,6 +65,16 @@ class TestStepperConfig:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             StepperConfig(dt=0.0)
+
+
+class TestTimeGrid:
+    # the first three horizons are not a whole number of steps; the last two are the workloads'
+    @pytest.mark.parametrize("T, dt", [(2.5, 1.0), (0.25, 0.1), (0.35, 0.1), (1.3, 0.05), (6.5, 0.05)])
+    def test_nodes_at_most_dt_apart(self, T, dt):
+        nodes = time_grid(T, dt)
+        assert len(nodes) >= 3
+        assert nodes[0] == 0.0 and nodes[-1] == T
+        assert np.max(np.diff(nodes)) <= dt * (1.0 + 1e-12)
 
 
 def momentum_integral(coef: Coefficient, u: np.ndarray) -> np.ndarray:
@@ -129,11 +140,19 @@ class TestEvolve:
         with pytest.raises(ValueError, match="non-finite"):
             evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2), forcing=forcing)
 
+    @pytest.mark.parametrize("given", ["forcing", "guess"])
+    def test_samples_need_one_step_per_interval(self, rough16, params, given):
+        # forcing and guess are read at the nodes, so no step may end between two
+        u0 = np.zeros((2,) + rough16.grid.shape)
+        samples = {given: np.zeros((2,) + u0.shape)}
+        with pytest.raises(ValueError, match="at most dt"):
+            evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2), **samples)
+
     def test_warm_start_matches_cold_start(self, rough16, params):
         # a guess changes only where CG starts, so the runs agree to the CG
         # tolerance times the preconditioned condition number (<= 1/m^4) per step
         u0 = random_band_field(rough16.grid, 1, 3, seed=12, ncomp=2)
-        t_grid = np.linspace(0.0, 0.2, 11)
+        t_grid = np.linspace(0.0, 0.2, 21)
         cfg = StepperConfig(dt=1e-2, cg_tol=1e-10)
         cold = evolve(rough16, params, u0, t_grid, cfg)
         noise = 1e-2 * random_band_field(rough16.grid, 1, 6, seed=13, ncomp=2)
@@ -164,8 +183,8 @@ class TestEvolve:
 
         w = random_band_field(grid32, 2, 3, seed=5, ncomp=2)
         f = -lame_apply(grid32, w, params)
-        t_grid = np.linspace(0.0, 16.0, 65)
-        forcing = np.broadcast_to(f, (65,) + f.shape).copy()
+        t_grid = np.linspace(0.0, 16.0, 161)
+        forcing = np.broadcast_to(f, (161,) + f.shape).copy()
         traj = evolve(coef, params, np.zeros_like(w), t_grid, StepperConfig(dt=0.1), forcing=forcing)
         rel = lp_norm(grid32, traj[-1] - w, 2) / lp_norm(grid32, w, 2)
         assert rel < 1e-3
@@ -198,7 +217,7 @@ class TestPredictor:
         c = [rng_field(grid, 60 + k, ncomp=2) for k in range(4)]
         if uneven:  # the step times of norm_equiv_ratio: one step per refined interval
             t_grid = refine_time_grid(extended_time_nodes(grid, params, above=4.0), 8)
-            dt = float(t_grid[-1])
+            dt = float(np.max(np.diff(t_grid)))
         else:
             t_grid, dt = [0.0, 0.35, 1.0], 0.05
         T = float(t_grid[-1])
@@ -245,7 +264,7 @@ class TestPredictor:
         for order in (0, vc._PREDICTOR_ORDER):  # order 0: each step starts from the previous state
             monkeypatch.setattr(vc, "_PREDICTOR_ORDER", order)
             iterations.clear()
-            evolve(coef, params, u0, t_grid, stepper.with_dt(t_grid[1]), forcing=forcing)
+            evolve(coef, params, u0, t_grid, stepper, forcing=forcing)
             totals.append(sum(iterations))
         assert totals[1] <= 0.7 * totals[0]
 
