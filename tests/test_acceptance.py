@@ -40,7 +40,7 @@ from lamelab.lagrangian import (
 from lamelab.maxreg import norm_equiv_ratio, solve_linear_maxreg
 from lamelab.operators import LameParams, ScaledLaplacian
 from lamelab.scenarios import DEFAULT_FLOW_SCENARIO, build_grid, build_lame, build_picard, build_rho0, build_u0
-from lamelab.varcoef import Coefficient, StepperConfig, dense_semigroup_matrices, evolve
+from lamelab.varcoef import Coefficient, StepperConfig, dense_semigroup_matrices, evolve, time_grid
 
 from test_kernels import holder_quotient, synth_lame_kernel
 
@@ -257,8 +257,7 @@ def test_criterion_8_maximal_regularity_ratio(params):
         grid = Grid(2, n, 16.0)
         coef = Coefficient(grid, checkerboard_density(grid, 0.5, sharpness=2.0), 0.5)
         T = 2.0
-        nt = int(round(T / dt)) + 1
-        t_grid = np.linspace(0.0, T, nt)
+        t_grid = time_grid(T, dt)
         for i in range(10):
             u0 = random_band_field(grid, 1, 4, seed=300 + 2 * i, ncomp=2)
             fx = random_band_field(grid, 1, 4, seed=301 + 2 * i, ncomp=2)

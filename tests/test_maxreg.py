@@ -55,7 +55,7 @@ class TestSolveLinear:
         rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, T, dt), s, p, T, StepperConfig(dt=dt))
 
         idx = BesovIndex(s, p)
-        nodes = np.linspace(0.0, T, int(round(T / dt)) + 1)
+        nodes = time_grid(T, dt)
         traj = np.stack([const_semigroup(grid32, u0, t, params) for t in nodes])
         bes = lambda u: besov_norm_report(grid32, u, idx).value
         sup = max(bes(u) for u in traj)
@@ -63,6 +63,16 @@ class TestSolveLinear:
         op_l1 = float(np.trapezoid(op_vals, dx=dt))
         oracle_ratio = (sup + 2.0 * op_l1) / bes(u0)
         assert rep.ratio == pytest.approx(oracle_ratio, rel=0.01)
+
+    def test_long_run(self, params):
+        # 10^4 steps: time_grid's nodes are exact only to an ulp of their time, so
+        # the forcing's intervals come out a little over dt and must not be refused
+        grid = Grid(2, 8, 8.0)
+        u0 = random_band_field(grid, 1, 2, seed=1, ncomp=2)
+        T, dt = 10.0, 1e-3
+        coef = Coefficient.constant(grid, 1.0)
+        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, T, dt), 0.0, 2.0, T, StepperConfig(dt=dt))
+        assert np.isfinite(rep.ratio)
 
     def test_rough_density_ratio_finite(self, rough32, params):
         u0 = random_band_field(rough32.grid, 1, 4, seed=3, ncomp=2)

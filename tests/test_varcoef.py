@@ -76,6 +76,21 @@ class TestTimeGrid:
         assert nodes[0] == 0.0 and nodes[-1] == T
         assert np.max(np.diff(nodes)) <= dt * (1.0 + 1e-12)
 
+    # a node is exact only to an ulp of its time, so past a few thousand steps some
+    # intervals come out a little over dt (by ~T/dt ulps of dt); each is still one step
+    @pytest.mark.parametrize("T, dt", [(2.0, 1e-4), (10.0, 1e-3)])
+    def test_long_grid_is_one_step_per_interval(self, params, monkeypatch, T, dt):
+        import lamelab.varcoef as vc
+
+        steps = []
+        monkeypatch.setattr(vc, "theta_step", lambda grid, rho, params, u_old, dt, *a, **kw: steps.append(dt) or u_old)
+        coef = Coefficient.constant(Grid(2, 8, 8.0), 1.0)
+        t_grid = time_grid(T, dt)
+        u0 = np.zeros((2,) + coef.grid.shape)
+        samples = np.zeros((len(t_grid),) + u0.shape)
+        evolve(coef, params, u0, t_grid, StepperConfig(dt=dt), forcing=samples, guess=samples)
+        assert len(steps) == len(t_grid) - 1
+
 
 def momentum_integral(coef: Coefficient, u: np.ndarray) -> np.ndarray:
     """int rho u dx, the quantity conserved by the unforced flow."""
