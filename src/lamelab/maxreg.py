@@ -16,12 +16,7 @@ import numpy as np
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_lq
 from .grid import lp_norm
 from .operators import LameParams, _apply, _heat, _spectral, lame_apply
-from .varcoef import Coefficient, StepperConfig, evolve, time_grid
-
-
-# Uniform steps per geometric node interval of the norm-equivalence probe: at 8
-# the unit-density ratio is 1 to 7e-5 (1.8e-5 at 16), well inside 1e-3.
-_SUBSTEPS = 8
+from .varcoef import Coefficient, StepperConfig, evolve, semigroup, time_grid
 
 
 class DegenerateProbeError(RuntimeError):
@@ -135,14 +130,6 @@ def _weighted_lq(values: np.ndarray, t_nodes: np.ndarray, s: float, q: float, va
     return geometric_lq(t_nodes**s * values, q, tail=tail)
 
 
-def refine_time_grid(t_nodes: np.ndarray, substeps: int) -> np.ndarray:
-    """Insert uniform substeps inside [0, t0] and between geometric nodes."""
-    pieces = [np.linspace(0.0, t_nodes[0], substeps + 1)]
-    for a, b in zip(t_nodes[:-1], t_nodes[1:]):
-        pieces.append(np.linspace(a, b, substeps + 1)[1:])
-    return np.concatenate(pieces)
-
-
 def norm_equiv_ratio(
     coef: Coefficient,
     params: LameParams,
@@ -152,22 +139,19 @@ def norm_equiv_ratio(
 ) -> float:
     """Ratio of semigroup-profile norms: rough flow of x over heat flow of rho*x.
 
-    Numerator: || t^s ||e^{t b L} x||_2 ||_{L^q(dt/t)} from one evolve pass.
-    Denominator: same weight on ||e^{t L}(rho x)||_2, evaluated exactly per
-    frequency. Both sides share the quadrature nodes, so the ratio is 1 to
-    stepping accuracy when rho is constant. The node range extends well past
-    the resolvable scales on both ends: the t^(s-1) lower tail carries real
-    mass for s in (0, 1), and both semigroups remain well defined discretely.
+    Numerator: || t^s ||e^{t b L} x||_2 ||_{L^q(dt/t)}, the semigroup taken at
+    the nodes by varcoef.semigroup. Denominator: same weight on
+    ||e^{t L}(rho x)||_2, evaluated exactly per frequency. Both sides share the
+    quadrature nodes, so the ratio is 1 to the Krylov tolerance when rho is
+    constant. The node range extends well past the resolvable scales on both
+    ends: the t^(s-1) lower tail carries real mass for s in (0, 1), and both
+    semigroups remain well defined discretely.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"s must be in (0, 1), got {s}")
     grid = coef.grid
     nodes = extended_time_nodes(grid, params, above=4.0)
-    fine = refine_time_grid(nodes, _SUBSTEPS)
-    # the intervals are already refined: one step each, at the default CG tolerance
-    traj = evolve(coef, params, x, fine, StepperConfig(float(np.max(np.diff(fine)))))
-    node_idx = np.searchsorted(fine, nodes)
-    num_vals = np.array([lp_norm(grid, traj[i], 2) for i in node_idx])
+    num_vals = np.array([lp_norm(grid, u, 2) for u in semigroup(coef, params, x, nodes)])
     spec = _spectral(grid, coef.rho * x, params)
     den_vals = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, 0)), 2) for t in nodes])
     num = _weighted_lq(num_vals, nodes, s, q, value_at_zero=lp_norm(grid, x, 2))

@@ -4,9 +4,7 @@ Configs are plain dicts (JSON-shaped). ``build_*`` turn one config block into
 one object; ``parse_<command>`` reads a whole command config and returns the
 keyword arguments of ``lamelab.cli.run_<command>``. Parsing checks every key
 and builds only cheap objects (grids, densities, initial fields, steppers), so
-that every config error is raised before a run starts. The standard
-small-data flow scenario lives here so the command line, the test suite, and
-reports all run the same bytes."""
+that every config error is raised before a run starts."""
 
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from .io import read_csv
 from .kernels import check_kernel_times, davies_probe
 from .lagrangian import PicardConfig
 from .operators import LameParams
-from .varcoef import Coefficient, StepperConfig, dense_dof, time_grid
+from .varcoef import Coefficient, StepperConfig, dense_dof, time_steps
 
 
 class ConfigError(ValueError):
@@ -130,7 +128,7 @@ def build_picard(cfg: dict) -> tuple:
         flow_smallness_c0=float(cfg.get("c0", 0.1)),
         p=_integrability(cfg.get("p", 2.0)),
     )
-    time_grid(T, pc.stepper.dt)  # the solve's nodes: T a finite time > 0, dt > 0
+    time_steps(T, pc.stepper.dt)  # the solve's nodes: T a finite time > 0, T/dt a finite count
     return T, pc
 
 
@@ -227,7 +225,7 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
     p = _integrability(cfg.get("p", 2.0))
     idx = BesovIndex(float(cfg.get("s", grid.dim / p - 1.0)), p)
     T = float(cfg.get("T", 2.0))
-    time_grid(T, stepper.dt)  # the solve's nodes: T a finite time > 0
+    time_steps(T, stepper.dt)  # the solve's nodes: T a finite time > 0, T/dt a finite count
     band_modes(grid, *band)
     norm_equiv = None
     ncfg = _switch(cfg, "norm_equiv")
@@ -299,16 +297,3 @@ def parse_plotdata(cfg: dict, seed: int) -> dict:
     names, extract = _PLOT_KINDS[kind]
     return dict(kind=kind, names=names, columns=extract(header, rows))
 
-
-# The standard small-data scenario: rough plateaued density at m = 1/2, a
-# band-limited initial velocity at the certified amplitude, horizon equal to
-# four viscous times of the lowest mode.
-DEFAULT_FLOW_SCENARIO = {
-    "grid": {"dim": 2, "N": 128, "extent": 8.0},
-    "lame": {"mu": 1.0, "lambda": 1.0},
-    # sharpness 2 keeps the full [m, 1/m] swing while the transition layer
-    # stays a few cells wide at N = 128, so composition checks resolve it
-    "rho0": {"kind": "checkerboard", "m": 0.5, "cells": 2, "sharpness": 2.0},
-    "u0": {"kind": "band", "kmin": 1.0, "kmax": 3.0, "seed": 7, "amplitude": 0.05},
-    "picard": {"T": 6.5, "dt": 0.05, "max_iters": 25, "tol": 1e-8},
-}

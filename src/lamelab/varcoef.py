@@ -12,6 +12,19 @@ forward and one inverse transform. The preconditioned spectrum is pinned
 inside [m^2, 1/m^2], so iteration counts are mesh-independent. On small
 grids a dense matrix exponential of the same spectral operator, taken by
 eigendecomposition, is the independent check on the stepping.
+
+The unforced semigroup e^{t b L} x at a few times needs no stepping:
+semigroup builds it by rational Krylov (Ruhe 1984; van den Eshof & Hochbruck
+2006; Guttel 2013). b L is self-adjoint in the rho-weighted inner product, and
+its shift-and-invert resolvent (rho - gamma L)^{-1} rho is the Crank-Nicolson
+system above at dt = 2 gamma, so each Krylov vector is one preconditioned CG
+solve and the iteration count stays mesh-independent. The Galerkin projection
+H = V^T L V of b L on the rho-orthonormal basis V is exponentiated exactly,
+from one eigendecomposition, for every requested time. The constant fields
+are the kernel of b L and rho-orthogonal to its range: x's constant part is
+carried exactly and every basis vector is projected off them, so the
+rho-weighted integral (the momentum) is conserved to rounding. Its error is
+the Krylov tolerance, with no time-step error.
 """
 
 from __future__ import annotations
@@ -27,9 +40,10 @@ from .operators import LameParams, _symbol_matrix, lame_apply
 
 
 class SolverConvergenceError(RuntimeError):
-    """Inner CG failed to reach tolerance; carries the final residual and, when
-    raised by evolve, the index (from 1) of the step that stalled and the time
-    it was stepping to (None from a lone theta_step)."""
+    """Inner CG failed to reach tolerance, or the Krylov basis of semigroup did
+    not converge; carries the final residual (the basis: its last change) and,
+    when raised by evolve, the index (from 1) of the step that stalled and the
+    time it was stepping to (None otherwise)."""
 
     def __init__(self, message: str, residual: float, step: int | None, time: float | None):
         super().__init__(message)
@@ -72,9 +86,12 @@ class Coefficient:
         return cls(grid, np.full(grid.shape, float(value)), m)
 
 
-# Every step is Crank-Nicolson, and its CG raises SolverConvergenceError past _CG_MAXITER iterations.
+# Every step is Crank-Nicolson, and its CG raises SolverConvergenceError past
+# _CG_MAXITER iterations. _CG_TOL is the CG tolerance of a StepperConfig that
+# sets none and of every shift-and-invert solve of semigroup.
 _THETA = 0.5
 _CG_MAXITER = 500
+_CG_TOL = 1e-10
 # Degree of the polynomial in time that evolve extrapolates to start each step's
 # CG: the Lagrange polynomial through the last _PREDICTOR_ORDER + 1 states.
 _PREDICTOR_ORDER = 3
@@ -85,7 +102,7 @@ class StepperConfig:
     """Largest step dt (of time_grid and evolve) and the CG tolerance, relative to the right-hand side."""
 
     dt: float
-    cg_tol: float = 1e-10
+    cg_tol: float = _CG_TOL
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -158,6 +175,13 @@ def theta_step(
     rhs = rho * u_old / dt + (1.0 - _THETA) * lame_apply(grid, u_old, params)
     if f_bar is not None:
         rhs = rhs + f_bar
+    return _cn_solve(grid, rho, params, rhs, dt, cg_tol, u_guess if u_guess is not None else u_old)
+
+
+def _cn_solve(grid: Grid, rho: np.ndarray, params: LameParams, rhs: np.ndarray, dt: float, cg_tol: float,
+              x0: np.ndarray) -> np.ndarray:
+    """Solve the Crank-Nicolson system (rho/dt - L/2) x = rhs by CG from x0
+    (module docstring); raises SolverConvergenceError past _CG_MAXITER iterations."""
     a = float(np.mean(rho)) / dt
     psolve = _preconditioner(grid, params, a)
     shift = rho / dt - a
@@ -168,7 +192,6 @@ def theta_step(
     def remainder(u):  # A - P
         return shift * u
 
-    x0 = u_guess if u_guess is not None else u_old
     x, iterations = _pcg(matvec, psolve, remainder, rhs, np.array(x0, dtype=float), cg_tol, _CG_MAXITER)
     if iterations is None:
         residual = float(_norm(matvec(x) - rhs) / _norm(rhs))
@@ -196,17 +219,28 @@ def _extrapolate(history, t: float) -> np.ndarray:
 
 
 def _steps(span: float, dt: float) -> int:
-    """How an interval becomes steps: the fewest uniform ones of at most dt (to a relative 1e-12)."""
-    return max(1, int(np.ceil(span / dt - 1e-12)))
+    """How an interval becomes steps: the fewest uniform ones of at most dt (to
+    a relative 1e-12). Raises ValueError when span/dt is not a finite count."""
+    ratio = float(span) / float(dt)
+    if not np.isfinite(ratio):
+        raise ValueError(f"an interval of {span:.6g} in steps of {dt:.6g} is not a finite step count")
+    return max(1, int(np.ceil(ratio - 1e-12)))
+
+
+def time_steps(T: float, dt: float) -> int:
+    """The number of intervals of time_grid(T, dt), at least 2, without building
+    its nodes (a config check); raises ValueError unless T is a finite time > 0
+    and T/dt a finite count."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be a finite time > 0, got {T}")
+    return max(2, _steps(T, dt))
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform nodes on [0, T] no more than dt apart, as evolve would step
     [0, T], and at least 3 of them (the centered time derivative of maxreg
     needs 3). Forcing and guesses of a solve are sampled on these nodes."""
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"T must be a finite time > 0, got {T}")
-    return np.linspace(0.0, T, max(2, _steps(T, dt)) + 1)
+    return np.linspace(0.0, T, time_steps(T, dt) + 1)
 
 
 def evolve(
@@ -277,6 +311,92 @@ def evolve(
             history.append((t, u - g))
         out[i + 1] = u
     return out
+
+
+# The Krylov basis of semigroup grows until the outputs at every requested time
+# move by at most _KRYLOV_TOL times the rho-norm of x's non-constant part, and
+# fails at _KRYLOV_MAXDIM vectors.
+_KRYLOV_TOL = 1e-8
+_KRYLOV_MAXDIM = 200
+
+
+def semigroup(coef: Coefficient, params: LameParams, x: np.ndarray, times) -> np.ndarray:
+    """e^{t b L} x at every t of times, in order, by rational Krylov (module docstring).
+
+    x's rho-weighted mean per component is carried exactly; its remainder
+    starts a rho-orthonormal basis V, each new vector (rho - gamma L)^{-1} rho
+    applied to the last one, cycling through the poles gamma = (t_min/2) 10^k
+    <= t_max, and rho-orthogonalized twice off V, then off the constants. The
+    outputs are the mean plus beta V e^{tH} e_1, with H = V^T L V (symmetric,
+    as rho b L = L) and beta the remainder's rho-norm. A stalled solve or a
+    basis of _KRYLOV_MAXDIM vectors raises SolverConvergenceError.
+    """
+    grid = coef.grid
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError(f"times must be a list of finite times >= 0, got {times}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (grid.dim,) + grid.shape:
+        raise ValueError(f"x must be a vector field, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite samples")
+    rho = coef.rho
+    axes = grid.spatial_axes
+
+    def constant_part(u):  # the rho-weighted mean per component: the rho-orthogonal projection on constants
+        return np.sum(rho * u, axis=axes, keepdims=True) / np.sum(rho)
+
+    def rho_norm(u):
+        return np.sqrt(np.sum(rho * u * u))
+
+    mean = constant_part(x)
+    remainder = x - mean
+    beta = rho_norm(remainder)
+    positive = times[times > 0]
+    if beta == 0.0 or not positive.size:
+        return np.broadcast_to(x, times.shape + x.shape).copy()
+    poles = [0.5 * positive.min()]
+    while poles[-1] * 10.0 <= positive.max():
+        poles.append(poles[-1] * 10.0)
+
+    basis = np.empty((_KRYLOV_MAXDIM,) + x.shape)
+    flat = basis.reshape(_KRYLOV_MAXDIM, -1)  # a view: inner products run over all entries
+    basis[0] = remainder / beta
+    H = np.zeros((_KRYLOV_MAXDIM, _KRYLOV_MAXDIM))
+    H[0, 0] = np.sum(basis[0] * lame_apply(grid, basis[0], params))
+    m, prev = 1, None
+    while True:
+        lam, q = np.linalg.eigh(H[:m, :m])
+        coeffs = q @ (np.exp(np.outer(lam, times)) * q[0][:, None])  # e^{tH} e_1, one column per t
+        if prev is not None:
+            change = float(np.max(np.linalg.norm(coeffs - np.pad(prev, ((0, 1), (0, 0))), axis=0)))
+            if change <= _KRYLOV_TOL:
+                break
+            if m == _KRYLOV_MAXDIM:
+                raise SolverConvergenceError(
+                    f"rational Krylov unconverged at {m} vectors (last change {change:.3e})", change, None, None
+                )
+        prev = coeffs
+        gamma = poles[(m - 1) % len(poles)]
+        dt = 2.0 * gamma  # rho - gamma L = dt (rho/dt - L/2): the Crank-Nicolson system at 2 gamma
+        try:
+            w = _cn_solve(grid, rho, params, rho * basis[m - 1] / dt, dt, _CG_TOL, basis[m - 1])
+        except SolverConvergenceError as err:
+            raise SolverConvergenceError(
+                f"Krylov vector {m + 1} (pole {gamma:.6g}): {err}", err.residual, None, None
+            ) from err
+        before = rho_norm(w)
+        for _ in range(2):
+            w -= np.einsum("j,jn->n", np.einsum("jn,n->j", flat[:m], (rho * w).ravel()), flat[:m]).reshape(x.shape)
+        w -= constant_part(w)  # last, so that its rounding is not magnified by the normalization
+        size = rho_norm(w)
+        if size <= np.finfo(float).eps * before:  # no new direction: the space is invariant
+            break
+        basis[m] = w / size
+        lv = lame_apply(grid, basis[m], params).ravel()
+        H[: m + 1, m] = H[m, : m + 1] = np.einsum("jn,n->j", flat[: m + 1], lv)
+        m += 1
+    return mean + beta * np.einsum("jk,jn->kn", coeffs, flat[:m]).reshape(times.shape + x.shape)
 
 
 # -- dense oracle --------------------------------------------------------------

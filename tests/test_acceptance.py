@@ -39,10 +39,24 @@ from lamelab.lagrangian import (
 )
 from lamelab.maxreg import norm_equiv_ratio, solve_linear_maxreg
 from lamelab.operators import LameParams, ScaledLaplacian
-from lamelab.scenarios import DEFAULT_FLOW_SCENARIO, build_grid, build_lame, build_picard, build_rho0, build_u0
+from lamelab.scenarios import build_grid, build_lame, build_picard, build_rho0, build_u0
 from lamelab.varcoef import Coefficient, StepperConfig, dense_semigroup_matrices, evolve, time_grid
 
 from test_kernels import holder_quotient, synth_lame_kernel
+
+
+# The standard small-data flow scenario, the README's flow example: rough
+# plateaued density at m = 1/2, a band-limited initial velocity at the certified
+# amplitude, horizon equal to four viscous times of the lowest mode.
+DEFAULT_FLOW_SCENARIO = {
+    "grid": {"dim": 2, "N": 128, "extent": 8.0},
+    "lame": {"mu": 1.0, "lambda": 1.0},
+    # sharpness 2 keeps the full [m, 1/m] swing while the transition layer
+    # stays a few cells wide at N = 128, so composition checks resolve it
+    "rho0": {"kind": "checkerboard", "m": 0.5, "cells": 2, "sharpness": 2.0},
+    "u0": {"kind": "band", "kmin": 1.0, "kmax": 3.0, "seed": 7, "amplitude": 0.05},
+    "picard": {"T": 6.5, "dt": 0.05, "max_iters": 25, "tol": 1e-8},
+}
 
 
 def check(label: str, ok: bool, detail: str):

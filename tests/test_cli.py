@@ -17,7 +17,7 @@ from lamelab.io import read_csv, read_field
 from lamelab.lagrangian import flow_map, grad_besov_l1, picard_solve
 from lamelab.maxreg import DegenerateProbeError
 from lamelab.operators import LameParams, ScaledLaplacian
-from lamelab.scenarios import parse_flow
+from lamelab.scenarios import parse_flow, parse_maxreg
 
 
 def run_cli(args):
@@ -267,6 +267,24 @@ class TestValidation:
         plan = parse_flow(cfg, 0)
         assert (plan["rho0"].grid.dim, plan["rho0"].grid.n, plan["pcfg"].max_iters) == (2, 16, 3)
 
+    @pytest.mark.parametrize("command", ["maxreg", "flow"])
+    def test_horizon_checked_without_its_nodes(self, command):
+        # a million steps are counted at parse time, not laid out as a million nodes (8 MB)
+        import tracemalloc
+
+        base = {"grid": {"dim": 2, "N": 16, "extent": 8.0}, "lame": LAME, "rho0": {"kind": "constant"}}
+        if command == "maxreg":
+            parse, cfg = parse_maxreg, {**base, "T": 1.0, "stepper": {"dt": 1e-6}}
+        else:
+            parse, cfg = parse_flow, {**base, "u0": {"kind": "zero"}, "picard": {"T": 1.0, "dt": 1e-6}}
+        tracemalloc.start()
+        try:
+            parse(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_malformed_json_exits_2(self, tmp_path, outdir):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -321,6 +339,9 @@ class TestConfigErrorWritesNothing:
         # nor is the CG iteration cap, a constant of the stepper
         "oracle_cg_maxiter_zero": ("oracle", {"times": [0.05], "stepper": {"dt": 0.01, "cg_maxiter": 0}}, []),
         "flow_nan_horizon": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": float("nan"), "dt": 0.1}}, []),
+        # T/dt overflows to an infinite step count
+        "flow_step_count_overflow": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 1e300, "dt": 1e-300}}, []),
+        "maxreg_step_count_overflow": ("maxreg", {**MAXREG, "T": 1e300, "stepper": {"dt": 1e-300}}, []),
         "flow_infinite_dt": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": float("inf")}}, []),
         # p = 1 in 2D puts the gradient budget at s = n/p = 2, outside the Besov range
         "flow_p_one": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "p": 1.0}}, []),

@@ -2,12 +2,14 @@
 src/lamelab is used somewhere in src/, so no code there exists only for tests.
 Test references and paper checks that no command runs live under tests/.
 Likewise every parameter default is a choice some call in src/ overrides: a
-default that no call passes is a constant, and lives in the body. The
+default that no call passes is a constant, and lives in the body; and every
+module-level constant is read in src/, so none is kept there for tests. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
 stated once, in grid.py. Every imported name is used where it is imported,
 and is imported from the module that defines it."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -36,6 +38,24 @@ def test_every_definition_has_a_caller_in_src():
             break
         unused |= found
     assert sorted(d.name for d in unused) == []
+
+
+def test_every_constant_is_read_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()  # names loaded anywhere in src/, bare or as a module attribute
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                unread += [f"{module}.{n}" for n in names if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n) and n not in read]
+    assert unread == []
 
 
 def test_every_default_is_passed_in_src():

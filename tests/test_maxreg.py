@@ -134,7 +134,17 @@ class TestNormEquivalence:
         coef = Coefficient.constant(grid32, 1.0)
         x = random_band_field(grid32, 1, 4, seed=5, ncomp=2)
         r = norm_equiv_ratio(coef, params, x, 0.5, 1.0)
-        assert r == pytest.approx(1.0, abs=1e-3)
+        assert r == pytest.approx(1.0, abs=1e-9)  # no time-step error: the Krylov space is exact here
+
+    def test_takes_no_time_step(self, rough32, params, monkeypatch):
+        import lamelab.varcoef as vc
+
+        def refused(*args, **kwargs):
+            raise AssertionError("norm_equiv_ratio stepped")
+
+        monkeypatch.setattr(vc, "theta_step", refused)
+        x = random_band_field(rough32.grid, 1, 4, seed=5, ncomp=2)
+        assert np.isfinite(norm_equiv_ratio(rough32, params, x, 0.5, 1.0))
 
     def test_scaled_constant_density_x_independent(self, grid32, params):
         # both profiles rescale deterministically: the ratio loses its x dependence

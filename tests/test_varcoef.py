@@ -10,7 +10,6 @@ import pytest
 from lamelab.besov import extended_time_nodes
 from lamelab.fields import checkerboard_density, random_band_field, random_time_profile, trig_density
 from lamelab.grid import Grid, integral, lp_norm
-from lamelab.maxreg import refine_time_grid
 from lamelab.operators import LameParams, const_semigroup, lame_apply
 from lamelab.varcoef import (
     Coefficient,
@@ -21,6 +20,7 @@ from lamelab.varcoef import (
     _pcg,
     _preconditioner,
     evolve,
+    semigroup,
     theta_step,
     time_grid,
 )
@@ -226,12 +226,14 @@ class TestPredictor:
         evolve(coef, params, u_of_t(0.0), t_grid, StepperConfig(dt=dt))
         return starts
 
-    @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "norm_equiv"])
+    @pytest.mark.parametrize("uneven", [False, True], ids=["uniform", "geometric"])
     def test_cubic_trajectory_is_reproduced(self, rough16, params, monkeypatch, uneven):
         grid = rough16.grid
         c = [rng_field(grid, 60 + k, ncomp=2) for k in range(4)]
-        if uneven:  # the step times of norm_equiv_ratio: one step per refined interval
-            t_grid = refine_time_grid(extended_time_nodes(grid, params, above=4.0), 8)
+        if uneven:  # geometric nodes over six decades, 8 uniform steps in [0, t_0] and in each interval
+            nodes = extended_time_nodes(grid, params, above=4.0)
+            pieces = [np.linspace(0.0, nodes[0], 9)] + [np.linspace(a, b, 9)[1:] for a, b in zip(nodes[:-1], nodes[1:])]
+            t_grid = np.concatenate(pieces)
             dt = float(np.max(np.diff(t_grid)))
         else:
             t_grid, dt = [0.0, 0.35, 1.0], 0.05
@@ -402,6 +404,65 @@ class TestDenseOracle:
         mats = dense_semigroup_matrices(rough16, params, (0.0, 0.1, 0.3))
         norms = [weighted_norm(rough16, (mat @ u0.ravel()).reshape(u0.shape)) for mat in mats]
         assert norms[0] >= norms[1] >= norms[2]
+
+
+class TestSemigroup:
+    """The unforced semigroup by rational Krylov, on criterion 2's grid and density."""
+
+    @staticmethod
+    def _x(grid):  # a band field plus a constant, which the semigroup carries exactly
+        return random_band_field(grid, 1, 3, seed=2, ncomp=2) + np.array([0.3, -0.7])[:, None, None]
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["oracle_times", "extended_nodes"])
+    def test_matches_dense_oracle(self, rough16, params, extended):
+        grid = rough16.grid
+        x = self._x(grid)
+        times = extended_time_nodes(grid, params, above=4.0) if extended else (0.05, 0.2)
+        out = semigroup(rough16, params, x, times)
+        assert out.shape == (len(times),) + x.shape
+        for u, mat in zip(out, dense_semigroup_matrices(rough16, params, times)):
+            oracle = (mat @ x.ravel()).reshape(x.shape)
+            assert lp_norm(grid, u - oracle, 2) <= 1e-7 * lp_norm(grid, oracle, 2)
+
+    def test_momentum_conserved(self, rough16, params):
+        grid = rough16.grid
+        x = self._x(grid)
+        times = extended_time_nodes(grid, params, above=4.0)
+        drift = [momentum_integral(rough16, u) - momentum_integral(rough16, x) for u in semigroup(rough16, params, x, times)]
+        assert np.max(np.abs(drift)) <= 1e-9
+
+    def test_constant_field_unchanged(self, rough16, params):
+        x = np.ones((2,) + rough16.grid.shape) * np.array([0.3, -1.7])[:, None, None]
+        for u in semigroup(rough16, params, x, [0.0, 0.05, 1e3]):
+            assert np.max(np.abs(u - x)) <= 1e-15
+
+    def test_time_zero_is_identity(self, rough16, params):
+        x = self._x(rough16.grid)
+        out = semigroup(rough16, params, x, [0.0, 0.1])
+        assert np.max(np.abs(out[0] - x)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_rejects_bad_input(self, rough16, params):
+        x = self._x(rough16.grid)
+        for times in ([0.1, -0.1], [np.nan]):
+            with pytest.raises(ValueError, match="times"):
+                semigroup(rough16, params, x, times)
+        with pytest.raises(ValueError, match="non-finite"):
+            semigroup(rough16, params, np.full_like(x, np.inf), [0.1])
+
+    def test_unconverged_basis_raises(self, rough16, params, monkeypatch):
+        import lamelab.varcoef as vc
+
+        monkeypatch.setattr(vc, "_KRYLOV_MAXDIM", 3)
+        with pytest.raises(SolverConvergenceError, match="unconverged at 3 vectors"):
+            semigroup(rough16, params, self._x(rough16.grid), [0.05, 0.2])
+
+    def test_stalled_solve_names_its_vector(self, rough16, params, monkeypatch):
+        import lamelab.varcoef as vc
+
+        monkeypatch.setattr(vc, "_CG_MAXITER", 1)
+        with pytest.raises(SolverConvergenceError, match="Krylov vector 2 .pole 0.025.: CG stalled") as err:
+            semigroup(rough16, params, self._x(rough16.grid), [0.05, 0.2])
+        assert err.value.residual > 0 and err.value.step is None
 
 
 class TestPCG:
