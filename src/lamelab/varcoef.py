@@ -115,9 +115,23 @@ class StepperConfig:
 def _preconditioner(grid: Grid, params: LameParams, a: float):
     """Exact inverse of a - L/2 per frequency (module docstring), as a function
     of the residual, built once per distinct a and kept for 8 (the steps of one
-    linspace alternate in the last bit). Each application costs two transforms."""
+    linspace alternate in the last bit). Each application costs two transforms.
+    The dense per-mode product is summed over its columns one term at a time
+    into one spectrum-sized output, through one component-sized scratch, in
+    the order np.sum over the column axis would take."""
     inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + _THETA * z))
-    return lambda r: ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
+
+    def psolve(r):
+        r_hat = fftn(grid, r)
+        out = np.empty_like(r_hat)
+        term = np.empty_like(r_hat[0])
+        for c in range(grid.dim):
+            np.multiply(inv[c, 0], r_hat[0], out=out[c])
+            for b in range(1, grid.dim):
+                out[c] += np.multiply(inv[c, b], r_hat[b], out=term)
+        return ifftn(grid, out)
+
+    return psolve
 
 
 def _norm(u: np.ndarray) -> float:
@@ -136,27 +150,36 @@ def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, m
     Returns (x, iterations), iterations None when the rule was never met.
     Inner products are np.sum of the elementwise product, not BLAS, whose
     summation order (and so the last bits) follows its thread count.
+
+    An iteration allocates only what psolve and remainder return (both must
+    be new arrays: z becomes p, and R p becomes q). p, w, x and r are updated
+    in place, and every elementwise product (of the inner products, alpha p
+    and alpha q) is formed in one scratch vector allocated once per call.
     """
     atol = rtol * _norm(b)
     if atol == 0.0:
         return np.zeros_like(b), 0
     r = b - matvec(x) if x.any() else b.copy()
+    scratch = np.empty_like(r)
     rz_prev = p = w = None
     for it in range(maxiter):
-        if _norm(r) < atol:
+        if np.sqrt(np.sum(np.multiply(r, r, out=scratch))) < atol:
             return x, it
         z = psolve(r)
-        rz = np.sum(r * z)
+        rz = np.sum(np.multiply(r, z, out=scratch))
         if p is None:
             p, w = z, r.copy()
         else:
             beta = rz / rz_prev
-            p = z + beta * p
-            w = r + beta * w
-        q = w + remainder(p)
-        alpha = rz / np.sum(p * q)
-        x += alpha * p
-        r -= alpha * q
+            p *= beta
+            p += z
+            w *= beta
+            w += r
+        q = remainder(p)
+        q += w
+        alpha = rz / np.sum(np.multiply(p, q, out=scratch))
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(q, alpha, out=scratch)
         rz_prev = rz
     return x, None
 

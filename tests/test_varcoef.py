@@ -9,8 +9,8 @@ import pytest
 
 from lamelab.besov import extended_time_nodes
 from lamelab.fields import checkerboard_density, random_band_field, random_time_profile, trig_density
-from lamelab.grid import Grid, integral, lp_norm
-from lamelab.operators import LameParams, const_semigroup, lame_apply
+from lamelab.grid import Grid, fftn, ifftn, integral, lp_norm
+from lamelab.operators import LameParams, _symbol_matrix, const_semigroup, lame_apply
 from lamelab.varcoef import (
     Coefficient,
     SolverConvergenceError,
@@ -465,6 +465,38 @@ class TestSemigroup:
         assert err.value.residual > 0 and err.value.step is None
 
 
+def allocating_pcg(matvec, psolve, remainder, b, x, rtol, maxiter):
+    """Textbook form of _pcg, each update a new array: the bitwise reference."""
+    atol = rtol * np.sqrt(np.sum(b * b))
+    if atol == 0.0:
+        return np.zeros_like(b), 0
+    r = b - matvec(x) if x.any() else b.copy()
+    rz_prev = p = w = None
+    for it in range(maxiter):
+        if np.sqrt(np.sum(r * r)) < atol:
+            return x, it
+        z = psolve(r)
+        rz = np.sum(r * z)
+        if p is None:
+            p, w = z, r.copy()
+        else:
+            beta = rz / rz_prev
+            p = z + beta * p
+            w = r + beta * w
+        q = w + remainder(p)
+        alpha = rz / np.sum(p * q)
+        x += alpha * p
+        r -= alpha * q
+        rz_prev = rz
+    return x, None
+
+
+@pytest.fixture(scope="module")
+def rough8_3d():
+    grid = Grid(3, 8, 8.0)
+    return Coefficient(grid, trig_density(grid, 0.5, seed=4), 0.5)
+
+
 class TestPCG:
     @staticmethod
     def _system(coef, params, dt=1e-2):
@@ -498,6 +530,30 @@ class TestPCG:
         assert info == 0
         assert iterations == len(steps) > 3
         assert np.max(np.abs(x.ravel() - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+    @pytest.mark.parametrize("case", ["rough16", "rough8_3d"])
+    @pytest.mark.parametrize("zero_guess", [True, False])
+    def test_matches_allocating_reference(self, case, zero_guess, params, request):
+        # in-place updates through one scratch vector keep every bit and the iteration count
+        coef = request.getfixturevalue(case)
+        grid = coef.grid
+        matvec, psolve, remainder = self._system(coef, params)
+        b = random_band_field(grid, 1, 3, seed=20, ncomp=grid.dim)
+        x0 = np.zeros_like(b) if zero_guess else random_band_field(grid, 1, 2, seed=21, ncomp=grid.dim)
+        x, iterations = _pcg(matvec, psolve, remainder, b, x0.copy(), 1e-10, 500)
+        x_ref, iterations_ref = allocating_pcg(matvec, psolve, remainder, b, x0.copy(), 1e-10, 500)
+        assert iterations == iterations_ref > 3
+        assert np.array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("case", ["rough16", "rough8_3d"])
+    def test_preconditioner_matches_dense_sum(self, case, params, request):
+        # the term-by-term accumulation keeps the bits of the summed dense product
+        grid = request.getfixturevalue(case).grid
+        a = 37.5
+        inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + 0.5 * z))
+        r = np.random.default_rng(22).standard_normal((grid.dim,) + grid.shape)
+        ref = ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
+        assert np.array_equal(_preconditioner(grid, params, a)(r), ref)
 
     def test_zero_rhs_returns_zeros(self, rough16, params):
         matvec, psolve, remainder = self._system(rough16, params)
