@@ -5,9 +5,11 @@ Interpolation is the cardinal cubic B-spline scheme: an FFT prefilter turns
 nodal samples into spline coefficients (exact on uniform periodic grids),
 then each query gathers a 4^dim stencil of coefficients with B-spline
 weights. The interpolant is C^2, reproduces cubics exactly, and converges at
-O(h^4). Fields may carry leading component axes (vectors, matrices): the
-stencil indices and weights are computed once per call and shared by all
-components.
+O(h^4). Fields may carry leading component axes (vectors, matrices, or any
+stack of fields sampled at one point set): the stencil's flat node indices
+and weights are computed once per call, every component is gathered by one
+np.take and all are contracted by one einsum. Each component comes out
+bit-identical to its own call, and a stack's prefilter row to its own field's.
 """
 
 from __future__ import annotations
@@ -76,17 +78,16 @@ def interp_periodic(
     coeffs = np.ascontiguousarray(values if prefiltered else spline_prefilter(values, dim))
     n = grid_shape[0]
     h = extent / n
-    weights, index = [], []
+    weights, flat = [], np.zeros(coords[0].size, dtype=np.int64)
     for a in range(dim):
         # fractional index of each query point; origin of axis a is -L/2
         frac = (coords[a].ravel() + 0.5 * extent) / h
         base = np.floor(frac).astype(np.int64)
         weights.append(_bspline_weights(frac - base))
-        idx = np.stack([(base - 1 + k) % n for k in range(4)])  # (4, m)
-        # stencil axis a broadcasts against the others, so a gather is (4, ..., 4, m)
-        index.append(idx.reshape((1,) * a + (4,) + (1,) * (dim - 1 - a) + idx.shape[1:]))
+        # row-major node index of the stencil, one new axis of 4 per grid axis: (4, ..., 4, m)
+        flat = flat[..., None, :] * n + (base + np.arange(-1, 3)[:, None]) % n
     letters = "abc"[:dim]
-    spec = ",".join(f"{c}m" for c in letters) + f",{letters}m->m"  # "am,bm,abm->m" in 2D
+    spec = ",".join(f"{c}m" for c in letters) + f",z{letters}m->zm"  # "am,bm,zabm->zm" in 2D
     lead = coeffs.shape[: coeffs.ndim - dim]
-    out = np.stack([np.einsum(spec, *weights, c[tuple(index)]) for c in coeffs.reshape((-1,) + grid_shape)])
+    out = np.einsum(spec, *weights, np.take(coeffs.reshape(-1, n**dim), flat, axis=1))
     return out.reshape(lead + coords.shape[1:])

@@ -118,9 +118,17 @@ class FlowMapData:
 
 
 def _time_integral(f: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid integral from t = 0 to every time sample (leading axis)."""
-    out = np.zeros_like(f)
-    np.cumsum(dt * (f[1:] + f[:-1]) / 2.0, axis=0, out=out[1:])
+    """Trapezoid integral from t = 0 to every time sample (leading axis) of a
+    stack of fields: a running sum of the interval terms dt (f[i] + f[i-1]) / 2,
+    each formed in its own output slice, in the order of np.cumsum along time."""
+    out = np.empty_like(f)
+    out[0] = 0.0
+    for i in range(1, len(f)):
+        np.add(f[i], f[i - 1], out=out[i])
+        out[i] *= dt
+        out[i] /= 2.0
+        if i > 1:
+            out[i] += out[i - 1]
     return out
 
 
@@ -349,8 +357,8 @@ def pushforward_eulerian(state: LagrangianState, flow: FlowMapData) -> EulerianT
             u_out[0] = state.u[0]
             continue
         y = invert_flow(grid, flow.disp[i])
-        u_out[i] = interp_periodic(state.u[i], y, grid.extent)
-        rho_out[i] = interp_periodic(rho0.rho / flow.det[i], y, grid.extent)
+        both = interp_periodic(np.concatenate([state.u[i], (rho0.rho / flow.det[i])[None]]), y, grid.extent)
+        u_out[i], rho_out[i] = both[:-1], both[-1]
     return EulerianTrajectory(state.t.copy(), rho_out, u_out)
 
 
@@ -408,13 +416,12 @@ def eulerian_reference_solve(
             raise CFLError(
                 f"advective CFL violated at step {i}: dt |u| / h = {dt * umax / grid.spacing:.2f}"
             )
-        # departure points, midpoint rule
+        # departure points, midpoint rule; u, rho and div u share one prefilter
+        coeffs = spline_prefilter(np.concatenate([u[i], rho[i][None], divergence(grid, u[i])[None]]), grid.dim)
         x_mid = x - 0.5 * dt * u[i]
-        u_mid = interp_periodic(u[i], x_mid, L)
-        x_dep = x - dt * u_mid
-        u_adv = interp_periodic(u[i], x_dep, L)
-        div_u = divergence(grid, u[i])
-        rho_adv = interp_periodic(rho[i], x_dep, L) * np.exp(-dt * interp_periodic(div_u, x_dep, L))
+        x_dep = x - dt * interp_periodic(coeffs[: grid.dim], x_mid, L, prefiltered=True)
+        adv = interp_periodic(coeffs, x_dep, L, prefiltered=True)
+        u_adv, rho_adv = adv[: grid.dim], adv[grid.dim] * np.exp(-dt * adv[grid.dim + 1])
         u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg.cg_tol)
         rho[i + 1] = rho_adv
     return EulerianTrajectory(t_grid, rho, u)

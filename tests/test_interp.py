@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lamelab._interp import interp_periodic, spline_prefilter
+from lamelab._interp import _bspline_weights, interp_periodic, spline_prefilter
 from lamelab.fields import _mode_list, random_band_field
 from lamelab.grid import Grid
 
@@ -65,7 +65,45 @@ class TestAccuracy:
         assert vals[2] == pytest.approx(vals[0], abs=1e-12)
 
 
+def fancy_index_interp(values, coords, extent):
+    """Per-component form of interp_periodic: a fancy-index gather and one
+    einsum per component, stacked. The bitwise reference of the shared gather."""
+    dim = coords.shape[0]
+    coeffs = spline_prefilter(values, dim)
+    grid_shape = coeffs.shape[coeffs.ndim - dim:]
+    n = grid_shape[0]
+    weights, index = [], []
+    for a in range(dim):
+        frac = (coords[a].ravel() + 0.5 * extent) / (extent / n)
+        base = np.floor(frac).astype(np.int64)
+        weights.append(_bspline_weights(frac - base))
+        idx = np.stack([(base - 1 + k) % n for k in range(4)])
+        index.append(idx.reshape((1,) * a + (4,) + (1,) * (dim - 1 - a) + idx.shape[1:]))
+    letters = "abc"[:dim]
+    spec = ",".join(f"{c}m" for c in letters) + f",{letters}m->m"
+    out = np.stack([np.einsum(spec, *weights, c[tuple(index)]) for c in coeffs.reshape((-1,) + grid_shape)])
+    return out.reshape(coeffs.shape[: coeffs.ndim - dim] + coords.shape[1:])
+
+
 class TestComponents:
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_matches_fancy_index_gather(self, dim, n, lead):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(lead + (n,) * dim)
+        pts = rng.uniform(-12.0, 12.0, size=(dim, 3, 50))
+        assert np.array_equal(interp_periodic(values, pts, 8.0), fancy_index_interp(values, pts, 8.0))
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_prefiltered_stack_keeps_each_field(self, dim, n):
+        # the Eulerian step's stack [u, rho, div u]: its leading rows are u's own coefficients
+        rng = np.random.default_rng(9)
+        u, rho, div = rng.standard_normal((dim,) + (n,) * dim), rng.random((n,) * dim), rng.standard_normal((n,) * dim)
+        coeffs = spline_prefilter(np.concatenate([u, rho[None], div[None]]), dim)
+        assert np.array_equal(coeffs[:dim], spline_prefilter(u, dim))
+        assert np.array_equal(coeffs[dim], spline_prefilter(rho, dim))
+        assert np.array_equal(coeffs[dim + 1], spline_prefilter(div, dim))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_scalar_calls(self, dim):
         # leading axes share one stencil; each component equals its own scalar call bitwise

@@ -26,6 +26,7 @@ from lamelab.lagrangian import (
     picard_solve,
     pushforward_eulerian,
     scheme_residual,
+    _time_integral,
 )
 from lamelab.operators import const_semigroup
 from lamelab.varcoef import Coefficient, StepperConfig
@@ -74,6 +75,16 @@ class TestMatrixAlgebra:
         det = matrix_determinant(mat, matrix_adjugate(mat))
         ref = np.linalg.det(np.moveaxis(mat, -1, 0))
         assert np.allclose(det, ref)
+
+
+class TestTimeIntegral:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 5), (7, 2, 2, 16, 16)])
+    def test_matches_cumsum(self, shape):
+        # the running sum over slices keeps the bits of cumsum along the time axis
+        f = np.random.default_rng(10).standard_normal(shape)
+        ref = np.zeros_like(f)
+        np.cumsum(0.05 * (f[1:] + f[:-1]) / 2.0, axis=0, out=ref[1:])
+        assert np.array_equal(_time_integral(f, 0.05), ref)
 
 
 class TestFlowMap:
