@@ -1,21 +1,25 @@
 """Periodic cubic-spline interpolation, the composition kernel of the
 Lagrangian code.
 
-Interpolation is the cardinal cubic B-spline scheme: an FFT prefilter turns
-nodal samples into spline coefficients (exact on uniform periodic grids),
-then each query gathers a 4^dim stencil of coefficients with B-spline
-weights. The interpolant is C^2, reproduces cubics exactly, and converges at
-O(h^4). Fields may carry leading component axes (vectors, matrices, or any
-stack of fields sampled at one point set): the stencil's flat node indices
-and weights are computed once per call, every component is gathered by one
-np.take and all are contracted by one einsum. Each component comes out
-bit-identical to its own call, and a stack's prefilter row to its own field's.
+Interpolation is the cardinal cubic B-spline scheme on a ``Grid``: the caller
+turns nodal samples into spline coefficients once with
+:func:`spline_prefilter` (a division in Fourier space through the grid's
+transform pair, exact on uniform periodic grids), and
+:func:`interp_periodic` samples coefficients at arbitrary points by gathering
+a 4^dim stencil with B-spline weights. The interpolant is C^2, reproduces
+cubics exactly, and converges at O(h^4). Fields may carry leading component
+axes (vectors, matrices, or any stack of fields sampled at one point set):
+the stencil's flat node indices and weights are computed once per call,
+every component is gathered by one np.take and all are contracted by one
+einsum. Each component comes out bit-identical to its own call, and a
+stack's prefilter row to its own field's.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
+
+from .grid import Grid, _check_field, fftn, ifftn
 
 
 # perfbench/run.py's environment probe records this name; without it every benchmark run fails.
@@ -23,25 +27,20 @@ def get_backend() -> str:
     return "numpy"
 
 
-def spline_prefilter(values: np.ndarray, dim: int) -> np.ndarray:
-    """Cubic B-spline coefficients of periodic nodal samples (FFT division)
-    over the trailing ``dim`` axes; leading axes are components.
+def spline_prefilter(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients of periodic nodal samples over the grid's
+    spatial axes; leading axes are components.
 
     The interpolation condition is a cyclic (1/6, 4/6, 1/6) convolution per
-    axis, diagonal in Fourier space with symbol (4 + 2 cos(2 pi k / N)) / 6.
-    The symbol is even in k, so on the half spectrum of a real transform the
-    last axis takes its first N/2 + 1 entries unchanged.
+    axis, diagonal in Fourier space with symbol (4 + 2 cos(2 pi k / n)) / 6.
+    Every axis has n points, so one symbol serves all; it is even in k, so on
+    the half spectrum the last axis takes its first n/2 + 1 entries unchanged.
     """
-    values = np.asarray(values, dtype=np.float64)
-    axes = tuple(range(values.ndim - dim, values.ndim))
-    hat = scipy.fft.rfftn(values, axes=axes)
-    for axis in axes:
-        n = values.shape[axis]
-        sym = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n))) / 6.0
-        shape = [1] * values.ndim
-        shape[axis] = hat.shape[axis]
-        hat = hat / sym[: hat.shape[axis]].reshape(shape)
-    return scipy.fft.irfftn(hat, s=values.shape[values.ndim - dim:], axes=axes)
+    hat = fftn(grid, values)
+    sym = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(grid.n))) / 6.0
+    for axis in grid.spatial_axes:
+        hat = hat / sym[: hat.shape[axis]].reshape((-1,) + (1,) * (-1 - axis))
+    return ifftn(grid, hat)
 
 
 def _bspline_weights(s):
@@ -54,40 +53,34 @@ def _bspline_weights(s):
     return np.stack([w0, w1, w2, s3 / 6.0])
 
 
-def interp_periodic(
-    values: np.ndarray, coords: np.ndarray, extent: float, prefiltered: bool = False
-) -> np.ndarray:
-    """Sample a periodic nodal field at arbitrary physical points.
+def interp_periodic(grid: Grid, coords: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sample the periodic spline with the given coefficients at arbitrary physical points.
 
     Parameters
     ----------
-    values : ndarray, shape (*lead, n, ..., n) with dim trailing grid axes
-        Nodal samples (node j at -L/2 + j*h), or spline coefficients from
-        :func:`spline_prefilter` when ``prefiltered`` is set. Each leading
-        component is interpolated; the result has shape (*lead, ...).
-    coords : ndarray, shape (dim, ...)
+    grid : Grid
+        The grid the coefficients live on (node j at -L/2 + j*h).
+    coords : ndarray, shape (grid.dim, ...)
         Physical query coordinates; wrapped periodically.
-    extent : float
-        Torus side length L.
+    coeffs : ndarray, shape (*lead, *grid.shape)
+        Spline coefficients from :func:`spline_prefilter`. Each leading
+        component is interpolated; the result has shape (*lead, ...).
     """
     coords = np.asarray(coords, dtype=np.float64)
-    dim = coords.shape[0]
-    grid_shape = np.shape(values)[np.ndim(values) - dim:]
-    if dim not in (2, 3) or len(grid_shape) != dim or len(set(grid_shape)) != 1:
-        raise ValueError(f"coords leading axis {dim} does not match field grid axes {grid_shape}")
-    coeffs = np.ascontiguousarray(values if prefiltered else spline_prefilter(values, dim))
-    n = grid_shape[0]
-    h = extent / n
+    if coords.shape[0] != grid.dim:
+        raise ValueError(f"coords leading axis {coords.shape[0]} does not match grid dimension {grid.dim}")
+    coeffs = np.ascontiguousarray(_check_field(grid, coeffs))
+    n = grid.n
     weights, flat = [], np.zeros(coords[0].size, dtype=np.int64)
-    for a in range(dim):
+    for a in range(grid.dim):
         # fractional index of each query point; origin of axis a is -L/2
-        frac = (coords[a].ravel() + 0.5 * extent) / h
+        frac = (coords[a].ravel() + 0.5 * grid.extent) / grid.spacing
         base = np.floor(frac).astype(np.int64)
         weights.append(_bspline_weights(frac - base))
         # row-major node index of the stencil, one new axis of 4 per grid axis: (4, ..., 4, m)
         flat = flat[..., None, :] * n + (base + np.arange(-1, 3)[:, None]) % n
-    letters = "abc"[:dim]
+    letters = "abc"[: grid.dim]
     spec = ",".join(f"{c}m" for c in letters) + f",z{letters}m->zm"  # "am,bm,zabm->zm" in 2D
-    lead = coeffs.shape[: coeffs.ndim - dim]
-    out = np.einsum(spec, *weights, np.take(coeffs.reshape(-1, n**dim), flat, axis=1))
+    lead = coeffs.shape[: coeffs.ndim - grid.dim]
+    out = np.einsum(spec, *weights, np.take(coeffs.reshape(-1, grid.size), flat, axis=1))
     return out.reshape(lead + coords.shape[1:])

@@ -9,9 +9,8 @@ one function on two grids instead of two unrelated draws.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
-from .grid import Grid
+from .grid import Grid, ifftn
 
 
 def _mode_list(dim: int, kmin: float, kmax: float):
@@ -50,8 +49,9 @@ def random_band_field(grid: Grid, kmin: float, kmax: float, seed: int, ncomp: in
     DC mode).
 
     Each mode k of the half-lattice adds a cos(2 pi k.x / L) + b sin(2 pi k.x / L)
-    per component, with (a, b) drawn in mode order. The sum is one inverse
-    real FFT of the half-spectrum coefficients.
+    per component, with (a, b) drawn in mode order. The sum is one grid.ifftn
+    of the half-spectrum coefficients times grid.size, which undoes the
+    transform's 1/size exactly (size is a power of two).
 
     ncomp = None gives a scalar field, otherwise shape (ncomp, *grid.shape).
     """
@@ -69,7 +69,7 @@ def random_band_field(grid: Grid, kmin: float, kmax: float, seed: int, ncomp: in
     up, down = modes[:, -1] >= 0, modes[:, -1] <= 0
     spec[(slice(None),) + tuple((modes[up] % grid.n).T)] = coef[up].T
     spec[(slice(None),) + tuple((-modes[down] % grid.n).T)] = np.conj(coef[down]).T
-    out = scipy.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+    out = ifftn(grid, spec * grid.size)
     peak = np.max(np.abs(out))
     if peak > 0:
         out = out / peak

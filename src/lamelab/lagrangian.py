@@ -332,9 +332,9 @@ def invert_flow(grid: Grid, disp: np.ndarray) -> np.ndarray:
     small flows); returns Y on the grid nodes."""
     x = grid.coords
     y = x - disp
-    coeffs = spline_prefilter(disp, grid.dim)
+    coeffs = spline_prefilter(grid, disp)
     for _ in range(_INVERT_MAX_ITERS):
-        y_new = x - interp_periodic(coeffs, y, grid.extent, prefiltered=True)
+        y_new = x - interp_periodic(grid, y, coeffs)
         move = np.max(np.abs(grid.min_image(y_new - y)))
         y = y_new
         if move <= _INVERT_TOL * grid.extent:
@@ -357,7 +357,8 @@ def pushforward_eulerian(state: LagrangianState, flow: FlowMapData) -> EulerianT
             u_out[0] = state.u[0]
             continue
         y = invert_flow(grid, flow.disp[i])
-        both = interp_periodic(np.concatenate([state.u[i], (rho0.rho / flow.det[i])[None]]), y, grid.extent)
+        coeffs = spline_prefilter(grid, np.concatenate([state.u[i], (rho0.rho / flow.det[i])[None]]))
+        both = interp_periodic(grid, y, coeffs)
         u_out[i], rho_out[i] = both[:-1], both[-1]
     return EulerianTrajectory(state.t.copy(), rho_out, u_out)
 
@@ -381,7 +382,7 @@ def density_transport_check(
     worst_mass = 0.0
     for i in range(len(state.t)):
         x_pts = grid.coords + flow.disp[i]
-        rho_on_path = interp_periodic(eulerian.rho[i], x_pts, grid.extent)
+        rho_on_path = interp_periodic(grid, x_pts, spline_prefilter(grid, eulerian.rho[i]))
         defect = np.max(np.abs(flow.det[i] * rho_on_path - rho0.rho)) / scale
         worst_point = max(worst_point, float(defect))
         mass = float(integral(grid, eulerian.rho[i]))
@@ -408,7 +409,6 @@ def eulerian_reference_solve(
     u = np.empty((nt, grid.dim) + grid.shape)
     rho[0] = rho0.rho
     u[0] = np.asarray(u0, dtype=float)
-    L = grid.extent
     x = grid.coords
     for i in range(nt - 1):
         umax = float(np.max(field_magnitude(grid, u[i])))
@@ -417,10 +417,10 @@ def eulerian_reference_solve(
                 f"advective CFL violated at step {i}: dt |u| / h = {dt * umax / grid.spacing:.2f}"
             )
         # departure points, midpoint rule; u, rho and div u share one prefilter
-        coeffs = spline_prefilter(np.concatenate([u[i], rho[i][None], divergence(grid, u[i])[None]]), grid.dim)
+        coeffs = spline_prefilter(grid, np.concatenate([u[i], rho[i][None], divergence(grid, u[i])[None]]))
         x_mid = x - 0.5 * dt * u[i]
-        x_dep = x - dt * interp_periodic(coeffs[: grid.dim], x_mid, L, prefiltered=True)
-        adv = interp_periodic(coeffs, x_dep, L, prefiltered=True)
+        x_dep = x - dt * interp_periodic(grid, x_mid, coeffs[: grid.dim])
+        adv = interp_periodic(grid, x_dep, coeffs)
         u_adv, rho_adv = adv[: grid.dim], adv[grid.dim] * np.exp(-dt * adv[grid.dim + 1])
         u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg.cg_tol)
         rho[i + 1] = rho_adv

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from lamelab.fields import (
+    band_modes,
     checkerboard_density,
     delta_field,
     random_band_field,
@@ -27,6 +29,24 @@ def band_field_reference(grid, kmin, kmax, seed, ncomp):
     return out[0] if ncomp is None else out
 
 
+def band_field_forward_norm(grid, kmin, kmax, seed, ncomp):
+    """random_band_field synthesized by scipy.fft.irfftn with norm="forward"
+    (no 1/size on the inverse), the bitwise reference of its grid.ifftn form."""
+    rng = np.random.default_rng(seed)
+    modes = np.array(band_modes(grid, kmin, kmax))
+    comps = 1 if ncomp is None else ncomp
+    draws = rng.normal(size=(len(modes), comps, 2))
+    sign = np.where(modes.sum(axis=1) % 2, -1.0, 1.0)[:, None]
+    coef = 0.5 * sign * (draws[..., 0] - 1j * draws[..., 1])
+    spec = np.zeros((comps,) + grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    up, down = modes[:, -1] >= 0, modes[:, -1] <= 0
+    spec[(slice(None),) + tuple((modes[up] % grid.n).T)] = coef[up].T
+    spec[(slice(None),) + tuple((-modes[down] % grid.n).T)] = np.conj(coef[down]).T
+    out = scipy.fft.irfftn(spec, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+    out = out / np.max(np.abs(out))
+    return out[0] if ncomp is None else out
+
+
 class TestBandField:
     @pytest.mark.parametrize("ncomp", [None, 2, 3])
     @pytest.mark.parametrize("dim, n, extent, kmin, kmax", [(2, 32, 16.0, 1.0, 5.0), (3, 16, 8.0, 1.0, 3.0)])
@@ -37,6 +57,13 @@ class TestBandField:
         ref = ref / np.max(np.abs(ref))
         assert u.shape == ref.shape
         assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("ncomp", [None, 3])
+    @pytest.mark.parametrize("dim, n, kmax", [(2, 8, 3.0), (2, 32, 5.0), (2, 128, 6.0), (3, 16, 3.0), (3, 32, 4.0)])
+    def test_matches_forward_norm_synthesis(self, dim, n, kmax, ncomp):
+        grid = Grid(dim, n, 8.0)
+        u = random_band_field(grid, 1.0, kmax, seed=12, ncomp=ncomp)
+        assert np.array_equal(u, band_field_forward_norm(grid, 1.0, kmax, 12, ncomp))
 
     def test_continuum_stable_across_resolutions(self):
         # the same seed and band sample one function: coarse nodes are a

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from lamelab._interp import _bspline_weights, interp_periodic, spline_prefilter
 from lamelab.fields import _mode_list, random_band_field
@@ -29,7 +30,7 @@ class TestAccuracy:
     def test_reproduces_nodal_values(self):
         grid = Grid(2, 32, 16.0)
         u = random_band_field(grid, 1, 4, seed=0)
-        vals = interp_periodic(u, grid.coords, grid.extent)
+        vals = interp_periodic(grid, grid.coords, spline_prefilter(grid, u))
         assert np.max(np.abs(vals - u)) < 1e-12
 
     def test_fourth_order_convergence(self, query_points):
@@ -39,20 +40,20 @@ class TestAccuracy:
             u = random_band_field(grid, 1, 4, seed=0)
             raw = band_field_reference(grid, 1, 4, 0, None)
             exact = eval_band_field(1, 4, 0, 16.0, query_points, np.max(np.abs(raw)))
-            errs.append(np.max(np.abs(interp_periodic(u, query_points, 16.0) - exact)))
+            errs.append(np.max(np.abs(interp_periodic(grid, query_points, spline_prefilter(grid, u)) - exact)))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.4)
 
     def test_periodic_wrap(self):
         grid = Grid(2, 32, 16.0)
         u = random_band_field(grid, 1, 4, seed=2)
         pts = np.array([[7.9, -8.1], [0.3, 0.3]])  # same physical point
-        vals = interp_periodic(u, pts, grid.extent)
+        vals = interp_periodic(grid, pts, spline_prefilter(grid, u))
         assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
     def test_reproduces_nodal_values_3d(self):
         grid = Grid(3, 16, 8.0)
         u = random_band_field(grid, 1, 3, seed=0)
-        vals = interp_periodic(u, grid.coords, grid.extent)
+        vals = interp_periodic(grid, grid.coords, spline_prefilter(grid, u))
         assert np.max(np.abs(vals - u)) < 1e-12
 
     def test_periodic_wrap_3d(self):
@@ -60,16 +61,15 @@ class TestAccuracy:
         u = random_band_field(grid, 1, 3, seed=2)
         # one physical point, shifted by a whole period along one axis, then along all three
         pts = np.array([[3.9, -4.1, -4.1], [0.3, 0.3, 8.3], [-1.7, -1.7, 6.3]])
-        vals = interp_periodic(u, pts, grid.extent)
+        vals = interp_periodic(grid, pts, spline_prefilter(grid, u))
         assert vals[1] == pytest.approx(vals[0], abs=1e-12)
         assert vals[2] == pytest.approx(vals[0], abs=1e-12)
 
 
-def fancy_index_interp(values, coords, extent):
+def fancy_index_interp(coeffs, coords, extent):
     """Per-component form of interp_periodic: a fancy-index gather and one
     einsum per component, stacked. The bitwise reference of the shared gather."""
     dim = coords.shape[0]
-    coeffs = spline_prefilter(values, dim)
     grid_shape = coeffs.shape[coeffs.ndim - dim:]
     n = grid_shape[0]
     weights, index = [], []
@@ -90,19 +90,21 @@ class TestComponents:
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
     def test_matches_fancy_index_gather(self, dim, n, lead):
         rng = np.random.default_rng(8)
-        values = rng.standard_normal(lead + (n,) * dim)
+        grid = Grid(dim, n, 8.0)
+        coeffs = spline_prefilter(grid, rng.standard_normal(lead + grid.shape))
         pts = rng.uniform(-12.0, 12.0, size=(dim, 3, 50))
-        assert np.array_equal(interp_periodic(values, pts, 8.0), fancy_index_interp(values, pts, 8.0))
+        assert np.array_equal(interp_periodic(grid, pts, coeffs), fancy_index_interp(coeffs, pts, 8.0))
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
     def test_prefiltered_stack_keeps_each_field(self, dim, n):
         # the Eulerian step's stack [u, rho, div u]: its leading rows are u's own coefficients
+        grid = Grid(dim, n, 8.0)
         rng = np.random.default_rng(9)
         u, rho, div = rng.standard_normal((dim,) + (n,) * dim), rng.random((n,) * dim), rng.standard_normal((n,) * dim)
-        coeffs = spline_prefilter(np.concatenate([u, rho[None], div[None]]), dim)
-        assert np.array_equal(coeffs[:dim], spline_prefilter(u, dim))
-        assert np.array_equal(coeffs[dim], spline_prefilter(rho, dim))
-        assert np.array_equal(coeffs[dim + 1], spline_prefilter(div, dim))
+        coeffs = spline_prefilter(grid, np.concatenate([u, rho[None], div[None]]))
+        assert np.array_equal(coeffs[:dim], spline_prefilter(grid, u))
+        assert np.array_equal(coeffs[dim], spline_prefilter(grid, rho))
+        assert np.array_equal(coeffs[dim + 1], spline_prefilter(grid, div))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_scalar_calls(self, dim):
@@ -112,29 +114,31 @@ class TestComponents:
         pts = rng.uniform(-6.0, 6.0, size=(dim, 5, 40))
         vec = random_band_field(grid, 1, 3, seed=6, ncomp=dim)
         mat = rng.standard_normal((2, 2) + grid.shape)
-        vals = interp_periodic(vec, pts, grid.extent)
+        vals = interp_periodic(grid, pts, spline_prefilter(grid, vec))
         assert vals.shape == (dim, 5, 40)
         for i in range(dim):
-            assert np.array_equal(vals[i], interp_periodic(vec[i], pts, grid.extent))
-        vals = interp_periodic(mat, pts, grid.extent)
+            assert np.array_equal(vals[i], interp_periodic(grid, pts, spline_prefilter(grid, vec[i])))
+        vals = interp_periodic(grid, pts, spline_prefilter(grid, mat))
         assert vals.shape == (2, 2, 5, 40)
         for i in range(2):
             for j in range(2):
-                assert np.array_equal(vals[i, j], interp_periodic(mat[i, j], pts, grid.extent))
-        coeffs = spline_prefilter(vec, dim)
-        assert np.array_equal(coeffs, np.stack([spline_prefilter(c, dim) for c in vec]))
-        assert np.array_equal(interp_periodic(coeffs, pts, grid.extent, prefiltered=True),
-                              interp_periodic(vec, pts, grid.extent))
+                assert np.array_equal(vals[i, j], interp_periodic(grid, pts, spline_prefilter(grid, mat[i, j])))
+        coeffs = spline_prefilter(grid, vec)
+        assert np.array_equal(coeffs, np.stack([spline_prefilter(grid, c) for c in vec]))
+        assert np.array_equal(interp_periodic(grid, pts, coeffs),
+                              interp_periodic(grid, pts, spline_prefilter(grid, vec)))
 
     def test_rejects_malformed_input(self):
         grid = Grid(2, 32, 8.0)
-        u = random_band_field(grid, 1, 3, seed=7)
+        coeffs = spline_prefilter(grid, random_band_field(grid, 1, 3, seed=7))
         with pytest.raises(ValueError):
-            interp_periodic(u, np.zeros((4, 7)), grid.extent)  # 4 coordinate rows
+            interp_periodic(grid, np.zeros((4, 7)), coeffs)  # 4 coordinate rows
         with pytest.raises(ValueError):
-            interp_periodic(u, np.zeros((3, 7)), grid.extent)  # more rows than grid axes
+            interp_periodic(grid, np.zeros((3, 7)), coeffs)  # more rows than grid axes
         with pytest.raises(ValueError):
-            interp_periodic(u[:, :16], np.zeros((2, 7)), grid.extent)  # non-square grid axes
+            interp_periodic(grid, np.zeros((2, 7)), coeffs[:, :16])  # non-square grid axes
+        with pytest.raises(ValueError):
+            interp_periodic(grid, np.zeros((2, 7)), coeffs[::2, ::2])  # another grid's shape
 
 
 class TestPrefilter:
@@ -142,8 +146,8 @@ class TestPrefilter:
         # interpolating the coefficients at the nodes returns the samples
         grid = Grid(2, 32, 16.0)
         u = random_band_field(grid, 1, 6, seed=4)
-        coeffs = spline_prefilter(u, grid.dim)
-        vals = interp_periodic(coeffs, grid.coords, grid.extent, prefiltered=True)
+        coeffs = spline_prefilter(grid, u)
+        vals = interp_periodic(grid, grid.coords, coeffs)
         assert np.max(np.abs(vals - u)) < 1e-12
 
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
@@ -159,6 +163,27 @@ class TestPrefilter:
             shape[axis] = n
             hat = hat / sym.reshape(shape)
         ref = np.fft.ifftn(hat, axes=axes).real
-        coeffs = spline_prefilter(values, dim)
+        coeffs = spline_prefilter(Grid(dim, n, 8.0), values)
         assert coeffs.shape == values.shape
         assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_matches_per_axis_real_fft_form(self, dim, n, lead):
+        # the grid's transform pair gives the bits of a direct real FFT over the trailing axes
+        values = np.random.default_rng(10).standard_normal(lead + (n,) * dim)
+        assert np.array_equal(spline_prefilter(Grid(dim, n, 8.0), values), per_axis_prefilter(values, dim))
+
+
+def per_axis_prefilter(values, dim):
+    """spline_prefilter written against scipy.fft directly, with the symbol
+    rebuilt for every trailing axis: the bitwise reference of the Grid form."""
+    axes = tuple(range(values.ndim - dim, values.ndim))
+    hat = scipy.fft.rfftn(values, axes=axes)
+    for axis in axes:
+        n = values.shape[axis]
+        sym = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(n))) / 6.0
+        shape = [1] * values.ndim
+        shape[axis] = hat.shape[axis]
+        hat = hat / sym[: hat.shape[axis]].reshape(shape)
+    return scipy.fft.irfftn(hat, s=values.shape[values.ndim - dim:], axes=axes)

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from lamelab._interp import interp_periodic
+from lamelab._interp import interp_periodic, spline_prefilter
 from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports
 from lamelab.fields import checkerboard_density, random_band_field
 from lamelab.grid import Grid, divergence, integral, jacobian, lp_norm
@@ -151,26 +151,28 @@ def change_of_variable_residual(
     form Tr[A D(v o X)] and the conservation form div(adj (v o X)) / J; and
     (Lap v) o X = div(adj A^T grad(v o X)) / J, componentwise.
     """
-    L = grid.extent
     x_pts = grid.coords + flow.disp[t_index]
     adj = flow.adj[t_index]
     det = flow.det[t_index]
     a_inv = adj / det
 
-    phi_x = interp_periodic(phi, x_pts, L)
-    lhs_grad = interp_periodic(jacobian(grid, phi), x_pts, L)
+    def along_flow(f):  # f o X by interpolation of its nodal samples
+        return interp_periodic(grid, x_pts, spline_prefilter(grid, f))
+
+    phi_x = along_flow(phi)
+    lhs_grad = along_flow(jacobian(grid, phi))
     rhs_grad = np.einsum("ai...,a...->i...", a_inv, jacobian(grid, phi_x))
     res_grad = float(np.max(np.abs(lhs_grad - rhs_grad)))
 
-    v_x = interp_periodic(v, x_pts, L)
-    lhs_div = interp_periodic(divergence(grid, v), x_pts, L)
+    v_x = along_flow(v)
+    lhs_div = along_flow(divergence(grid, v))
     dv_x = jacobian(grid, v_x)
     rhs_trace = np.einsum("ij...,ji...->...", a_inv, dv_x)
     rhs_piola = divergence(grid, np.einsum("ij...,j...->i...", adj, v_x)) / det
     res_trace = float(np.max(np.abs(lhs_div - rhs_trace)))
     res_piola = float(np.max(np.abs(lhs_div - rhs_piola)))
 
-    lhs_lap = interp_periodic(divergence(grid, jacobian(grid, v)), x_pts, L)
+    lhs_lap = along_flow(divergence(grid, jacobian(grid, v)))
     metric = np.einsum("ij...,kj...->ik...", adj, a_inv)  # adj A^T
     rhs_lap = divergence(grid, np.einsum("ik...,mk...->mi...", metric, jacobian(grid, v_x))) / det
     res_lap = float(np.max(np.abs(lhs_lap - rhs_lap)))
@@ -357,7 +359,7 @@ class TestGradSupIntegral:
 
 def flow_roundtrip_defect(grid: Grid, disp: np.ndarray, y: np.ndarray) -> float:
     """Max-norm of X(Y(x)) - x for a computed inverse Y."""
-    x_back = y + interp_periodic(disp, y, grid.extent)
+    x_back = y + interp_periodic(grid, y, spline_prefilter(grid, disp))
     return float(np.max(np.abs(grid.min_image(x_back - grid.coords))))
 
 

@@ -5,8 +5,9 @@ Likewise every parameter default is a choice some call in src/ overrides: a
 default that no call passes is a constant, and lives in the body; and every
 module-level constant is read in src/, so none is kept there for tests. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
-stated once, in grid.py. Every imported name is used where it is imported,
-and is imported from the module that defines it."""
+stated once, in grid.py, and grid.py alone calls a Fourier transform. Every
+imported name is used where it is imported, and is imported from the module
+that defines it."""
 
 import ast
 import re
@@ -101,6 +102,23 @@ def test_nyquist_rule_lives_in_grid():
         )
     )
     assert readers == ["grid.py"]
+
+
+def test_one_transform_pair():
+    # grid.fftn / grid.ifftn are the package's only transforms: no other module
+    # calls scipy.fft or numpy.fft for a transform, and the CLI only sets workers
+    used = defaultdict(set)  # module -> "scipy.fft.<name>" / "numpy.fft.<name>" it uses
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                owner = node.value
+                if owner.attr == "fft" and isinstance(owner.value, ast.Name) and owner.value.id in ("scipy", "np"):
+                    used[path.name].add(f"{'numpy' if owner.value.id == 'np' else 'scipy'}.fft.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "") in ("scipy.fft", "numpy.fft"):
+                used[path.name] |= {f"{node.module}.{a.name}" for a in node.names}
+    others = {name: sorted(u) for name, u in used.items() if name != "grid.py"}
+    assert others == {"_interp.py": ["numpy.fft.fftfreq"], "cli.py": ["scipy.fft.set_workers"]}
 
 
 def test_every_import_is_used():
