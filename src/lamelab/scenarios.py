@@ -4,7 +4,9 @@ Configs are plain dicts (JSON-shaped). ``build_*`` turn one config block into
 one object; ``parse_<command>`` reads a whole command config and returns the
 keyword arguments of ``lamelab.cli.run_<command>``. Parsing checks every key
 and builds only cheap objects (grids, densities, initial fields, steppers), so
-that every config error is raised before a run starts."""
+that every config error is raised before a run starts. Every block, and the
+top level of each command, takes only its own keys: a misspelled or unknown
+key is an error, not a setting left at its default."""
 
 from __future__ import annotations
 
@@ -31,6 +33,14 @@ def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} config must be a JSON object, got {value!r}")
     return value
+
+
+def _known(cfg: dict, where: str, keys: tuple) -> dict:
+    """cfg, a JSON object that holds no key outside keys."""
+    unknown = sorted(set(_object(cfg, where)) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where} config, which takes {sorted(keys)}")
+    return cfg
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -72,26 +82,31 @@ def _integrability(value) -> float:
 
 
 def build_grid(cfg: dict) -> Grid:
+    _known(cfg, "grid", ("dim", "N", "extent"))
     dim, n = (_integer(_require(cfg, key, "grid"), f"grid.{key}", 1) for key in ("dim", "N"))
     return Grid(dim, n, float(_require(cfg, "extent", "grid")))
 
 
 def build_lame(cfg: dict) -> LameParams:
+    _known(cfg, "lame", ("mu", "lambda"))
     return LameParams(float(_require(cfg, "mu", "lame")), float(_require(cfg, "lambda", "lame")))
 
 
 def build_rho0(grid: Grid, cfg: dict) -> Coefficient:
     kind = _require(cfg, "kind", "rho0")
     if kind == "constant":
+        _known(cfg, "rho0", ("kind", "value"))
         value = float(cfg.get("value", 1.0))
         if not value > 0:
             raise ConfigError(f"constant rho0 value must be > 0, got {value}")
         return Coefficient.constant(grid, value)
     m = float(_require(cfg, "m", "rho0"))
     if kind == "checkerboard":
+        _known(cfg, "rho0", ("kind", "m", "cells", "sharpness"))
         cells = _integer(cfg.get("cells", 2), "rho0.cells", 0)
         rho = checkerboard_density(grid, m, cells, float(cfg.get("sharpness", 6.0)))
     elif kind == "trig":
+        _known(cfg, "rho0", ("kind", "m", "seed", "kmax", "gain"))
         rho = trig_density(grid, m, _integer(cfg.get("seed", 0), "rho0.seed", 0), float(cfg.get("kmax", 3.0)),
                            float(cfg.get("gain", 2.0)))
     else:
@@ -105,9 +120,11 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
     kind = _require(cfg, "kind", "u0")
     idx = BesovIndex(grid.dim / p - 1.0, p)
     if kind == "zero":
+        _known(cfg, "u0", ("kind",))
         return np.zeros((grid.dim,) + grid.shape)
     if kind != "band":
         raise ConfigError(f"unknown u0 kind {kind!r}")
+    _known(cfg, "u0", ("kind", "kmin", "kmax", "seed", "amplitude"))
     u = random_band_field(grid, float(cfg.get("kmin", 1.0)), float(cfg.get("kmax", 3.0)),
                           _integer(_require(cfg, "seed", "u0"), "u0.seed", 0), ncomp=grid.dim)
     amplitude = float(_require(cfg, "amplitude", "u0"))
@@ -119,6 +136,7 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
 
 def build_picard(cfg: dict) -> tuple:
     """Returns (T, PicardConfig) from a picard config block."""
+    _known(cfg, "picard", ("T", "dt", "max_iters", "tol", "c", "c0", "p"))
     T = float(_require(cfg, "T", "picard"))
     pc = PicardConfig(
         dt=float(_require(cfg, "dt", "picard")),
@@ -134,9 +152,7 @@ def build_picard(cfg: dict) -> tuple:
 
 def _build_stepper(cfg: dict) -> StepperConfig:
     """The stepper block sets only dt: every step is Crank-Nicolson at the default CG tolerance."""
-    extra = sorted(set(cfg) - {"dt"})
-    if extra:
-        raise ConfigError(f"the stepper block takes only dt, got {extra}")
+    _known(cfg, "stepper", ("dt",))
     return StepperConfig(float(_require(cfg, "dt", "stepper")))
 
 
@@ -175,9 +191,10 @@ def _medium(cfg: dict) -> tuple:
 
 
 def parse_kernel(cfg: dict, seed: int) -> dict:
+    _known(cfg, "kernel", ("grid", "lame", "rho0", "stepper", "times", "sources", "presmooth", "gradient", "davies"))
     grid, params, coef = _medium(cfg)
     stepper = _build_stepper(_block(cfg, "stepper", {"dt": 1e-3}))
-    dcfg = _switch(cfg, "davies")
+    dcfg = _known(_switch(cfg, "davies"), "davies", ("alphas", "u0"))
     # the twisted flow steps the times in the given order; kernel columns sort them
     times = _times(cfg, [0.05, 0.1, 0.2], increasing=bool(dcfg))
     check_kernel_times(grid, params, times)
@@ -196,9 +213,10 @@ def parse_kernel(cfg: dict, seed: int) -> dict:
 
 
 def parse_besov(cfg: dict, seed: int) -> dict:
+    _known(cfg, "besov", ("grid", "lame", "fields", "p", "s_list", "q", "k"))
     grid = build_grid(_require(cfg, "grid", "top-level"))
     params = build_lame(_require(cfg, "lame", "top-level"))
-    fcfg = _block(cfg, "fields", {})
+    fcfg = _known(_block(cfg, "fields", {}), "fields", ("count", "kmin", "kmax", "seed"))
     count = _integer(fcfg.get("count", 20), "fields.count", 1)
     band = float(fcfg.get("kmin", 2.0)), float(fcfg.get("kmax", 6.0))
     base = _integer(fcfg.get("seed", seed), "fields.seed", 0)
@@ -216,9 +234,10 @@ def parse_besov(cfg: dict, seed: int) -> dict:
 
 
 def parse_maxreg(cfg: dict, seed: int) -> dict:
+    _known(cfg, "maxreg", ("grid", "lame", "rho0", "stepper", "probes", "p", "s", "T", "norm_equiv"))
     grid, params, coef = _medium(cfg)
     stepper = _build_stepper(_block(cfg, "stepper", {"dt": 0.01}))
-    pcfg = _block(cfg, "probes", {})
+    pcfg = _known(_block(cfg, "probes", {}), "probes", ("count", "seed", "kmin", "kmax"))
     count = _integer(pcfg.get("count", 10), "probes.count", 1)
     base = _integer(pcfg.get("seed", seed), "probes.seed", 0)
     band = float(pcfg.get("kmin", 1.0)), float(pcfg.get("kmax", 4.0))
@@ -228,7 +247,7 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
     time_steps(T, stepper.dt)  # the solve's nodes: T a finite time > 0, T/dt a finite count
     band_modes(grid, *band)
     norm_equiv = None
-    ncfg = _switch(cfg, "norm_equiv")
+    ncfg = _known(_switch(cfg, "norm_equiv"), "norm_equiv", ("s", "q", "count"))
     if ncfg:
         s_eq, q_eq = float(ncfg.get("s", 0.5)), float(ncfg.get("q", 1.0))
         n_eq = _integer(ncfg.get("count", 5), "norm_equiv.count", 1)
@@ -240,6 +259,7 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
 
 
 def parse_flow(cfg: dict, seed: int) -> dict:
+    _known(cfg, "flow", ("grid", "lame", "rho0", "picard", "u0", "cross_validate"))
     grid, params, rho0 = _medium(cfg)
     T, pcfg = build_picard(_require(cfg, "picard", "top-level"))
     BesovIndex(grid.dim / pcfg.p, pcfg.p)  # the flow budget grad_besov_l1 of run_flow: p > n/2
@@ -251,6 +271,7 @@ def parse_flow(cfg: dict, seed: int) -> dict:
 
 
 def parse_oracle(cfg: dict, seed: int) -> dict:
+    _known(cfg, "oracle", ("grid", "lame", "rho0", "u0", "stepper", "times"))
     grid, params, coef = _medium(cfg)
     dense_dof(grid)
     u0 = build_u0(grid, cfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
@@ -285,6 +306,7 @@ _PLOT_KINDS = {
 
 def parse_plotdata(cfg: dict, seed: int) -> dict:
     """Reads the input report whole: the columns are the plan."""
+    _known(cfg, "plotdata", ("kind", "input"))
     kind = cfg.get("kind")
     if kind not in _PLOT_KINDS:
         raise ConfigError(f"plotdata kind must be one of {sorted(_PLOT_KINDS)}, got {kind!r}")

@@ -303,7 +303,8 @@ class TestValidation:
 
 class TestConfigErrorWritesNothing:
     # exit 2 comes before --out is created, also when the bad block is used after other artifacts are due
-    BASE = {"grid": {"dim": 2, "N": 16, "extent": 8.0}, "lame": LAME, "rho0": {"kind": "constant"}}
+    BASE = {"grid": {"dim": 2, "N": 16, "extent": 8.0}, "lame": LAME}
+    RHO0 = {"rho0": {"kind": "constant"}}  # every command but besov reads a density
     MAXREG = {"probes": {"count": 1}, "T": 0.1, "stepper": {"dt": 0.05}}
     # the envelope fit needs more shells than a 16^2 grid holds
     KERNEL = {"grid": {"dim": 2, "N": 64, "extent": 8.0}, "times": [0.1], "stepper": {"dt": 0.01}}
@@ -373,12 +374,39 @@ class TestConfigErrorWritesNothing:
         "flow_cross_validate_word": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
                                               "picard": {"T": 0.2, "dt": 0.1}, "cross_validate": "no"}, []),
         "kernel_presmooth_number": ("kernel", {**KERNEL, "presmooth": 1}, []),
+        # a misspelled or unknown key, in any block or at the top level, is refused, not left at its default
+        "flow_picard_max_iter": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "max_iter": 3}}, []),
+        "flow_picard_tolerance": ("flow", {"u0": {"kind": "zero"},
+                                           "picard": {"T": 0.2, "dt": 0.1, "tolerance": 1e-6}}, []),
+        "flow_cross_validat": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
+                                        "picard": {"T": 0.2, "dt": 0.1}, "cross_validat": True}, []),
+        # flow steps at picard.dt: a stepper block would be ignored
+        "flow_stepper_block": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1},
+                                        "stepper": {"dt": 0.05}}, []),
+        "flow_zero_u0_amplitude": ("flow", {"u0": {"kind": "zero", "amplitude": 0.01},
+                                            "picard": {"T": 0.2, "dt": 0.1}}, []),
+        "flow_band_u0_kmx": ("flow", {"u0": {"kind": "band", "seed": 1, "amplitude": 0.01, "kmx": 2.0},
+                                      "picard": {"T": 0.2, "dt": 0.1}}, []),
+        "maxreg_probe": ("maxreg", {**MAXREG, "probe": {"count": 2}}, []),
+        "maxreg_probes_cout": ("maxreg", {**MAXREG, "probes": {"cout": 2}}, []),
+        "norm_equiv_cout": ("maxreg", {**MAXREG, "norm_equiv": {"cout": 2}}, []),
+        "rho0_vlaue": ("maxreg", {**MAXREG, "rho0": {"kind": "constant", "vlaue": 2.0}}, []),
+        "rho0_checkerboard_seed": ("maxreg", {**MAXREG, "rho0": {"kind": "checkerboard", "m": 0.5, "seed": 3}}, []),
+        "rho0_trig_kmx": ("maxreg", {**MAXREG, "rho0": {"kind": "trig", "m": 0.5, "kmx": 2.0}}, []),
+        "grid_n": ("maxreg", {**MAXREG, "grid": {"dim": 2, "N": 16, "extent": 8.0, "n": 32}}, []),
+        "lame_nu": ("besov", {"lame": {**LAME, "nu": 0.3}}, []),
+        "besov_fields_cont": ("besov", {"fields": {"cont": 1}}, []),
+        "besov_rho0": ("besov", {"rho0": {"kind": "constant"}}, []),
+        "kernel_davies_alpha": ("kernel", {**KERNEL, "davies": {"alpha": [0.0]}}, []),
+        "kernel_sigma": ("kernel", {**KERNEL, "sigma": 0.1}, []),
+        "oracle_time": ("oracle", {"u0": {"kind": "band", "seed": 1, "amplitude": 1.0}, "time": [0.05]}, []),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exit_2_and_empty_out(self, case, tmp_path, outdir):
         command, extra, flags = self.CASES[case]
-        path = write_config(tmp_path / "cfg.json", {**self.BASE, **extra})
+        base = self.BASE if command == "besov" else {**self.BASE, **self.RHO0}
+        path = write_config(tmp_path / "cfg.json", {**base, **extra})
         assert run_cli([command, "--config", path, "--out", outdir, *flags]) == 2
         assert not outdir.exists()
 
@@ -386,9 +414,11 @@ class TestConfigErrorWritesNothing:
 class TestRunFailureWritesManifest:
     # after parsing, any exception exits 1 with a manifest naming it, also a ValueError
     CASES = {
-        "kernel": {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.KERNEL},
+        "kernel": {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.RHO0,
+                   **TestConfigErrorWritesNothing.KERNEL},
         "besov": {"grid": SMALL_GRID, "lame": LAME, "fields": {"count": 1}, "s_list": [0.5]},
-        "maxreg": {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.MAXREG},
+        "maxreg": {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.RHO0,
+                   **TestConfigErrorWritesNothing.MAXREG},
         "flow": {
             "grid": {"dim": 2, "N": 16, "extent": 8.0},
             "lame": LAME,
@@ -536,6 +566,14 @@ class TestPlotdata:
         pcfg = {"kind": "shells", "input": str(tmp_path / "nope.csv")}
         ppath = write_config(tmp_path / "plot.json", pcfg)
         assert run_cli(["plotdata", "--config", ppath, "--out", outdir]) == 2
+
+    def test_unknown_key_exits_2(self, tmp_path, outdir):
+        src = tmp_path / "iterations.csv"
+        src.write_text("k,solution_norm,update_norm,contraction_factor\r\n")
+        pcfg = {"kind": "iterations", "input": str(src), "output": "x.dat"}
+        ppath = write_config(tmp_path / "plot.json", pcfg)
+        assert run_cli(["plotdata", "--config", ppath, "--out", outdir]) == 2
+        assert not outdir.exists()
 
     def test_empty_iterations_header_only(self, tmp_path, outdir):
         src = tmp_path / "iterations.csv"
