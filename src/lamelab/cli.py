@@ -209,7 +209,7 @@ def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
 
     eul = pushforward_eulerian(state, flow)
     transport = density_transport_check(state, flow, eul)
-    residual = scheme_residual(state, flow)
+    residual = scheme_residual(state, flow, pcfg.p)
     gsi, gsi_extrapolated = grad_sup_integral(state, flow)
     diag_rows = [
         ("u0_norm", diag.u0_norm),

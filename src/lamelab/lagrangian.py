@@ -295,11 +295,12 @@ def picard_solve(
     )
 
 
-def scheme_residual(state: LagrangianState, flow: FlowMapData) -> float:
+def scheme_residual(state: LagrangianState, flow: FlowMapData, p: float) -> float:
     """Defect of the converged iterate in the nonlinear Crank-Nicolson equations.
 
-    Rebuilds the nonlinearity from the state and its flow map and measures the
-    L1-in-time Besov norm (regularity n/p - 1, p = 2) of
+    Rebuilds the nonlinearity from the state and its flow map and measures,
+    in the L1-in-time B^{n/p-1}_{p,1} norm that picard_solve's stopping rule
+    uses at the same p, the defect
     rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i at
     the stepper's theta = 1/2, all steps in one stack.
     """
@@ -308,7 +309,7 @@ def scheme_residual(state: LagrangianState, flow: FlowMapData) -> float:
     rhs = lame_apply(grid, state.u, state.params) + nonlinearity_f(state, flow)
     defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - _THETA * rhs[1:] - (1.0 - _THETA) * rhs[:-1]
     total = 0.0
-    for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / 2.0 - 1.0, 2.0)):
+    for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / p - 1.0, p)):
         total += dt * rep.value
     return total
 

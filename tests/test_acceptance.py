@@ -92,7 +92,7 @@ def standard_run():
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
     flow = flow_map(state)
     eulerian = pushforward_eulerian(state, flow)
-    residual = scheme_residual(state, flow)
+    residual = scheme_residual(state, flow, pcfg.p)
     elapsed = time.time() - t0
     return {
         "grid": grid,

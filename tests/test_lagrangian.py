@@ -28,7 +28,7 @@ from lamelab.lagrangian import (
     scheme_residual,
     _time_integral,
 )
-from lamelab.operators import const_semigroup
+from lamelab.operators import const_semigroup, lame_apply
 from lamelab.varcoef import Coefficient, StepperConfig
 
 from conftest import hodge_project, plane_wave
@@ -409,6 +409,20 @@ class TestDensityTransport:
         assert rep.max_mass_defect < 1e-6
 
 
+class TestSchemeResidual:
+    def test_measured_in_the_runs_space(self, grid64_8, params, rough64):
+        # at p = 3 the defect is measured in L1-in-time B^{n/3-1}_{3,1}, as picard_solve's stop rule at p = 3
+        v = 0.05 * random_band_field(grid64_8, 1, 2, seed=4, ncomp=2)
+        state = make_state(grid64_8, params, rough64, lambda t: (1.0 - 0.5 * t) * v)
+        flow = flow_map(state)
+        rhs = lame_apply(grid64_8, state.u, params) + nonlinearity_f(state, flow)
+        defect = rough64.rho * np.diff(state.u, axis=0) / state.dt - 0.5 * (rhs[1:] + rhs[:-1])
+        idx = BesovIndex(grid64_8.dim / 3.0 - 1.0, 3.0)
+        expected = sum(state.dt * besov_norm_report(grid64_8, d, idx).value for d in defect)
+        assert scheme_residual(state, flow, 3.0) == pytest.approx(expected, rel=1e-10)
+        assert scheme_residual(state, flow, 2.0) != pytest.approx(expected, rel=1e-2)
+
+
 class TestPicard:
     def test_zero_data_immediate(self, grid64_8, params, rough64):
         u0 = np.zeros((2,) + grid64_8.shape)
@@ -429,7 +443,7 @@ class TestPicard:
         assert diag.converged
         assert diag.smallness_ok
         assert all(f <= 0.5 for f in diag.contraction_factors)
-        res = scheme_residual(state, flow_map(state))
+        res = scheme_residual(state, flow_map(state), cfg.p)
         assert res <= 10.0 * diag.stop_tol
 
     def test_nonconvergence_carries_history(self, params):
