@@ -169,7 +169,7 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
         fx = random_band_field(grid, *band, base + 2 * i + 1, ncomp=grid.dim)
         prof = random_time_profile(t_grid, base + 31 * i)
         forcing = prof.reshape((-1,) + (1,) * fx.ndim) * fx
-        return solve_linear_maxreg(coef, params, u0, forcing, idx.s, idx.p, T, stepper)
+        return solve_linear_maxreg(coef, params, u0, forcing, idx, t_grid, stepper)
 
     reports = [one_probe(i) for i in range(count)]
     rows = [

@@ -16,7 +16,7 @@ import numpy as np
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_lq
 from .grid import lp_norm
 from .operators import LameParams, _apply, _heat, _spectral, lame_apply
-from .varcoef import Coefficient, StepperConfig, evolve, semigroup, time_grid
+from .varcoef import Coefficient, StepperConfig, evolve, semigroup
 
 
 class DegenerateProbeError(RuntimeError):
@@ -84,23 +84,19 @@ def solve_linear_maxreg(
     params: LameParams,
     u0: np.ndarray,
     forcing: np.ndarray,
-    s: float,
-    p: float,
-    T: float,
+    idx: BesovIndex,
+    t_grid: np.ndarray,
     cfg: StepperConfig,
 ) -> MaxRegReport:
-    """Run the linear system over [0, T] and assemble the regularity ratio.
-
-    forcing is sampled on varcoef.time_grid(T, cfg.dt), the nodes the solve
-    steps on. L1-in-time norms use the trapezoid rule on those nodes; the sup
-    norm is the max over nodes.
+    """Run the linear system over the uniform time nodes t_grid (from
+    t_grid[0] = 0), at which forcing is sampled, and assemble the regularity
+    ratio in the Besov space idx. L1-in-time norms use the trapezoid rule on
+    those nodes; the sup norm is the max over nodes.
     """
     grid = coef.grid
-    t_grid = time_grid(T, cfg.dt)
     dt = t_grid[1] - t_grid[0]
     traj = evolve(coef, params, u0, t_grid, cfg, forcing=forcing)
 
-    idx = BesovIndex(s, p)
     out = solution_norms(grid, traj, dt, params, idx)
     u0_rep = besov_norm_report(grid, u0, idx)
     f_reps = besov_norm_reports(grid, forcing, idx)

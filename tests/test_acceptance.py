@@ -277,7 +277,7 @@ def test_criterion_8_maximal_regularity_ratio(params):
             fx = random_band_field(grid, 1, 4, seed=301 + 2 * i, ncomp=2)
             prof = random_time_profile(t_grid, 400 + i)
             forcing = prof.reshape((-1,) + (1,) * fx.ndim) * fx
-            rep = solve_linear_maxreg(coef, params, u0, forcing, 0.0, 2.0, T, StepperConfig(dt=dt))
+            rep = solve_linear_maxreg(coef, params, u0, forcing, BesovIndex(0.0, 2.0), t_grid, StepperConfig(dt=dt))
             ratios[n].append(rep.ratio)
     finite = all(np.isfinite(r) for r in ratios[32] + ratios[64])
     changes = [abs(a - b) / a for a, b in zip(ratios[32], ratios[64])]

@@ -23,16 +23,20 @@ def rough32():
     return Coefficient(grid, checkerboard_density(grid, 0.5), 0.5)
 
 
-def no_forcing(u0, T, dt):
+L2_SPACE = BesovIndex(0.0, 2.0)  # n/p - 1 = 0 at p = 2 in 2D
+
+
+def no_forcing(u0, t_grid):
     """Zero forcing sampled on the run's time grid."""
-    return np.zeros((len(time_grid(T, dt)),) + u0.shape)
+    return np.zeros((len(t_grid),) + u0.shape)
 
 
 class TestSolveLinear:
     def test_zero_data_zero_ratio(self, grid32, params):
         coef = Coefficient.constant(grid32, 1.0)
         u0 = np.zeros((2,) + grid32.shape)
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, 1.0, 0.05), 0.0, 2.0, 1.0, StepperConfig(dt=0.05))
+        t_grid = time_grid(1.0, 0.05)
+        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.05))
         assert rep.ratio == 0.0
         assert rep.sup_norm == rep.dt_norm == rep.op_norm == 0.0
 
@@ -42,7 +46,8 @@ class TestSolveLinear:
         # the sup and the ratio stays under 1 + 2 = 3
         coef = Coefficient.constant(grid32, 1.0)
         u0 = hodge_project(grid32, random_band_field(grid32, 2, 3, seed=1, ncomp=2), "P")
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, 4.0, 0.01), 0.0, 2.0, 4.0, StepperConfig(dt=0.01))
+        t_grid = time_grid(4.0, 0.01)
+        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
         assert rep.ratio <= 3.0
         assert rep.forcing_norm == 0.0
 
@@ -51,11 +56,10 @@ class TestSolveLinear:
         # the exact semigroup at the same nodes and compare to 1%
         coef = Coefficient.constant(grid32, 1.0)
         u0 = random_band_field(grid32, 2, 4, seed=2, ncomp=2)
-        s, p, T, dt = 0.0, 2.0, 2.0, 0.005
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, T, dt), s, p, T, StepperConfig(dt=dt))
-
-        idx = BesovIndex(s, p)
+        idx, T, dt = BesovIndex(0.0, 2.0), 2.0, 0.005
         nodes = time_grid(T, dt)
+        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, nodes), idx, nodes, StepperConfig(dt=dt))
+
         traj = np.stack([const_semigroup(grid32, u0, t, params) for t in nodes])
         bes = lambda u: besov_norm_report(grid32, u, idx).value
         sup = max(bes(u) for u in traj)
@@ -71,12 +75,14 @@ class TestSolveLinear:
         u0 = random_band_field(grid, 1, 2, seed=1, ncomp=2)
         T, dt = 10.0, 1e-3
         coef = Coefficient.constant(grid, 1.0)
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, T, dt), 0.0, 2.0, T, StepperConfig(dt=dt))
+        t_grid = time_grid(T, dt)
+        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=dt))
         assert np.isfinite(rep.ratio)
 
     def test_rough_density_ratio_finite(self, rough32, params):
         u0 = random_band_field(rough32.grid, 1, 4, seed=3, ncomp=2)
-        rep = solve_linear_maxreg(rough32, params, u0, no_forcing(u0, 2.0, 0.01), 0.0, 2.0, 2.0, StepperConfig(dt=0.01))
+        t_grid = time_grid(2.0, 0.01)
+        rep = solve_linear_maxreg(rough32, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
         assert np.isfinite(rep.ratio)
         assert rep.ratio > 0
 
