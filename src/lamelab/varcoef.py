@@ -118,8 +118,9 @@ def _preconditioner(grid: Grid, params: LameParams, a: float):
     linspace alternate in the last bit). Each application costs two transforms.
     The dense per-mode product is summed over its columns one term at a time
     into one spectrum-sized output, through one component-sized scratch, in
-    the order np.sum over the column axis would take."""
-    inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + _THETA * z))
+    the order np.sum over the column axis would take. The real symbol is stored
+    complex once, so that no application casts it (same values and bits)."""
+    inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + _THETA * z)).astype(complex)
 
     def psolve(r):
         r_hat = fftn(grid, r)
