@@ -207,8 +207,7 @@ def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
         iter_rows.append((k + 1, diag.iterate_norms[k + 1], delta, factor))
     write_csv(out / "iterations.csv", ["k", "solution_norm", "update_norm", "contraction_factor"], iter_rows)
 
-    eul = pushforward_eulerian(state, flow)
-    transport = density_transport_check(state, flow, eul)
+    transport = density_transport_check(state, flow)
     residual = scheme_residual(state, flow, pcfg.p)
     gsi, gsi_extrapolated = grad_sup_integral(state, flow)
     diag_rows = [
@@ -231,17 +230,18 @@ def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
         "grad_sup_integral": gsi,
         "density_transport_defect": transport.max_pointwise_defect,
     }
+    u_eul, rho_eul = pushforward_eulerian(state, flow, -1)
     if cross_validate:
-        ref = eulerian_reference_solve(rho0, params, u0, T, pcfg.stepper)
-        rel = lp_norm(grid, eul.u[-1] - ref.u[-1], 2) / lp_norm(grid, ref.u[-1], 2)
+        u_ref, _ = eulerian_reference_solve(rho0, params, u0, T, pcfg.stepper)
+        rel = lp_norm(grid, u_eul - u_ref, 2) / lp_norm(grid, u_ref, 2)
         diag_rows.append(("cross_validation_rel_l2", rel))
         summary["cross_validation_rel_l2"] = rel
     write_csv(out / "diagnostics.csv", ["quantity", "value"], diag_rows)
 
     write_field(out / "u0.plf1", grid, u0)
     write_field(out / "u_final_lagrangian.plf1", grid, state.u[-1])
-    write_field(out / "u_final_eulerian.plf1", grid, eul.u[-1])
-    write_field(out / "rho_final_eulerian.plf1", grid, eul.rho[-1])
+    write_field(out / "u_final_eulerian.plf1", grid, u_eul)
+    write_field(out / "rho_final_eulerian.plf1", grid, rho_eul)
     return summary
 
 

@@ -240,8 +240,10 @@ class PicardDiagnostics:
     iterate_norms: list = field(default_factory=list)  # solution norm per iterate
     delta_norms: list = field(default_factory=list)
     contraction_factors: list = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.delta_norms)
 
 
 def picard_solve(
@@ -270,7 +272,6 @@ def picard_solve(
     u_traj = evolve(rho0, params, u0, t_grid, cfg.stepper)
     diag.iterate_norms.append(solution_norms(grid, u_traj, t_grid[1], params, idx).total)
     if u0_norm == 0.0:
-        diag.converged = True
         return to_state(u_traj), diag
 
     for _ in range(cfg.max_iters):
@@ -282,10 +283,8 @@ def picard_solve(
         if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:
             diag.contraction_factors.append(delta / diag.delta_norms[-2])
         diag.iterate_norms.append(solution_norms(grid, u_next, t_grid[1], params, idx).total)
-        diag.iterations += 1
         u_traj = u_next
         if delta <= diag.stop_tol:
-            diag.converged = True
             return to_state(u_traj), diag
 
     raise PicardConvergenceError(
@@ -317,13 +316,6 @@ def scheme_residual(state: LagrangianState, flow: FlowMapData, p: float) -> floa
 # -- Eulerian reconstruction and reference ------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class EulerianTrajectory:
-    t: np.ndarray
-    rho: np.ndarray  # (nt, *shape)
-    u: np.ndarray  # (nt, dim, *shape)
-
-
 _INVERT_TOL = 1e-12  # largest last move of invert_flow, relative to the extent
 _INVERT_MAX_ITERS = 80
 
@@ -343,25 +335,20 @@ def invert_flow(grid: Grid, disp: np.ndarray) -> np.ndarray:
     raise FlowInversionError(f"flow inversion stalled (last move {move:.3e})")
 
 
-def pushforward_eulerian(state: LagrangianState, flow: FlowMapData) -> EulerianTrajectory:
-    """Reconstruct Eulerian fields: u(t, x) = u(t, Y(x)) and
-    rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the mass-consistent transport
-    (J rho-along-the-flow stays equal to rho0)."""
+def pushforward_eulerian(state: LagrangianState, flow: FlowMapData, i: int) -> tuple:
+    """Eulerian fields (u, rho) at time node i (negative i counts from the
+    end): u(t, x) = u(t, Y(x)) and rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the
+    mass-consistent transport (J rho-along-the-flow stays equal to rho0).
+    Node 0 returns the data itself, (state.u[0], rho0), not copies."""
+    i = range(len(state.t))[i]
+    rho0 = state.rho0.rho
+    if i == 0:
+        return state.u[0], rho0
     grid = state.grid
-    rho0 = state.rho0
-    nt = len(state.t)
-    rho_out = np.empty((nt,) + grid.shape)
-    u_out = np.empty_like(state.u)
-    for i in range(nt):
-        if i == 0:
-            rho_out[0] = rho0.rho
-            u_out[0] = state.u[0]
-            continue
-        y = invert_flow(grid, flow.disp[i])
-        coeffs = spline_prefilter(grid, np.concatenate([state.u[i], (rho0.rho / flow.det[i])[None]]))
-        both = interp_periodic(grid, y, coeffs)
-        u_out[i], rho_out[i] = both[:-1], both[-1]
-    return EulerianTrajectory(state.t.copy(), rho_out, u_out)
+    y = invert_flow(grid, flow.disp[i])
+    coeffs = spline_prefilter(grid, np.concatenate([state.u[i], (rho0 / flow.det[i])[None]]))
+    both = interp_periodic(grid, y, coeffs)
+    return both[:-1], both[-1]
 
 
 @dataclass(frozen=True)
@@ -370,11 +357,10 @@ class DensityTransportReport:
     max_mass_defect: float  # of int rho(t) = int rho0, relative
 
 
-def density_transport_check(
-    state: LagrangianState, flow: FlowMapData, eulerian: EulerianTrajectory
-) -> DensityTransportReport:
-    """Defects of the transported density (pushforward_eulerian of state and
-    flow) against state.rho0 along the flow."""
+def density_transport_check(state: LagrangianState, flow: FlowMapData) -> DensityTransportReport:
+    """Worst defects over the time nodes of the transported density: each
+    node's pushforward_eulerian density, carried back along the flow, against
+    state.rho0, and its mass against rho0's."""
     grid = state.grid
     rho0 = state.rho0
     mass0 = float(integral(grid, rho0.rho))
@@ -382,11 +368,11 @@ def density_transport_check(
     worst_point = 0.0
     worst_mass = 0.0
     for i in range(len(state.t)):
-        x_pts = grid.coords + flow.disp[i]
-        rho_on_path = interp_periodic(grid, x_pts, spline_prefilter(grid, eulerian.rho[i]))
+        _, rho = pushforward_eulerian(state, flow, i)
+        rho_on_path = interp_periodic(grid, grid.coords + flow.disp[i], spline_prefilter(grid, rho))
         defect = np.max(np.abs(flow.det[i] * rho_on_path - rho0.rho)) / scale
         worst_point = max(worst_point, float(defect))
-        mass = float(integral(grid, eulerian.rho[i]))
+        mass = float(integral(grid, rho))
         worst_mass = max(worst_mass, abs(mass - mass0) / abs(mass0))
     return DensityTransportReport(worst_point, worst_mass)
 
@@ -397,32 +383,29 @@ def eulerian_reference_solve(
     u0: np.ndarray,
     T: float,
     cfg: StepperConfig,
-) -> EulerianTrajectory:
+) -> tuple:
     """Independent Eulerian solver: semi-Lagrangian transport of density and
     momentum followed by the implicit viscous step with the transported
-    density frozen. Shares nothing with the flow-map pipeline but its time
-    nodes, varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart."""
+    density frozen; returns its fields (u, rho) at T. Shares nothing with the
+    flow-map pipeline but its time nodes, varcoef.time_grid(T, cfg.dt), one
+    step of at most cfg.dt apart."""
     grid = rho0.grid
     t_grid = time_grid(T, cfg.dt)
-    nt = len(t_grid)
     dt = float(t_grid[1])
-    rho = np.empty((nt,) + grid.shape)
-    u = np.empty((nt, grid.dim) + grid.shape)
-    rho[0] = rho0.rho
-    u[0] = np.asarray(u0, dtype=float)
+    rho = rho0.rho
+    u = np.asarray(u0, dtype=float)
     x = grid.coords
-    for i in range(nt - 1):
-        umax = float(np.max(field_magnitude(grid, u[i])))
+    for i in range(len(t_grid) - 1):
+        umax = float(np.max(field_magnitude(grid, u)))
         if dt * umax / grid.spacing > 1.0:
             raise CFLError(
                 f"advective CFL violated at step {i}: dt |u| / h = {dt * umax / grid.spacing:.2f}"
             )
         # departure points, midpoint rule; u, rho and div u share one prefilter
-        coeffs = spline_prefilter(grid, np.concatenate([u[i], rho[i][None], divergence(grid, u[i])[None]]))
-        x_mid = x - 0.5 * dt * u[i]
+        coeffs = spline_prefilter(grid, np.concatenate([u, rho[None], divergence(grid, u)[None]]))
+        x_mid = x - 0.5 * dt * u
         x_dep = x - dt * interp_periodic(grid, x_mid, coeffs[: grid.dim])
         adv = interp_periodic(grid, x_dep, coeffs)
-        u_adv, rho_adv = adv[: grid.dim], adv[grid.dim] * np.exp(-dt * adv[grid.dim + 1])
-        u[i + 1] = theta_step(grid, rho_adv, params, u_adv, dt, cfg.cg_tol)
-        rho[i + 1] = rho_adv
-    return EulerianTrajectory(t_grid, rho, u)
+        rho = adv[grid.dim] * np.exp(-dt * adv[grid.dim + 1])
+        u = theta_step(grid, rho, params, adv[: grid.dim], dt, cfg.cg_tol)
+    return u, rho

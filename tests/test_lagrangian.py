@@ -379,17 +379,18 @@ class TestPushforward:
         u_const = np.broadcast_to(c[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: u_const, T=1.0)
         flow = flow_map(state)
-        eul = pushforward_eulerian(state, flow)
+        _, rho = pushforward_eulerian(state, flow, -1)
         steps = (np.round(c / grid64_8.spacing)).astype(int)
         shifted = np.roll(rough64.rho, shift=tuple(steps), axis=(0, 1))
-        assert np.max(np.abs(eul.rho[-1] - shifted)) < 1e-9
+        assert np.max(np.abs(rho - shifted)) < 1e-9
 
     def test_identity_flow_unchanged(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
         flow = flow_map(state)
-        eul = pushforward_eulerian(state, flow)
-        assert np.max(np.abs(eul.rho[-1] - rough64.rho)) < 1e-12
-        assert np.max(np.abs(eul.u - state.u)) < 1e-12
+        for i in range(len(state.t)):
+            u, rho = pushforward_eulerian(state, flow, i)
+            assert np.max(np.abs(rho - rough64.rho)) < 1e-12
+            assert np.max(np.abs(u - state.u[i])) < 1e-12
 
 
 class TestDensityTransport:
@@ -398,14 +399,14 @@ class TestDensityTransport:
         v = 0.05 * random_band_field(grid64_8, 1, 2, seed=15, ncomp=2)
         state = make_state(grid64_8, params, rho0, lambda t: v)
         flow = flow_map(state)
-        rep = density_transport_check(state, flow, pushforward_eulerian(state, flow))
+        rep = density_transport_check(state, flow)
         # J * (1/J on the path) = 1: only interpolation error of smooth 1/J
         assert rep.max_pointwise_defect < 1e-5
         assert rep.max_mass_defect < 1e-6
 
     def test_rough_density_mass_conserved(self, small_state, rough64):
         flow = flow_map(small_state)
-        rep = density_transport_check(small_state, flow, pushforward_eulerian(small_state, flow))
+        rep = density_transport_check(small_state, flow)
         assert rep.max_mass_defect < 1e-6
 
 
@@ -427,7 +428,6 @@ class TestPicard:
     def test_zero_data_immediate(self, grid64_8, params, rough64):
         u0 = np.zeros((2,) + grid64_8.shape)
         state, diag = picard_solve(rough64, params, u0, 1.0, PicardConfig(dt=0.1))
-        assert diag.converged
         assert diag.iterations == 0
         assert np.max(np.abs(state.u)) == 0.0
 
@@ -440,7 +440,7 @@ class TestPicard:
         u0 *= 0.05 / n0
         cfg = PicardConfig(dt=0.05, max_iters=20)
         state, diag = picard_solve(rho0, params, u0, 3.0, cfg)
-        assert diag.converged
+        assert diag.delta_norms[-1] <= diag.stop_tol
         assert diag.smallness_ok
         assert all(f <= 0.5 for f in diag.contraction_factors)
         res = scheme_residual(state, flow_map(state), cfg.p)
@@ -475,9 +475,9 @@ class TestPicard:
 class TestEulerianReference:
     def test_zero_velocity_static(self, grid64_8, params, rough64):
         u0 = np.zeros((2,) + grid64_8.shape)
-        traj = eulerian_reference_solve(rough64, params, u0, 0.5, StepperConfig(dt=0.1))
-        assert np.max(np.abs(traj.u)) == 0.0
-        assert np.max(np.abs(traj.rho - rough64.rho)) < 1e-12
+        u, rho = eulerian_reference_solve(rough64, params, u0, 0.5, StepperConfig(dt=0.1))
+        assert np.max(np.abs(u)) == 0.0
+        assert np.max(np.abs(rho - rough64.rho)) < 1e-12
 
     def test_small_amplitude_matches_linear_decay(self, grid64_8, params):
         # advection is O(amp^2): the run tracks the constant-coefficient flow
@@ -487,9 +487,9 @@ class TestEulerianReference:
             grid64_8, random_band_field(grid64_8, 1, 2, seed=18, ncomp=2), "P"
         )
         T = 1.0
-        traj = eulerian_reference_solve(rho0, params, u0, T, StepperConfig(dt=0.02))
+        u, _ = eulerian_reference_solve(rho0, params, u0, T, StepperConfig(dt=0.02))
         exact = const_semigroup(grid64_8, u0, T, params)
-        rel = lp_norm(grid64_8, traj.u[-1] - exact, 2) / lp_norm(grid64_8, exact, 2)
+        rel = lp_norm(grid64_8, u - exact, 2) / lp_norm(grid64_8, exact, 2)
         assert rel < 0.02
 
     def test_cfl_rejection(self, grid64_8, params, rough64):
@@ -510,7 +510,7 @@ class TestCrossValidation:
         cfg = PicardConfig(dt=0.05)
         state, diag = picard_solve(rho0, params, u0, T, cfg)
         flow = flow_map(state)
-        eul = pushforward_eulerian(state, flow)
-        ref = eulerian_reference_solve(rho0, params, u0, T, cfg.stepper)
-        rel = lp_norm(grid, eul.u[-1] - ref.u[-1], 2) / lp_norm(grid, ref.u[-1], 2)
+        u_eul, _ = pushforward_eulerian(state, flow, -1)
+        u_ref, _ = eulerian_reference_solve(rho0, params, u0, T, cfg.stepper)
+        rel = lp_norm(grid, u_eul - u_ref, 2) / lp_norm(grid, u_ref, 2)
         assert rel < 0.05
