@@ -26,7 +26,7 @@ class Grid:
     n : int
         Points per axis; a power of two, at least 8.
     extent : float
-        Torus side length L; all axes share n and L.
+        Torus side length L, finite and > 0; all axes share n and L.
     """
 
     dim: int
@@ -38,8 +38,8 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 8, got {self.n}")
-        if not (self.extent > 0):
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"extent must be finite and positive, got {self.extent}")
 
     @property
     def spacing(self) -> float:

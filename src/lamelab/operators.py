@@ -32,14 +32,16 @@ from .grid import Grid, _check_field, fftn, ifftn
 
 @dataclass(frozen=True)
 class LameParams:
-    """Viscosity pair (mu, lam); ellipticity requires mu > 0 and nu = lam + 2*mu > 0."""
+    """Viscosity pair (mu, lam), both finite; ellipticity requires mu > 0 and nu = lam + 2*mu > 0."""
 
     mu: float
     lam: float
 
     def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (np.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if not (self.nu > 0):
             raise ValueError(f"nu = lam + 2*mu must be positive, got {self.nu}")
 

@@ -110,6 +110,31 @@ class TestFlowCommand:
         assert rows["below"][:3] + rows["below"][4:] == rows["above"][:3] + rows["above"][4:]
 
 
+    def test_3d_standard_blocks_meet_criteria_9_and_10_gates(self, tmp_path, outdir):
+        # the standard scenario's blocks in 3D: flow map, nonlinearity, flow
+        # inversion, pushforward and Eulerian reference on the 3D stencil
+        cfg = {
+            "grid": {"dim": 3, "N": 16, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "cells": 2, "sharpness": 2.0},
+            "u0": {"kind": "band", "kmin": 1.0, "kmax": 3.0, "seed": 7, "amplitude": 0.05},
+            "picard": {"T": 1.0, "dt": 0.05, "max_iters": 25, "tol": 1e-8},
+            "cross_validate": True,
+        }
+        path = write_config(tmp_path / "flow.json", cfg)
+        assert run_cli(["flow", "--config", path, "--out", outdir]) == 0
+        diag = {name: float(value) for name, value in read_csv(outdir / "diagnostics.csv")[1]}
+        iterations = read_csv(outdir / "iterations.csv")[1]
+        factors = [float(row[3]) for row in iterations if row[3] != ""]
+        stop_tol = cfg["picard"]["tol"] * diag["u0_norm"]
+        assert float(iterations[-1][2]) <= stop_tol
+        assert factors and max(factors) <= 0.5
+        assert diag["residual_l1"] <= 10.0 * stop_tol
+        assert 0.5 <= diag["jac_det_min"] <= diag["jac_det_max"] <= 2.0
+        assert diag["density_transport_defect"] <= 1e-4
+        assert diag["cross_validation_rel_l2"] <= 0.05
+
+
 class TestKernelCommand:
     def test_constant_density_fit(self, tmp_path, outdir):
         cfg = {
@@ -400,6 +425,15 @@ class TestConfigErrorWritesNothing:
         "kernel_davies_alpha": ("kernel", {**KERNEL, "davies": {"alpha": [0.0]}}, []),
         "kernel_sigma": ("kernel", {**KERNEL, "sigma": 0.1}, []),
         "oracle_time": ("oracle", {"u0": {"kind": "band", "seed": 1, "amplitude": 1.0}, "time": [0.05]}, []),
+        # JSON's Infinity parses to inf: the grid extent and the Lame constants are finite
+        "besov_infinite_extent": ("besov", {"grid": {"dim": 2, "N": 16, "extent": float("inf")}}, []),
+        "besov_infinite_lambda": ("besov", {"lame": {"mu": 1.0, "lambda": float("inf")}}, []),
+        "besov_infinite_mu": ("besov", {"lame": {"mu": float("inf"), "lambda": 1.0}}, []),
+        "kernel_infinite_mu": ("kernel", {**KERNEL, "lame": {"mu": float("inf"), "lambda": 1.0}}, []),
+        "maxreg_infinite_mu": ("maxreg", {**MAXREG, "lame": {"mu": float("inf"), "lambda": 1.0}}, []),
+        "flow_infinite_mu": ("flow", {"lame": {"mu": float("inf"), "lambda": 1.0},
+                                      "u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
+                                      "picard": {"T": 0.2, "dt": 0.1}}, []),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
