@@ -9,9 +9,11 @@ transform pair, exact on uniform periodic grids), and
 a 4^dim stencil with B-spline weights. The interpolant is C^2, reproduces
 cubics exactly, and converges at O(h^4). Fields may carry leading component
 axes (vectors, matrices, or any stack of fields sampled at one point set):
-the stencil's flat node indices and weights are computed once per call,
-every component is gathered by one np.take and all are contracted by one
-einsum. Each component comes out bit-identical to its own call, and a
+the query points are taken in chunks of grid.chunks' budget; per chunk the
+stencil's flat node indices and weights are computed once, every component
+is gathered by one np.take and all are contracted by one einsum, so the
+gather's memory does not grow with the point count. Each point and each
+component comes out bit-identical to its own call, whatever the chunk, and a
 stack's prefilter row to its own field's.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, _check_field, fftn, ifftn
+from .grid import Grid, _check_field, chunks, fftn, ifftn
 
 
 # perfbench/run.py's environment probe records this name; without it every benchmark run fails.
@@ -44,13 +46,19 @@ def spline_prefilter(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def _bspline_weights(s):
-    """Cubic B-spline weights on nodes {-1, 0, 1, 2} for offsets s in [0, 1), shape (4, m)."""
+    """Cubic B-spline weights on nodes {-1, 0, 1, 2} for offsets s in [0, 1) of
+    shape (..., m), shape (..., 4, m). Each multiple of s, s^2 and s^3 is
+    formed once and shared by the weights that read it, and each weight is
+    written into its row of the output."""
     s2 = s * s
     s3 = s2 * s
-    w0 = (1.0 - 3.0 * s + 3.0 * s2 - s3) / 6.0
-    w1 = (4.0 - 6.0 * s2 + 3.0 * s3) / 6.0
-    w2 = (1.0 + 3.0 * s + 3.0 * s2 - 3.0 * s3) / 6.0
-    return np.stack([w0, w1, w2, s3 / 6.0])
+    s_3, s2_3, s3_3 = 3.0 * s, 3.0 * s2, 3.0 * s3
+    out = np.empty(s.shape[:-1] + (4,) + s.shape[-1:])
+    np.divide(1.0 - s_3 + s2_3 - s3, 6.0, out=out[..., 0, :])
+    np.divide(4.0 - 6.0 * s2 + s3_3, 6.0, out=out[..., 1, :])
+    np.divide(1.0 + s_3 + s2_3 - s3_3, 6.0, out=out[..., 2, :])
+    np.divide(s3, 6.0, out=out[..., 3, :])
+    return out
 
 
 def interp_periodic(grid: Grid, coords: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -70,17 +78,29 @@ def interp_periodic(grid: Grid, coords: np.ndarray, coeffs: np.ndarray) -> np.nd
     if coords.shape[0] != grid.dim:
         raise ValueError(f"coords leading axis {coords.shape[0]} does not match grid dimension {grid.dim}")
     coeffs = np.ascontiguousarray(_check_field(grid, coeffs))
+    lead = coeffs.shape[: coeffs.ndim - grid.dim]
+    table = coeffs.reshape(-1, grid.size)
+    points = coords.reshape(grid.dim, -1)
+    out = np.empty((len(table), points.shape[1]))
+    # a point holds its gathered stencil of every component and the stencil's flat indices
+    for part in chunks(points.shape[1], 8 * 4**grid.dim * (len(table) + 1)):
+        out[:, part] = _stencil_sum(grid, points[:, part], table)
+    return out.reshape(lead + coords.shape[1:])
+
+
+def _stencil_sum(grid: Grid, points: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The spline with coefficient rows table (k, grid.size) at the points
+    (grid.dim, m): the 4^dim stencil of each point, weighted, shape (k, m)."""
     n = grid.n
-    weights, flat = [], np.zeros(coords[0].size, dtype=np.int64)
-    for a in range(grid.dim):
-        # fractional index of each query point; origin of axis a is -L/2
-        frac = (coords[a].ravel() + 0.5 * grid.extent) / grid.spacing
-        base = np.floor(frac).astype(np.int64)
-        weights.append(_bspline_weights(frac - base))
+    # fractional index of each query point on each axis; the origin of every axis is -L/2
+    frac = (points + 0.5 * grid.extent) / grid.spacing
+    base = np.floor(frac).astype(np.int64)
+    weights = _bspline_weights(frac - base)  # (dim, 4, m)
+    nodes = (base[:, None, :] + np.arange(-1, 3)[:, None]) % n  # (dim, 4, m)
+    flat = nodes[0]
+    for a in range(1, grid.dim):
         # row-major node index of the stencil, one new axis of 4 per grid axis: (4, ..., 4, m)
-        flat = flat[..., None, :] * n + (base + np.arange(-1, 3)[:, None]) % n
+        flat = flat[..., None, :] * n + nodes[a]
     letters = "abc"[: grid.dim]
     spec = ",".join(f"{c}m" for c in letters) + f",z{letters}m->zm"  # "am,bm,zabm->zm" in 2D
-    lead = coeffs.shape[: coeffs.ndim - grid.dim]
-    out = np.einsum(spec, *weights, np.take(coeffs.reshape(-1, grid.size), flat, axis=1))
-    return out.reshape(lead + coords.shape[1:])
+    return np.einsum(spec, *weights, np.take(table, flat, axis=1))

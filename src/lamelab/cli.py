@@ -43,16 +43,7 @@ from .kernels import (
     kernel_column,
     symmetry_defect,
 )
-from .lagrangian import (
-    density_transport_check,
-    eulerian_reference_solve,
-    flow_map,
-    grad_besov_l1,
-    grad_sup_integral,
-    picard_solve,
-    pushforward_eulerian,
-    scheme_residual,
-)
+from .lagrangian import eulerian_reference_solve, flow_diagnostics, picard_solve
 from .maxreg import norm_equiv_ratio, solve_linear_maxreg
 from .operators import ScaledLaplacian
 from .scenarios import (
@@ -199,49 +190,44 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
 def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
     grid = rho0.grid
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
-    flow = flow_map(state)
-    flow_budget = grad_besov_l1(state, flow, pcfg.p)
     iter_rows = []
     for k, delta in enumerate(diag.delta_norms):
         factor = diag.contraction_factors[k - 1] if k >= 1 else ""
         iter_rows.append((k + 1, diag.iterate_norms[k + 1], delta, factor))
     write_csv(out / "iterations.csv", ["k", "solution_norm", "update_norm", "contraction_factor"], iter_rows)
 
-    transport = density_transport_check(state, flow)
-    residual = scheme_residual(state, flow, pcfg.p)
-    gsi, gsi_extrapolated = grad_sup_integral(state, flow)
+    flow = flow_diagnostics(state, pcfg.p)
     diag_rows = [
         ("u0_norm", diag.u0_norm),
         ("smallness_ok", int(diag.smallness_ok)),
-        ("flow_budget", flow_budget),
-        ("flow_smallness_ok", int(flow_budget <= pcfg.flow_smallness_c0)),
+        ("flow_budget", flow.flow_budget),
+        ("flow_smallness_ok", int(flow.flow_budget <= pcfg.flow_smallness_c0)),
         ("iterations", diag.iterations),
-        ("residual_l1", residual),
-        ("grad_sup_integral", gsi),
-        ("grad_sup_integral_extrapolated", gsi_extrapolated),
-        ("jac_det_min", float(np.min(flow.det))),
-        ("jac_det_max", float(np.max(flow.det))),
-        ("density_transport_defect", transport.max_pointwise_defect),
-        ("mass_defect", transport.max_mass_defect),
+        ("residual_l1", flow.residual),
+        ("grad_sup_integral", flow.grad_sup_integral),
+        ("grad_sup_integral_extrapolated", flow.grad_sup_integral_extrapolated),
+        ("jac_det_min", flow.det_min),
+        ("jac_det_max", flow.det_max),
+        ("density_transport_defect", flow.transport.max_pointwise_defect),
+        ("mass_defect", flow.transport.max_mass_defect),
     ]
     summary = {
         "iterations": diag.iterations,
         "contraction_factors": diag.contraction_factors,
-        "grad_sup_integral": gsi,
-        "density_transport_defect": transport.max_pointwise_defect,
+        "grad_sup_integral": flow.grad_sup_integral,
+        "density_transport_defect": flow.transport.max_pointwise_defect,
     }
-    u_eul, rho_eul = pushforward_eulerian(state, flow, -1)
     if cross_validate:
         u_ref, _ = eulerian_reference_solve(rho0, params, u0, T, pcfg.stepper)
-        rel = lp_norm(grid, u_eul - u_ref, 2) / lp_norm(grid, u_ref, 2)
+        rel = lp_norm(grid, flow.u_final - u_ref, 2) / lp_norm(grid, u_ref, 2)
         diag_rows.append(("cross_validation_rel_l2", rel))
         summary["cross_validation_rel_l2"] = rel
     write_csv(out / "diagnostics.csv", ["quantity", "value"], diag_rows)
 
     write_field(out / "u0.plf1", grid, u0)
     write_field(out / "u_final_lagrangian.plf1", grid, state.u[-1])
-    write_field(out / "u_final_eulerian.plf1", grid, u_eul)
-    write_field(out / "rho_final_eulerian.plf1", grid, rho_eul)
+    write_field(out / "u_final_eulerian.plf1", grid, flow.u_final)
+    write_field(out / "rho_final_eulerian.plf1", grid, flow.rho_final)
     return summary
 
 

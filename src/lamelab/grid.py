@@ -136,6 +136,20 @@ class Grid:
         return (delta + 0.5 * L) % L - 0.5 * L
 
 
+# Working-set budget of one chunk, in bytes: the flow code and the norms over
+# time take their time nodes, and interpolation its query points, a chunk at a
+# time, so that their memory does not grow with the horizon or the point count.
+CHUNK_BYTES = 1 << 19
+
+
+def chunks(count: int, item_bytes: int) -> list:
+    """Consecutive slices covering range(count), each of max(1, CHUNK_BYTES //
+    item_bytes) items (the last may hold fewer); item_bytes is what one item
+    (a time node, a query point) costs in memory while its chunk is worked on."""
+    size = max(1, CHUNK_BYTES // item_bytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def _check_field(grid: Grid, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     if u.shape[-grid.dim:] != grid.shape:

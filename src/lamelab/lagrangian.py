@@ -2,12 +2,15 @@
 for the pressureless viscous system, and its Eulerian cross-checks.
 
 Unknowns live on the initial (Lagrangian) grid; trajectories are
-X(t, y) = y + integral of the velocity. The velocity gradient Du is taken once
-per flow map, as one stack over the time samples, and everything else reads
-it: DX = I + integral of Du, the flow-map budget, and the nonlinearity. The
-geometry of DX (adjugate, determinant; the inverse is adj / det) is carried
-nodewise with closed-form cofactors, which is exact for dim <= 3.
-Compositions with X or its inverse go through periodic cubic interpolation.
+X(t, y) = y + integral of the velocity. The flow map is built for a range of
+time nodes at a time, carrying the running trapezoid sums from one range to
+the next, so its memory depends on grid.chunks' budget and not on the
+horizon. The velocity gradient Du is taken once per range, and everything
+else reads it: DX = I + integral of Du, the flow-map budget, and the
+nonlinearity. The geometry of DX (adjugate, determinant; the inverse is
+adj / det) is carried nodewise with closed-form cofactors, which is exact for
+dim <= 3. Compositions with X or its inverse go through periodic cubic
+interpolation.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ import numpy as np
 
 from ._interp import interp_periodic, spline_prefilter
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports
-from .grid import Grid, divergence, field_magnitude, integral, jacobian
+from .grid import Grid, chunks, divergence, field_magnitude, integral, jacobian
 from .maxreg import solution_norms
 from .operators import LameParams, lame_apply
 from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step, time_grid
 
 
 class DiffeomorphismError(RuntimeError):
-    """The flow map lost invertibility (det DX <= 0 somewhere)."""
+    """The flow map lost invertibility (det DX <= 0 somewhere). It names the
+    earliest time node where det DX <= 0 and the minimum on that node, so
+    the error does not depend on how the nodes are split into ranges."""
 
     def __init__(self, t_index: int, node, value: float):
         super().__init__(f"det DX = {value:.3e} <= 0 at t index {t_index}, node {node}")
@@ -108,53 +113,98 @@ class LagrangianState:
 
 @dataclass(frozen=True, eq=False)
 class FlowMapData:
-    """Trajectory geometry: displacement X - id, the velocity gradient, and the
-    adjugate and determinant of DX = I + integral of grad."""
+    """Trajectory geometry on a range of time nodes: displacement X - id, the
+    velocity gradient, and the adjugate and determinant of DX = I + integral
+    of grad, each stacked over the range. grad_sum is that integral at the
+    range's last node, from which the next range's running sum goes on."""
 
-    disp: np.ndarray  # (nt, dim, *shape)
-    grad: np.ndarray  # Du, grad[:, a, b] = d_b u_a, (nt, dim, dim, *shape)
+    nodes: range  # indices into the state's time nodes
+    disp: np.ndarray  # (len(nodes), dim, *shape)
+    grad: np.ndarray  # Du, grad[:, a, b] = d_b u_a, (len(nodes), dim, dim, *shape)
     adj: np.ndarray  # adjugate of DX, det * inverse
-    det: np.ndarray  # (nt, *shape)
+    det: np.ndarray  # (len(nodes), *shape)
+    grad_sum: np.ndarray  # (dim, dim, *shape)
 
 
-def _time_integral(f: np.ndarray, dt: float) -> np.ndarray:
+def _time_integral(f: np.ndarray, dt: float, before) -> np.ndarray:
     """Trapezoid integral from t = 0 to every time sample (leading axis) of a
     stack of fields: a running sum of the interval terms dt (f[i] + f[i-1]) / 2,
-    each formed in its own output slice, in the order of np.cumsum along time."""
+    each formed in its own output slice, in the order of np.cumsum along time.
+
+    A stack that starts at t = 0 passes before = None. A stack that goes on
+    from an earlier one passes before = (the earlier stack's last sample, the
+    integral there), the integral None when that sample is at t = 0: there
+    the first term is the integral itself, as in cumsum, so that splitting a
+    stack in two keeps every bit."""
     out = np.empty_like(f)
-    out[0] = 0.0
-    for i in range(1, len(f)):
-        np.add(f[i], f[i - 1], out=out[i])
-        out[i] *= dt
-        out[i] /= 2.0
-        if i > 1:
-            out[i] += out[i - 1]
+    prev, total = (None, None) if before is None else before
+    for i in range(len(f)):
+        if prev is None:
+            out[i] = 0.0
+        else:
+            np.add(f[i], prev, out=out[i])
+            out[i] *= dt
+            out[i] /= 2.0
+            if total is not None:
+                out[i] += total
+            total = out[i]
+        prev = f[i]
     return out
 
 
-def flow_map(state: LagrangianState) -> FlowMapData:
-    """Integrate the velocity to trajectories and its gradient to DX, and
-    assemble the adjugate and determinant of DX; raises DiffeomorphismError if
-    det DX <= 0. The spectral derivative commutes with the trapezoid rule, so
-    DX - I is the derivative of the displacement without a transform of it."""
-    disp = _time_integral(state.u, state.dt)
-    grad = jacobian(state.grid, state.u)
-    dx = np.moveaxis(_time_integral(grad, state.dt), (1, 2), (0, 1))  # matrix axes first
+def flow_map(state: LagrangianState, nodes: range, prev: FlowMapData | None) -> FlowMapData:
+    """Integrate the velocity to trajectories and its gradient to DX over the
+    time nodes `nodes`, and assemble the adjugate and determinant of DX.
+
+    A range that starts at node 0 passes prev = None; any other passes the
+    FlowMapData of the range just before it, whose last samples and running
+    sums it goes on from, so that every node gets the bits of one range over
+    the whole trajectory. Raises DiffeomorphismError at the range's earliest
+    node where det DX <= 0. The spectral derivative commutes with the
+    trapezoid rule, so DX - I is the derivative of the displacement without a
+    transform of it."""
+    if nodes.start != (0 if prev is None else prev.nodes.stop):
+        raise ValueError(f"time nodes {nodes} do not go on from the previous range")
+    u = state.u[nodes.start : nodes.stop]
+    grad = jacobian(state.grid, u)
+    if prev is None:
+        disp = _time_integral(u, state.dt, None)
+        integrated = _time_integral(grad, state.dt, None)
+    else:
+        after_zero = nodes.start == 1  # the integral at node 0 is not added, as in cumsum
+        disp = _time_integral(u, state.dt, (state.u[nodes.start - 1], None if after_zero else prev.disp[-1]))
+        integrated = _time_integral(grad, state.dt, (prev.grad[-1], None if after_zero else prev.grad_sum))
+    grad_sum = integrated[-1].copy()
+    dx = np.moveaxis(integrated, (1, 2), (0, 1))  # matrix axes first
     for a in range(state.grid.dim):
         dx[a, a] += 1.0
     adj = matrix_adjugate(dx)
     det = matrix_determinant(dx, adj)
-    if np.min(det) <= 0.0:
-        i, *node = np.unravel_index(np.argmin(det), det.shape)
-        raise DiffeomorphismError(int(i), tuple(int(c) for c in node), float(np.min(det)))
-    return FlowMapData(disp, grad, np.moveaxis(adj, (0, 1), (1, 2)), det)
+    low = np.min(det.reshape(len(det), -1), axis=1)
+    if np.any(low <= 0.0):
+        i = int(np.argmax(low <= 0.0))
+        node = np.unravel_index(np.argmin(det[i]), det[i].shape)
+        raise DiffeomorphismError(nodes.start + i, tuple(int(c) for c in node), float(low[i]))
+    return FlowMapData(nodes, disp, grad, np.moveaxis(adj, (0, 1), (1, 2)), det, grad_sum)
+
+
+def _flow_ranges(state: LagrangianState):
+    """flow_map over consecutive ranges of the state's time nodes, in time
+    order; a range holds as many nodes as grid.chunks allows for one node's
+    FlowMapData (disp, grad, adj and det)."""
+    dim = state.grid.dim
+    flow = None
+    for part in chunks(len(state.t), 8 * (dim + 2 * dim * dim + 1) * state.grid.size):
+        flow = flow_map(state, range(part.start, part.stop), flow)
+        yield flow
 
 
 # -- the Lagrangian nonlinearity -----------------------------------------------------
 
 
 def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
-    """Quadratic remainder of the flow-twisted elastic operator at every time sample.
+    """Quadratic remainder of the flow-twisted elastic operator at every time
+    node of the flow map's range, shape (len(flow.nodes), dim, *shape).
 
     f(u) = mu div((adj A^T - I) grad u)
          + (mu + lam) [ (adj^T - I) grad Tr(A Du) + grad Tr((A - I) Du) ],
@@ -163,9 +213,9 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
     grid = state.grid
     mu, lam = state.params.mu, state.params.lam
     d = grid.dim
-    out = np.empty_like(state.u)
+    out = np.empty_like(flow.disp)
     eye = np.eye(d).reshape((d, d) + (1,) * d)
-    for i in range(len(state.t)):
+    for i in range(len(flow.nodes)):
         du = flow.grad[i]  # du[a, b] = d_b u_a
         adj = flow.adj[i]
         a_inv = adj / flow.det[i]
@@ -178,31 +228,6 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
         term2 = np.einsum("ji...,j...->i...", adj, g_full) - g_full
         out[i] = mu * term1 + (mu + lam) * (term2 + term3)
     return out
-
-
-# -- flow estimates -------------------------------------------------------------------
-
-
-def grad_besov_l1(state: LagrangianState, flow: FlowMapData, p: float) -> float:
-    """L1-in-time Besov norm (regularity n/p) of the velocity gradient, the
-    budget of the flow-map estimate: the flow stays a small perturbation of
-    the identity while it is below c0."""
-    grid = state.grid
-    reps = besov_norm_reports(grid, flow.grad, BesovIndex(grid.dim / p, p))
-    return float(np.trapezoid([r.value for r in reps], dx=state.dt))
-
-
-def grad_sup_integral(state: LagrangianState, flow: FlowMapData) -> tuple:
-    """Trapezoid quadrature of the sup-norm of the velocity gradient over time,
-    and the same integral extrapolated past the horizon from the decay rate of
-    its last two samples (the plain integral when they do not decay)."""
-    vals = [float(np.max(field_magnitude(state.grid, g))) for g in flow.grad]
-    total = float(np.trapezoid(vals, dx=state.dt))
-    g_prev, g_end = vals[-2], vals[-1]
-    if g_end <= 0 or g_prev <= g_end:
-        return total, total
-    rate = np.log(g_prev / g_end) / state.dt
-    return total, total + g_end / rate
 
 
 # -- Picard fixed point ----------------------------------------------------------------
@@ -254,7 +279,9 @@ def picard_solve(
     Starts from the unforced linear solution and refreshes the forcing with
     the previous iterate's nonlinearity; stops when the solution-norm of the
     update falls below stop_tol_rel times the data norm. The time nodes are
-    varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart.
+    varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart. Only the
+    iterate, its successor and one more trajectory are held whole: that one
+    takes the forcing, filled a flow-map range at a time, and then the update.
     """
     grid = rho0.grid
     idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p)
@@ -274,11 +301,13 @@ def picard_solve(
     if u0_norm == 0.0:
         return to_state(u_traj), diag
 
+    work = np.empty_like(u_traj)  # the forcing, then the update
     for _ in range(cfg.max_iters):
         state = to_state(u_traj)
-        forcing = nonlinearity_f(state, flow_map(state))
-        u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=forcing, guess=u_traj)
-        delta = solution_norms(grid, u_next - u_traj, t_grid[1], params, idx).total
+        for flow in _flow_ranges(state):
+            work[flow.nodes.start : flow.nodes.stop] = nonlinearity_f(state, flow)
+        u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=work, guess=u_traj)
+        delta = solution_norms(grid, np.subtract(u_next, u_traj, out=work), t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
         if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:
             diag.contraction_factors.append(delta / diag.delta_norms[-2])
@@ -294,23 +323,30 @@ def picard_solve(
     )
 
 
-def scheme_residual(state: LagrangianState, flow: FlowMapData, p: float) -> float:
-    """Defect of the converged iterate in the nonlinear Crank-Nicolson equations.
+def scheme_residual(state: LagrangianState, flow: FlowMapData, p: float, rhs_before) -> tuple:
+    """Defect of the converged iterate in the nonlinear Crank-Nicolson
+    equations, on the steps that end on the flow map's nodes.
 
-    Rebuilds the nonlinearity from the state and its flow map and measures,
-    in the L1-in-time B^{n/p-1}_{p,1} norm that picard_solve's stopping rule
-    uses at the same p, the defect
+    Rebuilds the nonlinearity from the state and its flow map and measures
+    each step's defect
     rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i at
-    the stepper's theta = 1/2, all steps in one stack.
+    the stepper's theta = 1/2 in B^{n/p-1}_{p,1}, the space of picard_solve's
+    stopping rule at the same p. Returns the steps' terms dt ||defect||, whose
+    sum in time order is the L1-in-time defect, and (L u + f) at the range's
+    last node: the rhs_before of the next range (None for the range that
+    starts at node 0).
     """
     grid = state.grid
     dt = state.dt
-    rhs = lame_apply(grid, state.u, state.params) + nonlinearity_f(state, flow)
-    defect = state.rho0.rho * (state.u[1:] - state.u[:-1]) / dt - _THETA * rhs[1:] - (1.0 - _THETA) * rhs[:-1]
-    total = 0.0
-    for rep in besov_norm_reports(grid, defect, BesovIndex(grid.dim / p - 1.0, p)):
-        total += dt * rep.value
-    return total
+    start, stop = flow.nodes.start, flow.nodes.stop
+    rhs = lame_apply(grid, state.u[start:stop], state.params) + nonlinearity_f(state, flow)
+    if rhs_before is None:
+        ends, u = rhs, state.u[start:stop]
+    else:
+        ends, u = np.concatenate([rhs_before[None], rhs]), state.u[start - 1 : stop]
+    defect = state.rho0.rho * (u[1:] - u[:-1]) / dt - _THETA * ends[1:] - (1.0 - _THETA) * ends[:-1]
+    reps = besov_norm_reports(grid, defect, BesovIndex(grid.dim / p - 1.0, p))
+    return [dt * rep.value for rep in reps], rhs[-1]
 
 
 # -- Eulerian reconstruction and reference ------------------------------------------------
@@ -336,17 +372,19 @@ def invert_flow(grid: Grid, disp: np.ndarray) -> np.ndarray:
 
 
 def pushforward_eulerian(state: LagrangianState, flow: FlowMapData, i: int) -> tuple:
-    """Eulerian fields (u, rho) at time node i (negative i counts from the
-    end): u(t, x) = u(t, Y(x)) and rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the
-    mass-consistent transport (J rho-along-the-flow stays equal to rho0).
-    Node 0 returns the data itself, (state.u[0], rho0), not copies."""
+    """Eulerian fields (u, rho) at time node i, one of the flow map's nodes
+    (negative i counts from the end of the trajectory): u(t, x) = u(t, Y(x))
+    and rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the mass-consistent transport
+    (J rho-along-the-flow stays equal to rho0). Node 0 returns the data
+    itself, (state.u[0], rho0), not copies."""
     i = range(len(state.t))[i]
     rho0 = state.rho0.rho
     if i == 0:
         return state.u[0], rho0
     grid = state.grid
-    y = invert_flow(grid, flow.disp[i])
-    coeffs = spline_prefilter(grid, np.concatenate([state.u[i], (rho0 / flow.det[i])[None]]))
+    j = flow.nodes.index(i)
+    y = invert_flow(grid, flow.disp[j])
+    coeffs = spline_prefilter(grid, np.concatenate([state.u[i], (rho0 / flow.det[j])[None]]))
     both = interp_periodic(grid, y, coeffs)
     return both[:-1], both[-1]
 
@@ -358,23 +396,87 @@ class DensityTransportReport:
 
 
 def density_transport_check(state: LagrangianState, flow: FlowMapData) -> DensityTransportReport:
-    """Worst defects over the time nodes of the transported density: each
-    node's pushforward_eulerian density, carried back along the flow, against
-    state.rho0, and its mass against rho0's."""
+    """Worst defects over the flow map's time nodes of the transported
+    density: each node's pushforward_eulerian density, carried back along the
+    flow, against state.rho0, and its mass against rho0's."""
     grid = state.grid
     rho0 = state.rho0
     mass0 = float(integral(grid, rho0.rho))
     scale = float(np.max(np.abs(rho0.rho)))
     worst_point = 0.0
     worst_mass = 0.0
-    for i in range(len(state.t)):
+    for j, i in enumerate(flow.nodes):
         _, rho = pushforward_eulerian(state, flow, i)
-        rho_on_path = interp_periodic(grid, grid.coords + flow.disp[i], spline_prefilter(grid, rho))
-        defect = np.max(np.abs(flow.det[i] * rho_on_path - rho0.rho)) / scale
+        rho_on_path = interp_periodic(grid, grid.coords + flow.disp[j], spline_prefilter(grid, rho))
+        defect = np.max(np.abs(flow.det[j] * rho_on_path - rho0.rho)) / scale
         worst_point = max(worst_point, float(defect))
         mass = float(integral(grid, rho))
         worst_mass = max(worst_mass, abs(mass - mass0) / abs(mass0))
     return DensityTransportReport(worst_point, worst_mass)
+
+
+@dataclass(frozen=True, eq=False)
+class FlowDiagnostics:
+    """What a converged run reports of its flow map."""
+
+    flow_budget: float  # L1-in-time Besov norm (regularity n/p) of grad u
+    grad_sup_integral: float  # trapezoid integral of sup |grad u| over time
+    grad_sup_integral_extrapolated: float  # the same, extrapolated past the horizon
+    det_min: float  # range of det DX over space and time
+    det_max: float
+    transport: DensityTransportReport
+    residual: float  # L1-in-time scheme_residual
+    u_final: np.ndarray  # pushforward_eulerian at the last node
+    rho_final: np.ndarray
+
+
+def flow_diagnostics(state: LagrangianState, p: float) -> FlowDiagnostics:
+    """Every flow diagnostic of a converged state, from one pass over its
+    flow-map ranges; each is a reduction over the time nodes, formed in the
+    order of one range over the whole trajectory, so it keeps its bits
+    whatever the ranges.
+
+    The flow budget is the L1-in-time Besov norm of regularity n/p of the
+    velocity gradient: the flow stays a small perturbation of the identity
+    while it is below c0. The sup-norm integral of the gradient is
+    extrapolated past the horizon from the decay rate of its last two
+    samples (it stays the plain integral when they do not decay).
+    """
+    grid = state.grid
+    budget_idx = BesovIndex(grid.dim / p, p)
+    budget, sups, terms = [], [], []
+    det_min, det_max = np.inf, -np.inf
+    worst_point = worst_mass = 0.0
+    rhs = None
+    for flow in _flow_ranges(state):
+        budget += [r.value for r in besov_norm_reports(grid, flow.grad, budget_idx)]
+        sups += [float(np.max(field_magnitude(grid, g))) for g in flow.grad]
+        det_min = min(det_min, float(np.min(flow.det)))
+        det_max = max(det_max, float(np.max(flow.det)))
+        transport = density_transport_check(state, flow)
+        worst_point = max(worst_point, transport.max_pointwise_defect)
+        worst_mass = max(worst_mass, transport.max_mass_defect)
+        step_terms, rhs = scheme_residual(state, flow, p, rhs)
+        terms += step_terms
+    u_final, rho_final = pushforward_eulerian(state, flow, -1)
+    residual = 0.0
+    for term in terms:  # one add per step in time order (sum() compensates on newer Pythons)
+        residual += term
+    gsi = gsi_extrapolated = float(np.trapezoid(sups, dx=state.dt))
+    g_prev, g_end = sups[-2], sups[-1]
+    if not (g_end <= 0 or g_prev <= g_end):
+        gsi_extrapolated = gsi + g_end / (np.log(g_prev / g_end) / state.dt)
+    return FlowDiagnostics(
+        flow_budget=float(np.trapezoid(budget, dx=state.dt)),
+        grad_sup_integral=gsi,
+        grad_sup_integral_extrapolated=gsi_extrapolated,
+        det_min=det_min,
+        det_max=det_max,
+        transport=DensityTransportReport(worst_point, worst_mass),
+        residual=residual,
+        u_final=u_final,
+        rho_final=rho_final,
+    )
 
 
 def eulerian_reference_solve(

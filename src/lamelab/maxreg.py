@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_lq
-from .grid import lp_norm
+from .grid import chunks, lp_norm
 from .operators import LameParams, _apply, _heat, _spectral, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve, semigroup
 
@@ -38,11 +38,15 @@ class SolutionNorms:
         return self.sup_norm + self.dt_norm + self.op_norm
 
 
-def time_derivative(trajectory: np.ndarray, dt: float) -> np.ndarray:
-    """Centered differences in time (one-sided at the ends)."""
+def time_derivative(trajectory: np.ndarray, dt: float, nodes: slice) -> np.ndarray:
+    """du/dt at the time nodes `nodes` of a uniformly sampled trajectory:
+    centred differences, one-sided at the trajectory's ends. np.gradient
+    takes them from the nodes and one neighbour on each side, so every node
+    gets the bits it gets in the whole trajectory's np.gradient."""
     if trajectory.shape[0] < 3:
         raise ValueError("need at least 3 time samples")
-    return np.gradient(trajectory, dt, axis=0)
+    lo, hi = max(nodes.start - 1, 0), min(nodes.stop + 1, len(trajectory))
+    return np.gradient(trajectory[lo:hi], dt, axis=0)[nodes.start - lo : nodes.stop - lo]
 
 
 def solution_norms(
@@ -51,18 +55,26 @@ def solution_norms(
     """Solution-space norm of a uniformly sampled trajectory.
 
     sup-in-time Besov norm plus L1-in-time (trapezoid) norms of du/dt and of
-    the elastic operator, each taken in one pass over the stacked time slices
-    (the maximal-regularity space uses idx = (n/p - 1, p, 1)).
+    the elastic operator (the maximal-regularity space uses
+    idx = (n/p - 1, p, 1)). The time nodes are taken in chunks of
+    grid.chunks' budget, so du/dt and Lu are never held for the whole
+    trajectory; each node's norms are those of the whole stack, bit for bit.
     """
-    # one stack at a time, so that du and Lu are not held together
-    dt_reps = besov_norm_reports(grid, time_derivative(trajectory, dt), idx)
-    op_reps = besov_norm_reports(grid, lame_apply(grid, trajectory, params), idx)
-    sup = besov_norm_reports(grid, trajectory, idx)
+    sup, dt_vals, op_vals, leakage = [], [], [], []
+    for nodes in chunks(len(trajectory), trajectory[0].nbytes):
+        # one stack at a time, so that du and Lu are not held together
+        dt_reps = besov_norm_reports(grid, time_derivative(trajectory, dt, nodes), idx)
+        op_reps = besov_norm_reports(grid, lame_apply(grid, trajectory[nodes], params), idx)
+        sup_reps = besov_norm_reports(grid, trajectory[nodes], idx)
+        sup += [r.value for r in sup_reps]
+        dt_vals += [r.value for r in dt_reps]
+        op_vals += [r.value for r in op_reps]
+        leakage += [r.leakage for r in sup_reps + dt_reps + op_reps]
     return SolutionNorms(
-        sup_norm=max(r.value for r in sup),
-        dt_norm=float(np.trapezoid([r.value for r in dt_reps], dx=dt)),
-        op_norm=float(np.trapezoid([r.value for r in op_reps], dx=dt)),
-        max_leakage=max(r.leakage for r in sup + dt_reps + op_reps),
+        sup_norm=max(sup),
+        dt_norm=float(np.trapezoid(dt_vals, dx=dt)),
+        op_norm=float(np.trapezoid(op_vals, dx=dt)),
+        max_leakage=max(leakage),
     )
 
 

@@ -262,7 +262,7 @@ def parse_flow(cfg: dict, seed: int) -> dict:
     _known(cfg, "flow", ("grid", "lame", "rho0", "picard", "u0", "cross_validate"))
     grid, params, rho0 = _medium(cfg)
     T, pcfg = build_picard(_require(cfg, "picard", "top-level"))
-    BesovIndex(grid.dim / pcfg.p, pcfg.p)  # the flow budget grad_besov_l1 of run_flow: p > n/2
+    BesovIndex(grid.dim / pcfg.p, pcfg.p)  # the flow budget of lagrangian.flow_diagnostics: p > n/2
     u0 = build_u0(grid, _require(cfg, "u0", "top-level"), pcfg.p)
     cross_validate = _flag(cfg, "cross_validate", False)
     if cross_validate and not np.any(u0):  # the error is relative to the Eulerian reference

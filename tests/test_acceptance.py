@@ -28,14 +28,11 @@ from lamelab.kernels import (
 )
 from lamelab.lagrangian import (
     LagrangianState,
-    density_transport_check,
     eulerian_reference_solve,
-    flow_map,
-    grad_sup_integral,
+    flow_diagnostics,
     nonlinearity_f,
     picard_solve,
-    pushforward_eulerian,
-    scheme_residual,
+    _flow_ranges,
 )
 from lamelab.maxreg import norm_equiv_ratio, solve_linear_maxreg
 from lamelab.operators import LameParams, ScaledLaplacian
@@ -90,9 +87,7 @@ def standard_run():
     u0 = build_u0(grid, cfg["u0"], pcfg.p)
     t0 = time.time()
     state, diag = picard_solve(rho0, params, u0, T, pcfg)
-    flow = flow_map(state)
-    u_eulerian, _ = pushforward_eulerian(state, flow, -1)
-    residual = scheme_residual(state, flow, pcfg.p)
+    report = flow_diagnostics(state, pcfg.p)
     elapsed = time.time() - t0
     return {
         "grid": grid,
@@ -103,9 +98,7 @@ def standard_run():
         "pcfg": pcfg,
         "state": state,
         "diag": diag,
-        "flow": flow,
-        "u_eulerian": u_eulerian,
-        "residual": residual,
+        "report": report,
         "elapsed": elapsed,
     }
 
@@ -294,10 +287,11 @@ def test_criterion_9_picard_global_solver(standard_run):
     diag = r["diag"]
     factors_after_first = diag.contraction_factors
     contraction_ok = len(factors_after_first) > 0 and all(f <= 0.5 for f in factors_after_first)
-    residual_ok = r["residual"] <= 10.0 * diag.stop_tol
-    gsi, _ = grad_sup_integral(r["state"], r["flow"])
-    jmin, jmax = float(np.min(r["flow"].det)), float(np.max(r["flow"].det))
-    transport = density_transport_check(r["state"], r["flow"])
+    report = r["report"]
+    residual_ok = report.residual <= 10.0 * diag.stop_tol
+    gsi = report.grad_sup_integral
+    jmin, jmax = report.det_min, report.det_max
+    transport = report.transport
     ok = (
         diag.delta_norms[-1] <= diag.stop_tol
         and contraction_ok
@@ -311,7 +305,7 @@ def test_criterion_9_picard_global_solver(standard_run):
         "criterion 9 (Picard global solver)",
         ok,
         f"converged in {diag.iterations} iterations, factors {[f'{f:.3f}' for f in factors_after_first]} "
-        f"(<= 0.5), residual {r['residual']:.2e} (<= {10 * diag.stop_tol:.2e}), "
+        f"(<= 0.5), residual {report.residual:.2e} (<= {10 * diag.stop_tol:.2e}), "
         f"grad-sup integral {gsi:.3f} (< 1), J in [{jmin:.3f}, {jmax:.3f}] (within [0.5, 2]), "
         f"transport defect {transport.max_pointwise_defect:.2e} (<= 1e-4), "
         f"runtime {r['elapsed']:.0f}s (<= 600s)",
@@ -322,7 +316,7 @@ def test_criterion_10_cross_solver_validation(standard_run):
     r = standard_run
     grid = r["grid"]
     u_ref, _ = eulerian_reference_solve(r["rho0"], r["params"], r["u0"], r["T"], r["pcfg"].stepper)
-    rel = lp_norm(grid, r["u_eulerian"] - u_ref, 2) / lp_norm(grid, u_ref, 2)
+    rel = lp_norm(grid, r["report"].u_final - u_ref, 2) / lp_norm(grid, u_ref, 2)
 
     # quadratic smallness of the nonlinearity on the converged state
     state = r["state"]
@@ -330,8 +324,8 @@ def test_criterion_10_cross_solver_validation(standard_run):
     norms = []
     for scale in (1.0, 0.5, 0.25):
         scaled = LagrangianState(grid, r["params"], r["rho0"], state.t, scale * state.u)
-        f = nonlinearity_f(scaled, flow_map(scaled))
-        vals = [besov_norm_report(grid, fi, idx).value for fi in f]
+        f_ranges = (nonlinearity_f(scaled, flow) for flow in _flow_ranges(scaled))
+        vals = [besov_norm_report(grid, fi, idx).value for f in f_ranges for fi in f]
         norms.append(float(np.trapezoid(vals, dx=state.dt)))
     shrinks = [a / b for a, b in zip(norms, norms[1:])]
     quad_ok = all(abs(s - 4.0) <= 0.8 for s in shrinks)

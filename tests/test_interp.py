@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from lamelab import grid as grid_module
 from lamelab._interp import _bspline_weights, interp_periodic, spline_prefilter
 from lamelab.fields import _mode_list, random_band_field
 from lamelab.grid import Grid
@@ -94,6 +95,20 @@ class TestComponents:
         coeffs = spline_prefilter(grid, rng.standard_normal(lead + grid.shape))
         pts = rng.uniform(-12.0, 12.0, size=(dim, 3, 50))
         assert np.array_equal(interp_periodic(grid, pts, coeffs), fancy_index_interp(coeffs, pts, 8.0))
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_chunks_of_points_keep_the_bits(self, dim, n, monkeypatch):
+        # 150 points gathered 7 at a time (21 chunks, the last of 3 points)
+        # against one gather: every point keeps its bits
+        rng = np.random.default_rng(10)
+        grid = Grid(dim, n, 8.0)
+        coeffs = spline_prefilter(grid, rng.standard_normal((2,) + grid.shape))
+        pts = rng.uniform(-12.0, 12.0, size=(dim, 3, 50))
+        monkeypatch.setattr(grid_module, "CHUNK_BYTES", 7 * 8 * 4**dim * 3)  # 7 points of 2 components
+        chunked = interp_periodic(grid, pts, coeffs)
+        monkeypatch.setattr(grid_module, "CHUNK_BYTES", 150 * 8 * 4**dim * 3)
+        assert np.array_equal(chunked, interp_periodic(grid, pts, coeffs))
+        assert np.array_equal(chunked, fancy_index_interp(coeffs, pts, 8.0))
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
     def test_prefiltered_stack_keeps_each_field(self, dim, n):

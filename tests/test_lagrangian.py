@@ -1,8 +1,9 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
+from lamelab import grid as grid_module
 from lamelab._interp import interp_periodic, spline_prefilter
 from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports
 from lamelab.fields import checkerboard_density, random_band_field
@@ -10,15 +11,15 @@ from lamelab.grid import Grid, divergence, integral, jacobian, lp_norm
 from lamelab.lagrangian import (
     CFLError,
     DiffeomorphismError,
+    FlowDiagnostics,
     FlowMapData,
     LagrangianState,
     PicardConfig,
     PicardConvergenceError,
     density_transport_check,
     eulerian_reference_solve,
+    flow_diagnostics,
     flow_map,
-    grad_besov_l1,
-    grad_sup_integral,
     invert_flow,
     matrix_adjugate,
     matrix_determinant,
@@ -26,8 +27,10 @@ from lamelab.lagrangian import (
     picard_solve,
     pushforward_eulerian,
     scheme_residual,
+    _flow_ranges,
     _time_integral,
 )
+from lamelab.maxreg import solution_norms
 from lamelab.operators import const_semigroup, lame_apply
 from lamelab.varcoef import Coefficient, StepperConfig
 
@@ -38,6 +41,11 @@ def make_state(grid, params, rho0, u_of_t, T=1.0, nt=11):
     t = np.linspace(0.0, T, nt)
     u = np.stack([u_of_t(tt) for tt in t])
     return LagrangianState(grid, params, rho0, t, u)
+
+
+def whole_flow(state):
+    """The flow map as one range over the whole trajectory."""
+    return flow_map(state, range(len(state.t)), None)
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +92,22 @@ class TestTimeIntegral:
         f = np.random.default_rng(10).standard_normal(shape)
         ref = np.zeros_like(f)
         np.cumsum(0.05 * (f[1:] + f[:-1]) / 2.0, axis=0, out=ref[1:])
-        assert np.array_equal(_time_integral(f, 0.05), ref)
+        assert np.array_equal(_time_integral(f, 0.05, None), ref)
+
+    @pytest.mark.parametrize("split", [1, 2, 5])
+    def test_split_stack_goes_on_bit_for_bit(self, split):
+        # the second part goes on from the first's last sample and integral
+        # (no integral when that sample is at t = 0), as in one running sum
+        f = np.random.default_rng(11).standard_normal((7, 2, 2, 16, 16))
+        head = _time_integral(f[:split], 0.05, None)
+        tail = _time_integral(f[split:], 0.05, (f[split - 1], head[-1] if split > 1 else None))
+        assert np.array_equal(np.concatenate([head, tail]), _time_integral(f, 0.05, None))
 
 
 class TestFlowMap:
     def test_zero_velocity_identity(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        flow = flow_map(state)
+        flow = whole_flow(state)
         assert np.max(np.abs(flow.disp)) == 0.0
         assert np.max(np.abs(flow.det - 1.0)) < 1e-14
         eye = np.eye(2).reshape(2, 2, 1, 1)
@@ -100,26 +117,26 @@ class TestFlowMap:
         c = np.array([0.3, -0.2])
         u_const = np.broadcast_to(c[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: u_const, T=2.0)
-        flow = flow_map(state)
+        flow = whole_flow(state)
         assert np.max(np.abs(flow.disp[-1][0] - 2.0 * c[0])) < 1e-12
         eye = np.eye(2).reshape(2, 2, 1, 1)
         assert np.max(np.abs(flow.adj[-1] - eye)) < 1e-12
 
     def test_time_independent_quadrature_exact(self, small_state):
         # trapezoid of a constant-in-time integrand: disp = t * u exactly
-        flow = flow_map(small_state)
+        flow = whole_flow(small_state)
         expected = small_state.t[-1] * small_state.u[0]
         assert np.max(np.abs(flow.disp[-1] - expected)) < 1e-8
 
     def test_adjugate_identity(self, small_state):
         # adj (I + D disp) = det I: the integrated velocity gradient is DX
-        flow = flow_map(small_state)
+        flow = whole_flow(small_state)
         eye = np.eye(2).reshape(2, 2, 1, 1)
         prod = np.einsum("tij...,tjk...->tik...", flow.adj, eye + jacobian(small_state.grid, flow.disp))
         assert np.max(np.abs(prod - flow.det[:, None, None] * eye)) < 1e-10
 
     def test_volume_conserved(self, small_state):
-        vol = [integral(small_state.grid, flow_map(small_state).det[i]) for i in (0, 5, 10)]
+        vol = [integral(small_state.grid, whole_flow(small_state).det[i]) for i in (0, 5, 10)]
         for v in vol:
             assert v == pytest.approx(small_state.grid.extent**2, rel=1e-6)
 
@@ -127,9 +144,20 @@ class TestFlowMap:
         big = 8.0 * random_band_field(grid64_8, 1, 2, seed=5, ncomp=2)
         state = make_state(grid64_8, params, rough64, lambda t: big, T=2.0)
         with pytest.raises(DiffeomorphismError) as err:
-            flow_map(state)
+            whole_flow(state)
         assert err.value.value <= 0.0
         assert len(err.value.node) == 2
+        # the error names the earliest node where det DX <= 0 and the minimum
+        # there, not the global minimum: the reference det is that of
+        # I + D disp, the transform of the integrated displacement
+        disp = _time_integral(state.u, state.dt, None)
+        dx = np.moveaxis(jacobian(grid64_8, disp), (1, 2), (0, 1)) + np.eye(2)[:, :, None, None, None]
+        det = matrix_determinant(dx, matrix_adjugate(dx))
+        lows = det.reshape(len(det), -1).min(axis=1)
+        first = int(np.argmax(lows <= 0.0))
+        assert 0 < first < len(state.t) - 1
+        assert err.value.t_index == first
+        assert err.value.value == pytest.approx(lows[first], rel=1e-9, abs=1e-9)
 
 
 @dataclass(frozen=True)
@@ -182,7 +210,7 @@ def change_of_variable_residual(
 class TestChangeOfVariable:
     def test_identity_flow_zero_residuals(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        flow = flow_map(state)
+        flow = whole_flow(state)
         phi = random_band_field(grid64_8, 1, 3, seed=6)
         v = random_band_field(grid64_8, 1, 3, seed=7, ncomp=2)
         rep = change_of_variable_residual(grid64_8, phi, v, flow, 5)
@@ -195,7 +223,7 @@ class TestChangeOfVariable:
         c = np.array([0.37, -0.21])  # not a grid multiple
         u_const = np.broadcast_to(c[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: u_const)
-        flow = flow_map(state)
+        flow = whole_flow(state)
         phi = random_band_field(grid64_8, 1, 3, seed=8)
         v = random_band_field(grid64_8, 1, 3, seed=9, ncomp=2)
         rep = change_of_variable_residual(grid64_8, phi, v, flow, 10)
@@ -212,7 +240,7 @@ class TestChangeOfVariable:
             rho0 = Coefficient.constant(grid, 1.0)
             v = 0.1 * random_band_field(grid, 1, 2, seed=10, ncomp=2)
             state = make_state(grid, params, rho0, lambda t: v)
-            flow = flow_map(state)
+            flow = whole_flow(state)
             phi = random_band_field(grid, 1, 2, seed=11)
             w = random_band_field(grid, 1, 2, seed=12, ncomp=2)
             rep = change_of_variable_residual(grid, phi, w, flow, 10)
@@ -228,13 +256,13 @@ class TestChangeOfVariable:
 class TestNonlinearity:
     def test_zero_velocity(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        f = nonlinearity_f(state, flow_map(state))
+        f = nonlinearity_f(state, whole_flow(state))
         assert np.max(np.abs(f)) == 0.0
 
     def test_constant_velocity(self, grid64_8, params, rough64):
         c = np.broadcast_to(np.array([0.4, 0.1])[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: c)
-        f = nonlinearity_f(state, flow_map(state))
+        f = nonlinearity_f(state, whole_flow(state))
         assert np.max(np.abs(f)) < 1e-12
 
     def test_quadratic_smallness(self, grid64_8, params, rough64):
@@ -244,11 +272,71 @@ class TestNonlinearity:
         norms = []
         for amp in (0.08, 0.04, 0.02):
             state = make_state(grid64_8, params, rough64, lambda t: amp * base)
-            f = nonlinearity_f(state, flow_map(state))
+            f = nonlinearity_f(state, whole_flow(state))
             vals = [besov_norm_report(grid64_8, fi, idx).value for fi in f]
             norms.append(np.trapezoid(vals, dx=state.dt))
         for a, b in zip(norms, norms[1:]):
             assert a / b == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("dim, n, perm", [(3, 16, (1, 2, 0)), (2, 32, (1, 0))])
+    def test_commutes_with_axis_permutation(self, dim, n, perm, params):
+        # relabelling the axes, x'_k = x_perm[k], with the matching components,
+        # u'_k(x') = u_perm[k](x), relabels f the same way: every component and
+        # axis of the nonlinearity enters it alike (the 3D cyclic case covers
+        # the third component and axis)
+        grid = Grid(dim, n, 8.0)
+        rho0 = Coefficient.constant(grid, 1.0)
+        v = 0.05 * random_band_field(grid, 1, 3, seed=40, ncomp=dim)
+        w = 0.05 * random_band_field(grid, 1, 3, seed=41, ncomp=dim)
+        state = make_state(grid, params, rho0, lambda t: (1.0 - 0.5 * t) * v + t * w, nt=5)
+
+        def relabel(u):  # (nt, dim, *shape)
+            return np.transpose(u[:, list(perm)], (0, 1) + tuple(2 + a for a in perm))
+
+        moved = LagrangianState(grid, params, rho0, state.t, relabel(state.u))
+        f = nonlinearity_f(state, whole_flow(state))
+        defect = np.max(np.abs(nonlinearity_f(moved, whole_flow(moved)) - relabel(f))) / np.max(np.abs(f))
+        assert defect < 1e-12
+
+
+class TestRanges:
+    def test_range_boundaries_keep_the_bits(self, grid64_8, params, rough64, monkeypatch):
+        # 11 nodes in ranges of 3 (3 + 3 + 3 + 2) against one range over the
+        # whole trajectory: the flow geometry, f(u), the solution norms and
+        # the run's diagnostics (with its interpolation gathers in two chunks
+        # of points instead of one) are equal, bit for bit
+        v = 0.05 * random_band_field(grid64_8, 1, 2, seed=4, ncomp=2)
+        w = 0.05 * random_band_field(grid64_8, 1, 3, seed=42, ncomp=2)
+        state = make_state(grid64_8, params, rough64, lambda t: (1.0 - 0.5 * t) * v + t * t * w)
+        idx = BesovIndex(0.0, 2.0)
+
+        def run(nodes_per_chunk, node_bytes):
+            monkeypatch.setattr(grid_module, "CHUNK_BYTES", nodes_per_chunk * node_bytes)
+            ranges = list(_flow_ranges(state))
+            geometry = [np.concatenate([getattr(r, name) for r in ranges]) for name in ("disp", "adj", "det")]
+            f = np.concatenate([nonlinearity_f(state, r) for r in ranges])
+            return len(ranges), geometry, f, flow_diagnostics(state, 2.0)
+
+        flow_node = 8 * 11 * grid64_8.size  # disp, grad, adj and det of one 2D node
+        count_whole, geometry_whole, f_whole, diag_whole = run(len(state.t), flow_node)
+        count, geometry, f, diag = run(3, flow_node)
+        assert (count_whole, count) == (1, 4)
+        for a, b in zip(geometry, geometry_whole):
+            assert np.array_equal(a, b)
+        assert np.array_equal(f, f_whole)
+        for fld in fields(FlowDiagnostics):
+            a, b = getattr(diag, fld.name), getattr(diag_whole, fld.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, fld.name
+
+        with pytest.raises(ValueError):  # a range after the first goes on from the one before it
+            flow_map(state, range(3, 6), None)
+
+        u_node = state.u[0].nbytes
+        norms = []
+        for nodes_per_chunk in (len(state.t), 3):
+            monkeypatch.setattr(grid_module, "CHUNK_BYTES", nodes_per_chunk * u_node)
+            norms.append(solution_norms(grid64_8, state.u, state.dt, params, idx))
+        assert norms[0] == norms[1]
 
 
 @dataclass(frozen=True)
@@ -267,13 +355,20 @@ def _sup_pair_norm(grid: Grid, a: np.ndarray, adj: np.ndarray, p: float) -> floa
     return max(ra.value + rb.value for ra, rb in pairs)
 
 
+def flow_budget(state: LagrangianState, flow: FlowMapData, p: float) -> float:
+    """L1-in-time Besov norm (regularity n/p) of the velocity gradient of a
+    whole-trajectory flow map: flow_diagnostics' flow budget."""
+    reps = besov_norm_reports(state.grid, flow.grad, BesovIndex(state.grid.dim / p, p))
+    return float(np.trapezoid([r.value for r in reps], dx=state.dt))
+
+
 def flow_estimate_check(state: LagrangianState, c0: float = 0.1, p: float = 2.0) -> FlowEstimateReport:
     """Compare the flow-map deviation from the identity to the gradient budget."""
     grid = state.grid
-    flow = flow_map(state)
+    flow = whole_flow(state)
     eye = np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim)
     lhs = _sup_pair_norm(grid, flow.adj / flow.det[:, None, None] - eye, flow.adj - eye, p)
-    rhs = grad_besov_l1(state, flow, p)
+    rhs = flow_budget(state, flow, p)
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
     return FlowEstimateReport(lhs, rhs, ratio, bool(rhs <= c0), c0)
 
@@ -283,11 +378,11 @@ def flow_estimate_difference(
 ) -> FlowEstimateReport:
     """Difference variant: deviation between two flow maps against grad(v1 - v2)."""
     grid = state1.grid
-    f1, f2 = flow_map(state1), flow_map(state2)
+    f1, f2 = whole_flow(state1), whole_flow(state2)
     a1, a2 = (f.adj / f.det[:, None, None] for f in (f1, f2))
     lhs = _sup_pair_norm(grid, a1 - a2, f1.adj - f2.adj, p)
     delta = LagrangianState(grid, state1.params, state1.rho0, state1.t, state1.u - state2.u)
-    rhs = grad_besov_l1(delta, flow_map(delta), p)
+    rhs = flow_budget(delta, whole_flow(delta), p)
     ratio = 0.0 if rhs == 0.0 else lhs / rhs
     return FlowEstimateReport(lhs, rhs, ratio, True, np.inf)
 
@@ -336,7 +431,8 @@ class TestFlowEstimates:
 class TestGradSupIntegral:
     def test_zero(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        assert grad_sup_integral(state, flow_map(state)) == (0.0, 0.0)
+        report = flow_diagnostics(state, 2.0)
+        assert (report.grad_sup_integral, report.grad_sup_integral_extrapolated) == (0.0, 0.0)
 
     def test_single_mode_closed_form(self, grid64_8, params):
         # ||grad u(t)||_inf = a |xi| exp(-mu |xi|^2 t): closed-form integral
@@ -351,10 +447,10 @@ class TestGradSupIntegral:
         )
         rate = params.mu * xi**2
         exact = a * xi / rate * (1.0 - np.exp(-rate * T))
-        total, extrapolated = grad_sup_integral(state, flow_map(state))
-        assert total == pytest.approx(exact, rel=1e-3)
+        report = flow_diagnostics(state, 2.0)
+        assert report.grad_sup_integral == pytest.approx(exact, rel=1e-3)
         # the decay is one exponential, so the tail estimate completes the integral to infinity
-        assert extrapolated == pytest.approx(a * xi / rate, rel=1e-3)
+        assert report.grad_sup_integral_extrapolated == pytest.approx(a * xi / rate, rel=1e-3)
 
 
 def flow_roundtrip_defect(grid: Grid, disp: np.ndarray, y: np.ndarray) -> float:
@@ -370,7 +466,7 @@ class TestPushforward:
         assert np.max(np.abs(grid64_8.min_image(y - grid64_8.coords))) < 1e-12
 
     def test_roundtrip(self, small_state):
-        flow = flow_map(small_state)
+        flow = whole_flow(small_state)
         y = invert_flow(small_state.grid, flow.disp[-1])
         assert flow_roundtrip_defect(small_state.grid, flow.disp[-1], y) < 1e-8
 
@@ -378,7 +474,7 @@ class TestPushforward:
         c = np.array([0.5, 0.25])  # grid multiples: h = 0.125
         u_const = np.broadcast_to(c[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: u_const, T=1.0)
-        flow = flow_map(state)
+        flow = whole_flow(state)
         _, rho = pushforward_eulerian(state, flow, -1)
         steps = (np.round(c / grid64_8.spacing)).astype(int)
         shifted = np.roll(rough64.rho, shift=tuple(steps), axis=(0, 1))
@@ -386,7 +482,7 @@ class TestPushforward:
 
     def test_identity_flow_unchanged(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        flow = flow_map(state)
+        flow = whole_flow(state)
         for i in range(len(state.t)):
             u, rho = pushforward_eulerian(state, flow, i)
             assert np.max(np.abs(rho - rough64.rho)) < 1e-12
@@ -398,14 +494,14 @@ class TestDensityTransport:
         rho0 = Coefficient.constant(grid64_8, 1.0)
         v = 0.05 * random_band_field(grid64_8, 1, 2, seed=15, ncomp=2)
         state = make_state(grid64_8, params, rho0, lambda t: v)
-        flow = flow_map(state)
+        flow = whole_flow(state)
         rep = density_transport_check(state, flow)
         # J * (1/J on the path) = 1: only interpolation error of smooth 1/J
         assert rep.max_pointwise_defect < 1e-5
         assert rep.max_mass_defect < 1e-6
 
     def test_rough_density_mass_conserved(self, small_state, rough64):
-        flow = flow_map(small_state)
+        flow = whole_flow(small_state)
         rep = density_transport_check(small_state, flow)
         assert rep.max_mass_defect < 1e-6
 
@@ -415,13 +511,14 @@ class TestSchemeResidual:
         # at p = 3 the defect is measured in L1-in-time B^{n/3-1}_{3,1}, as picard_solve's stop rule at p = 3
         v = 0.05 * random_band_field(grid64_8, 1, 2, seed=4, ncomp=2)
         state = make_state(grid64_8, params, rough64, lambda t: (1.0 - 0.5 * t) * v)
-        flow = flow_map(state)
+        flow = whole_flow(state)
         rhs = lame_apply(grid64_8, state.u, params) + nonlinearity_f(state, flow)
         defect = rough64.rho * np.diff(state.u, axis=0) / state.dt - 0.5 * (rhs[1:] + rhs[:-1])
         idx = BesovIndex(grid64_8.dim / 3.0 - 1.0, 3.0)
         expected = sum(state.dt * besov_norm_report(grid64_8, d, idx).value for d in defect)
-        assert scheme_residual(state, flow, 3.0) == pytest.approx(expected, rel=1e-10)
-        assert scheme_residual(state, flow, 2.0) != pytest.approx(expected, rel=1e-2)
+        terms, _ = scheme_residual(state, flow, 3.0, None)
+        assert sum(terms) == pytest.approx(expected, rel=1e-10)
+        assert sum(scheme_residual(state, flow, 2.0, None)[0]) != pytest.approx(expected, rel=1e-2)
 
 
 class TestPicard:
@@ -443,7 +540,7 @@ class TestPicard:
         assert diag.delta_norms[-1] <= diag.stop_tol
         assert diag.smallness_ok
         assert all(f <= 0.5 for f in diag.contraction_factors)
-        res = scheme_residual(state, flow_map(state), cfg.p)
+        res = flow_diagnostics(state, cfg.p).residual
         assert res <= 10.0 * diag.stop_tol
 
     def test_nonconvergence_carries_history(self, params):
@@ -509,7 +606,7 @@ class TestCrossValidation:
         T = 3.0
         cfg = PicardConfig(dt=0.05)
         state, diag = picard_solve(rho0, params, u0, T, cfg)
-        flow = flow_map(state)
+        flow = whole_flow(state)
         u_eul, _ = pushforward_eulerian(state, flow, -1)
         u_ref, _ = eulerian_reference_solve(rho0, params, u0, T, cfg.stepper)
         rel = lp_norm(grid, u_eul - u_ref, 2) / lp_norm(grid, u_ref, 2)

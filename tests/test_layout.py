@@ -7,7 +7,8 @@ module-level constant is read in src/, so none is kept there for tests. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
 stated once, in grid.py, and grid.py alone calls a Fourier transform. Every
 imported name is used where it is imported, and is imported from the module
-that defines it."""
+that defines it. The flow, norm and interpolation functions whose spans the
+benchmark's tracer reads exist, and do their work when called."""
 
 import ast
 import re
@@ -163,3 +164,52 @@ def test_names_are_imported_from_their_definer():
             passed_on += [f"{path.parent.name}/{path.name}: {module}.{a.name}"
                           for a in node.names if a.name not in defined[module]]
     assert passed_on == []
+
+
+def _yields(fn: ast.FunctionDef) -> bool:
+    """Whether fn's own body yields (a nested function's yield is not fn's)."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_traced_flow_spans_are_functions_that_work_when_called():
+    # perfbench/tracer.py times functions by the name "module.function"; a
+    # renamed function, or a generator in its place (whose call only creates
+    # it), zeroes a metric without an error. The names are read from the
+    # tracer's string literals, "lagrangian." + "flow_map" folded as one.
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    consts = {
+        t.id: node.value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    strings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.Name)
+            and node.left.id in consts
+            and isinstance(node.right, ast.Constant)
+        ):
+            strings.add(consts[node.left.id] + node.right.value)
+    spans = sorted(s for s in strings if re.fullmatch(r"(lagrangian|maxreg|_interp)\.[A-Za-z_]\w*", s))
+    assert "lagrangian.flow_map" in spans and "_interp.interp_periodic" in spans
+    broken = []
+    for span in spans:
+        module, name = span.split(".")
+        defs = {stmt.name: stmt for stmt in ast.parse((SRC / f"{module}.py").read_text()).body
+                if isinstance(stmt, ast.FunctionDef)}
+        if name not in defs or _yields(defs[name]):
+            broken.append(span)
+    assert broken == []
