@@ -33,7 +33,7 @@ from .besov import (
     heat_profile,
 )
 from .grid import lp_norm
-from .fields import random_band_field, random_time_profile
+from .fields import SeparableForcing, random_band_field, random_time_profile
 from .io import write_csv, write_field, write_manifest, write_plotdata
 from .kernels import (
     conservation_defect,
@@ -155,11 +155,10 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
     grid = coef.grid
     t_grid = time_grid(T, stepper.dt)
 
-    def one_probe(i):  # a function, so that each probe's forcing is freed after its solve
+    def one_probe(i):  # its forcing's rows are formed as the solve reads them, never held as a stack
         u0 = random_band_field(grid, *band, base + 2 * i, ncomp=grid.dim)
         fx = random_band_field(grid, *band, base + 2 * i + 1, ncomp=grid.dim)
-        prof = random_time_profile(t_grid, base + 31 * i)
-        forcing = prof.reshape((-1,) + (1,) * fx.ndim) * fx
+        forcing = SeparableForcing(random_time_profile(t_grid, base + 31 * i), fx)
         return solve_linear_maxreg(coef, params, u0, forcing, idx, t_grid, stepper)
 
     reports = [one_probe(i) for i in range(count)]

@@ -23,16 +23,21 @@ class EnvelopeFitError(RuntimeError):
     trust window, or no decay."""
 
 
-def _entry_magnitude(field: np.ndarray, dim: int) -> np.ndarray:
-    """Largest |entry| of a matrix field pointwise (the bounds are per entry)."""
-    return np.max(np.abs(field), axis=tuple(range(field.ndim - dim)))
+def _entry_magnitude(slc: KernelSlice) -> np.ndarray:
+    """Largest |entry| of the symmetrized kernel pointwise (the bounds are per entry)."""
+    return np.max(np.abs(slc.symmetrized), axis=(0, 1))
 
 
-def _gradient_magnitude(field: np.ndarray, dim: int) -> np.ndarray:
-    """Per entry, the Euclidean norm over the derivative axis (the one just
-    before the spatial axes); then the largest entry pointwise."""
-    norms = np.sqrt(np.sum(field**2, axis=-(dim + 1)))
-    return _entry_magnitude(norms, dim)
+def _gradient_magnitude(slc: KernelSlice) -> np.ndarray:
+    """Per entry of the symmetrized kernel, the Euclidean norm of its spectral
+    x-gradient; then the largest entry pointwise. The entries are taken one
+    at a time into a running maximum, so one entry's gradient is held, not
+    the (dim, dim, dim, *shape) stack; the values are the stack's."""
+    out = None
+    for entry in slc.symmetrized.reshape((-1,) + slc.grid.shape):
+        norm = np.sqrt(np.sum(jacobian(slc.grid, entry) ** 2, axis=0))
+        out = norm if out is None else np.maximum(out, norm, out=out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +190,12 @@ def _shell_points(slc: KernelSlice, weighted: np.ndarray):
     return rows
 
 
-def _fit_envelope(slices, extractor, magnitude, weight_power: float) -> GaussianFit:
+def _fit_envelope(slices, magnitude, weight_power: float) -> GaussianFit:
     if len(slices) < 1:
         raise ValueError("need at least one slice")
     rows = []
     for slc in slices:
-        weighted = slc.t**weight_power * magnitude(extractor(slc), slc.grid.dim)
+        weighted = slc.t**weight_power * magnitude(slc)
         pts = _shell_points(slc, weighted)
         if len(pts) < _MIN_SHELLS:
             raise EnvelopeFitError(
@@ -221,19 +226,13 @@ def _fit_envelope(slices, extractor, magnitude, weight_power: float) -> Gaussian
 def gaussian_fit(slices) -> GaussianFit:
     """Fit log t^{n/2} |S_t| against |x - y0|^2 / t over the trust window."""
     n = slices[0].grid.dim
-    return _fit_envelope(slices, lambda s: s.symmetrized, _entry_magnitude, n / 2.0)
-
-
-def _grad_symmetrized(slc: KernelSlice) -> np.ndarray:
-    """Spectral x-gradient of every kernel entry, shape (dim, dim, dim, *shape)
-    with the derivative axis just before the spatial axes."""
-    return jacobian(slc.grid, slc.symmetrized)
+    return _fit_envelope(slices, _entry_magnitude, n / 2.0)
 
 
 def gradient_envelope(slices) -> GaussianFit:
     """Same pipeline on the spatial gradient with the t^{(n+1)/2} weight."""
     n = slices[0].grid.dim
-    return _fit_envelope(slices, _grad_symmetrized, _gradient_magnitude, (n + 1) / 2.0)
+    return _fit_envelope(slices, _gradient_magnitude, (n + 1) / 2.0)
 
 
 # -- Davies twisted-norm probes ---------------------------------------------------

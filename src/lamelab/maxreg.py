@@ -95,7 +95,7 @@ def solve_linear_maxreg(
     coef: Coefficient,
     params: LameParams,
     u0: np.ndarray,
-    forcing: np.ndarray,
+    forcing,
     idx: BesovIndex,
     t_grid: np.ndarray,
     cfg: StepperConfig,
@@ -104,6 +104,11 @@ def solve_linear_maxreg(
     t_grid[0] = 0), at which forcing is sampled, and assemble the regularity
     ratio in the Besov space idx. L1-in-time norms use the trapezoid rule on
     those nodes; the sup norm is the max over nodes.
+
+    forcing is a sequence of evolve's kind that a slice of nodes also
+    indexes (an ndarray, fields.SeparableForcing). Its norms are taken a
+    chunk of nodes at a time, under grid.chunks' budget, and each node's are
+    those of the whole stack, bit for bit.
     """
     grid = coef.grid
     dt = t_grid[1] - t_grid[0]
@@ -111,7 +116,8 @@ def solve_linear_maxreg(
 
     out = solution_norms(grid, traj, dt, params, idx)
     u0_rep = besov_norm_report(grid, u0, idx)
-    f_reps = besov_norm_reports(grid, forcing, idx)
+    f_reps = [rep for nodes in chunks(len(forcing), traj[0].nbytes)
+              for rep in besov_norm_reports(grid, forcing[nodes], idx)]
     f_l1 = float(np.trapezoid([r.value for r in f_reps], dx=dt))
     leak = max([out.max_leakage, u0_rep.leakage] + [r.leakage for r in f_reps])
     ratio = 0.0 if out.total == 0.0 else out.total / (u0_rep.value + f_l1)

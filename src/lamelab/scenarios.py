@@ -74,8 +74,22 @@ def _flag(cfg: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _real(value, name: str) -> float:
+    """A real number: 2, 2.0 or 2e-3, not "2.0" or true."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, name: str) -> list:
+    """A list of real numbers, each as _real takes it."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_real(v, f"{name} entry") for v in value]
+
+
 def _integrability(value) -> float:
-    p = float(value)
+    p = _real(value, "p")
     if not p >= 1.0:
         raise ConfigError(f"p must be >= 1, got {p}")
     return p
@@ -84,31 +98,31 @@ def _integrability(value) -> float:
 def build_grid(cfg: dict) -> Grid:
     _known(cfg, "grid", ("dim", "N", "extent"))
     dim, n = (_integer(_require(cfg, key, "grid"), f"grid.{key}", 1) for key in ("dim", "N"))
-    return Grid(dim, n, float(_require(cfg, "extent", "grid")))
+    return Grid(dim, n, _real(_require(cfg, "extent", "grid"), "grid.extent"))
 
 
 def build_lame(cfg: dict) -> LameParams:
     _known(cfg, "lame", ("mu", "lambda"))
-    return LameParams(float(_require(cfg, "mu", "lame")), float(_require(cfg, "lambda", "lame")))
+    return LameParams(*(_real(_require(cfg, key, "lame"), f"lame.{key}") for key in ("mu", "lambda")))
 
 
 def build_rho0(grid: Grid, cfg: dict) -> Coefficient:
     kind = _require(cfg, "kind", "rho0")
     if kind == "constant":
         _known(cfg, "rho0", ("kind", "value"))
-        value = float(cfg.get("value", 1.0))
+        value = _real(cfg.get("value", 1.0), "rho0.value")
         if not value > 0:
             raise ConfigError(f"constant rho0 value must be > 0, got {value}")
         return Coefficient.constant(grid, value)
-    m = float(_require(cfg, "m", "rho0"))
+    m = _real(_require(cfg, "m", "rho0"), "rho0.m")
     if kind == "checkerboard":
         _known(cfg, "rho0", ("kind", "m", "cells", "sharpness"))
         cells = _integer(cfg.get("cells", 2), "rho0.cells", 0)
-        rho = checkerboard_density(grid, m, cells, float(cfg.get("sharpness", 6.0)))
+        rho = checkerboard_density(grid, m, cells, _real(cfg.get("sharpness", 6.0), "rho0.sharpness"))
     elif kind == "trig":
         _known(cfg, "rho0", ("kind", "m", "seed", "kmax", "gain"))
-        rho = trig_density(grid, m, _integer(cfg.get("seed", 0), "rho0.seed", 0), float(cfg.get("kmax", 3.0)),
-                           float(cfg.get("gain", 2.0)))
+        rho = trig_density(grid, m, _integer(cfg.get("seed", 0), "rho0.seed", 0),
+                           _real(cfg.get("kmax", 3.0), "rho0.kmax"), _real(cfg.get("gain", 2.0), "rho0.gain"))
     else:
         raise ConfigError(f"unknown rho0 kind {kind!r}")
     return Coefficient(grid, rho, m)
@@ -125,9 +139,9 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
     if kind != "band":
         raise ConfigError(f"unknown u0 kind {kind!r}")
     _known(cfg, "u0", ("kind", "kmin", "kmax", "seed", "amplitude"))
-    u = random_band_field(grid, float(cfg.get("kmin", 1.0)), float(cfg.get("kmax", 3.0)),
+    u = random_band_field(grid, _real(cfg.get("kmin", 1.0), "u0.kmin"), _real(cfg.get("kmax", 3.0), "u0.kmax"),
                           _integer(_require(cfg, "seed", "u0"), "u0.seed", 0), ncomp=grid.dim)
-    amplitude = float(_require(cfg, "amplitude", "u0"))
+    amplitude = _real(_require(cfg, "amplitude", "u0"), "u0.amplitude")
     if not math.isfinite(amplitude):
         raise ConfigError(f"u0 amplitude must be finite, got {amplitude}")
     norm = besov_norm_report(grid, u, idx).value
@@ -137,13 +151,13 @@ def build_u0(grid: Grid, cfg: dict, p: float = 2.0) -> np.ndarray:
 def build_picard(cfg: dict) -> tuple:
     """Returns (T, PicardConfig) from a picard config block."""
     _known(cfg, "picard", ("T", "dt", "max_iters", "tol", "c", "c0", "p"))
-    T = float(_require(cfg, "T", "picard"))
+    T = _real(_require(cfg, "T", "picard"), "picard.T")
     pc = PicardConfig(
-        dt=float(_require(cfg, "dt", "picard")),
+        dt=_real(_require(cfg, "dt", "picard"), "picard.dt"),
         max_iters=_integer(cfg.get("max_iters", 25), "picard.max_iters", 1),
-        stop_tol_rel=float(cfg.get("tol", 1e-8)),
-        smallness_c=float(cfg.get("c", 0.05)),
-        flow_smallness_c0=float(cfg.get("c0", 0.1)),
+        stop_tol_rel=_real(cfg.get("tol", 1e-8), "picard.tol"),
+        smallness_c=_real(cfg.get("c", 0.05), "picard.c"),
+        flow_smallness_c0=_real(cfg.get("c0", 0.1), "picard.c0"),
         p=_integrability(cfg.get("p", 2.0)),
     )
     time_steps(T, pc.stepper.dt)  # the solve's nodes: T a finite time > 0, T/dt a finite count
@@ -153,7 +167,7 @@ def build_picard(cfg: dict) -> tuple:
 def _build_stepper(cfg: dict) -> StepperConfig:
     """The stepper block sets only dt: every step is Crank-Nicolson at the default CG tolerance."""
     _known(cfg, "stepper", ("dt",))
-    return StepperConfig(float(_require(cfg, "dt", "stepper")))
+    return StepperConfig(_real(_require(cfg, "dt", "stepper"), "stepper.dt"))
 
 
 def _is_number(x) -> bool:
@@ -163,10 +177,9 @@ def _is_number(x) -> bool:
 def _times(cfg: dict, default: list, increasing: bool = False) -> list:
     """cfg["times"] (default if absent) as floats: a nonempty list of distinct
     finite times > 0, in increasing order if asked."""
-    times = cfg.get("times", default)
-    if not (isinstance(times, list) and times and all(_is_number(t) and math.isfinite(t) and t > 0 for t in times)):
+    times = _reals(cfg.get("times", default), "times")
+    if not (times and all(math.isfinite(t) and t > 0 for t in times)):
         raise ConfigError(f"times must be a nonempty list of finite times > 0, got {times!r}")
-    times = [float(t) for t in times]
     if len(set(times)) < len(times) or (increasing and times != sorted(times)):
         raise ConfigError(f"times must be distinct{' and increasing' if increasing else ''}, got {times}")
     return times
@@ -203,7 +216,7 @@ def parse_kernel(cfg: dict, seed: int) -> dict:
         raise ConfigError(f"sources must be lists of {grid.dim} node indices in [0, {grid.n}), got {sources!r}")
     davies = None
     if dcfg:
-        alphas = [float(a) for a in dcfg.get("alphas", [0.0, 0.5, 1.0, 2.0])]
+        alphas = _reals(dcfg.get("alphas", [0.0, 0.5, 1.0, 2.0]), "davies.alphas")
         u0 = build_u0(grid, dcfg.get("u0", {"kind": "band", "seed": seed, "amplitude": 1.0}))
         if not alphas or min(alphas) < 0 or not np.any(u0):
             raise ConfigError(f"davies needs nonnegative alphas and a nonzero u0, got alphas {alphas}")
@@ -218,11 +231,11 @@ def parse_besov(cfg: dict, seed: int) -> dict:
     params = build_lame(_require(cfg, "lame", "top-level"))
     fcfg = _known(_block(cfg, "fields", {}), "fields", ("count", "kmin", "kmax", "seed"))
     count = _integer(fcfg.get("count", 20), "fields.count", 1)
-    band = float(fcfg.get("kmin", 2.0)), float(fcfg.get("kmax", 6.0))
+    band = _real(fcfg.get("kmin", 2.0), "fields.kmin"), _real(fcfg.get("kmax", 6.0), "fields.kmax")
     base = _integer(fcfg.get("seed", seed), "fields.seed", 0)
     p = _integrability(cfg.get("p", 2.0))
-    s_list = [float(s) for s in cfg.get("s_list", [0.5, -0.5, grid.dim / p - 1.0])]
-    q = float(cfg.get("q", 1.0))
+    s_list = _reals(cfg.get("s_list", [0.5, -0.5, grid.dim / p - 1.0]), "s_list")
+    q = _real(cfg.get("q", 1.0), "q")
     k = _integer(cfg.get("k", 1), "k", 0)
     if not q > 0:
         raise ConfigError(f"besov needs q > 0, got {q}")
@@ -240,16 +253,16 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
     pcfg = _known(_block(cfg, "probes", {}), "probes", ("count", "seed", "kmin", "kmax"))
     count = _integer(pcfg.get("count", 10), "probes.count", 1)
     base = _integer(pcfg.get("seed", seed), "probes.seed", 0)
-    band = float(pcfg.get("kmin", 1.0)), float(pcfg.get("kmax", 4.0))
+    band = _real(pcfg.get("kmin", 1.0), "probes.kmin"), _real(pcfg.get("kmax", 4.0), "probes.kmax")
     p = _integrability(cfg.get("p", 2.0))
-    idx = BesovIndex(float(cfg.get("s", grid.dim / p - 1.0)), p)
-    T = float(cfg.get("T", 2.0))
+    idx = BesovIndex(_real(cfg.get("s", grid.dim / p - 1.0), "s"), p)
+    T = _real(cfg.get("T", 2.0), "T")
     time_steps(T, stepper.dt)  # the solve's nodes: T a finite time > 0, T/dt a finite count
     band_modes(grid, *band)
     norm_equiv = None
     ncfg = _known(_switch(cfg, "norm_equiv"), "norm_equiv", ("s", "q", "count"))
     if ncfg:
-        s_eq, q_eq = float(ncfg.get("s", 0.5)), float(ncfg.get("q", 1.0))
+        s_eq, q_eq = _real(ncfg.get("s", 0.5), "norm_equiv.s"), _real(ncfg.get("q", 1.0), "norm_equiv.q")
         n_eq = _integer(ncfg.get("count", 5), "norm_equiv.count", 1)
         if not (0.0 < s_eq < 1.0 and q_eq > 0.0):
             raise ConfigError(f"norm_equiv needs s in (0, 1) and q > 0, got {s_eq}, {q_eq}")

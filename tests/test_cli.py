@@ -437,6 +437,15 @@ class TestConfigErrorWritesNothing:
         "flow_infinite_mu": ("flow", {"lame": {"mu": float("inf"), "lambda": 1.0},
                                       "u0": {"kind": "band", "seed": 1, "amplitude": 0.01},
                                       "picard": {"T": 0.2, "dt": 0.1}}, []),
+        # real-valued settings are numbers, not true or a string of digits, and a list of them is a list
+        "maxreg_T_true": ("maxreg", {**MAXREG, "T": True}, []),
+        "maxreg_T_string": ("maxreg", {**MAXREG, "T": "1.0"}, []),
+        "maxreg_s_true": ("maxreg", {**MAXREG, "s": True}, []),
+        "maxreg_dt_string": ("maxreg", {**MAXREG, "stepper": {"dt": "0.05"}}, []),
+        "maxreg_mu_true": ("maxreg", {**MAXREG, "lame": {"mu": True, "lambda": 1.0}}, []),
+        "maxreg_kmin_string": ("maxreg", {**MAXREG, "probes": {"count": 1, "kmin": "1"}}, []),
+        "besov_q_true": ("besov", {"q": True}, []),
+        "besov_s_list_string": ("besov", {"s_list": "01"}, []),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

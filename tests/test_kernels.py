@@ -8,7 +8,6 @@ from lamelab.grid import Grid, jacobian, lp_norm
 from lamelab.kernels import (
     EnvelopeFitError,
     KernelSlice,
-    _grad_symmetrized,
     conservation_defect,
     davies_probe,
     davies_twisted_norm,
@@ -237,7 +236,7 @@ def holder_quotient(slc, h_steps, gamma, c_ref):
         raise ValueError(f"shift |h| = {h_norm:.3g} violates 2|h| <= sqrt(t)")
     if h_norm == 0.0:
         return HolderReport(np.zeros(grid.shape), 0.0, 0.0)
-    g = _grad_symmetrized(slc)
+    g = jacobian(grid, slc.symmetrized)  # (i, k, derivative, *shape)
     shifted = np.roll(g, shift=tuple(-h_steps), axis=grid.spatial_axes)
     diff = np.sqrt(np.sum((shifted - g) ** 2, axis=tuple(range(g.ndim - grid.dim))))
     d = torus_distance(grid, slc.y0)

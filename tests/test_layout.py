@@ -7,8 +7,8 @@ module-level constant is read in src/, so none is kept there for tests. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
 stated once, in grid.py, and grid.py alone calls a Fourier transform. Every
 imported name is used where it is imported, and is imported from the module
-that defines it. The flow, norm and interpolation functions whose spans the
-benchmark's tracer reads exist, and do their work when called."""
+that defines it. The flow, norm, interpolation and stepping functions whose
+spans the benchmark's tracer reads exist, and do their work when called."""
 
 import ast
 import re
@@ -183,7 +183,16 @@ def test_traced_flow_spans_are_functions_that_work_when_called():
     # renamed function, or a generator in its place (whose call only creates
     # it), zeroes a metric without an error. The names are read from the
     # tracer's string literals, "lagrangian." + "flow_map" folded as one.
+    # The keys of the metrics dict it returns ("varcoef.matvecs", ...) name
+    # metrics, not spans.
     tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    metric_keys = {
+        key.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict)
+        for key in node.value.keys
+        if isinstance(key, ast.Constant)
+    }
     consts = {
         t.id: node.value.value
         for node in ast.walk(tree)
@@ -203,8 +212,11 @@ def test_traced_flow_spans_are_functions_that_work_when_called():
             and isinstance(node.right, ast.Constant)
         ):
             strings.add(consts[node.left.id] + node.right.value)
-    spans = sorted(s for s in strings if re.fullmatch(r"(lagrangian|maxreg|_interp)\.[A-Za-z_]\w*", s))
-    assert "lagrangian.flow_map" in spans and "_interp.interp_periodic" in spans
+    spans = sorted(
+        s for s in strings - metric_keys if re.fullmatch(r"(lagrangian|maxreg|_interp|varcoef)\.[A-Za-z_]\w*", s)
+    )
+    assert {"lagrangian.flow_map", "_interp.interp_periodic", "varcoef.evolve", "varcoef.theta_step"} <= set(spans)
+    assert "varcoef.matvecs" in metric_keys
     broken = []
     for span in spans:
         module, name = span.split(".")

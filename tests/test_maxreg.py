@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from lamelab.besov import BesovIndex, besov_norm_report
-from lamelab.fields import checkerboard_density, random_band_field
-from lamelab.grid import Grid
+from lamelab import grid as grid_module
+from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports
+from lamelab.cli import run_maxreg
+from lamelab.fields import SeparableForcing, checkerboard_density, random_band_field, random_time_profile
+from lamelab.grid import Grid, chunks
 from lamelab.maxreg import (
     DegenerateProbeError,
     norm_equiv_ratio,
@@ -12,7 +14,8 @@ from lamelab.maxreg import (
     time_derivative,
 )
 from lamelab.operators import const_semigroup, lame_apply
-from lamelab.varcoef import Coefficient, StepperConfig, time_grid
+from lamelab.scenarios import parse_maxreg
+from lamelab.varcoef import Coefficient, StepperConfig, evolve, time_grid
 
 from conftest import hodge_project, plane_wave
 
@@ -85,6 +88,64 @@ class TestSolveLinear:
         rep = solve_linear_maxreg(rough32, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
         assert np.isfinite(rep.ratio)
         assert rep.ratio > 0
+
+
+    def test_chunked_forcing_norms_match_whole_stack(self, rough32, params, monkeypatch):
+        grid = rough32.grid
+        t_grid, cfg = time_grid(0.1, 0.01), StepperConfig(dt=0.01)  # 11 nodes
+        u0 = random_band_field(grid, 1, 4, seed=3, ncomp=2)
+        prof, fx = random_time_profile(t_grid, 7), random_band_field(grid, 1, 4, seed=8, ncomp=2)
+        monkeypatch.setattr(grid_module, "CHUNK_BYTES", 4 * u0.nbytes)
+        assert [n.stop - n.start for n in chunks(len(t_grid), u0.nbytes)] == [4, 4, 3]
+
+        read = []
+
+        class Recorded(SeparableForcing):
+            def __getitem__(self, nodes):
+                read.append(nodes)
+                return super().__getitem__(nodes)
+
+        rep = solve_linear_maxreg(rough32, params, u0, Recorded(prof, fx), L2_SPACE, t_grid, cfg)
+        assert [n for n in read if isinstance(n, slice)] == [slice(0, 4), slice(4, 8), slice(8, 11)]
+
+        # the whole-stack reference: the forcing's norms from one besov_norm_reports pass
+        stack = prof.reshape((-1, 1, 1, 1)) * fx
+        dt = t_grid[1] - t_grid[0]
+        out = solution_norms(grid, evolve(rough32, params, u0, t_grid, cfg, forcing=stack), dt, params, L2_SPACE)
+        u0_rep = besov_norm_report(grid, u0, L2_SPACE)
+        f_reps = besov_norm_reports(grid, stack, L2_SPACE)
+        f_l1 = float(np.trapezoid([r.value for r in f_reps], dx=dt))
+        assert rep.forcing_norm == f_l1 > 0.0
+        assert rep.max_leakage == max([out.max_leakage, u0_rep.leakage] + [r.leakage for r in f_reps])
+        assert rep.ratio == out.total / (u0_rep.value + f_l1)
+
+    def test_probe_memory_does_not_grow_with_horizon(self, tmp_path, monkeypatch):
+        # a probe holds its trajectory and one chunk of nodes, not a forcing stack
+        # or its spectrum: from T = 0.5 to T = 2 (51 to 201 nodes) the peak grows
+        # by the trajectory of the added nodes, give or take a quarter
+        import tracemalloc
+
+        cfg = {
+            "grid": {"dim": 2, "N": 16, "extent": 8.0},
+            "lame": {"mu": 1.0, "lambda": 1.0},
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "stepper": {"dt": 0.01},
+            "probes": {"count": 1},
+        }
+        node_bytes = 2 * 16 * 16 * 8
+        monkeypatch.setattr(grid_module, "CHUNK_BYTES", 8 * node_bytes)
+        peaks = []
+        for T in (0.5, 0.5, 2.0):  # the first run fills the caches
+            plan = parse_maxreg({**cfg, "T": T}, 0)
+            tracemalloc.start()
+            try:
+                run_maxreg(tmp_path, **plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert plan["norm_equiv"] is None
+        growth = (peaks[2] - peaks[1]) / (150 * node_bytes)
+        assert growth <= 1.25
 
 
 class TestSolutionNorms:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lamelab.besov import extended_time_nodes
-from lamelab.fields import checkerboard_density, random_band_field, random_time_profile, trig_density
+from lamelab.fields import SeparableForcing, checkerboard_density, random_band_field, random_time_profile, trig_density
 from lamelab.grid import Grid, fftn, ifftn, integral, lp_norm
 from lamelab.operators import LameParams, _symbol_matrix, const_semigroup, lame_apply
 from lamelab.varcoef import (
@@ -154,6 +154,54 @@ class TestEvolve:
         forcing[1, 1, 4, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2), forcing=forcing)
+
+    @staticmethod
+    def _rows(fields):
+        """fields as a sequence that only len() and integer indexing read, and that counts its reads."""
+
+        class Rows:
+            reads = [0] * len(fields)
+
+            def __len__(self):
+                return len(fields)
+
+            def __getitem__(self, i):
+                if not isinstance(i, int):
+                    raise TypeError(f"rows are read one at a time, got {i!r}")
+                self.reads[i] += 1
+                return fields[i]
+
+            def __array__(self, *args, **kwargs):
+                raise TypeError("the sequence is never converted whole")
+
+        return Rows()
+
+    def test_sequence_forcing_matches_stacked(self, rough16, params):
+        grid = rough16.grid
+        t_grid = np.linspace(0.0, 0.1, 11)
+        u0 = random_band_field(grid, 1, 3, seed=3, ncomp=2)
+        prof, fx = random_time_profile(t_grid, 5), random_band_field(grid, 1, 3, seed=4, ncomp=2)
+        cfg = StepperConfig(dt=1e-2)
+        stacked = evolve(rough16, params, u0, t_grid, cfg, forcing=prof.reshape((-1, 1, 1, 1)) * fx)
+        separable = evolve(rough16, params, u0, t_grid, cfg, forcing=SeparableForcing(prof, fx))
+        assert separable.tobytes() == stacked.tobytes()
+        rows = self._rows(SeparableForcing(prof, fx))
+        assert evolve(rough16, params, u0, t_grid, cfg, forcing=rows).tobytes() == stacked.tobytes()
+        assert rows.reads == [2] * len(t_grid)  # once checked up front, once when the steps reach it
+
+    def test_rejects_bad_forcing_rows(self, rough16, params):
+        u0 = np.zeros((2,) + rough16.grid.shape)
+        cfg, t_grid = StepperConfig(dt=1e-2), [0.0, 0.01, 0.02]
+        shape_error = "forcing must be sampled on t_grid with u0's field shape"
+        bad = np.full(u0.shape, np.nan)
+        cases = {
+            shape_error: [[u0, u0], [u0, u0, u0[0]], [bad, u0, u0[0]]],  # every shape before any finiteness
+            "forcing contains non-finite samples": [[u0, u0, bad]],
+        }
+        for message, sequences in cases.items():
+            for rows in sequences:
+                with pytest.raises(ValueError, match=message):
+                    evolve(rough16, params, u0, t_grid, cfg, forcing=self._rows(rows))
 
     @pytest.mark.parametrize("given", ["forcing", "guess"])
     def test_samples_need_one_step_per_interval(self, rough16, params, given):
