@@ -136,9 +136,9 @@ class Grid:
         return (delta + 0.5 * L) % L - 0.5 * L
 
 
-# Working-set budget of one chunk, in bytes: the flow code and the norms over
-# time take their time nodes, and interpolation its query points, a chunk at a
-# time, so that their memory does not grow with the horizon or the point count.
+# Working-set budget of one chunk, in bytes: the norms over time take their
+# time nodes, and interpolation its query points, a chunk at a time, so that
+# their memory does not grow with the horizon or the point count.
 CHUNK_BYTES = 1 << 19
 
 

@@ -2,15 +2,14 @@
 for the pressureless viscous system, and its Eulerian cross-checks.
 
 Unknowns live on the initial (Lagrangian) grid; trajectories are
-X(t, y) = y + integral of the velocity. The flow map is built for a range of
-time nodes at a time, carrying the running trapezoid sums from one range to
-the next, so its memory depends on grid.chunks' budget and not on the
-horizon. The velocity gradient Du is taken once per range, and everything
-else reads it: DX = I + integral of Du, the flow-map budget, and the
-nonlinearity. The geometry of DX (adjugate, determinant; the inverse is
-adj / det) is carried nodewise with closed-form cofactors, which is exact for
-dim <= 3. Compositions with X or its inverse go through periodic cubic
-interpolation.
+X(t, y) = y + integral of the velocity. The flow map is built one time node
+at a time, going on from the node before's running trapezoid sums, so its
+memory does not grow with the horizon. The velocity gradient Du is taken
+once per node, and everything else reads it: DX = I + integral of Du, the
+flow-map budget, and the nonlinearity. The geometry of DX (adjugate,
+determinant; the inverse is adj / det) is carried nodewise with closed-form
+cofactors, which is exact for dim <= 3. Compositions with X or its inverse
+go through periodic cubic interpolation.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._interp import interp_periodic, spline_prefilter
-from .besov import BesovIndex, besov_norm_report, besov_norm_reports
-from .grid import Grid, chunks, divergence, field_magnitude, integral, jacobian
+from .besov import BesovIndex, besov_norm_report
+from .grid import Grid, divergence, field_magnitude, integral, jacobian
 from .maxreg import solution_norms
 from .operators import LameParams, lame_apply
 from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step, time_grid
@@ -29,8 +28,7 @@ from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step, tim
 
 class DiffeomorphismError(RuntimeError):
     """The flow map lost invertibility (det DX <= 0 somewhere). It names the
-    earliest time node where det DX <= 0 and the minimum on that node, so
-    the error does not depend on how the nodes are split into ranges."""
+    earliest time node where det DX <= 0 and the minimum on that node."""
 
     def __init__(self, t_index: int, node, value: float):
         super().__init__(f"det DX = {value:.3e} <= 0 at t index {t_index}, node {node}")
@@ -113,89 +111,67 @@ class LagrangianState:
 
 @dataclass(frozen=True, eq=False)
 class FlowMapData:
-    """Trajectory geometry on a range of time nodes: displacement X - id, the
-    velocity gradient, and the adjugate and determinant of DX = I + integral
-    of grad, each stacked over the range. grad_sum is that integral at the
-    range's last node, from which the next range's running sum goes on."""
+    """Trajectory geometry at one time node: displacement X - id, the velocity
+    gradient, and the adjugate and determinant of DX = I + grad_sum, where
+    grad_sum is the integral of grad up to the node, from which the next
+    node's running sum goes on."""
 
-    nodes: range  # indices into the state's time nodes
-    disp: np.ndarray  # (len(nodes), dim, *shape)
-    grad: np.ndarray  # Du, grad[:, a, b] = d_b u_a, (len(nodes), dim, dim, *shape)
+    i: int  # index into the state's time nodes
+    disp: np.ndarray  # (dim, *shape)
+    grad: np.ndarray  # Du, grad[a, b] = d_b u_a, (dim, dim, *shape)
     adj: np.ndarray  # adjugate of DX, det * inverse
-    det: np.ndarray  # (len(nodes), *shape)
+    det: np.ndarray  # (*shape)
     grad_sum: np.ndarray  # (dim, dim, *shape)
 
 
-def _time_integral(f: np.ndarray, dt: float, before) -> np.ndarray:
-    """Trapezoid integral from t = 0 to every time sample (leading axis) of a
-    stack of fields: a running sum of the interval terms dt (f[i] + f[i-1]) / 2,
-    each formed in its own output slice, in the order of np.cumsum along time.
-
-    A stack that starts at t = 0 passes before = None. A stack that goes on
-    from an earlier one passes before = (the earlier stack's last sample, the
-    integral there), the integral None when that sample is at t = 0: there
-    the first term is the integral itself, as in cumsum, so that splitting a
-    stack in two keeps every bit."""
-    out = np.empty_like(f)
-    prev, total = (None, None) if before is None else before
-    for i in range(len(f)):
-        if prev is None:
-            out[i] = 0.0
-        else:
-            np.add(f[i], prev, out=out[i])
-            out[i] *= dt
-            out[i] /= 2.0
-            if total is not None:
-                out[i] += total
-            total = out[i]
-        prev = f[i]
+def _trapezoid_step(f: np.ndarray, f_before: np.ndarray, total, dt: float) -> np.ndarray:
+    """The trapezoid integral from t = 0 one time node on: the interval term
+    dt (f + f_before) / 2 plus total, the integral at the node before. On the
+    first interval total is None and the term is the integral, so that a
+    running sum of these steps keeps the bits of np.cumsum along time."""
+    out = np.add(f, f_before)
+    out *= dt
+    out /= 2.0
+    if total is not None:
+        out += total
     return out
 
 
-def flow_map(state: LagrangianState, nodes: range, prev: FlowMapData | None) -> FlowMapData:
-    """Integrate the velocity to trajectories and its gradient to DX over the
-    time nodes `nodes`, and assemble the adjugate and determinant of DX.
+def flow_map(state: LagrangianState, prev: FlowMapData | None) -> FlowMapData:
+    """Integrate the velocity to the trajectory and its gradient to DX at one
+    time node, and assemble the adjugate and determinant of DX.
 
-    A range that starts at node 0 passes prev = None; any other passes the
-    FlowMapData of the range just before it, whose last samples and running
-    sums it goes on from, so that every node gets the bits of one range over
-    the whole trajectory. Raises DiffeomorphismError at the range's earliest
-    node where det DX <= 0. The spectral derivative commutes with the
+    Node 0 passes prev = None; node i > 0 passes the FlowMapData of node
+    i - 1, whose running sums it goes on from. Raises DiffeomorphismError
+    where det DX <= 0 at the node. The spectral derivative commutes with the
     trapezoid rule, so DX - I is the derivative of the displacement without a
     transform of it."""
-    if nodes.start != (0 if prev is None else prev.nodes.stop):
-        raise ValueError(f"time nodes {nodes} do not go on from the previous range")
-    u = state.u[nodes.start : nodes.stop]
+    i = 0 if prev is None else prev.i + 1
+    u = state.u[i]
     grad = jacobian(state.grid, u)
     if prev is None:
-        disp = _time_integral(u, state.dt, None)
-        integrated = _time_integral(grad, state.dt, None)
+        disp, grad_sum = np.zeros_like(u), np.zeros_like(grad)
     else:
-        after_zero = nodes.start == 1  # the integral at node 0 is not added, as in cumsum
-        disp = _time_integral(u, state.dt, (state.u[nodes.start - 1], None if after_zero else prev.disp[-1]))
-        integrated = _time_integral(grad, state.dt, (prev.grad[-1], None if after_zero else prev.grad_sum))
-    grad_sum = integrated[-1].copy()
-    dx = np.moveaxis(integrated, (1, 2), (0, 1))  # matrix axes first
+        first = prev.i == 0  # the integral at t = 0 is not added, as in np.cumsum
+        disp = _trapezoid_step(u, state.u[prev.i], None if first else prev.disp, state.dt)
+        grad_sum = _trapezoid_step(grad, prev.grad, None if first else prev.grad_sum, state.dt)
+    dx = grad_sum.copy()
     for a in range(state.grid.dim):
         dx[a, a] += 1.0
     adj = matrix_adjugate(dx)
     det = matrix_determinant(dx, adj)
-    low = np.min(det.reshape(len(det), -1), axis=1)
-    if np.any(low <= 0.0):
-        i = int(np.argmax(low <= 0.0))
-        node = np.unravel_index(np.argmin(det[i]), det[i].shape)
-        raise DiffeomorphismError(nodes.start + i, tuple(int(c) for c in node), float(low[i]))
-    return FlowMapData(nodes, disp, grad, np.moveaxis(adj, (0, 1), (1, 2)), det, grad_sum)
+    low = np.min(det)
+    if low <= 0.0:
+        node = np.unravel_index(np.argmin(det), det.shape)
+        raise DiffeomorphismError(i, tuple(int(c) for c in node), float(low))
+    return FlowMapData(i, disp, grad, adj, det, grad_sum)
 
 
-def _flow_ranges(state: LagrangianState):
-    """flow_map over consecutive ranges of the state's time nodes, in time
-    order; a range holds as many nodes as grid.chunks allows for one node's
-    FlowMapData (disp, grad, adj and det)."""
-    dim = state.grid.dim
+def flow_nodes(state: LagrangianState):
+    """flow_map at each of the state's time nodes, in time order."""
     flow = None
-    for part in chunks(len(state.t), 8 * (dim + 2 * dim * dim + 1) * state.grid.size):
-        flow = flow_map(state, range(part.start, part.stop), flow)
+    for _ in state.t:
+        flow = flow_map(state, flow)
         yield flow
 
 
@@ -203,8 +179,8 @@ def _flow_ranges(state: LagrangianState):
 
 
 def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
-    """Quadratic remainder of the flow-twisted elastic operator at every time
-    node of the flow map's range, shape (len(flow.nodes), dim, *shape).
+    """Quadratic remainder of the flow-twisted elastic operator at the flow
+    map's time node, shape (dim, *shape).
 
     f(u) = mu div((adj A^T - I) grad u)
          + (mu + lam) [ (adj^T - I) grad Tr(A Du) + grad Tr((A - I) Du) ],
@@ -213,21 +189,15 @@ def nonlinearity_f(state: LagrangianState, flow: FlowMapData) -> np.ndarray:
     grid = state.grid
     mu, lam = state.params.mu, state.params.lam
     d = grid.dim
-    out = np.empty_like(flow.disp)
     eye = np.eye(d).reshape((d, d) + (1,) * d)
-    for i in range(len(flow.nodes)):
-        du = flow.grad[i]  # du[a, b] = d_b u_a
-        adj = flow.adj[i]
-        a_inv = adj / flow.det[i]
-        metric = np.einsum("ij...,kj...->ik...", adj, a_inv) - eye
-        term1 = divergence(grid, np.einsum("ij...,mj...->mi...", metric, du))
-        traces = np.stack(
-            [np.einsum("ij...,ji...->...", a_inv, du), np.einsum("ij...,ji...->...", a_inv - eye, du)]
-        )
-        g_full, term3 = jacobian(grid, traces)
-        term2 = np.einsum("ji...,j...->i...", adj, g_full) - g_full
-        out[i] = mu * term1 + (mu + lam) * (term2 + term3)
-    return out
+    du, adj = flow.grad, flow.adj  # du[a, b] = d_b u_a
+    a_inv = adj / flow.det
+    metric = np.einsum("ij...,kj...->ik...", adj, a_inv) - eye
+    term1 = divergence(grid, np.einsum("ij...,mj...->mi...", metric, du))
+    traces = np.stack([np.einsum("ij...,ji...->...", a_inv, du), np.einsum("ij...,ji...->...", a_inv - eye, du)])
+    g_full, term3 = jacobian(grid, traces)
+    term2 = np.einsum("ji...,j...->i...", adj, g_full) - g_full
+    return mu * term1 + (mu + lam) * (term2 + term3)
 
 
 # -- Picard fixed point ----------------------------------------------------------------
@@ -281,7 +251,7 @@ def picard_solve(
     update falls below stop_tol_rel times the data norm. The time nodes are
     varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart. Only the
     iterate, its successor and one more trajectory are held whole: that one
-    takes the forcing, filled a flow-map range at a time, and then the update.
+    takes the forcing, filled one time node at a time, and then the update.
     """
     grid = rho0.grid
     idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p)
@@ -304,8 +274,8 @@ def picard_solve(
     work = np.empty_like(u_traj)  # the forcing, then the update
     for _ in range(cfg.max_iters):
         state = to_state(u_traj)
-        for flow in _flow_ranges(state):
-            work[flow.nodes.start : flow.nodes.stop] = nonlinearity_f(state, flow)
+        for flow in flow_nodes(state):
+            work[flow.i] = nonlinearity_f(state, flow)
         u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=work, guess=u_traj)
         delta = solution_norms(grid, np.subtract(u_next, u_traj, out=work), t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
@@ -325,28 +295,25 @@ def picard_solve(
 
 def scheme_residual(state: LagrangianState, flow: FlowMapData, p: float, rhs_before) -> tuple:
     """Defect of the converged iterate in the nonlinear Crank-Nicolson
-    equations, on the steps that end on the flow map's nodes.
+    equations, on the step that ends on the flow map's node i.
 
-    Rebuilds the nonlinearity from the state and its flow map and measures
-    each step's defect
-    rho0 (u_{i+1} - u_i)/dt - theta (L u + f)_{i+1} - (1-theta) (L u + f)_i at
+    Rebuilds the nonlinearity from the state and the node's flow map and
+    measures the step's defect
+    rho0 (u_i - u_{i-1})/dt - theta (L u + f)_i - (1-theta) (L u + f)_{i-1} at
     the stepper's theta = 1/2 in B^{n/p-1}_{p,1}, the space of picard_solve's
-    stopping rule at the same p. Returns the steps' terms dt ||defect||, whose
-    sum in time order is the L1-in-time defect, and (L u + f) at the range's
-    last node: the rhs_before of the next range (None for the range that
-    starts at node 0).
+    stopping rule at the same p; rhs_before is (L u + f)_{i-1}, which the call
+    at node i - 1 returned. Returns the step's term dt ||defect||, whose sum
+    over the nodes in time order is the L1-in-time defect (0 at node 0, which
+    ends no step and takes no rhs_before), and (L u + f)_i.
     """
     grid = state.grid
     dt = state.dt
-    start, stop = flow.nodes.start, flow.nodes.stop
-    rhs = lame_apply(grid, state.u[start:stop], state.params) + nonlinearity_f(state, flow)
-    if rhs_before is None:
-        ends, u = rhs, state.u[start:stop]
-    else:
-        ends, u = np.concatenate([rhs_before[None], rhs]), state.u[start - 1 : stop]
-    defect = state.rho0.rho * (u[1:] - u[:-1]) / dt - _THETA * ends[1:] - (1.0 - _THETA) * ends[:-1]
-    reps = besov_norm_reports(grid, defect, BesovIndex(grid.dim / p - 1.0, p))
-    return [dt * rep.value for rep in reps], rhs[-1]
+    i = flow.i
+    rhs = lame_apply(grid, state.u[i], state.params) + nonlinearity_f(state, flow)
+    if i == 0:
+        return 0.0, rhs
+    defect = state.rho0.rho * (state.u[i] - state.u[i - 1]) / dt - _THETA * rhs - (1.0 - _THETA) * rhs_before
+    return dt * besov_norm_report(grid, defect, BesovIndex(grid.dim / p - 1.0, p)).value, rhs
 
 
 # -- Eulerian reconstruction and reference ------------------------------------------------
@@ -371,20 +338,17 @@ def invert_flow(grid: Grid, disp: np.ndarray) -> np.ndarray:
     raise FlowInversionError(f"flow inversion stalled (last move {move:.3e})")
 
 
-def pushforward_eulerian(state: LagrangianState, flow: FlowMapData, i: int) -> tuple:
-    """Eulerian fields (u, rho) at time node i, one of the flow map's nodes
-    (negative i counts from the end of the trajectory): u(t, x) = u(t, Y(x))
-    and rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the mass-consistent transport
-    (J rho-along-the-flow stays equal to rho0). Node 0 returns the data
-    itself, (state.u[0], rho0), not copies."""
-    i = range(len(state.t))[i]
+def pushforward_eulerian(state: LagrangianState, flow: FlowMapData) -> tuple:
+    """Eulerian fields (u, rho) at the flow map's time node: u(t, x) =
+    u(t, Y(x)) and rho(t, x) = rho0(Y(x)) / J(t, Y(x)), the mass-consistent
+    transport (J rho-along-the-flow stays equal to rho0). Node 0 returns the
+    data itself, (state.u[0], rho0), not copies."""
     rho0 = state.rho0.rho
-    if i == 0:
+    if flow.i == 0:
         return state.u[0], rho0
     grid = state.grid
-    j = flow.nodes.index(i)
-    y = invert_flow(grid, flow.disp[j])
-    coeffs = spline_prefilter(grid, np.concatenate([state.u[i], (rho0 / flow.det[j])[None]]))
+    y = invert_flow(grid, flow.disp)
+    coeffs = spline_prefilter(grid, np.concatenate([state.u[flow.i], (rho0 / flow.det)[None]]))
     both = interp_periodic(grid, y, coeffs)
     return both[:-1], both[-1]
 
@@ -395,24 +359,17 @@ class DensityTransportReport:
     max_mass_defect: float  # of int rho(t) = int rho0, relative
 
 
-def density_transport_check(state: LagrangianState, flow: FlowMapData) -> DensityTransportReport:
-    """Worst defects over the flow map's time nodes of the transported
-    density: each node's pushforward_eulerian density, carried back along the
-    flow, against state.rho0, and its mass against rho0's."""
+def density_transport_check(state: LagrangianState, flow: FlowMapData, rho: np.ndarray) -> DensityTransportReport:
+    """Defects of rho, the pushforward_eulerian density at the flow map's
+    time node: carried back along the flow, against state.rho0, and its mass
+    against rho0's."""
     grid = state.grid
-    rho0 = state.rho0
-    mass0 = float(integral(grid, rho0.rho))
-    scale = float(np.max(np.abs(rho0.rho)))
-    worst_point = 0.0
-    worst_mass = 0.0
-    for j, i in enumerate(flow.nodes):
-        _, rho = pushforward_eulerian(state, flow, i)
-        rho_on_path = interp_periodic(grid, grid.coords + flow.disp[j], spline_prefilter(grid, rho))
-        defect = np.max(np.abs(flow.det[j] * rho_on_path - rho0.rho)) / scale
-        worst_point = max(worst_point, float(defect))
-        mass = float(integral(grid, rho))
-        worst_mass = max(worst_mass, abs(mass - mass0) / abs(mass0))
-    return DensityTransportReport(worst_point, worst_mass)
+    rho0 = state.rho0.rho
+    rho_on_path = interp_periodic(grid, grid.coords + flow.disp, spline_prefilter(grid, rho))
+    point = np.max(np.abs(flow.det * rho_on_path - rho0)) / float(np.max(np.abs(rho0)))
+    mass0 = float(integral(grid, rho0))
+    mass = float(integral(grid, rho))
+    return DensityTransportReport(float(point), abs(mass - mass0) / abs(mass0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,9 +389,7 @@ class FlowDiagnostics:
 
 def flow_diagnostics(state: LagrangianState, p: float) -> FlowDiagnostics:
     """Every flow diagnostic of a converged state, from one pass over its
-    flow-map ranges; each is a reduction over the time nodes, formed in the
-    order of one range over the whole trajectory, so it keeps its bits
-    whatever the ranges.
+    time nodes; each is a reduction over the nodes in time order.
 
     The flow budget is the L1-in-time Besov norm of regularity n/p of the
     velocity gradient: the flow stays a small perturbation of the identity
@@ -444,24 +399,21 @@ def flow_diagnostics(state: LagrangianState, p: float) -> FlowDiagnostics:
     """
     grid = state.grid
     budget_idx = BesovIndex(grid.dim / p, p)
-    budget, sups, terms = [], [], []
+    budget, sups = [], []
     det_min, det_max = np.inf, -np.inf
-    worst_point = worst_mass = 0.0
+    worst_point = worst_mass = residual = 0.0
     rhs = None
-    for flow in _flow_ranges(state):
-        budget += [r.value for r in besov_norm_reports(grid, flow.grad, budget_idx)]
-        sups += [float(np.max(field_magnitude(grid, g))) for g in flow.grad]
+    for flow in flow_nodes(state):
+        budget.append(besov_norm_report(grid, flow.grad, budget_idx).value)
+        sups.append(float(np.max(field_magnitude(grid, flow.grad))))
         det_min = min(det_min, float(np.min(flow.det)))
         det_max = max(det_max, float(np.max(flow.det)))
-        transport = density_transport_check(state, flow)
+        u_final, rho_final = pushforward_eulerian(state, flow)
+        transport = density_transport_check(state, flow, rho_final)
         worst_point = max(worst_point, transport.max_pointwise_defect)
         worst_mass = max(worst_mass, transport.max_mass_defect)
-        step_terms, rhs = scheme_residual(state, flow, p, rhs)
-        terms += step_terms
-    u_final, rho_final = pushforward_eulerian(state, flow, -1)
-    residual = 0.0
-    for term in terms:  # one add per step in time order (sum() compensates on newer Pythons)
-        residual += term
+        term, rhs = scheme_residual(state, flow, p, rhs)
+        residual += term  # one add per step in time order (sum() compensates on newer Pythons)
     gsi = gsi_extrapolated = float(np.trapezoid(sups, dx=state.dt))
     g_prev, g_end = sups[-2], sups[-1]
     if not (g_end <= 0 or g_prev <= g_end):

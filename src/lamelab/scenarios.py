@@ -211,9 +211,11 @@ def parse_kernel(cfg: dict, seed: int) -> dict:
     # the twisted flow steps the times in the given order; kernel columns sort them
     times = _times(cfg, [0.05, 0.1, 0.2], increasing=bool(dcfg))
     check_kernel_times(grid, params, times)
-    sources = cfg.get("sources") or [[grid.n // 2] * grid.dim]
-    if not (isinstance(sources, list) and all(_is_node(grid, y) for y in sources)):
-        raise ConfigError(f"sources must be lists of {grid.dim} node indices in [0, {grid.n}), got {sources!r}")
+    sources = cfg.get("sources", [[grid.n // 2] * grid.dim])
+    if not (isinstance(sources, list) and sources and all(_is_node(grid, y) for y in sources)):
+        raise ConfigError(
+            f"sources must be a nonempty list of {grid.dim} node indices in [0, {grid.n}), got {sources!r}"
+        )
     davies = None
     if dcfg:
         alphas = _reals(dcfg.get("alphas", [0.0, 0.5, 1.0, 2.0]), "davies.alphas")

@@ -344,6 +344,12 @@ class TestConfigErrorWritesNothing:
         "kernel_source_negative": ("kernel", {**KERNEL, "sources": [[-3, 4]]}, []),
         "kernel_source_short": ("kernel", {**KERNEL, "sources": [[8]]}, []),
         "kernel_source_fractional": ("kernel", {**KERNEL, "sources": [[8.5, 3]]}, []),
+        # a present sources value is a nonempty list of nodes, not swapped for the default centre
+        "kernel_sources_false": ("kernel", {**KERNEL, "sources": False}, []),
+        "kernel_sources_zero": ("kernel", {**KERNEL, "sources": 0}, []),
+        "kernel_sources_empty_string": ("kernel", {**KERNEL, "sources": ""}, []),
+        "kernel_sources_empty": ("kernel", {**KERNEL, "sources": []}, []),
+        "kernel_sources_null": ("kernel", {**KERNEL, "sources": None}, []),
         "norm_equiv_s": ("maxreg", {**MAXREG, "norm_equiv": {"s": 1.5}}, []),
         "norm_equiv_q": ("maxreg", {**MAXREG, "norm_equiv": {"q": 0.0}}, []),
         "davies_alpha": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, -1.0]}}, []),

@@ -1,9 +1,9 @@
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lamelab import grid as grid_module
 from lamelab._interp import interp_periodic, spline_prefilter
 from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports
 from lamelab.fields import checkerboard_density, random_band_field
@@ -11,15 +11,13 @@ from lamelab.grid import Grid, divergence, integral, jacobian, lp_norm
 from lamelab.lagrangian import (
     CFLError,
     DiffeomorphismError,
-    FlowDiagnostics,
-    FlowMapData,
     LagrangianState,
     PicardConfig,
     PicardConvergenceError,
     density_transport_check,
     eulerian_reference_solve,
     flow_diagnostics,
-    flow_map,
+    flow_nodes,
     invert_flow,
     matrix_adjugate,
     matrix_determinant,
@@ -27,14 +25,14 @@ from lamelab.lagrangian import (
     picard_solve,
     pushforward_eulerian,
     scheme_residual,
-    _flow_ranges,
-    _time_integral,
+    _trapezoid_step,
 )
-from lamelab.maxreg import solution_norms
 from lamelab.operators import const_semigroup, lame_apply
+from lamelab.scenarios import parse_flow
 from lamelab.varcoef import Coefficient, StepperConfig
 
 from conftest import hodge_project, plane_wave
+from test_acceptance import DEFAULT_FLOW_SCENARIO
 
 
 def make_state(grid, params, rho0, u_of_t, T=1.0, nt=11):
@@ -44,8 +42,21 @@ def make_state(grid, params, rho0, u_of_t, T=1.0, nt=11):
 
 
 def whole_flow(state):
-    """The flow map as one range over the whole trajectory."""
-    return flow_map(state, range(len(state.t)), None)
+    """flow_map at every time node, its geometry stacked over the nodes (leading axis)."""
+    flows = list(flow_nodes(state))
+    names = ("disp", "grad", "adj", "det")
+    return SimpleNamespace(**{name: np.stack([getattr(f, name) for f in flows]) for name in names})
+
+
+def whole_f(state):
+    """nonlinearity_f at every time node, stacked over the nodes."""
+    return np.stack([nonlinearity_f(state, flow) for flow in flow_nodes(state)])
+
+
+def last_flow(state):
+    """flow_map at the state's last time node."""
+    *_, flow = flow_nodes(state)
+    return flow
 
 
 @pytest.fixture(scope="module")
@@ -88,23 +99,43 @@ class TestMatrixAlgebra:
 class TestTimeIntegral:
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 5), (7, 2, 2, 16, 16)])
     def test_matches_cumsum(self, shape):
-        # the running sum over slices keeps the bits of cumsum along the time axis
+        # the running sum of trapezoid steps keeps the bits of cumsum along the time axis
         f = np.random.default_rng(10).standard_normal(shape)
         ref = np.zeros_like(f)
         np.cumsum(0.05 * (f[1:] + f[:-1]) / 2.0, axis=0, out=ref[1:])
-        assert np.array_equal(_time_integral(f, 0.05, None), ref)
-
-    @pytest.mark.parametrize("split", [1, 2, 5])
-    def test_split_stack_goes_on_bit_for_bit(self, split):
-        # the second part goes on from the first's last sample and integral
-        # (no integral when that sample is at t = 0), as in one running sum
-        f = np.random.default_rng(11).standard_normal((7, 2, 2, 16, 16))
-        head = _time_integral(f[:split], 0.05, None)
-        tail = _time_integral(f[split:], 0.05, (f[split - 1], head[-1] if split > 1 else None))
-        assert np.array_equal(np.concatenate([head, tail]), _time_integral(f, 0.05, None))
+        out = np.zeros_like(f)
+        for i in range(1, len(f)):
+            out[i] = _trapezoid_step(f[i], f[i - 1], out[i - 1] if i > 1 else None, 0.05)
+        assert np.array_equal(out, ref)
 
 
 class TestFlowMap:
+    @pytest.mark.parametrize("dim, n", [(2, 64), (3, 16)])
+    def test_nodes_match_whole_trajectory(self, dim, n, params):
+        # flow_map node by node, each going on from the node before, against
+        # the geometry of the whole trajectory at once: the cumsum trapezoid
+        # of u and of its stacked jacobian, and the cofactors of I + that
+        # integral, bit for bit
+        grid = Grid(dim, n, 8.0)
+        v = 0.05 * random_band_field(grid, 1, 2, seed=4, ncomp=dim)
+        w = 0.05 * random_band_field(grid, 1, 3, seed=42, ncomp=dim)
+        state = make_state(grid, params, Coefficient.constant(grid, 1.0), lambda t: (1.0 - 0.5 * t) * v + t * t * w)
+        grad = jacobian(grid, state.u)
+        disp, grad_sum = np.zeros_like(state.u), np.zeros_like(grad)
+        np.cumsum(state.dt * (state.u[1:] + state.u[:-1]) / 2.0, axis=0, out=disp[1:])
+        np.cumsum(state.dt * (grad[1:] + grad[:-1]) / 2.0, axis=0, out=grad_sum[1:])
+        dx = np.moveaxis(grad_sum, (1, 2), (0, 1)) + np.eye(dim).reshape((dim, dim, 1) + (1,) * dim)
+        adj = matrix_adjugate(dx)
+        det = matrix_determinant(dx, adj)
+        flows = list(flow_nodes(state))
+        assert [f.i for f in flows] == list(range(len(state.t)))
+        for i, f in enumerate(flows):
+            assert np.array_equal(f.disp, disp[i])
+            assert np.array_equal(f.grad, grad[i])
+            assert np.array_equal(f.grad_sum, grad_sum[i])
+            assert np.array_equal(f.adj, adj[:, :, i])
+            assert np.array_equal(f.det, det[i])
+
     def test_zero_velocity_identity(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
         flow = whole_flow(state)
@@ -150,7 +181,8 @@ class TestFlowMap:
         # the error names the earliest node where det DX <= 0 and the minimum
         # there, not the global minimum: the reference det is that of
         # I + D disp, the transform of the integrated displacement
-        disp = _time_integral(state.u, state.dt, None)
+        disp = np.zeros_like(state.u)
+        np.cumsum(state.dt * (state.u[1:] + state.u[:-1]) / 2.0, axis=0, out=disp[1:])
         dx = np.moveaxis(jacobian(grid64_8, disp), (1, 2), (0, 1)) + np.eye(2)[:, :, None, None, None]
         det = matrix_determinant(dx, matrix_adjugate(dx))
         lows = det.reshape(len(det), -1).min(axis=1)
@@ -171,9 +203,10 @@ class ChangeOfVariableReport:
 
 
 def change_of_variable_residual(
-    grid: Grid, phi: np.ndarray, v: np.ndarray, flow: FlowMapData, t_index: int
+    grid: Grid, phi: np.ndarray, v: np.ndarray, flow: SimpleNamespace, t_index: int
 ) -> ChangeOfVariableReport:
-    """Check the pullback identities for a scalar phi and a vector field v.
+    """Check the pullback identities for a scalar phi and a vector field v at
+    node t_index of a whole_flow.
 
     (grad phi) o X = A^T grad(phi o X); (div v) o X equals both the trace
     form Tr[A D(v o X)] and the conservation form div(adj (v o X)) / J; and
@@ -256,13 +289,13 @@ class TestChangeOfVariable:
 class TestNonlinearity:
     def test_zero_velocity(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        f = nonlinearity_f(state, whole_flow(state))
+        f = whole_f(state)
         assert np.max(np.abs(f)) == 0.0
 
     def test_constant_velocity(self, grid64_8, params, rough64):
         c = np.broadcast_to(np.array([0.4, 0.1])[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: c)
-        f = nonlinearity_f(state, whole_flow(state))
+        f = whole_f(state)
         assert np.max(np.abs(f)) < 1e-12
 
     def test_quadratic_smallness(self, grid64_8, params, rough64):
@@ -272,7 +305,7 @@ class TestNonlinearity:
         norms = []
         for amp in (0.08, 0.04, 0.02):
             state = make_state(grid64_8, params, rough64, lambda t: amp * base)
-            f = nonlinearity_f(state, whole_flow(state))
+            f = whole_f(state)
             vals = [besov_norm_report(grid64_8, fi, idx).value for fi in f]
             norms.append(np.trapezoid(vals, dx=state.dt))
         for a, b in zip(norms, norms[1:]):
@@ -294,49 +327,9 @@ class TestNonlinearity:
             return np.transpose(u[:, list(perm)], (0, 1) + tuple(2 + a for a in perm))
 
         moved = LagrangianState(grid, params, rho0, state.t, relabel(state.u))
-        f = nonlinearity_f(state, whole_flow(state))
-        defect = np.max(np.abs(nonlinearity_f(moved, whole_flow(moved)) - relabel(f))) / np.max(np.abs(f))
+        f = whole_f(state)
+        defect = np.max(np.abs(whole_f(moved) - relabel(f))) / np.max(np.abs(f))
         assert defect < 1e-12
-
-
-class TestRanges:
-    def test_range_boundaries_keep_the_bits(self, grid64_8, params, rough64, monkeypatch):
-        # 11 nodes in ranges of 3 (3 + 3 + 3 + 2) against one range over the
-        # whole trajectory: the flow geometry, f(u), the solution norms and
-        # the run's diagnostics (with its interpolation gathers in two chunks
-        # of points instead of one) are equal, bit for bit
-        v = 0.05 * random_band_field(grid64_8, 1, 2, seed=4, ncomp=2)
-        w = 0.05 * random_band_field(grid64_8, 1, 3, seed=42, ncomp=2)
-        state = make_state(grid64_8, params, rough64, lambda t: (1.0 - 0.5 * t) * v + t * t * w)
-        idx = BesovIndex(0.0, 2.0)
-
-        def run(nodes_per_chunk, node_bytes):
-            monkeypatch.setattr(grid_module, "CHUNK_BYTES", nodes_per_chunk * node_bytes)
-            ranges = list(_flow_ranges(state))
-            geometry = [np.concatenate([getattr(r, name) for r in ranges]) for name in ("disp", "adj", "det")]
-            f = np.concatenate([nonlinearity_f(state, r) for r in ranges])
-            return len(ranges), geometry, f, flow_diagnostics(state, 2.0)
-
-        flow_node = 8 * 11 * grid64_8.size  # disp, grad, adj and det of one 2D node
-        count_whole, geometry_whole, f_whole, diag_whole = run(len(state.t), flow_node)
-        count, geometry, f, diag = run(3, flow_node)
-        assert (count_whole, count) == (1, 4)
-        for a, b in zip(geometry, geometry_whole):
-            assert np.array_equal(a, b)
-        assert np.array_equal(f, f_whole)
-        for fld in fields(FlowDiagnostics):
-            a, b = getattr(diag, fld.name), getattr(diag_whole, fld.name)
-            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, fld.name
-
-        with pytest.raises(ValueError):  # a range after the first goes on from the one before it
-            flow_map(state, range(3, 6), None)
-
-        u_node = state.u[0].nbytes
-        norms = []
-        for nodes_per_chunk in (len(state.t), 3):
-            monkeypatch.setattr(grid_module, "CHUNK_BYTES", nodes_per_chunk * u_node)
-            norms.append(solution_norms(grid64_8, state.u, state.dt, params, idx))
-        assert norms[0] == norms[1]
 
 
 @dataclass(frozen=True)
@@ -355,9 +348,9 @@ def _sup_pair_norm(grid: Grid, a: np.ndarray, adj: np.ndarray, p: float) -> floa
     return max(ra.value + rb.value for ra, rb in pairs)
 
 
-def flow_budget(state: LagrangianState, flow: FlowMapData, p: float) -> float:
+def flow_budget(state: LagrangianState, flow: SimpleNamespace, p: float) -> float:
     """L1-in-time Besov norm (regularity n/p) of the velocity gradient of a
-    whole-trajectory flow map: flow_diagnostics' flow budget."""
+    whole_flow: flow_diagnostics' flow budget."""
     reps = besov_norm_reports(state.grid, flow.grad, BesovIndex(state.grid.dim / p, p))
     return float(np.trapezoid([r.value for r in reps], dx=state.dt))
 
@@ -474,19 +467,22 @@ class TestPushforward:
         c = np.array([0.5, 0.25])  # grid multiples: h = 0.125
         u_const = np.broadcast_to(c[:, None, None], (2,) + grid64_8.shape).copy()
         state = make_state(grid64_8, params, rough64, lambda t: u_const, T=1.0)
-        flow = whole_flow(state)
-        _, rho = pushforward_eulerian(state, flow, -1)
+        _, rho = pushforward_eulerian(state, last_flow(state))
         steps = (np.round(c / grid64_8.spacing)).astype(int)
         shifted = np.roll(rough64.rho, shift=tuple(steps), axis=(0, 1))
         assert np.max(np.abs(rho - shifted)) < 1e-9
 
     def test_identity_flow_unchanged(self, grid64_8, params, rough64):
         state = make_state(grid64_8, params, rough64, lambda t: np.zeros((2,) + grid64_8.shape))
-        flow = whole_flow(state)
-        for i in range(len(state.t)):
-            u, rho = pushforward_eulerian(state, flow, i)
+        for flow in flow_nodes(state):
+            u, rho = pushforward_eulerian(state, flow)
             assert np.max(np.abs(rho - rough64.rho)) < 1e-12
-            assert np.max(np.abs(u - state.u[i])) < 1e-12
+            assert np.max(np.abs(u - state.u[flow.i])) < 1e-12
+
+
+def transport_reports(state):
+    """density_transport_check at every time node, of that node's pushforward_eulerian density."""
+    return [density_transport_check(state, flow, pushforward_eulerian(state, flow)[1]) for flow in flow_nodes(state)]
 
 
 class TestDensityTransport:
@@ -494,16 +490,14 @@ class TestDensityTransport:
         rho0 = Coefficient.constant(grid64_8, 1.0)
         v = 0.05 * random_band_field(grid64_8, 1, 2, seed=15, ncomp=2)
         state = make_state(grid64_8, params, rho0, lambda t: v)
-        flow = whole_flow(state)
-        rep = density_transport_check(state, flow)
-        # J * (1/J on the path) = 1: only interpolation error of smooth 1/J
-        assert rep.max_pointwise_defect < 1e-5
-        assert rep.max_mass_defect < 1e-6
+        for rep in transport_reports(state):
+            # J * (1/J on the path) = 1: only interpolation error of smooth 1/J
+            assert rep.max_pointwise_defect < 1e-5
+            assert rep.max_mass_defect < 1e-6
 
     def test_rough_density_mass_conserved(self, small_state, rough64):
-        flow = whole_flow(small_state)
-        rep = density_transport_check(small_state, flow)
-        assert rep.max_mass_defect < 1e-6
+        for rep in transport_reports(small_state):
+            assert rep.max_mass_defect < 1e-6
 
 
 class TestSchemeResidual:
@@ -511,14 +505,22 @@ class TestSchemeResidual:
         # at p = 3 the defect is measured in L1-in-time B^{n/3-1}_{3,1}, as picard_solve's stop rule at p = 3
         v = 0.05 * random_band_field(grid64_8, 1, 2, seed=4, ncomp=2)
         state = make_state(grid64_8, params, rough64, lambda t: (1.0 - 0.5 * t) * v)
-        flow = whole_flow(state)
-        rhs = lame_apply(grid64_8, state.u, params) + nonlinearity_f(state, flow)
+        rhs = lame_apply(grid64_8, state.u, params) + whole_f(state)
         defect = rough64.rho * np.diff(state.u, axis=0) / state.dt - 0.5 * (rhs[1:] + rhs[:-1])
         idx = BesovIndex(grid64_8.dim / 3.0 - 1.0, 3.0)
-        expected = sum(state.dt * besov_norm_report(grid64_8, d, idx).value for d in defect)
-        terms, _ = scheme_residual(state, flow, 3.0, None)
-        assert sum(terms) == pytest.approx(expected, rel=1e-10)
-        assert sum(scheme_residual(state, flow, 2.0, None)[0]) != pytest.approx(expected, rel=1e-2)
+        expected = [state.dt * besov_norm_report(grid64_8, d, idx).value for d in defect]
+
+        def terms(p):  # each node goes on from the node before's (L u + f)
+            out, rhs_before = [], None
+            for flow in flow_nodes(state):
+                term, rhs_before = scheme_residual(state, flow, p, rhs_before)
+                out.append(term)
+            return out
+
+        at_3 = terms(3.0)
+        assert at_3[0] == 0.0  # node 0 ends no step
+        assert at_3[1:] == pytest.approx(expected, rel=1e-10)
+        assert sum(terms(2.0)) != pytest.approx(sum(expected), rel=1e-2)
 
 
 class TestPicard:
@@ -542,6 +544,23 @@ class TestPicard:
         assert all(f <= 0.5 for f in diag.contraction_factors)
         res = flow_diagnostics(state, cfg.p).residual
         assert res <= 10.0 * diag.stop_tol
+
+    def test_first_contraction_factor_is_linear_in_amplitude(self):
+        # f is quadratic in u, so the first update's contraction factor grows
+        # linearly with the data amplitude: on the standard blocks at N = 32,
+        # T = 1, factor / amplitude reads 0.0420-0.0434 from amplitude 0.25
+        # to 2 (3.3% spread); a cubic f would spread it eightfold
+        ratios = []
+        for amp in (0.25, 0.5, 1.0, 2.0):
+            plan = parse_flow({
+                **DEFAULT_FLOW_SCENARIO,
+                "grid": {"dim": 2, "N": 32, "extent": 8.0},
+                "u0": {**DEFAULT_FLOW_SCENARIO["u0"], "amplitude": amp},
+                "picard": {**DEFAULT_FLOW_SCENARIO["picard"], "T": 1.0},
+            }, 0)
+            _, diag = picard_solve(plan["rho0"], plan["params"], plan["u0"], plan["T"], plan["pcfg"])
+            ratios.append(diag.contraction_factors[0] / amp)
+        assert max(ratios) / min(ratios) - 1.0 <= 0.10
 
     def test_nonconvergence_carries_history(self, params):
         grid = Grid(2, 32, 8.0)
@@ -606,8 +625,7 @@ class TestCrossValidation:
         T = 3.0
         cfg = PicardConfig(dt=0.05)
         state, diag = picard_solve(rho0, params, u0, T, cfg)
-        flow = whole_flow(state)
-        u_eul, _ = pushforward_eulerian(state, flow, -1)
+        u_eul, _ = pushforward_eulerian(state, last_flow(state))
         u_ref, _ = eulerian_reference_solve(rho0, params, u0, T, cfg.stepper)
         rel = lp_norm(grid, u_eul - u_ref, 2) / lp_norm(grid, u_ref, 2)
         assert rel < 0.05

@@ -189,6 +189,22 @@ class TestSolutionNorms:
         assert norms.dt_norm == pytest.approx(decay_budget, rel=1e-3)
         assert norms.op_norm == pytest.approx(decay_budget, rel=1e-3)
 
+    def test_chunks_of_nodes_keep_the_bits(self, rough32, params, monkeypatch):
+        # 11 nodes in chunks of 3 (3 + 3 + 3 + 2) against one chunk over the
+        # whole trajectory: every norm is equal, bit for bit
+        grid = rough32.grid
+        v = 0.05 * random_band_field(grid, 1, 2, seed=4, ncomp=2)
+        w = 0.05 * random_band_field(grid, 1, 3, seed=42, ncomp=2)
+        t = np.linspace(0.0, 1.0, 11)
+        traj = np.stack([(1.0 - 0.5 * s) * v + s * s * w for s in t])
+        sizes, norms = [], []
+        for nodes_per_chunk in (len(t), 3):
+            monkeypatch.setattr(grid_module, "CHUNK_BYTES", nodes_per_chunk * traj[0].nbytes)
+            sizes.append([n.stop - n.start for n in chunks(len(t), traj[0].nbytes)])
+            norms.append(solution_norms(grid, traj, t[1], params, L2_SPACE))
+        assert sizes == [[11], [3, 3, 3, 2]]
+        assert norms[0] == norms[1]
+
     def test_time_derivative_centered(self):
         traj = np.arange(5.0)[:, None] * np.ones((5, 3))
         dt = 0.5
