@@ -1,9 +1,11 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lamelab import _interp as interp_module
+from lamelab import grid as grid_module
 from lamelab._interp import interp_periodic, spline_prefilter
 from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports
 from lamelab.fields import checkerboard_density, random_band_field
@@ -11,6 +13,7 @@ from lamelab.grid import Grid, divergence, integral, jacobian, lp_norm
 from lamelab.lagrangian import (
     CFLError,
     DiffeomorphismError,
+    FlowDiagnostics,
     LagrangianState,
     PicardConfig,
     PicardConvergenceError,
@@ -96,6 +99,19 @@ class TestMatrixAlgebra:
         assert np.allclose(det, ref)
 
 
+def trapezoid_sums(f, dt, before=None):
+    """The running sum of _trapezoid_step over the samples f (leading axis),
+    going on from before = (the sample before f[0], the integral there), whose
+    integral is None when that sample is at t = 0; with no before, f[0] is at
+    t = 0 and its integral is zero."""
+    out = np.zeros_like(f)
+    f_before, total = before if before is not None else (f[0], None)
+    for i in range(0 if before is not None else 1, len(f)):
+        out[i] = total = _trapezoid_step(f[i], f_before, total, dt)
+        f_before = f[i]
+    return out
+
+
 class TestTimeIntegral:
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 5), (7, 2, 2, 16, 16)])
     def test_matches_cumsum(self, shape):
@@ -103,10 +119,16 @@ class TestTimeIntegral:
         f = np.random.default_rng(10).standard_normal(shape)
         ref = np.zeros_like(f)
         np.cumsum(0.05 * (f[1:] + f[:-1]) / 2.0, axis=0, out=ref[1:])
-        out = np.zeros_like(f)
-        for i in range(1, len(f)):
-            out[i] = _trapezoid_step(f[i], f[i - 1], out[i - 1] if i > 1 else None, 0.05)
-        assert np.array_equal(out, ref)
+        assert np.array_equal(trapezoid_sums(f, 0.05), ref)
+
+    @pytest.mark.parametrize("split", [1, 2, 5])
+    def test_split_stack_goes_on_bit_for_bit(self, split):
+        # the second part goes on from the first's last sample and integral
+        # (no integral when that sample is at t = 0), as in one running sum
+        f = np.random.default_rng(11).standard_normal((7, 2, 2, 16, 16))
+        head = trapezoid_sums(f[:split], 0.05)
+        tail = trapezoid_sums(f[split:], 0.05, (f[split - 1], head[-1] if split > 1 else None))
+        assert np.array_equal(np.concatenate([head, tail]), trapezoid_sums(f, 0.05))
 
 
 class TestFlowMap:
@@ -330,6 +352,37 @@ class TestNonlinearity:
         f = whole_f(state)
         defect = np.max(np.abs(whole_f(moved) - relabel(f))) / np.max(np.abs(f))
         assert defect < 1e-12
+
+
+class TestRanges:
+    def test_range_boundaries_keep_the_bits(self, grid64_8, params, rough64, monkeypatch):
+        # the run's diagnostics with every interpolation gather over one range
+        # of query points against ranges of at most 512 points: every
+        # diagnostic is equal, bit for bit
+        v = 0.05 * random_band_field(grid64_8, 1, 2, seed=4, ncomp=2)
+        w = 0.05 * random_band_field(grid64_8, 1, 3, seed=42, ncomp=2)
+        state = make_state(grid64_8, params, rough64, lambda t: (1.0 - 0.5 * t) * v + t * t * w)
+        counts = []
+
+        def recorded(count, item_bytes):
+            parts = grid_module.chunks(count, item_bytes)
+            counts.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(interp_module, "chunks", recorded)
+
+        def run(chunk_bytes):
+            monkeypatch.setattr(grid_module, "CHUNK_BYTES", chunk_bytes)
+            counts.clear()
+            return flow_diagnostics(state, 2.0), list(counts)
+
+        diag_whole, counts_whole = run(1 << 40)
+        diag, counts_split = run(1 << 16)  # a point costs at least 8 * 4**2 * 2 bytes
+        assert counts_whole and set(counts_whole) == {1}
+        assert len(counts_split) == len(counts_whole) and min(counts_split) > 1
+        for fld in fields(FlowDiagnostics):
+            a, b = getattr(diag, fld.name), getattr(diag_whole, fld.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, fld.name
 
 
 @dataclass(frozen=True)
