@@ -250,8 +250,9 @@ def picard_solve(
     the previous iterate's nonlinearity; stops when the solution-norm of the
     update falls below stop_tol_rel times the data norm. The time nodes are
     varcoef.time_grid(T, cfg.dt), one step of at most cfg.dt apart. Only the
-    iterate, its successor and one more trajectory are held whole: that one
-    takes the forcing, filled one time node at a time, and then the update.
+    iterate and its successor are held whole: evolve reads the forcing from a
+    generator, which forms each node's nonlinearity as the steps reach it, and
+    the update is written over the old iterate.
     """
     grid = rho0.grid
     idx = BesovIndex(grid.dim / cfg.p - 1.0, cfg.p)
@@ -271,13 +272,11 @@ def picard_solve(
     if u0_norm == 0.0:
         return to_state(u_traj), diag
 
-    work = np.empty_like(u_traj)  # the forcing, then the update
     for _ in range(cfg.max_iters):
         state = to_state(u_traj)
-        for flow in flow_nodes(state):
-            work[flow.i] = nonlinearity_f(state, flow)
-        u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=work, guess=u_traj)
-        delta = solution_norms(grid, np.subtract(u_next, u_traj, out=work), t_grid[1], params, idx).total
+        forcing = (nonlinearity_f(state, flow) for flow in flow_nodes(state))
+        u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=forcing, guess=u_traj)
+        delta = solution_norms(grid, np.subtract(u_next, u_traj, out=u_traj), t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
         if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:
             diag.contraction_factors.append(delta / diag.delta_norms[-2])

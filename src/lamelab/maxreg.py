@@ -105,10 +105,10 @@ def solve_linear_maxreg(
     ratio in the Besov space idx. L1-in-time norms use the trapezoid rule on
     those nodes; the sup norm is the max over nodes.
 
-    forcing is a sequence of evolve's kind that a slice of nodes also
-    indexes (an ndarray, fields.SeparableForcing). Its norms are taken a
-    chunk of nodes at a time, under grid.chunks' budget, and each node's are
-    those of the whole stack, bit for bit.
+    forcing is a sequence that evolve reads once and that len() and a
+    slice of nodes also read (an ndarray, fields.SeparableForcing). Its
+    norms are taken a chunk of nodes at a time, under grid.chunks' budget,
+    and each node's are those of the whole stack, bit for bit.
     """
     grid = coef.grid
     dt = t_grid[1] - t_grid[0]

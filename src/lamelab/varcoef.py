@@ -282,15 +282,14 @@ def evolve(
     Forcing (each step takes the mean of its ends) and guess (a trajectory
     such as the previous iterate of a fixed point; zero without it) are
     sampled on t_grid, so they need one step per interval, as on time_grid's
-    nodes. Forcing is any sequence of len(t_grid) fields (len() and integer
-    indexing; an ndarray is one), read one row at a time: once up front, where
-    every row's shape and then every row's finiteness is checked, and once
-    as the steps reach it, so a forcing that forms its rows when indexed
-    (fields.SeparableForcing) is never held whole. Each step's CG starts
-    from the guess at the new time plus the polynomial extrapolation, in
-    time, of the departures u - guess of the last _PREDICTOR_ORDER + 1 step
-    states (fewer at the start: the first step starts from the guess plus
-    u0's departure, u0 itself without a guess). A step whose CG stalls
+    nodes. Forcing is any iterable of len(t_grid) fields (an ndarray,
+    fields.SeparableForcing, a generator), read once, in order, as the steps
+    reach each node; a row's shape and finiteness are checked as it is read,
+    and the row count when the rows or the steps run out. Each step's CG
+    starts from the guess at the new time plus the polynomial extrapolation,
+    in time, of the departures u - guess of the last _PREDICTOR_ORDER + 1
+    step states (fewer at the start: the first step starts from the guess
+    plus u0's departure, u0 itself without a guess). A step whose CG stalls
     raises SolverConvergenceError with its step index and time.
     """
     grid = coef.grid
@@ -302,17 +301,6 @@ def evolve(
         raise ValueError(f"u0 must be a vector field, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("u0 contains non-finite samples")
-    if forcing is not None:
-        if len(forcing) != len(t_grid):
-            raise ValueError("forcing must be sampled on t_grid with u0's field shape")
-        finite = True  # reported after every row's shape, as a check of the whole stack would
-        for i in range(len(t_grid)):
-            row = forcing[i]
-            if np.shape(row) != u.shape:
-                raise ValueError("forcing must be sampled on t_grid with u0's field shape")
-            finite = finite and bool(np.all(np.isfinite(row)))
-        if not finite:
-            raise ValueError("forcing contains non-finite samples")
     if guess is not None and np.shape(guess) != (len(t_grid),) + u.shape:
         raise ValueError("guess must be sampled on t_grid with u0's field shape")
     spans = np.diff(t_grid)
@@ -325,14 +313,24 @@ def evolve(
     out[0] = u
     g = 0.0 if guess is None else guess[0]
     history = deque([(0.0, u - g)], maxlen=_PREDICTOR_ORDER + 1)  # (t_j, u_j - g(t_j))
+    rows = iter(() if forcing is None else forcing)
+
+    def next_row():  # past the last row it reads None, whose shape () is wrong
+        row = next(rows, None)
+        if np.shape(row) != u.shape:
+            raise ValueError("forcing must be sampled on t_grid with u0's field shape")
+        if not np.all(np.isfinite(row)):
+            raise ValueError("forcing contains non-finite samples")
+        return np.asarray(row, dtype=float)
+
     step = 0
-    f_next = None if forcing is None else np.asarray(forcing[0], dtype=float)
+    f_next = None if forcing is None else next_row()
     for i, (span, nsub) in enumerate(zip(spans, nsubs)):
         dt = span / nsub
         t = t_grid[i]
         f_bar = None
-        if forcing is not None:  # each row is read once: node i's is the last step's f_next
-            f_prev, f_next = f_next, np.asarray(forcing[i + 1], dtype=float)
+        if forcing is not None:  # node i's row is the last step's f_next
+            f_prev, f_next = f_next, next_row()
             f_bar = _THETA * f_next + (1.0 - _THETA) * f_prev
         g = 0.0 if guess is None else guess[i + 1]
         for _ in range(nsub):
@@ -347,6 +345,8 @@ def evolve(
             t = t_new
             history.append((t, u - g))
         out[i + 1] = u
+    if next(rows, None) is not None:
+        raise ValueError("forcing must be sampled on t_grid with u0's field shape")
     return out
 
 

@@ -153,7 +153,7 @@ class TestEvolve:
         forcing = np.zeros((2,) + u0.shape)
         forcing[1, 1, 4, 4] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2), forcing=forcing)
+            evolve(rough16, params, u0, [0.0, 0.01], StepperConfig(dt=1e-2), forcing=forcing)
 
     @staticmethod
     def _rows(fields):
@@ -182,12 +182,15 @@ class TestEvolve:
         u0 = random_band_field(grid, 1, 3, seed=3, ncomp=2)
         prof, fx = random_time_profile(t_grid, 5), random_band_field(grid, 1, 3, seed=4, ncomp=2)
         cfg = StepperConfig(dt=1e-2)
-        stacked = evolve(rough16, params, u0, t_grid, cfg, forcing=prof.reshape((-1, 1, 1, 1)) * fx)
+        stack = prof.reshape((-1, 1, 1, 1)) * fx
+        stacked = evolve(rough16, params, u0, t_grid, cfg, forcing=stack)
         separable = evolve(rough16, params, u0, t_grid, cfg, forcing=SeparableForcing(prof, fx))
         assert separable.tobytes() == stacked.tobytes()
+        generated = evolve(rough16, params, u0, t_grid, cfg, forcing=(row.copy() for row in stack))
+        assert generated.tobytes() == stacked.tobytes()
         rows = self._rows(SeparableForcing(prof, fx))
         assert evolve(rough16, params, u0, t_grid, cfg, forcing=rows).tobytes() == stacked.tobytes()
-        assert rows.reads == [2] * len(t_grid)  # once checked up front, once when the steps reach it
+        assert rows.reads == [1] * len(t_grid)  # checked as the steps reach it, and read no more
 
     def test_rejects_bad_forcing_rows(self, rough16, params):
         u0 = np.zeros((2,) + rough16.grid.shape)
@@ -195,13 +198,15 @@ class TestEvolve:
         shape_error = "forcing must be sampled on t_grid with u0's field shape"
         bad = np.full(u0.shape, np.nan)
         cases = {
-            shape_error: [[u0, u0], [u0, u0, u0[0]], [bad, u0, u0[0]]],  # every shape before any finiteness
-            "forcing contains non-finite samples": [[u0, u0, bad]],
+            shape_error: [[u0, u0], [u0, u0, u0[0]], [u0, u0, u0, u0]],  # too few, a bad shape, too many
+            "forcing contains non-finite samples": [[u0, u0, bad], [bad, u0, u0[0]]],  # each row as it is read
         }
         for message, sequences in cases.items():
             for rows in sequences:
                 with pytest.raises(ValueError, match=message):
                     evolve(rough16, params, u0, t_grid, cfg, forcing=self._rows(rows))
+                with pytest.raises(ValueError, match=message):
+                    evolve(rough16, params, u0, t_grid, cfg, forcing=(row for row in rows))
 
     @pytest.mark.parametrize("given", ["forcing", "guess"])
     def test_samples_need_one_step_per_interval(self, rough16, params, given):
