@@ -615,6 +615,53 @@ class TestPicard:
             ratios.append(diag.contraction_factors[0] / amp)
         assert max(ratios) / min(ratios) - 1.0 <= 0.10
 
+    def test_second_order_in_time(self):
+        # the fixed point is the nonlinear Crank-Nicolson scheme's, so u(T)
+        # converges as dt^2: on the standard blocks at N = 32, T = 1 and
+        # amplitude 1 (7 iterations), successive differences shrink 4.001x and
+        # 4.000x per halving of dt; steps that take the forcing at their end
+        # only (f_bar = f_next) read 3.52 and 2.94
+        finals = []
+        for dt in (0.05, 0.025, 0.0125, 0.00625):
+            plan = parse_flow({
+                **DEFAULT_FLOW_SCENARIO,
+                "grid": {"dim": 2, "N": 32, "extent": 8.0},
+                "u0": {**DEFAULT_FLOW_SCENARIO["u0"], "amplitude": 1.0},
+                "picard": {**DEFAULT_FLOW_SCENARIO["picard"], "T": 1.0, "dt": dt},
+            }, 0)
+            state, _ = picard_solve(plan["rho0"], plan["params"], plan["u0"], plan["T"], plan["pcfg"])
+            finals.append(state.u[-1])
+        grid = plan["rho0"].grid
+        diffs = [lp_norm(grid, a - b, 2) for a, b in zip(finals, finals[1:])]
+        for ratio in (a / b for a, b in zip(diffs, diffs[1:])):
+            assert abs(ratio - 4.0) <= 0.2
+
+    def test_memory_holds_two_trajectories(self, monkeypatch):
+        # the iterate and its successor: the forcing is formed node by node as
+        # evolve reads it, and the update overwrites the old iterate. From T =
+        # 0.5 to T = 2 (11 to 41 nodes) the peak grows by 2.66 trajectories of
+        # the added nodes; with a third trajectory (the forcing, then the
+        # update) it grew by 3.66
+        import tracemalloc
+
+        node_bytes = 2 * 16 * 16 * 8
+        monkeypatch.setattr(grid_module, "CHUNK_BYTES", 8 * node_bytes)
+        peaks = []
+        for T in (0.5, 0.5, 2.0):  # the first run fills the caches
+            plan = parse_flow({
+                **DEFAULT_FLOW_SCENARIO,
+                "grid": {"dim": 2, "N": 16, "extent": 8.0},
+                "picard": {**DEFAULT_FLOW_SCENARIO["picard"], "T": T, "dt": 0.05},
+            }, 0)
+            tracemalloc.start()
+            try:
+                picard_solve(plan["rho0"], plan["params"], plan["u0"], plan["T"], plan["pcfg"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[2] - peaks[1]) / (30 * node_bytes)
+        assert growth <= 3.0
+
     def test_nonconvergence_carries_history(self, params):
         grid = Grid(2, 32, 8.0)
         rho0 = Coefficient(grid, checkerboard_density(grid, 0.5, sharpness=2.0), 0.5)
