@@ -9,12 +9,14 @@ version.
 
 Exit codes: 0 success; 2 the config was rejected before --out was created,
 so nothing was written; 1 the run failed after that, and the manifest names
-the error.
+the error, with the exception's own fields (a failed Picard solve: its
+diagnostics).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -305,10 +307,11 @@ def main(argv=None) -> int:
     try:
         with scipy.fft.set_workers(args.threads or -1):
             summary = _PIPELINES[args.command](out, **plan)
-    except Exception as exc:
+    except Exception as exc:  # the exception's own fields go with it, a dataclass as its dict
+        fields = {k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for k, v in vars(exc).items()}
         manifest.update(
             status="numerical_failure",
-            error={"type": type(exc).__name__, "message": str(exc)},
+            error={**fields, "type": type(exc).__name__, "message": str(exc)},
             wall_time_s=time.time() - started,
         )
         write_manifest(out / "manifest.json", manifest)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,12 +10,12 @@ import pytest
 import scipy.fft
 
 from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports, heat_char_weighting, heat_profile
-from lamelab import cli
+from lamelab import cli, varcoef
 from lamelab.cli import main
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid, jacobian
 from lamelab.io import read_csv, read_field
-from lamelab.lagrangian import picard_solve
+from lamelab.lagrangian import PicardConvergenceError, picard_solve
 from lamelab.maxreg import DegenerateProbeError
 from lamelab.operators import LameParams, ScaledLaplacian
 from lamelab.scenarios import parse_flow, parse_maxreg
@@ -505,6 +506,55 @@ class TestRunFailureWritesManifest:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["status"] == "numerical_failure"
         assert manifest["error"] == {"type": "ValueError", "message": "disk says no"}
+
+    # a rough density and a band u0 too large for the fixed point: amplitude 2
+    # contracts too slowly for 5 iterations, amplitude 20 folds the flow map
+    FLOW = {
+        "grid": {"dim": 2, "N": 16, "extent": 8.0},
+        "lame": LAME,
+        "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+        "picard": {"T": 1.0, "dt": 0.1, "max_iters": 5},
+    }
+
+    def _failed_run(self, command, cfg, tmp_path, outdir):
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run_cli([command, "--config", path, "--out", outdir]) == 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["status"] == "numerical_failure"
+        return manifest["error"]
+
+    def test_picard_failure_records_its_diagnostics(self, tmp_path, outdir):
+        cfg = {**self.FLOW, "u0": {"kind": "band", "seed": 1, "amplitude": 2.0, "kmin": 1, "kmax": 3}}
+        error = self._failed_run("flow", cfg, tmp_path, outdir)
+        plan = parse_flow(cfg, 0)
+        with pytest.raises(PicardConvergenceError) as raised:
+            picard_solve(plan["rho0"], plan["params"], plan["u0"], plan["T"], plan["pcfg"])
+        diag = error.pop("diagnostics")
+        assert error == {"type": "PicardConvergenceError", "message": str(raised.value)}
+        assert diag == dataclasses.asdict(raised.value.diagnostics)
+        deltas, factors = diag["delta_norms"], diag["contraction_factors"]
+        assert (len(deltas), len(factors), len(diag["iterate_norms"])) == (5, 4, 6)
+        assert factors == [b / a for a, b in zip(deltas, deltas[1:])]
+
+    def test_lost_diffeomorphism_records_its_node(self, tmp_path, outdir):
+        # raised while evolve reads the forcing, whose rows are formed node by node
+        cfg = {**self.FLOW, "u0": {"kind": "band", "seed": 1, "amplitude": 20.0, "kmin": 1, "kmax": 3}}
+        error = self._failed_run("flow", cfg, tmp_path, outdir)
+        value = error.pop("value")
+        assert value <= 0.0
+        assert error == {
+            "type": "DiffeomorphismError",
+            "message": f"det DX = {value:.3e} <= 0 at t index 10, node (6, 6)",
+            "t_index": 10,
+            "node": [6, 6],
+        }
+
+    def test_stalled_solver_records_step_time_and_residual(self, tmp_path, outdir, monkeypatch):
+        monkeypatch.setattr(varcoef, "_CG_MAXITER", 1)
+        error = self._failed_run("oracle", self.CASES["oracle"], tmp_path, outdir)
+        assert error["type"] == "SolverConvergenceError"
+        assert (error["step"], error["time"]) == (1, pytest.approx(1e-3, rel=1e-12))
+        assert error["residual"] > 0.0 and f"{error['residual']:.3e}" in error["message"]
 
 
 class TestDeterminism:
