@@ -35,7 +35,7 @@ from .besov import (
     heat_profile,
 )
 from .grid import lp_norm
-from .fields import SeparableForcing, random_band_field, random_time_profile
+from .fields import random_band_field, random_time_profile
 from .io import write_csv, write_field, write_manifest, write_plotdata
 from .kernels import (
     conservation_defect,
@@ -157,11 +157,11 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
     grid = coef.grid
     t_grid = time_grid(T, stepper.dt)
 
-    def one_probe(i):  # its forcing's rows are formed as the solve reads them, never held as a stack
+    def one_probe(i):  # the forcing phi(t) g(x) goes in as its two factors, never as a stack of rows
         u0 = random_band_field(grid, *band, base + 2 * i, ncomp=grid.dim)
         fx = random_band_field(grid, *band, base + 2 * i + 1, ncomp=grid.dim)
-        forcing = SeparableForcing(random_time_profile(t_grid, base + 31 * i), fx)
-        return solve_linear_maxreg(coef, params, u0, forcing, idx, t_grid, stepper)
+        phi = random_time_profile(t_grid, base + 31 * i)
+        return solve_linear_maxreg(coef, params, u0, phi, fx, idx, t_grid, stepper)
 
     reports = [one_probe(i) for i in range(count)]
     rows = [

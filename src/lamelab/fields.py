@@ -8,8 +8,6 @@ one function on two grids instead of two unrelated draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Grid, ifftn
@@ -119,24 +117,6 @@ def random_time_profile(t_grid: np.ndarray, seed: int) -> np.ndarray:
     return a * np.cos(np.pi * tau) + b * np.sin(2.0 * np.pi * tau) + 0.5 * c
 
 
-@dataclass(frozen=True, eq=False)
-class SeparableForcing:
-    """The probe forcing phi(t_i) g(x) on a time grid, as a sequence of its
-    rows (varcoef.evolve's forcing): profile holds phi at the nodes, field g.
-    Indexing forms just the rows asked for, an integer one row and a slice a
-    stack of them, each the product of np.multiply.outer(profile, field),
-    bit for bit, so that the whole (nodes, *field.shape) stack is never held."""
-
-    profile: np.ndarray
-    field: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.profile)
-
-    def __getitem__(self, nodes) -> np.ndarray:
-        return np.multiply.outer(self.profile[nodes], self.field)
-
-
 __all__ = [
     "band_modes",
     "random_band_field",
@@ -144,5 +124,4 @@ __all__ = [
     "checkerboard_density",
     "trig_density",
     "random_time_profile",
-    "SeparableForcing",
 ]

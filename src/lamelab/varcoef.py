@@ -282,10 +282,10 @@ def evolve(
     Forcing (each step takes the mean of its ends) and guess (a trajectory
     such as the previous iterate of a fixed point; zero without it) are
     sampled on t_grid, so they need one step per interval, as on time_grid's
-    nodes. Forcing is any iterable of len(t_grid) fields (an ndarray,
-    fields.SeparableForcing, a generator), read once, in order, as the steps
-    reach each node; a row's shape and finiteness are checked as it is read,
-    and the row count when the rows or the steps run out. Each step's CG
+    nodes. Forcing is any iterable of len(t_grid) fields (an ndarray, a
+    generator), read once, in order, as the steps reach each node; a row's
+    shape and finiteness are checked as it is read, and the row count when
+    the rows or the steps run out. Each step's CG
     starts from the guess at the new time plus the polynomial extrapolation,
     in time, of the departures u - guess of the last _PREDICTOR_ORDER + 1
     step states (fewer at the start: the first step starts from the guess

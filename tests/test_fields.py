@@ -3,12 +3,10 @@ import pytest
 import scipy.fft
 
 from lamelab.fields import (
-    SeparableForcing,
     band_modes,
     checkerboard_density,
     delta_field,
     random_band_field,
-    random_time_profile,
     trig_density,
 )
 from lamelab.fields import _mode_list
@@ -125,16 +123,3 @@ class TestSimpleFields:
         u = gaussian_bump(grid64, 0.5, center=(1.0, -2.0), amplitude=3.0)
         idx = tuple(int(round((c + 8.0) / grid64.spacing)) for c in (1.0, -2.0))
         assert u[idx] == pytest.approx(3.0)
-
-
-class TestSeparableForcing:
-    def test_rows_are_the_stacked_product(self, grid32):
-        prof = random_time_profile(np.linspace(0.0, 1.0, 11), 3)
-        fx = random_band_field(grid32, 1, 4, seed=2, ncomp=2)
-        stack = prof.reshape((-1,) + (1,) * fx.ndim) * fx
-        forcing = SeparableForcing(prof, fx)
-        assert len(forcing) == len(stack)
-        for i in range(len(stack)):
-            assert forcing[i].tobytes() == stack[i].tobytes()
-        for nodes in (slice(0, 4), slice(4, 11), slice(10, 11)):
-            assert forcing[nodes].tobytes() == stack[nodes].tobytes()

@@ -4,7 +4,7 @@ import pytest
 from lamelab import grid as grid_module
 from lamelab.besov import BesovIndex, besov_norm_report, besov_norm_reports
 from lamelab.cli import run_maxreg
-from lamelab.fields import SeparableForcing, checkerboard_density, random_band_field, random_time_profile
+from lamelab.fields import checkerboard_density, random_band_field, random_time_profile
 from lamelab.grid import Grid, chunks
 from lamelab.maxreg import (
     DegenerateProbeError,
@@ -30,8 +30,8 @@ L2_SPACE = BesovIndex(0.0, 2.0)  # n/p - 1 = 0 at p = 2 in 2D
 
 
 def no_forcing(u0, t_grid):
-    """Zero forcing sampled on the run's time grid."""
-    return np.zeros((len(t_grid),) + u0.shape)
+    """Zero forcing on the run's time grid, as its profile and field."""
+    return np.zeros(len(t_grid)), np.zeros_like(u0)
 
 
 class TestSolveLinear:
@@ -39,7 +39,7 @@ class TestSolveLinear:
         coef = Coefficient.constant(grid32, 1.0)
         u0 = np.zeros((2,) + grid32.shape)
         t_grid = time_grid(1.0, 0.05)
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.05))
+        rep = solve_linear_maxreg(coef, params, u0, *no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.05))
         assert rep.ratio == 0.0
         assert rep.sup_norm == rep.dt_norm == rep.op_norm == 0.0
 
@@ -50,7 +50,7 @@ class TestSolveLinear:
         coef = Coefficient.constant(grid32, 1.0)
         u0 = hodge_project(grid32, random_band_field(grid32, 2, 3, seed=1, ncomp=2), "P")
         t_grid = time_grid(4.0, 0.01)
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
+        rep = solve_linear_maxreg(coef, params, u0, *no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
         assert rep.ratio <= 3.0
         assert rep.forcing_norm == 0.0
 
@@ -61,7 +61,7 @@ class TestSolveLinear:
         u0 = random_band_field(grid32, 2, 4, seed=2, ncomp=2)
         idx, T, dt = BesovIndex(0.0, 2.0), 2.0, 0.005
         nodes = time_grid(T, dt)
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, nodes), idx, nodes, StepperConfig(dt=dt))
+        rep = solve_linear_maxreg(coef, params, u0, *no_forcing(u0, nodes), idx, nodes, StepperConfig(dt=dt))
 
         traj = np.stack([const_semigroup(grid32, u0, t, params) for t in nodes])
         bes = lambda u: besov_norm_report(grid32, u, idx).value
@@ -79,45 +79,38 @@ class TestSolveLinear:
         T, dt = 10.0, 1e-3
         coef = Coefficient.constant(grid, 1.0)
         t_grid = time_grid(T, dt)
-        rep = solve_linear_maxreg(coef, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=dt))
+        rep = solve_linear_maxreg(coef, params, u0, *no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=dt))
         assert np.isfinite(rep.ratio)
 
     def test_rough_density_ratio_finite(self, rough32, params):
         u0 = random_band_field(rough32.grid, 1, 4, seed=3, ncomp=2)
         t_grid = time_grid(2.0, 0.01)
-        rep = solve_linear_maxreg(rough32, params, u0, no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
+        rep = solve_linear_maxreg(rough32, params, u0, *no_forcing(u0, t_grid), L2_SPACE, t_grid, StepperConfig(dt=0.01))
         assert np.isfinite(rep.ratio)
         assert rep.ratio > 0
 
-
-    def test_chunked_forcing_norms_match_whole_stack(self, rough32, params, monkeypatch):
+    @pytest.mark.parametrize("idx", [L2_SPACE, BesovIndex(2.0 / 3.0 - 1.0, 3.0)], ids=["p2", "p3"])
+    def test_factored_forcing_matches_stacked_run(self, rough32, params, idx):
         grid = rough32.grid
-        t_grid, cfg = time_grid(0.1, 0.01), StepperConfig(dt=0.01)  # 11 nodes
-        u0 = random_band_field(grid, 1, 4, seed=3, ncomp=2)
-        prof, fx = random_time_profile(t_grid, 7), random_band_field(grid, 1, 4, seed=8, ncomp=2)
-        monkeypatch.setattr(grid_module, "CHUNK_BYTES", 4 * u0.nbytes)
-        assert [n.stop - n.start for n in chunks(len(t_grid), u0.nbytes)] == [4, 4, 3]
+        t_grid, cfg = time_grid(0.1, 0.01), StepperConfig(dt=0.01)
+        # g's lowest band leaks, u0's does not: the forcing's leakage is the largest
+        u0 = random_band_field(grid, 3, 4, seed=3, ncomp=2)
+        prof, fx = random_time_profile(t_grid, 7), random_band_field(grid, 1, 1.5, seed=8, ncomp=2)
+        rep = solve_linear_maxreg(rough32, params, u0, prof, fx, idx, t_grid, cfg)
 
-        read = []
-
-        class Recorded(SeparableForcing):
-            def __getitem__(self, nodes):
-                read.append(nodes)
-                return super().__getitem__(nodes)
-
-        rep = solve_linear_maxreg(rough32, params, u0, Recorded(prof, fx), L2_SPACE, t_grid, cfg)
-        assert [n for n in read if isinstance(n, slice)] == [slice(0, 4), slice(4, 8), slice(8, 11)]
-
-        # the whole-stack reference: the forcing's norms from one besov_norm_reports pass
-        stack = prof.reshape((-1, 1, 1, 1)) * fx
+        # the stacked reference: the whole forcing stack, its norm the trapezoid of per-node norms
+        stack = prof[:, None, None, None] * fx
         dt = t_grid[1] - t_grid[0]
-        out = solution_norms(grid, evolve(rough32, params, u0, t_grid, cfg, forcing=stack), dt, params, L2_SPACE)
-        u0_rep = besov_norm_report(grid, u0, L2_SPACE)
-        f_reps = besov_norm_reports(grid, stack, L2_SPACE)
+        out = solution_norms(grid, evolve(rough32, params, u0, t_grid, cfg, forcing=stack), dt, params, idx)
+        assert (rep.sup_norm, rep.dt_norm, rep.op_norm) == (out.sup_norm, out.dt_norm, out.op_norm)
+        f_reps = besov_norm_reports(grid, stack, idx)
         f_l1 = float(np.trapezoid([r.value for r in f_reps], dx=dt))
-        assert rep.forcing_norm == f_l1 > 0.0
-        assert rep.max_leakage == max([out.max_leakage, u0_rep.leakage] + [r.leakage for r in f_reps])
-        assert rep.ratio == out.total / (u0_rep.value + f_l1)
+        assert f_l1 > 0.0 and rep.forcing_norm == pytest.approx(f_l1, rel=1e-13, abs=0.0)
+        u0_rep = besov_norm_report(grid, u0, idx)
+        leak = max(r.leakage for r in f_reps)
+        assert leak > max(out.max_leakage, u0_rep.leakage)
+        assert rep.max_leakage == pytest.approx(leak, rel=1e-13, abs=0.0)
+        assert rep.ratio == pytest.approx(out.total / (u0_rep.value + f_l1), rel=1e-13, abs=0.0)
 
     def test_probe_memory_does_not_grow_with_horizon(self, tmp_path, monkeypatch):
         # a probe holds its trajectory and one chunk of nodes, not a forcing stack

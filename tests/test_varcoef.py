@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lamelab.besov import extended_time_nodes
-from lamelab.fields import SeparableForcing, checkerboard_density, random_band_field, random_time_profile, trig_density
+from lamelab.fields import checkerboard_density, random_band_field, random_time_profile, trig_density
 from lamelab.grid import Grid, fftn, ifftn, integral, lp_norm
 from lamelab.operators import LameParams, _symbol_matrix, const_semigroup, lame_apply
 from lamelab.varcoef import (
@@ -184,11 +184,11 @@ class TestEvolve:
         cfg = StepperConfig(dt=1e-2)
         stack = prof.reshape((-1, 1, 1, 1)) * fx
         stacked = evolve(rough16, params, u0, t_grid, cfg, forcing=stack)
-        separable = evolve(rough16, params, u0, t_grid, cfg, forcing=SeparableForcing(prof, fx))
-        assert separable.tobytes() == stacked.tobytes()
+        factored = evolve(rough16, params, u0, t_grid, cfg, forcing=(phi * fx for phi in prof))
+        assert factored.tobytes() == stacked.tobytes()  # solve_linear_maxreg's rows
         generated = evolve(rough16, params, u0, t_grid, cfg, forcing=(row.copy() for row in stack))
         assert generated.tobytes() == stacked.tobytes()
-        rows = self._rows(SeparableForcing(prof, fx))
+        rows = self._rows(stack)
         assert evolve(rough16, params, u0, t_grid, cfg, forcing=rows).tobytes() == stacked.tobytes()
         assert rows.reads == [1] * len(t_grid)  # checked as the steps reach it, and read no more
 
