@@ -45,7 +45,7 @@ from .kernels import (
     kernel_column,
     symmetry_defect,
 )
-from .lagrangian import eulerian_reference_solve, flow_diagnostics, picard_solve
+from .lagrangian import PicardConvergenceError, eulerian_reference_solve, flow_diagnostics, picard_solve
 from .maxreg import norm_equiv_ratio, solve_linear_maxreg
 from .operators import ScaledLaplacian
 from .scenarios import (
@@ -188,14 +188,22 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
     return summary
 
 
+def _write_iterations(path: Path, diag) -> None:
+    rows = [
+        (k + 1, norm, delta, diag.contraction_factors[k - 1] if k >= 1 else "")
+        for k, (norm, delta) in enumerate(zip(diag.iterate_norms, diag.delta_norms))
+    ]
+    write_csv(path, ["k", "solution_norm", "update_norm", "contraction_factor"], rows)
+
+
 def run_flow(out: Path, *, rho0, params, u0, T, pcfg, cross_validate) -> dict:
     grid = rho0.grid
-    state, diag = picard_solve(rho0, params, u0, T, pcfg)
-    iter_rows = []
-    for k, delta in enumerate(diag.delta_norms):
-        factor = diag.contraction_factors[k - 1] if k >= 1 else ""
-        iter_rows.append((k + 1, diag.iterate_norms[k + 1], delta, factor))
-    write_csv(out / "iterations.csv", ["k", "solution_norm", "update_norm", "contraction_factor"], iter_rows)
+    try:
+        state, diag = picard_solve(rho0, params, u0, T, pcfg)
+    except PicardConvergenceError as err:  # a failed solve keeps its iterations on disk
+        _write_iterations(out / "iterations.csv", err.diagnostics)
+        raise
+    _write_iterations(out / "iterations.csv", diag)
 
     flow = flow_diagnostics(state, pcfg.p)
     diag_rows = [

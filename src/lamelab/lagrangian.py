@@ -229,10 +229,15 @@ class PicardConfig:
 
 @dataclass
 class PicardDiagnostics:
+    """A Picard solve's record, one entry per forced iteration k: the
+    solution norm of the iterate it made, the norm of its update over the
+    previous iterate, and from the second iteration on the update's ratio
+    to the last. The unforced first iterate is made but not measured."""
+
     u0_norm: float
     stop_tol: float
     smallness_ok: bool
-    iterate_norms: list = field(default_factory=list)  # solution norm per iterate
+    iterate_norms: list = field(default_factory=list)
     delta_norms: list = field(default_factory=list)
     contraction_factors: list = field(default_factory=list)
 
@@ -268,7 +273,6 @@ def picard_solve(
         return LagrangianState(grid, params, rho0, t_grid, u_traj)
 
     u_traj = evolve(rho0, params, u0, t_grid, cfg.stepper)
-    diag.iterate_norms.append(solution_norms(grid, u_traj, t_grid[1], params, idx).total)
     if u0_norm == 0.0:
         return to_state(u_traj), diag
 

@@ -533,8 +533,15 @@ class TestRunFailureWritesManifest:
         assert error == {"type": "PicardConvergenceError", "message": str(raised.value)}
         assert diag == dataclasses.asdict(raised.value.diagnostics)
         deltas, factors = diag["delta_norms"], diag["contraction_factors"]
-        assert (len(deltas), len(factors), len(diag["iterate_norms"])) == (5, 4, 6)
+        assert (len(deltas), len(factors), len(diag["iterate_norms"])) == (5, 4, 5)
         assert factors == [b / a for a, b in zip(deltas, deltas[1:])]
+        # the iterations up to the failure are on disk, as a converged run writes them
+        header, rows = read_csv(outdir / "iterations.csv")
+        assert header == ["k", "solution_norm", "update_norm", "contraction_factor"]
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+        assert [float(r[1]) for r in rows] == diag["iterate_norms"]
+        assert [float(r[2]) for r in rows] == deltas
+        assert [r[3] for r in rows[:1]] == [""] and [float(r[3]) for r in rows[1:]] == factors
 
     def test_lost_diffeomorphism_records_its_node(self, tmp_path, outdir):
         # raised while evolve reads the forcing, whose rows are formed node by node
