@@ -7,10 +7,12 @@ module-level constant is read in src/, so none is kept there for tests. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
 stated once, in grid.py, and grid.py alone calls a Fourier transform. Every
 imported name is used where it is imported, and is imported from the module
-that defines it. The flow, norm, interpolation and stepping functions whose
-spans the benchmark's tracer reads exist, and do their work when called."""
+that defines it; every name in an __all__ is bound in its module. The flow,
+norm, interpolation and stepping functions whose spans the benchmark's tracer
+reads exist, and do their work when called."""
 
 import ast
+import importlib
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -134,6 +136,15 @@ def test_every_import_is_used():
                 names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{path.parent.name}/{path.name}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_every_export_is_bound():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("lamelab" if path.stem == "__init__" else f"lamelab.{path.stem}")
+        stale += [f"{path.name}: {name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == []
 
 
 def test_names_are_imported_from_their_definer():
