@@ -7,9 +7,10 @@ the first or last resolvable block is flagged (the grid cannot certify it).
 
 Each norm is a weighting of a profile that does not depend on s: the block
 norms ||block_j u||_p (besov_level_norms) weighted by 2^(j*s)
-(besov_weighting), and the semigroup profile ||(tG)^k e^{tG} u||_p at the time
-nodes (heat_profile) weighted by t^(-s/2) (heat_char_weighting). A caller
-that needs several s takes each profile once.
+(besov_weighting), and the semigroup profile ||tG e^{tG} u||_p at the time
+nodes (heat_profile) weighted by t^(-s/2) and integrated in L^1(dt/t)
+(heat_char_weighting). Both sit at the third index 1 of B^s_{p,1}, in
+frequency and in time. A caller that needs several s takes each profile once.
 
 Blocks live on the half spectrum of the real FFT (grid.fftn/ifftn), like every
 other spectral operation. The masks depend on |xi| only, so they are even and
@@ -41,7 +42,7 @@ class BesovIndex:
         if not (1.0 <= self.p):
             raise ValueError(f"p must be in [1, inf], got {self.p}")
         if not abs(self.s) < 2.0:  # NaN too
-            raise ValueError(f"|s| must be < 2 for the k <= 1 heat characterizations, got {self.s}")
+            raise ValueError(f"|s| must be < 2 for the k = 1 heat characterization, got {self.s}")
 
 
 def _smooth_cutoff(r: np.ndarray) -> np.ndarray:
@@ -153,13 +154,11 @@ def _geometric_nodes(t_lo: float, t_hi: float) -> np.ndarray:
     return t_lo * 2.0 ** (0.5 * np.arange(count))
 
 
-def geometric_lq(g: np.ndarray, q: float, tail: float = 0.0) -> float:
-    """|| g ||_{L^q(dt/t)} of a weighted profile g sampled on _geometric_nodes
+def geometric_l1(g: np.ndarray, tail: float = 0.0) -> float:
+    """|| g ||_{L^1(dt/t)} of a weighted profile g sampled on _geometric_nodes
     (ratio sqrt 2, so each node stands for dt/t = log(2)/2); tail is a known
-    part of the integral of g^q dt/t that the nodes do not cover."""
-    if np.isinf(q):
-        return float(np.max(g))
-    return float((0.5 * math.log(2.0) * np.sum(g**q) + tail) ** (1.0 / q))
+    part of the integral that the nodes do not cover."""
+    return float(0.5 * math.log(2.0) * np.sum(g) + tail)
 
 
 def heat_time_nodes(grid: Grid, gen: Generator) -> np.ndarray:
@@ -188,26 +187,25 @@ def extended_time_nodes(grid: Grid, gen: Generator, above: float = 1.0) -> np.nd
     return _geometric_nodes(base[0] / 256.0, base[-1] * above)
 
 
-def heat_profile(grid: Grid, u: np.ndarray, p: float, k: int, gen: Generator) -> tuple:
-    """Quadrature nodes and ||(tG)^k e^{tG} u||_p at each node (free of s).
+def heat_profile(grid: Grid, u: np.ndarray, p: float, gen: Generator) -> tuple:
+    """Quadrature nodes and ||tG e^{tG} u||_p at each node (free of s).
 
     The nodes are extended_time_nodes(grid, gen), which says why they reach
     below the resolvable range.
     """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got k={k}")
     nodes = extended_time_nodes(grid, gen)
     spec = _spectral(grid, mean_free(grid, u), gen)
-    profile = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, k)), p) for t in nodes])
+    profile = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, 1)), p) for t in nodes])
     return nodes, profile
 
 
-def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float, q: float) -> NormReport:
-    """Weight a heat_profile by t^(-s/2) and take its L^q(dt/t) quadrature,
-    || t^{-s/2} ||(tG)^k e^{tG} u||_p ||_{L^q(dt/t)}: a Besov-equivalent norm
-    for k > s/2 and q > 0, exponentially accurate on geometric nodes for these
-    log-smooth integrands. per_level holds the weighted profile at each node."""
+def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float) -> NormReport:
+    """Weight a heat_profile by t^(-s/2) and take its L^1(dt/t) quadrature,
+    || t^{-s/2} ||tG e^{tG} u||_p ||_{L^1(dt/t)}: equivalent to the B^s_{p,1}
+    norm for s < 2 (Bahouri-Chemin-Danchin 2011, Thm 2.34), exponentially
+    accurate on geometric nodes for these log-smooth integrands. per_level
+    holds the weighted profile at each node."""
     g = np.array([t ** (-s / 2.0) * v for t, v in zip(nodes, profile)])
     total = float(np.sum(g))
     leakage = (g[0] + g[-1]) / total if total > 0 else 0.0
-    return NormReport(geometric_lq(g, q), float(leakage), tuple(g))
+    return NormReport(geometric_l1(g), float(leakage), tuple(g))

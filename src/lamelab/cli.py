@@ -120,7 +120,7 @@ def run_kernel(out: Path, *, coef, params, stepper, times, sources, presmooth, g
     return summary
 
 
-def run_besov(out: Path, *, grid, params, band, count, base, p, q, k, indices) -> dict:
+def run_besov(out: Path, *, grid, params, band, count, base, p, indices) -> dict:
     part = default_partition(grid)
     gens = (("laplacian", ScaledLaplacian(1.0)), ("lame", params))
 
@@ -130,7 +130,7 @@ def run_besov(out: Path, *, grid, params, band, count, base, p, q, k, indices) -
         u = random_band_field(grid, *band, base + i, ncomp=grid.dim)
         levels.append(besov_level_norms(grid, u[None], p)[0])
         for gname, gen in gens:
-            profiles[gname, i] = heat_profile(grid, u, p, k, gen)
+            profiles[gname, i] = heat_profile(grid, u, p, gen)
     nz = grid.rfreq_sq > 0
     punity = float(np.max(np.abs(sum(part.masks)[nz] - 1.0)))
 
@@ -142,7 +142,7 @@ def run_besov(out: Path, *, grid, params, band, count, base, p, q, k, indices) -
             ratios = []
             for i in range(count):
                 brep = besov_weighting(part, levels[i], idx)
-                hrep = heat_char_weighting(*profiles[gname, i], s, q)
+                hrep = heat_char_weighting(*profiles[gname, i], s)
                 ratio = hrep.value / brep.value
                 ratios.append(ratio)
                 rows.append((f"heat_over_lp_{gname}_{i}", s, p, 1.0, ratio, max(brep.leakage, hrep.leakage)))
@@ -178,11 +178,11 @@ def run_maxreg(out: Path, *, coef, params, stepper, idx, T, band, count, base, n
 
     summary = {"max_ratio": max_ratio}
     if norm_equiv is not None:
-        s_eq, q_eq, n_eq = norm_equiv
+        s_eq, n_eq = norm_equiv
         ratios = []
         for i in range(n_eq):
             x = random_band_field(grid, *band, base + 1000 + i, ncomp=grid.dim)
-            ratios.append(norm_equiv_ratio(coef, params, x, s_eq, q_eq))
+            ratios.append(norm_equiv_ratio(coef, params, x, s_eq))
         write_csv(out / "norm_equiv.csv", ["probe", "ratio"], list(enumerate(ratios)))
         summary["norm_equiv_K"] = max(max(ratios), 1.0 / min(ratios))
     return summary

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_lq
+from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_l1
 from .grid import chunks, lp_norm
 from .operators import LameParams, _apply, _heat, _spectral, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve, semigroup
@@ -133,28 +133,21 @@ def solve_linear_maxreg(
     )
 
 
-def _weighted_lq(values: np.ndarray, t_nodes: np.ndarray, s: float, q: float, value_at_zero: float) -> float:
-    """|| t^s g ||_{L^q(dt/t)} by geometric_lq on the nodes of extended_time_nodes.
+def _weighted_l1(values: np.ndarray, t_nodes: np.ndarray, s: float, value_at_zero: float) -> float:
+    """|| t^s g ||_{L^1(dt/t)} by geometric_l1 on the nodes of extended_time_nodes.
 
     value_at_zero = g(0+) supplies the analytic t -> 0 tail
-    int_0^{t_0} (t^s g(0))^q dt/t of a profile with g(0+) finite, which the
-    truncated node sum would otherwise drop (the integrand is edge-heavy for
-    s in (0, 1))."""
+    int_0^{t_0} t^s g(0) dt/t = t_0^s g(0) / s of a profile with g(0+)
+    finite, which the truncated node sum would otherwise drop (the integrand
+    is edge-heavy for s in (0, 1))."""
     t_cut = t_nodes[0] * 2.0 ** (-0.25)  # lower edge of the first node's cell
-    tail = 0.0 if np.isinf(q) else t_cut ** (s * q) * value_at_zero**q / (s * q)
-    return geometric_lq(t_nodes**s * values, q, tail=tail)
+    return geometric_l1(t_nodes**s * values, tail=t_cut**s * value_at_zero / s)
 
 
-def norm_equiv_ratio(
-    coef: Coefficient,
-    params: LameParams,
-    x: np.ndarray,
-    s: float,
-    q: float,
-) -> float:
+def norm_equiv_ratio(coef: Coefficient, params: LameParams, x: np.ndarray, s: float) -> float:
     """Ratio of semigroup-profile norms: rough flow of x over heat flow of rho*x.
 
-    Numerator: || t^s ||e^{t b L} x||_2 ||_{L^q(dt/t)}, the semigroup taken at
+    Numerator: || t^s ||e^{t b L} x||_2 ||_{L^1(dt/t)}, the semigroup taken at
     the nodes by varcoef.semigroup. Denominator: same weight on
     ||e^{t L}(rho x)||_2, evaluated exactly per frequency. Both sides share the
     quadrature nodes, so the ratio is 1 to the Krylov tolerance when rho is
@@ -169,8 +162,8 @@ def norm_equiv_ratio(
     num_vals = np.array([lp_norm(grid, u, 2) for u in semigroup(coef, params, x, nodes)])
     spec = _spectral(grid, coef.rho * x, params)
     den_vals = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, 0)), 2) for t in nodes])
-    num = _weighted_lq(num_vals, nodes, s, q, value_at_zero=lp_norm(grid, x, 2))
-    den = _weighted_lq(den_vals, nodes, s, q, value_at_zero=lp_norm(grid, coef.rho * x, 2))
+    num = _weighted_l1(num_vals, nodes, s, value_at_zero=lp_norm(grid, x, 2))
+    den = _weighted_l1(den_vals, nodes, s, value_at_zero=lp_norm(grid, coef.rho * x, 2))
     if den == 0.0:
         raise DegenerateProbeError("degenerate probe: constant-coefficient profile vanished")
     return num / den

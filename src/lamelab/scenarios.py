@@ -228,7 +228,7 @@ def parse_kernel(cfg: dict, seed: int) -> dict:
 
 
 def parse_besov(cfg: dict, seed: int) -> dict:
-    _known(cfg, "besov", ("grid", "lame", "fields", "p", "s_list", "q", "k"))
+    _known(cfg, "besov", ("grid", "lame", "fields", "p", "s_list"))
     grid = build_grid(_require(cfg, "grid", "top-level"))
     params = build_lame(_require(cfg, "lame", "top-level"))
     fcfg = _known(_block(cfg, "fields", {}), "fields", ("count", "kmin", "kmax", "seed"))
@@ -237,15 +237,9 @@ def parse_besov(cfg: dict, seed: int) -> dict:
     base = _integer(fcfg.get("seed", seed), "fields.seed", 0)
     p = _integrability(cfg.get("p", 2.0))
     s_list = _reals(cfg.get("s_list", [0.5, -0.5, grid.dim / p - 1.0]), "s_list")
-    q = _real(cfg.get("q", 1.0), "q")
-    k = _integer(cfg.get("k", 1), "k", 0)
-    if not q > 0:
-        raise ConfigError(f"besov needs q > 0, got {q}")
     indices = [BesovIndex(s, p) for s in s_list]
-    if not all(k > idx.s / 2.0 for idx in indices):
-        raise ConfigError(f"the heat characterization needs k > s/2, got k={k}, s_list={s_list}")
     band_modes(grid, *band)
-    return dict(grid=grid, params=params, band=band, count=count, base=base, p=p, q=q, k=k, indices=indices)
+    return dict(grid=grid, params=params, band=band, count=count, base=base, p=p, indices=indices)
 
 
 def parse_maxreg(cfg: dict, seed: int) -> dict:
@@ -262,13 +256,13 @@ def parse_maxreg(cfg: dict, seed: int) -> dict:
     time_steps(T, stepper.dt)  # the solve's nodes: T a finite time > 0, T/dt a finite count
     band_modes(grid, *band)
     norm_equiv = None
-    ncfg = _known(_switch(cfg, "norm_equiv"), "norm_equiv", ("s", "q", "count"))
+    ncfg = _known(_switch(cfg, "norm_equiv"), "norm_equiv", ("s", "count"))
     if ncfg:
-        s_eq, q_eq = _real(ncfg.get("s", 0.5), "norm_equiv.s"), _real(ncfg.get("q", 1.0), "norm_equiv.q")
+        s_eq = _real(ncfg.get("s", 0.5), "norm_equiv.s")
         n_eq = _integer(ncfg.get("count", 5), "norm_equiv.count", 1)
-        if not (0.0 < s_eq < 1.0 and q_eq > 0.0):
-            raise ConfigError(f"norm_equiv needs s in (0, 1) and q > 0, got {s_eq}, {q_eq}")
-        norm_equiv = (s_eq, q_eq, n_eq)
+        if not 0.0 < s_eq < 1.0:
+            raise ConfigError(f"norm_equiv needs s in (0, 1), got {s_eq}")
+        norm_equiv = (s_eq, n_eq)
     return dict(coef=coef, params=params, stepper=stepper, idx=idx, T=T, band=band, count=count, base=base,
                 norm_equiv=norm_equiv)
 

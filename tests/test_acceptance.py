@@ -217,7 +217,7 @@ def test_criterion_6_besov_machinery(params):
                 ratios = []
                 for u in fields[grid]:
                     b = besov_norm_report(grid, u, BesovIndex(s, 2.0)).value
-                    h = heat_char_weighting(*heat_profile(grid, u, 2.0, 1, gen), s, 1.0).value
+                    h = heat_char_weighting(*heat_profile(grid, u, 2.0, gen), s).value
                     ratios.append(h / b)
                 kk.append(max(max(ratios), 1.0 / min(ratios)))
             drift[(s, gname)] = abs(kk[1] - kk[0]) / kk[0]
@@ -234,7 +234,7 @@ def test_criterion_7_norm_equivalence(params):
     grid32 = Grid(2, 32, 16.0)
     unit = Coefficient.constant(grid32, 1.0)
     unit_ratios = [
-        norm_equiv_ratio(unit, params, random_band_field(grid32, 1, 4, seed=s, ncomp=2), 0.5, 1.0)
+        norm_equiv_ratio(unit, params, random_band_field(grid32, 1, 4, seed=s, ncomp=2), 0.5)
         for s in range(3)
     ]
     unit_err = max(abs(r - 1.0) for r in unit_ratios)
@@ -244,7 +244,7 @@ def test_criterion_7_norm_equivalence(params):
         grid = Grid(2, n, 16.0)
         coef = Coefficient(grid, checkerboard_density(grid, 0.5, sharpness=2.0), 0.5)
         ratios = [
-            norm_equiv_ratio(coef, params, random_band_field(grid, 1, 4, seed=200 + s, ncomp=2), 0.5, 1.0)
+            norm_equiv_ratio(coef, params, random_band_field(grid, 1, 4, seed=200 + s, ncomp=2), 0.5)
             for s in range(20)
         ]
         kk.append(max(max(ratios), 1.0 / min(ratios)))

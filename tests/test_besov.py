@@ -209,47 +209,44 @@ class TestStackedLevelNorms:
 class TestHeatCharacterization:
     def test_zero_field(self, grid64, params):
         v = np.zeros((2,) + grid64.shape)
-        assert heat_char_weighting(*heat_profile(grid64, v, 2.0, 1, params), 0.5, 1.0).value == 0.0
+        assert heat_char_weighting(*heat_profile(grid64, v, 2.0, params), 0.5).value == 0.0
 
-    # the characterization needs k > s/2 and q > 0; parse_besov checks both
+    # the characterization is fixed at the order k = 1 and at L^1(dt/t) in time,
+    # so parse_besov takes neither k nor q: any value is an unknown key
     CONFIG = {"grid": {"dim": 2, "N": 16, "extent": 8.0}, "lame": {"mu": 1.0, "lambda": 1.0}, "s_list": [0.5]}
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ConfigError):
-            parse_besov(dict(self.CONFIG, k=0), 0)
+        for k in (0, 1):
+            with pytest.raises(ConfigError, match=r"unknown key\(s\) \['k'\]"):
+                parse_besov(dict(self.CONFIG, k=k), 0)
 
-    @pytest.mark.parametrize("q", [0.0, -1.0])
+    @pytest.mark.parametrize("q", [0.0, -1.0, 1.0])
     def test_rejects_bad_q(self, q):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['q'\]"):
             parse_besov(dict(self.CONFIG, q=q), 0)
 
-    def test_gaussian_bump_against_per_mode_integral(self, grid64):
-        # p = q = 2, k = 1: Plancherel turns the quadrature into per-mode
-        # integrals int t^{1-s} |xi|^4 e^{-2t|xi|^2} dt/t = G(2-s) (2|xi|^2)^(s-2) |xi|^4
-        # s = 1 leaves only first-order decay of the profile at small t, so the
-        # node range starts far below the grid scale to kill truncation
-        s, k = 1.0, 1
-        u = gaussian_bump(grid64, 1.0)
-        u = mean_free(grid64, u)
-        nodes = 1e-7 * 2.0 ** (0.5 * np.arange(70))  # covers [1e-7, 3e3]
-        gen = ScaledLaplacian(1.0)
-        spec = _spectral(grid64, u, gen)  # heat_profile's path on these nodes
-        profile = [lp_norm(grid64, _apply(grid64, spec, _heat(t, k)), 2.0) for t in nodes]
-        val = heat_char_weighting(nodes, profile, s, 2.0).value
-        u_hat = full_fftn(grid64, u)
-        c = grid64.cell_volume / grid64.size * np.abs(u_hat) ** 2
-        xi2 = full_freq_sq(grid64)
-        nz = xi2 > 0  # the zero mode has weight 0: the profile of a constant vanishes
-        weights = xi2[nz] ** 2 * scipy.special.gamma(2 - s) * (2 * xi2[nz]) ** (s - 2.0)
-        exact = float(np.sqrt(np.sum(c[nz] * weights)))
-        assert val == pytest.approx(exact, rel=1e-4)
+    def test_plane_wave_against_exact_integral(self, grid64):
+        # a plane wave of frequency xi has the profile t|xi|^2 e^{-t|xi|^2} ||u||_p, so
+        # int t^{-s/2} profile dt/t = Gamma(1 - s/2) |xi|^s ||u||_p exactly. s = 1 leaves
+        # only t^(1/2) decay at small t, so the nodes start far below the grid scale
+        u = plane_wave(grid64, (3, 1))
+        xi2 = (2.0 * np.pi / grid64.extent) ** 2 * 10.0
+        nodes = 1e-9 * 2.0 ** (0.5 * np.arange(90))  # covers [1e-9, 2.5e4]
+        spec = _spectral(grid64, u, ScaledLaplacian(1.0))  # heat_profile's path on these nodes
+        for p in (2.0, 3.0):
+            profile = np.array([lp_norm(grid64, _apply(grid64, spec, _heat(t, 1)), p) for t in nodes])
+            norm = lp_norm(grid64, u, p)
+            assert np.max(np.abs(profile - nodes * xi2 * np.exp(-nodes * xi2) * norm)) < 1e-12 * norm
+            for s in (1.0, 0.5, -1.0):
+                exact = scipy.special.gamma(1.0 - s / 2.0) * xi2 ** (s / 2.0) * norm
+                assert heat_char_weighting(nodes, profile, s).value == pytest.approx(exact, rel=1e-4)
 
     @pytest.mark.parametrize("s", [0.5, -0.5, 0.0])
     @pytest.mark.parametrize("gen_name", ["laplacian", "lame"])
     def test_equivalence_with_lp_norm(self, grid64, params, s, gen_name):
         gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
         u = random_band_field(grid64, 2, 6, seed=7, ncomp=2)
-        hv = heat_char_weighting(*heat_profile(grid64, u, 2.0, 1, gen), s, 1.0).value
+        hv = heat_char_weighting(*heat_profile(grid64, u, 2.0, gen), s).value
         bv = besov_norm_report(grid64, u, BesovIndex(s, 2.0)).value
         ratio = hv / bv
         assert 0.2 <= ratio <= 5.0
@@ -397,29 +394,23 @@ class TestProfiles:
             assert rep.leakage == float((per[0] + per[-1]) / np.sum(per))
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    @pytest.mark.parametrize("q", [1.0, np.inf])
     @pytest.mark.parametrize("gen_name", ["laplacian", "lame"])
-    def test_heat_report_is_weighted_profile(self, params, p, q, gen_name):
+    def test_heat_report_is_weighted_profile(self, params, p, gen_name):
         grid = self.GRID
         gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
         u = random_band_field(grid, 1, 6, seed=4, ncomp=2)
-        nodes, profile = heat_profile(grid, u, p, 1, gen)
+        nodes, profile = heat_profile(grid, u, p, gen)
         assert np.array_equal(nodes, extended_time_nodes(grid, gen))
         spec = _spectral(grid, mean_free(grid, u), gen)
         for s in self.S_VALUES:
-            rep = heat_char_weighting(nodes, profile, s, q)
+            rep = heat_char_weighting(nodes, profile, s)
             # direct evaluation at this s
             g = np.array(
                 [t ** (-s / 2.0) * lp_norm(grid, _apply(grid, spec, _heat(t, 1)), p) for t in nodes]
             )
-            value = float(np.max(g)) if np.isinf(q) else float((0.5 * np.log(2.0) * np.sum(g**q)) ** (1.0 / q))
             assert rep.per_level == tuple(g)
-            assert rep.value == value
+            assert rep.value == float(0.5 * np.log(2.0) * np.sum(g))
             assert rep.leakage == float((g[0] + g[-1]) / np.sum(g))
-
-    def test_profile_rejects_negative_k(self, params):
-        with pytest.raises(ValueError):
-            heat_profile(self.GRID, np.zeros(self.GRID.shape), 2.0, -1, params)
 
 
 def test_heat_time_nodes_cover_resolvable_scales(grid32, params):

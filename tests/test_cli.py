@@ -15,10 +15,11 @@ from lamelab.cli import main
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid, jacobian
 from lamelab.io import read_csv, read_field
+from lamelab.kernels import davies_twisted_norm
 from lamelab.lagrangian import PicardConvergenceError, picard_solve
 from lamelab.maxreg import DegenerateProbeError
 from lamelab.operators import LameParams, ScaledLaplacian
-from lamelab.scenarios import parse_flow, parse_maxreg
+from lamelab.scenarios import parse_flow, parse_kernel, parse_maxreg
 
 
 def run_cli(args):
@@ -170,6 +171,29 @@ class TestKernelCommand:
         assert manifest["status"] == "numerical_failure"
         assert manifest["error"]["type"] == "EnvelopeFitError"
         assert "trust window" in manifest["error"]["message"]
+
+    def test_davies_block(self, tmp_path, outdir):
+        cfg = {
+            "grid": {"dim": 2, "N": 64, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5, "sharpness": 2.0},
+            "times": [0.1, 0.2],
+            "stepper": {"dt": 0.01},
+            "davies": {"alphas": [0.0, 0.5, 1.0]},
+        }
+        path = write_config(tmp_path / "kernel.json", cfg)
+        assert run_cli(["kernel", "--config", path, "--out", outdir]) == 0
+        header, rows = read_csv(outdir / "davies.csv")
+        assert header == ["alpha", "t", "log_growth"]
+        # one row per (alpha, t), alpha-major in the given orders
+        assert [(float(r[0]), float(r[1])) for r in rows] == [(a, t) for a in (0.0, 0.5, 1.0) for t in (0.1, 0.2)]
+        plan = parse_kernel(cfg, 0)
+        rep = davies_twisted_norm(plan["coef"], plan["params"], *plan["davies"], plan["times"], plan["stepper"])
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["summary"]["davies_growth_constant"] == rep.growth_constant
+        # untwisted, the flow does not raise its rho-weighted L^2 norm; with rho in [m, 1/m]
+        # the plain L^2 norm grows by at most the factor 1/m
+        assert all(float(r[2]) <= np.log(1.0 / 0.5) for r in rows if float(r[0]) == 0.0)
 
 
 class TestMaxregCommand:
@@ -352,6 +376,7 @@ class TestConfigErrorWritesNothing:
         "kernel_sources_empty": ("kernel", {**KERNEL, "sources": []}, []),
         "kernel_sources_null": ("kernel", {**KERNEL, "sources": None}, []),
         "norm_equiv_s": ("maxreg", {**MAXREG, "norm_equiv": {"s": 1.5}}, []),
+        # the semigroup characterizations are fixed at L^1(dt/t) and k = 1: q and k are unknown keys
         "norm_equiv_q": ("maxreg", {**MAXREG, "norm_equiv": {"q": 0.0}}, []),
         "davies_alpha": ("kernel", {**KERNEL, "davies": {"alphas": [0.0, -1.0]}}, []),
         "davies_u0": ("kernel", {**KERNEL, "davies": {"u0": {"kind": "zero"}}}, []),
@@ -451,17 +476,22 @@ class TestConfigErrorWritesNothing:
         "maxreg_dt_string": ("maxreg", {**MAXREG, "stepper": {"dt": "0.05"}}, []),
         "maxreg_mu_true": ("maxreg", {**MAXREG, "lame": {"mu": True, "lambda": 1.0}}, []),
         "maxreg_kmin_string": ("maxreg", {**MAXREG, "probes": {"count": 1, "kmin": "1"}}, []),
-        "besov_q_true": ("besov", {"q": True}, []),
+        "besov_q_true": ("besov", {"q": True}, []),  # an unknown key, whatever its value
         "besov_s_list_string": ("besov", {"s_list": "01"}, []),
     }
 
+    # cases rejected for a key the block does not take, and that key
+    UNKNOWN_KEY = {"norm_equiv_q": "q", "besov_q_zero": "q", "besov_q_true": "q"}
+
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_exit_2_and_empty_out(self, case, tmp_path, outdir):
+    def test_exit_2_and_empty_out(self, case, tmp_path, outdir, capsys):
         command, extra, flags = self.CASES[case]
         base = self.BASE if command == "besov" else {**self.BASE, **self.RHO0}
         path = write_config(tmp_path / "cfg.json", {**base, **extra})
         assert run_cli([command, "--config", path, "--out", outdir, *flags]) == 2
         assert not outdir.exists()
+        if case in self.UNKNOWN_KEY:
+            assert f"unknown key(s) ['{self.UNKNOWN_KEY[case]}']" in capsys.readouterr().err
 
 
 class TestRunFailureWritesManifest:
@@ -601,7 +631,7 @@ class TestBesovCommand:
                 ratios = []
                 for i, u in enumerate(fields):
                     b = besov_norm_report(grid, u, BesovIndex(s, 3.0))
-                    h = heat_char_weighting(*heat_profile(grid, u, 3.0, 1, gen), s, 1.0)
+                    h = heat_char_weighting(*heat_profile(grid, u, 3.0, gen), s)
                     ratios.append(h.value / b.value)
                     expected.append((f"heat_over_lp_{gname}_{i}", s, ratios[-1], max(b.leakage, h.leakage)))
                 expected.append((f"equivalence_K_{gname}", s, max(max(ratios), 1.0 / min(ratios)), 0.0))
@@ -609,11 +639,13 @@ class TestBesovCommand:
         for row, (_, s, value, leak) in zip(rows[1:], expected[1:]):
             assert (float(row[1]), float(row[4]), float(row[5])) == (s, value, leak)
 
-    def test_rejects_k_not_above_half_s(self, tmp_path, outdir):
+    def test_rejects_k_not_above_half_s(self, tmp_path, outdir, capsys):
+        # the heat profile's order is fixed at k = 1 > s/2 (|s| < 2), so any k is an unknown key
         cfg = {"grid": SMALL_GRID, "lame": LAME, "k": 0, "s_list": [0.5], "fields": {"count": 1}}
         path = write_config(tmp_path / "besov.json", cfg)
         assert run_cli(["besov", "--config", path, "--out", outdir]) == 2
         assert not outdir.exists()
+        assert "unknown key(s) ['k'] in besov config" in capsys.readouterr().err
 
 
 class TestOracleCommand:

@@ -163,11 +163,12 @@ class TestSemigroup:
         once = const_semigroup(grid32, u, 0.28, params)
         assert np.max(np.abs(ab - once)) < 1e-12
 
-    def test_weighted_semigroup_k0(self, grid32, params):
-        # the k = 0 heat profile is the L^p norm of the semigroup at each node
-        u = random_band_field(grid32, 1, 5, seed=13, ncomp=2)
-        nodes, profile = heat_profile(grid32, u, 2.0, 0, params)
-        ref = [lp_norm(grid32, const_semigroup(grid32, mean_free(grid32, u), t, params), 2.0) for t in nodes]
+    def test_weighted_semigroup_k1(self, grid32, params):
+        # the heat profile is the L^p norm of t L e^{tL} u at each node
+        u = mean_free(grid32, random_band_field(grid32, 1, 5, seed=13, ncomp=2))
+        nodes, profile = heat_profile(grid32, u, 2.0, params)
+        ref = [lp_norm(grid32, t * lame_apply(grid32, const_semigroup(grid32, u, t, params), params), 2.0)
+               for t in nodes]
         assert np.max(np.abs(profile - ref)) < 1e-12 * max(ref)
 
     def test_weighted_semigroup_single_mode(self, grid64):
