@@ -12,7 +12,7 @@ solver with Eulerian cross-checks (lagrangian).
 __version__ = "0.1.0"
 
 from .grid import Grid
-from .operators import LameParams, ScaledLaplacian
+from .operators import LameParams
 from .besov import BesovIndex, DyadicPartition
 from .varcoef import Coefficient, StepperConfig
 from .lagrangian import LagrangianState, PicardConfig
@@ -20,7 +20,6 @@ from .lagrangian import LagrangianState, PicardConfig
 __all__ = [
     "Grid",
     "LameParams",
-    "ScaledLaplacian",
     "BesovIndex",
     "DyadicPartition",
     "Coefficient",

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid, fftn, ifftn, lp_norm, mean_free
-from .operators import Generator, ScaledLaplacian, _apply, _heat, _spectral
+from .operators import LameParams, heat_norms
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,10 @@ def default_partition(grid: Grid) -> DyadicPartition:
 
 @dataclass(frozen=True)
 class NormReport:
-    """A norm value with its per-level breakdown and boundary-leakage fraction."""
+    """A norm value and its boundary-leakage fraction."""
 
     value: float
     leakage: float
-    per_level: tuple
 
 
 def besov_level_norms(grid: Grid, fields: np.ndarray, p: float) -> np.ndarray:
@@ -128,7 +127,7 @@ def besov_weighting(partition: DyadicPartition, level_norms: np.ndarray, idx: Be
     per = np.array([2.0 ** (j * idx.s) * n for j, n in zip(partition.levels, level_norms)])
     value = float(np.sum(per))
     leakage = (per[0] + per[-1]) / value if value > 0 else 0.0
-    return NormReport(value, float(leakage), tuple(per))
+    return NormReport(value, float(leakage))
 
 
 def besov_norm_reports(grid: Grid, fields: np.ndarray, idx: BesovIndex) -> list:
@@ -143,12 +142,6 @@ def besov_norm_report(grid: Grid, u: np.ndarray, idx: BesovIndex) -> NormReport:
     return besov_norm_reports(grid, np.asarray(u)[None], idx)[0]
 
 
-def _min_diffusivity(gen: Generator) -> float:
-    if isinstance(gen, ScaledLaplacian):
-        return gen.c
-    return min(gen.mu, gen.nu)
-
-
 def _geometric_nodes(t_lo: float, t_hi: float) -> np.ndarray:
     count = math.ceil(2.0 * math.log2(t_hi / t_lo)) + 1
     return t_lo * 2.0 ** (0.5 * np.arange(count))
@@ -161,21 +154,11 @@ def geometric_l1(g: np.ndarray, tail: float = 0.0) -> float:
     return float(0.5 * math.log(2.0) * np.sum(g) + tail)
 
 
-def heat_time_nodes(grid: Grid, gen: Generator) -> np.ndarray:
-    """Geometric quadrature nodes (ratio sqrt 2) covering the grid-resolvable
-    scales, from t = h^2/c to t = L^2/c with c the smallest diffusivity.
-
-    This is the resolvable range only; the heat characterization and the
-    norm-equivalence probes integrate over all t > 0 and extend it (see
-    extended_time_nodes).
-    """
-    c = _min_diffusivity(gen)
-    return _geometric_nodes(grid.spacing**2 / c, grid.extent**2 / c)
-
-
-def extended_time_nodes(grid: Grid, gen: Generator, above: float = 1.0) -> np.ndarray:
-    """heat_time_nodes extended 256 times below its first node and `above`
-    times over its last, on the same sqrt 2 ratio.
+def extended_time_nodes(grid: Grid, gen: LameParams, above: float = 1.0) -> np.ndarray:
+    """Geometric quadrature nodes (ratio sqrt 2) from 256 times below t = h^2/c
+    to `above` times over the last node of the grid-resolvable range, which
+    runs from t = h^2/c to t = L^2/c with c = min(mu, nu), the smallest
+    diffusivity.
 
     The heat characterization integrates over all t > 0 (Bahouri-Chemin-Danchin
     2011, Thm 2.34). At t = h^2/c the profile of a field in the middle bands
@@ -183,29 +166,28 @@ def extended_time_nodes(grid: Grid, gen: Generator, above: float = 1.0) -> np.nd
     that node would make the norm depend on h; the nodes of heat_profile
     therefore start 256 times lower and end at t = L^2/c.
     """
-    base = heat_time_nodes(grid, gen)
-    return _geometric_nodes(base[0] / 256.0, base[-1] * above)
+    c = min(gen.mu, gen.nu)
+    t_lo = grid.spacing**2 / c
+    t_hi = _geometric_nodes(t_lo, grid.extent**2 / c)[-1]
+    return _geometric_nodes(t_lo / 256.0, t_hi * above)
 
 
-def heat_profile(grid: Grid, u: np.ndarray, p: float, gen: Generator) -> tuple:
+def heat_profile(grid: Grid, u: np.ndarray, p: float, gen: LameParams) -> tuple:
     """Quadrature nodes and ||tG e^{tG} u||_p at each node (free of s).
 
     The nodes are extended_time_nodes(grid, gen), which says why they reach
     below the resolvable range.
     """
     nodes = extended_time_nodes(grid, gen)
-    spec = _spectral(grid, mean_free(grid, u), gen)
-    profile = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, 1)), p) for t in nodes])
-    return nodes, profile
+    return nodes, heat_norms(grid, mean_free(grid, u), gen, nodes, 1, p)
 
 
 def heat_char_weighting(nodes: np.ndarray, profile: np.ndarray, s: float) -> NormReport:
     """Weight a heat_profile by t^(-s/2) and take its L^1(dt/t) quadrature,
     || t^{-s/2} ||tG e^{tG} u||_p ||_{L^1(dt/t)}: equivalent to the B^s_{p,1}
     norm for s < 2 (Bahouri-Chemin-Danchin 2011, Thm 2.34), exponentially
-    accurate on geometric nodes for these log-smooth integrands. per_level
-    holds the weighted profile at each node."""
+    accurate on geometric nodes for these log-smooth integrands."""
     g = np.array([t ** (-s / 2.0) * v for t, v in zip(nodes, profile)])
     total = float(np.sum(g))
     leakage = (g[0] + g[-1]) / total if total > 0 else 0.0
-    return NormReport(geometric_l1(g), float(leakage), tuple(g))
+    return NormReport(geometric_l1(g), float(leakage))

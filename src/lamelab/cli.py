@@ -47,7 +47,7 @@ from .kernels import (
 )
 from .lagrangian import PicardConvergenceError, eulerian_reference_solve, flow_diagnostics, picard_solve
 from .maxreg import norm_equiv_ratio, solve_linear_maxreg
-from .operators import ScaledLaplacian
+from .operators import LameParams
 from .scenarios import (
     ConfigError,
     parse_besov,
@@ -122,7 +122,7 @@ def run_kernel(out: Path, *, coef, params, stepper, times, sources, presmooth, g
 
 def run_besov(out: Path, *, grid, params, band, count, base, p, indices) -> dict:
     part = default_partition(grid)
-    gens = (("laplacian", ScaledLaplacian(1.0)), ("lame", params))
+    gens = (("laplacian", LameParams(1.0, -1.0)), ("lame", params))  # Lap is Lame at lam = -mu
 
     # block norms and heat profiles do not depend on s: take each once per field
     levels, profiles = [], {}

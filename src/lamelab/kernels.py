@@ -283,11 +283,10 @@ def davies_twisted_norm(
     t_list,
     cfg: StepperConfig,
 ) -> TwistReport:
-    """Growth of the twisted flow phi^{-1} e^{t b L} (phi u0) across an alpha scan."""
+    """Growth of the twisted flow phi^{-1} e^{t b L} (phi u0) across an alpha
+    scan, at the times of t_list in increasing order (check_kernel_times)."""
     grid = coef.grid
-    t_list = [float(t) for t in t_list]
-    if min(t_list) <= 0:
-        raise ValueError("twist times must be positive")
+    t_list = check_kernel_times(grid, params, t_list)
     base = lp_norm(grid, u0, 2)
     if base == 0:
         raise ValueError("u0 must be nonzero")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .besov import BesovIndex, besov_norm_report, besov_norm_reports, extended_time_nodes, geometric_l1
 from .grid import chunks, lp_norm
-from .operators import LameParams, _apply, _heat, _spectral, lame_apply
+from .operators import LameParams, heat_norms, lame_apply
 from .varcoef import Coefficient, StepperConfig, evolve, semigroup
 
 
@@ -160,8 +160,7 @@ def norm_equiv_ratio(coef: Coefficient, params: LameParams, x: np.ndarray, s: fl
     grid = coef.grid
     nodes = extended_time_nodes(grid, params, above=4.0)
     num_vals = np.array([lp_norm(grid, u, 2) for u in semigroup(coef, params, x, nodes)])
-    spec = _spectral(grid, coef.rho * x, params)
-    den_vals = np.array([lp_norm(grid, _apply(grid, spec, _heat(t, 0)), 2) for t in nodes])
+    den_vals = heat_norms(grid, coef.rho * x, params, nodes, 0, 2)
     num = _weighted_l1(num_vals, nodes, s, value_at_zero=lp_norm(grid, x, 2))
     den = _weighted_l1(den_vals, nodes, s, value_at_zero=lp_norm(grid, coef.rho * x, 2))
     if den == 0.0:

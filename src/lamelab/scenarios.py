@@ -174,14 +174,14 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _times(cfg: dict, default: list, increasing: bool = False) -> list:
+def _times(cfg: dict, default: list) -> list:
     """cfg["times"] (default if absent) as floats: a nonempty list of distinct
-    finite times > 0, in increasing order if asked."""
+    finite times > 0."""
     times = _reals(cfg.get("times", default), "times")
     if not (times and all(math.isfinite(t) and t > 0 for t in times)):
         raise ConfigError(f"times must be a nonempty list of finite times > 0, got {times!r}")
-    if len(set(times)) < len(times) or (increasing and times != sorted(times)):
-        raise ConfigError(f"times must be distinct{' and increasing' if increasing else ''}, got {times}")
+    if len(set(times)) < len(times):
+        raise ConfigError(f"times must be distinct, got {times}")
     return times
 
 
@@ -208,9 +208,7 @@ def parse_kernel(cfg: dict, seed: int) -> dict:
     grid, params, coef = _medium(cfg)
     stepper = _build_stepper(_block(cfg, "stepper", {"dt": 1e-3}))
     dcfg = _known(_switch(cfg, "davies"), "davies", ("alphas", "u0"))
-    # the twisted flow steps the times in the given order; kernel columns sort them
-    times = _times(cfg, [0.05, 0.1, 0.2], increasing=bool(dcfg))
-    check_kernel_times(grid, params, times)
+    times = check_kernel_times(grid, params, _times(cfg, [0.05, 0.1, 0.2]))
     sources = cfg.get("sources", [[grid.n // 2] * grid.dim])
     if not (isinstance(sources, list) and sources and all(_is_node(grid, y) for y in sources)):
         raise ConfigError(
@@ -287,7 +285,7 @@ def parse_oracle(cfg: dict, seed: int) -> dict:
     if not np.any(u0):  # the error is relative to the oracle's solution
         raise ConfigError("oracle needs a nonzero u0")
     return dict(coef=coef, params=params, stepper=_build_stepper(_block(cfg, "stepper", {"dt": 1e-4})),
-                times=_times(cfg, [0.05, 0.2], increasing=True), u0=u0)
+                times=sorted(_times(cfg, [0.05, 0.2])), u0=u0)
 
 
 def _shell_columns(header, rows):

@@ -35,7 +35,7 @@ from lamelab.lagrangian import (
     picard_solve,
 )
 from lamelab.maxreg import norm_equiv_ratio, solve_linear_maxreg
-from lamelab.operators import LameParams, ScaledLaplacian
+from lamelab.operators import LameParams
 from lamelab.scenarios import build_grid, build_lame, build_picard, build_rho0, build_u0
 from lamelab.varcoef import Coefficient, StepperConfig, dense_semigroup_matrices, evolve, time_grid
 
@@ -211,7 +211,7 @@ def test_criterion_6_besov_machinery(params):
     }
     drift = {}
     for s in (0.5, -0.5, 0.0):
-        for gname, gen in (("laplacian", ScaledLaplacian(1.0)), ("lame", params)):
+        for gname, gen in (("laplacian", LameParams(1.0, -1.0)), ("lame", params)):
             kk = []
             for grid in grids:
                 ratios = []

@@ -13,11 +13,10 @@ from lamelab.besov import (
     extended_time_nodes,
     heat_char_weighting,
     heat_profile,
-    heat_time_nodes,
 )
 from lamelab.fields import random_band_field
 from lamelab.grid import Grid, fftn, lp_norm, mean_free
-from lamelab.operators import ScaledLaplacian, _apply, _heat, _spectral
+from lamelab.operators import LameParams, _apply, _heat, _spectral, heat_norms
 from lamelab.scenarios import ConfigError, parse_besov
 
 from conftest import dyadic_block, full_fftn, full_freq_sq, full_ifftn, gaussian_bump, plane_wave, rng_field
@@ -105,8 +104,9 @@ class TestBesovNorm:
         # the L2 norm with K <= 2
         for seed in range(5):
             u = mean_free(gridpi, random_band_field(gridpi, 1, 8, seed=seed))
-            per_level = besov_norm_report(gridpi, u, BesovIndex(0.0, 2.0)).per_level
-            val = float(np.sum(np.square(per_level)) ** 0.5)
+            levels = besov_level_norms(gridpi, u[None], 2.0)[0]
+            assert besov_norm_report(gridpi, u, BesovIndex(0.0, 2.0)).value == float(np.sum(levels))
+            val = float(np.sum(np.square(levels)) ** 0.5)
             l2 = lp_norm(gridpi, u, 2.0)
             assert l2 / 2.0 <= val <= 2.0 * l2
 
@@ -229,12 +229,12 @@ class TestHeatCharacterization:
         # a plane wave of frequency xi has the profile t|xi|^2 e^{-t|xi|^2} ||u||_p, so
         # int t^{-s/2} profile dt/t = Gamma(1 - s/2) |xi|^s ||u||_p exactly. s = 1 leaves
         # only t^(1/2) decay at small t, so the nodes start far below the grid scale
-        u = plane_wave(grid64, (3, 1))
+        u = np.array([0.6, -0.8])[:, None, None] * plane_wave(grid64, (3, 1))[None]
         xi2 = (2.0 * np.pi / grid64.extent) ** 2 * 10.0
         nodes = 1e-9 * 2.0 ** (0.5 * np.arange(90))  # covers [1e-9, 2.5e4]
-        spec = _spectral(grid64, u, ScaledLaplacian(1.0))  # heat_profile's path on these nodes
         for p in (2.0, 3.0):
-            profile = np.array([lp_norm(grid64, _apply(grid64, spec, _heat(t, 1)), p) for t in nodes])
+            # heat_profile's path on these nodes, for the Laplacian
+            profile = heat_norms(grid64, u, LameParams(1.0, -1.0), nodes, 1, p)
             norm = lp_norm(grid64, u, p)
             assert np.max(np.abs(profile - nodes * xi2 * np.exp(-nodes * xi2) * norm)) < 1e-12 * norm
             for s in (1.0, 0.5, -1.0):
@@ -244,7 +244,7 @@ class TestHeatCharacterization:
     @pytest.mark.parametrize("s", [0.5, -0.5, 0.0])
     @pytest.mark.parametrize("gen_name", ["laplacian", "lame"])
     def test_equivalence_with_lp_norm(self, grid64, params, s, gen_name):
-        gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
+        gen = LameParams(1.0, -1.0) if gen_name == "laplacian" else params
         u = random_band_field(grid64, 2, 6, seed=7, ncomp=2)
         hv = heat_char_weighting(*heat_profile(grid64, u, 2.0, gen), s).value
         bv = besov_norm_report(grid64, u, BesovIndex(s, 2.0)).value
@@ -389,7 +389,6 @@ class TestProfiles:
                 block = [lp_norm(grid, dyadic_block(grid, u, j), p) for j in part.levels]
             per = np.array([2.0 ** (j * s) * b for j, b in zip(part.levels, block)])
             value = float(np.sum(per))
-            assert rep.per_level == tuple(per)
             assert rep.value == value
             assert rep.leakage == float((per[0] + per[-1]) / np.sum(per))
 
@@ -397,7 +396,7 @@ class TestProfiles:
     @pytest.mark.parametrize("gen_name", ["laplacian", "lame"])
     def test_heat_report_is_weighted_profile(self, params, p, gen_name):
         grid = self.GRID
-        gen = ScaledLaplacian(1.0) if gen_name == "laplacian" else params
+        gen = LameParams(1.0, -1.0) if gen_name == "laplacian" else params
         u = random_band_field(grid, 1, 6, seed=4, ncomp=2)
         nodes, profile = heat_profile(grid, u, p, gen)
         assert np.array_equal(nodes, extended_time_nodes(grid, gen))
@@ -408,13 +407,16 @@ class TestProfiles:
             g = np.array(
                 [t ** (-s / 2.0) * lp_norm(grid, _apply(grid, spec, _heat(t, 1)), p) for t in nodes]
             )
-            assert rep.per_level == tuple(g)
             assert rep.value == float(0.5 * np.log(2.0) * np.sum(g))
             assert rep.leakage == float((g[0] + g[-1]) / np.sum(g))
 
 
-def test_heat_time_nodes_cover_resolvable_scales(grid32, params):
-    nodes = heat_time_nodes(grid32, params)
-    c = min(params.mu, params.nu)
-    assert nodes[0] == pytest.approx(grid32.spacing**2 / c)
-    assert nodes[-1] >= grid32.extent**2 / c
+def test_extended_time_nodes_cover_resolvable_scales(grid32):
+    # 256 times below h^2/c to `above` times over L^2/c, c = min(mu, nu)
+    for gen in (LameParams(1.0, 1.0), LameParams(1.0, -1.0), LameParams(1.0, -1.5)):
+        c = min(gen.mu, gen.nu)
+        for above in (1.0, 4.0):
+            nodes = extended_time_nodes(grid32, gen, above)
+            assert nodes[0] == grid32.spacing**2 / c / 256.0
+            assert np.allclose(nodes[1:] / nodes[:-1], np.sqrt(2.0), rtol=1e-14)
+            assert above * grid32.extent**2 / c <= nodes[-1] < 2.0 * above * grid32.extent**2 / c

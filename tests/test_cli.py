@@ -18,7 +18,7 @@ from lamelab.io import read_csv, read_field
 from lamelab.kernels import davies_twisted_norm
 from lamelab.lagrangian import PicardConvergenceError, picard_solve
 from lamelab.maxreg import DegenerateProbeError
-from lamelab.operators import LameParams, ScaledLaplacian
+from lamelab.operators import LameParams
 from lamelab.scenarios import parse_flow, parse_kernel, parse_maxreg
 
 
@@ -194,6 +194,21 @@ class TestKernelCommand:
         # untwisted, the flow does not raise its rho-weighted L^2 norm; with rho in [m, 1/m]
         # the plain L^2 norm grows by at most the factor 1/m
         assert all(float(r[2]) <= np.log(1.0 / 0.5) for r in rows if float(r[0]) == 0.0)
+
+    def test_unsorted_times_run_in_ascending_order(self, tmp_path):
+        # kernel columns and the twisted flow take the times sorted: the artifacts
+        # of an unsorted list are those of the sorted one
+        cfg = {**TestConfigErrorWritesNothing.BASE, **TestConfigErrorWritesNothing.RHO0,
+               **TestConfigErrorWritesNothing.KERNEL, "davies": {"alphas": [0.0, 0.5]}}
+        outs = []
+        for times in ([0.1, 0.2], [0.2, 0.1]):
+            path = write_config(tmp_path / "kernel.json", {**cfg, "times": times})
+            outs.append(tmp_path / f"out_{times[0]}")
+            assert run_cli(["kernel", "--config", path, "--out", outs[-1]]) == 0
+        _, rows = read_csv(outs[1] / "davies.csv")
+        assert [float(r[1]) for r in rows] == [0.1, 0.2, 0.1, 0.2]
+        for name in ("davies.csv", "shells.csv", "conservation.csv", "fit_summary.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
 class TestMaxregCommand:
@@ -425,8 +440,6 @@ class TestConfigErrorWritesNothing:
         "flow_c0_nan": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "c0": float("nan")}}, []),
         "flow_c0_negative": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "c0": -1}}, []),
         "flow_c_negative": ("flow", {"u0": {"kind": "zero"}, "picard": {"T": 0.2, "dt": 0.1, "c": -1}}, []),
-        # the twisted flow steps the times in the given order
-        "davies_unsorted_times": ("kernel", {**KERNEL, "times": [0.2, 0.1], "davies": {"alphas": [0.0]}}, []),
         "negative_threads": ("maxreg", MAXREG, ["--threads", -3]),
         # integer settings are whole numbers and on/off settings true or false, not coerced
         "maxreg_fractional_count": ("maxreg", {**MAXREG, "probes": {"count": 1.9}}, []),
@@ -627,7 +640,7 @@ class TestBesovCommand:
         fields = [random_band_field(grid, 2.0, 3.0, 4 + i, ncomp=3) for i in range(2)]
         expected = [("partition_defect", 0.0, None, None)]
         for s in (0.5, -0.5, 0.0):
-            for gname, gen in (("laplacian", ScaledLaplacian(1.0)), ("lame", LameParams(1.0, 1.0))):
+            for gname, gen in (("laplacian", LameParams(1.0, -1.0)), ("lame", LameParams(1.0, 1.0))):
                 ratios = []
                 for i, u in enumerate(fields):
                     b = besov_norm_report(grid, u, BesovIndex(s, 3.0))
@@ -663,6 +676,20 @@ class TestOracleCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["summary"]["max_rel_l2"] < 1e-3
         assert manifest["summary"]["max_symmetry_defect"] < 1e-10
+
+    def test_unsorted_times_run_in_ascending_order(self, tmp_path, outdir):
+        cfg = {
+            "grid": {"dim": 2, "N": 8, "extent": 8.0},
+            "lame": LAME,
+            "rho0": {"kind": "checkerboard", "m": 0.5},
+            "times": [0.05, 0.02],
+            "stepper": {"dt": 1e-2},
+            "u0": {"kind": "band", "seed": 2, "amplitude": 1.0, "kmin": 1, "kmax": 3},
+        }
+        path = write_config(tmp_path / "oracle.json", cfg)
+        assert run_cli(["oracle", "--config", path, "--out", outdir]) == 0
+        _, rows = read_csv(outdir / "oracle.csv")
+        assert [float(r[0]) for r in rows] == [0.02, 0.05]
 
     def test_size_checked_before_stepping(self, tmp_path, outdir, monkeypatch):
         # 2 x 64^2 unknowns exceed the dense oracle's limit: rejected before any step

@@ -5,7 +5,8 @@ Likewise every parameter default is a choice some call in src/ overrides: a
 default that no call passes is a constant, and lives in the body; and every
 module-level constant is read in src/, so none is kept there for tests. The
 Nyquist rule of the half spectrum and the derivative symbol built on it are
-stated once, in grid.py, and grid.py alone calls a Fourier transform. Every
+stated once, in grid.py, and grid.py alone calls a Fourier transform. The
+spectral symbol's internals stay in operators.py. Every
 imported name is used where it is imported, and is imported from the module
 that defines it; every name in an __all__ is bound in its module. The flow,
 norm, interpolation and stepping functions whose spans the benchmark's tracer
@@ -105,6 +106,17 @@ def test_nyquist_rule_lives_in_grid():
         )
     )
     assert readers == ["grid.py"]
+
+
+def test_spectral_internals_stay_in_operators():
+    # the other modules reach the symbol through lame_apply, const_semigroup and
+    # heat_norms; varcoef's preconditioner alone needs the dense per-mode symbol
+    private = defaultdict(list)  # module -> private names it imports from operators
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "operators":
+                private[path.name] += [a.name for a in node.names if a.name.startswith("_")]
+    assert {name: names for name, names in private.items() if names} == {"varcoef.py": ["_symbol_matrix"]}
 
 
 def test_one_transform_pair():

@@ -22,11 +22,11 @@ from lamelab.grid import (
 )
 from lamelab.operators import (
     LameParams,
-    ScaledLaplacian,
     _apply,
     _heat,
     _spectral,
     const_semigroup,
+    heat_norms,
     lame_apply,
 )
 from lamelab.varcoef import Coefficient, _preconditioner, dense_lame_matrix, dense_semigroup_matrices
@@ -45,10 +45,6 @@ class TestParams:
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
             LameParams(1.0, -2.0)
-
-    def test_scaled_laplacian_positive(self):
-        with pytest.raises(ValueError):
-            ScaledLaplacian(0.0)
 
 
 def _gradient_field(grid, seed):
@@ -92,12 +88,12 @@ class TestHodge:
 class TestLameApply:
     def test_divergence_free_reduces_to_laplacian(self, grid32, params):
         u = _divergence_free_field(grid32, 4)
-        lap = lame_apply(grid32, u, ScaledLaplacian(params.mu))
+        lap = lame_apply(grid32, u, LameParams(params.mu, -params.mu))
         assert np.max(np.abs(lame_apply(grid32, u, params) - lap)) < 1e-10
 
     def test_gradient_reduces_to_nu_laplacian(self, grid32, params):
         u = _gradient_field(grid32, 5)
-        lap = lame_apply(grid32, u, ScaledLaplacian(params.nu))
+        lap = lame_apply(grid32, u, LameParams(params.nu, -params.nu))
         assert np.max(np.abs(lame_apply(grid32, u, params) - lap)) < 1e-10
 
     def test_against_stencil(self, params):
@@ -125,7 +121,7 @@ class TestLameApply:
         u = random_band_field(grid32, 1, 5, seed=9, ncomp=2)
         lame = lame_apply(grid32, u, params)
         recon = hodge_project(grid32, lame, "P") / params.mu + hodge_project(grid32, lame, "Q") / params.nu
-        lap = lame_apply(grid32, u, ScaledLaplacian(1.0))
+        lap = lame_apply(grid32, u, LameParams(1.0, -1.0))
         scale = np.max(np.abs(lap))
         assert np.max(np.abs(recon - lap)) / scale < 1e-10
 
@@ -143,7 +139,7 @@ class TestSemigroup:
     def test_divergence_free_matches_scaled_laplacian(self, grid32, params):
         u = _divergence_free_field(grid32, 11)
         a = const_semigroup(grid32, u, 0.3, params)
-        b = const_semigroup(grid32, u, 0.3, ScaledLaplacian(params.mu))
+        b = const_semigroup(grid32, u, 0.3, LameParams(params.mu, -params.mu))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_longitudinal_mode_decays_at_nu_rate(self, grid64, params):
@@ -172,15 +168,24 @@ class TestSemigroup:
         assert np.max(np.abs(profile - ref)) < 1e-12 * max(ref)
 
     def test_weighted_semigroup_single_mode(self, grid64):
-        # (tG)^k e^{tG} on one mode = (-c t |xi|^2)^k exp(-c t |xi|^2)
-        gen = ScaledLaplacian(2.0)
-        u = plane_wave(grid64, (3, 0))
-        xi2 = (2 * np.pi * 3 / grid64.extent) ** 2
+        # (tG)^k e^{tG} on one mode of c Lap = (-c t |xi|^2)^k exp(-c t |xi|^2),
+        # whatever the wave's polarization
+        c = 2.0
+        gen = LameParams(c, -c)
+        u = np.array([0.6, -0.8])[:, None, None] * plane_wave(grid64, (3, 1))[None]
+        xi2 = (2 * np.pi / grid64.extent) ** 2 * 10
         t = 0.11
-        z = -gen.c * t * xi2
+        z = -c * t * xi2
         expected = z * np.exp(z) * u
         got = _apply(grid64, _spectral(grid64, u, gen), _heat(t, 1))
         assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_heat_norms_k0_are_semigroup_norms(self, grid32, params):
+        # one spectrum for all times gives the bits of a fresh const_semigroup at each
+        u = random_band_field(grid32, 1, 5, seed=14, ncomp=2)
+        times = [0.0, 0.03, 0.2, 1.7]
+        ref = [lp_norm(grid32, const_semigroup(grid32, u, t, params), 2) for t in times]
+        assert heat_norms(grid32, u, params, times, 0, 2).tolist() == ref
 
 
 def _complex_isotropic(grid, u, a, b):
