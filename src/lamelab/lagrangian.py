@@ -124,16 +124,14 @@ class FlowMapData:
     grad_sum: np.ndarray  # (dim, dim, *shape)
 
 
-def _trapezoid_step(f: np.ndarray, f_before: np.ndarray, total, dt: float) -> np.ndarray:
+def _trapezoid_step(f: np.ndarray, f_before: np.ndarray, total: np.ndarray, dt: float) -> np.ndarray:
     """The trapezoid integral from t = 0 one time node on: the interval term
-    dt (f + f_before) / 2 plus total, the integral at the node before. On the
-    first interval total is None and the term is the integral, so that a
-    running sum of these steps keeps the bits of np.cumsum along time."""
+    dt (f + f_before) / 2 plus total, the integral at the node before (zero
+    at t = 0), summed as np.cumsum sums along time."""
     out = np.add(f, f_before)
     out *= dt
     out /= 2.0
-    if total is not None:
-        out += total
+    out += total
     return out
 
 
@@ -152,9 +150,8 @@ def flow_map(state: LagrangianState, prev: FlowMapData | None) -> FlowMapData:
     if prev is None:
         disp, grad_sum = np.zeros_like(u), np.zeros_like(grad)
     else:
-        first = prev.i == 0  # the integral at t = 0 is not added, as in np.cumsum
-        disp = _trapezoid_step(u, state.u[prev.i], None if first else prev.disp, state.dt)
-        grad_sum = _trapezoid_step(grad, prev.grad, None if first else prev.grad_sum, state.dt)
+        disp = _trapezoid_step(u, state.u[prev.i], prev.disp, state.dt)
+        grad_sum = _trapezoid_step(grad, prev.grad, prev.grad_sum, state.dt)
     dx = grad_sum.copy()
     for a in range(state.grid.dim):
         dx[a, a] += 1.0
@@ -282,7 +279,7 @@ def picard_solve(
         u_next = evolve(rho0, params, u0, t_grid, cfg.stepper, forcing=forcing, guess=u_traj)
         delta = solution_norms(grid, np.subtract(u_next, u_traj, out=u_traj), t_grid[1], params, idx).total
         diag.delta_norms.append(delta)
-        if len(diag.delta_norms) >= 2 and diag.delta_norms[-2] > 0:
+        if len(diag.delta_norms) >= 2:  # the last update was > stop_tol >= 0, or the solve had returned
             diag.contraction_factors.append(delta / diag.delta_norms[-2])
         diag.iterate_norms.append(solution_norms(grid, u_next, t_grid[1], params, idx).total)
         u_traj = u_next

@@ -101,11 +101,10 @@ class TestMatrixAlgebra:
 
 def trapezoid_sums(f, dt, before=None):
     """The running sum of _trapezoid_step over the samples f (leading axis),
-    going on from before = (the sample before f[0], the integral there), whose
-    integral is None when that sample is at t = 0; with no before, f[0] is at
-    t = 0 and its integral is zero."""
+    going on from before = (the sample before f[0], the integral there); with
+    no before, f[0] is at t = 0 and its integral is zero."""
     out = np.zeros_like(f)
-    f_before, total = before if before is not None else (f[0], None)
+    f_before, total = before if before is not None else (f[0], out[0])
     for i in range(0 if before is not None else 1, len(f)):
         out[i] = total = _trapezoid_step(f[i], f_before, total, dt)
         f_before = f[i]
@@ -124,10 +123,10 @@ class TestTimeIntegral:
     @pytest.mark.parametrize("split", [1, 2, 5])
     def test_split_stack_goes_on_bit_for_bit(self, split):
         # the second part goes on from the first's last sample and integral
-        # (no integral when that sample is at t = 0), as in one running sum
+        # (zero when that sample is at t = 0), as in one running sum
         f = np.random.default_rng(11).standard_normal((7, 2, 2, 16, 16))
         head = trapezoid_sums(f[:split], 0.05)
-        tail = trapezoid_sums(f[split:], 0.05, (f[split - 1], head[-1] if split > 1 else None))
+        tail = trapezoid_sums(f[split:], 0.05, (f[split - 1], head[-1]))
         assert np.array_equal(np.concatenate([head, tail]), trapezoid_sums(f, 0.05))
 
 
