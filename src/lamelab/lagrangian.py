@@ -23,7 +23,7 @@ from .besov import BesovIndex, besov_norm_report
 from .grid import Grid, divergence, field_magnitude, integral, jacobian
 from .maxreg import solution_norms
 from .operators import LameParams, lame_apply
-from .varcoef import Coefficient, StepperConfig, _THETA, evolve, theta_step, time_grid
+from .varcoef import Coefficient, StepperConfig, _THETA, _preconditioner, evolve, theta_step, time_grid
 
 
 class DiffeomorphismError(RuntimeError):
@@ -447,6 +447,7 @@ def eulerian_reference_solve(
     t_grid = time_grid(T, cfg.dt)
     dt = float(t_grid[1])
     rho = rho0.rho
+    precond = _preconditioner(grid, params, float(np.mean(rho)) / dt)  # R = rho/dt - a takes up rho's drift
     u = np.asarray(u0, dtype=float)
     x = grid.coords
     for i in range(len(t_grid) - 1):
@@ -461,5 +462,5 @@ def eulerian_reference_solve(
         x_dep = x - dt * interp_periodic(grid, x_mid, coeffs[: grid.dim])
         adv = interp_periodic(grid, x_dep, coeffs)
         rho = adv[grid.dim] * np.exp(-dt * adv[grid.dim + 1])
-        u = theta_step(grid, rho, params, adv[: grid.dim], dt, cfg.cg_tol)
+        u = theta_step(grid, rho, params, adv[: grid.dim], dt, cfg.cg_tol, precond)
     return u, rho

@@ -14,7 +14,7 @@ mu*Lap is the case lam = -mu (nu = mu), with the one eigenvalue z0 and no
 pieces. lame_apply is f = -z, the semigroups are f = (-tz)^k e^{-tz}
 (const_semigroup at k = 0, heat_norms' norms of them at any k), and the
 Crank-Nicolson preconditioner of varcoef is f = 1/(a + z/2), a dense per-mode
-matrix (_symbol_matrix) built once per step size. A field's spectrum and its
+matrix (_symbol_matrix) a solve builds per step size. A field's spectrum and its
 coordinates on v/|v| are taken once (_spectral) and any number of f are
 applied to them (_apply), for one field or a stack. Away from the Nyquist
 planes xi~ = xi and N = 0, and this is the Hodge split: nu|xi|^2 on

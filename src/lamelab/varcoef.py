@@ -5,13 +5,14 @@ A = rho/dt - L/2 is symmetric positive definite and is solved by conjugate
 gradients, preconditioned by the exact inverse of P = a - L/2 at the mean
 density, a = mean(rho)/dt: the symbol function f = 1/(a + z/2) of the
 eigen-decomposition of -L^ (see operators), a dense dim x dim matrix per mode
-built once per step size. Its eigenvalues are >= a > 0. As the inverse is
-exact, A = P + R with R = rho/dt - a pointwise, and P applied to the search
-direction follows the direction's own recurrence: each CG iteration costs one
-forward and one inverse transform. The preconditioned spectrum is pinned
-inside [m^2, 1/m^2], so iteration counts are mesh-independent. On small
-grids a dense matrix exponential of the same spectral operator, taken by
-eigendecomposition, is the independent check on the stepping.
+that a solve builds once per step size. Its eigenvalues are >= a > 0. P is
+exact, so A = P + R with R = rho/dt - a pointwise, formed per step, and P
+applied to the search direction follows the direction's own recurrence: each
+CG iteration costs one forward and one inverse transform. The preconditioned
+spectrum is pinned inside [m^2, 1/m^2], so iteration counts are
+mesh-independent. On small grids a dense matrix exponential of the same
+spectral operator, taken by eigendecomposition, is the independent check on
+the stepping.
 
 The unforced semigroup e^{t b L} x at a few times needs no stepping:
 semigroup builds it by rational Krylov (Ruhe 1984; van den Eshof & Hochbruck
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -111,11 +112,9 @@ class StepperConfig:
             raise ValueError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
 
 
-@lru_cache(maxsize=8)
-def _preconditioner(grid: Grid, params: LameParams, a: float):
-    """Exact inverse of a - L/2 per frequency (module docstring), as a function
-    of the residual, built once per distinct a and kept for 8 (the steps of one
-    linspace alternate in the last bit). Each application costs two transforms.
+def _preconditioner(grid: Grid, params: LameParams, a: float) -> tuple:
+    """Exact inverse of a - L/2 per frequency (module docstring), as (a, psolve)
+    with psolve a function of the residual. Each application costs two transforms.
     The dense per-mode product is summed over its columns one term at a time
     into one spectrum-sized output, through one component-sized scratch, in
     the order np.sum over the column axis would take. The real symbol is stored
@@ -132,7 +131,7 @@ def _preconditioner(grid: Grid, params: LameParams, a: float):
                 out[c] += np.multiply(inv[c, b], r_hat[b], out=term)
         return ifftn(grid, out)
 
-    return psolve
+    return a, psolve
 
 
 def _norm(u: np.ndarray) -> float:
@@ -185,29 +184,20 @@ def _pcg(matvec, psolve, remainder, b: np.ndarray, x: np.ndarray, rtol: float, m
     return x, None
 
 
-def theta_step(
-    grid: Grid,
-    rho: np.ndarray,
-    params: LameParams,
-    u_old: np.ndarray,
-    dt: float,
-    cg_tol: float,
-    f_bar: np.ndarray | None = None,
-    u_guess: np.ndarray | None = None,
-) -> np.ndarray:
-    """One Crank-Nicolson step of rho du/dt = L u + f; returns u at t + dt."""
+def theta_step(grid: Grid, rho: np.ndarray, params: LameParams, u_old: np.ndarray, dt: float, cg_tol: float,
+               precond: tuple, f_bar: np.ndarray | None = None, u_guess: np.ndarray | None = None) -> np.ndarray:
+    """One Crank-Nicolson step of rho du/dt = L u + f, preconditioned by precond; returns u at t + dt."""
     rhs = rho * u_old / dt + (1.0 - _THETA) * lame_apply(grid, u_old, params)
     if f_bar is not None:
         rhs = rhs + f_bar
-    return _cn_solve(grid, rho, params, rhs, dt, cg_tol, u_guess if u_guess is not None else u_old)
+    return _cn_solve(grid, rho, params, rhs, dt, cg_tol, u_guess if u_guess is not None else u_old, precond)
 
 
 def _cn_solve(grid: Grid, rho: np.ndarray, params: LameParams, rhs: np.ndarray, dt: float, cg_tol: float,
-              x0: np.ndarray) -> np.ndarray:
-    """Solve the Crank-Nicolson system (rho/dt - L/2) x = rhs by CG from x0
+              x0: np.ndarray, precond: tuple) -> np.ndarray:
+    """Solve (rho/dt - L/2) x = rhs by CG from x0 with precond = (a, psolve) of _preconditioner
     (module docstring); raises SolverConvergenceError past _CG_MAXITER iterations."""
-    a = float(np.mean(rho)) / dt
-    psolve = _preconditioner(grid, params, a)
+    a, psolve = precond
     shift = rho / dt - a
 
     def matvec(u):
@@ -289,7 +279,8 @@ def evolve(
     starts from the guess at the new time plus the polynomial extrapolation,
     in time, of the departures u - guess of the last _PREDICTOR_ORDER + 1
     step states (fewer at the start: the first step starts from the guess
-    plus u0's departure, u0 itself without a guess). A step whose CG stalls
+    plus u0's departure, u0 itself without a guess). Steps whose sizes differ by
+    the nodes' rounding share one preconditioner. A step whose CG stalls
     raises SolverConvergenceError with its step index and time.
     """
     grid = coef.grid
@@ -304,8 +295,9 @@ def evolve(
     if guess is not None and np.shape(guess) != (len(t_grid),) + u.shape:
         raise ValueError("guess must be sampled on t_grid with u0's field shape")
     spans = np.diff(t_grid)
-    # a node is exact to a few ulps of its time; that rounding must not split a step
-    nsubs = [_steps(span - 8 * np.finfo(float).eps * t, cfg.dt) for span, t in zip(spans, t_grid[1:])]
+    # a node is exact to a few ulps of its time; that rounding must not split a step nor change its preconditioner
+    rounding = 8 * np.finfo(float).eps * t_grid[1:]
+    nsubs = [_steps(span, cfg.dt) for span in spans - rounding]
     if (forcing is not None or guess is not None) and max(nsubs, default=1) > 1:
         raise ValueError(f"forcing and guess need t_grid intervals of at most dt = {cfg.dt}, got {max(spans):.6g}")
 
@@ -323,10 +315,12 @@ def evolve(
             raise ValueError("forcing contains non-finite samples")
         return np.asarray(row, dtype=float)
 
-    step = 0
+    step, precond_dt = 0, np.inf
     f_next = None if forcing is None else next_row()
     for i, (span, nsub) in enumerate(zip(spans, nsubs)):
         dt = span / nsub
+        if not abs(dt - precond_dt) <= rounding[i]:
+            precond_dt, precond = dt, _preconditioner(grid, params, float(np.mean(coef.rho)) / dt)
         t = t_grid[i]
         f_bar = None
         if forcing is not None:  # node i's row is the last step's f_next
@@ -338,7 +332,7 @@ def evolve(
             step += 1
             try:
                 start = g + _extrapolate(history, t_new)
-                u = theta_step(grid, coef.rho, params, u, dt, cfg.cg_tol, f_bar=f_bar, u_guess=start)
+                u = theta_step(grid, coef.rho, params, u, dt, cfg.cg_tol, precond, f_bar=f_bar, u_guess=start)
             except SolverConvergenceError as err:
                 where = f"step {step} (t = {t_new:.6g})"
                 raise SolverConvergenceError(f"{where}: {err}", err.residual, step, t_new) from err
@@ -395,6 +389,7 @@ def semigroup(coef: Coefficient, params: LameParams, x: np.ndarray, times) -> np
     poles = [0.5 * positive.min()]
     while poles[-1] * 10.0 <= positive.max():
         poles.append(poles[-1] * 10.0)
+    precs = [_preconditioner(grid, params, float(np.mean(rho)) / (2.0 * gamma)) for gamma in poles]
 
     basis = np.empty((_KRYLOV_MAXDIM,) + x.shape)
     flat = basis.reshape(_KRYLOV_MAXDIM, -1)  # a view: inner products run over all entries
@@ -414,13 +409,13 @@ def semigroup(coef: Coefficient, params: LameParams, x: np.ndarray, times) -> np
                     f"rational Krylov unconverged at {m} vectors (last change {change:.3e})", change, None, None
                 )
         prev = coeffs
-        gamma = poles[(m - 1) % len(poles)]
-        dt = 2.0 * gamma  # rho - gamma L = dt (rho/dt - L/2): the Crank-Nicolson system at 2 gamma
+        k = (m - 1) % len(poles)
+        dt = 2.0 * poles[k]  # rho - gamma L = dt (rho/dt - L/2): the Crank-Nicolson system at 2 gamma
         try:
-            w = _cn_solve(grid, rho, params, rho * basis[m - 1] / dt, dt, _CG_TOL, basis[m - 1])
+            w = _cn_solve(grid, rho, params, rho * basis[m - 1] / dt, dt, _CG_TOL, basis[m - 1], precs[k])
         except SolverConvergenceError as err:
             raise SolverConvergenceError(
-                f"Krylov vector {m + 1} (pole {gamma:.6g}): {err}", err.residual, None, None
+                f"Krylov vector {m + 1} (pole {poles[k]:.6g}): {err}", err.residual, None, None
             ) from err
         before = rho_norm(w)
         for _ in range(2):

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from lamelab import varcoef
 from lamelab.besov import default_partition
 from lamelab.grid import Grid, fftn, ifftn
 from lamelab.operators import LameParams
@@ -126,3 +129,20 @@ def stencil_lame(grid, u, params):
     div = sum(stencil_derivative(grid, u[a], a) for a in range(grid.dim))
     grad_div = np.stack([stencil_derivative(grid, div, a) for a in range(grid.dim)])
     return params.mu * stencil_laplacian(grid, u) + (params.lam + params.mu) * grad_div
+
+
+# Instrumentation.
+
+
+def record_builds(monkeypatch, module) -> list:
+    """Replace module's _preconditioner by one that records, per build, its a
+    and a weak reference to its psolve."""
+    builds, build = [], varcoef._preconditioner
+
+    def recorded(grid, params, a):
+        out = build(grid, params, a)
+        builds.append((a, weakref.ref(out[1])))
+        return out
+
+    monkeypatch.setattr(module, "_preconditioner", recorded)
+    return builds

@@ -34,7 +34,7 @@ from lamelab.operators import const_semigroup, lame_apply
 from lamelab.scenarios import parse_flow
 from lamelab.varcoef import Coefficient, StepperConfig
 
-from conftest import hodge_project, plane_wave
+from conftest import hodge_project, plane_wave, record_builds
 from test_acceptance import DEFAULT_FLOW_SCENARIO
 
 
@@ -706,6 +706,15 @@ class TestEulerianReference:
         exact = const_semigroup(grid64_8, u0, T, params)
         rel = lp_norm(grid64_8, u - exact, 2) / lp_norm(grid64_8, exact, 2)
         assert rel < 0.02
+
+    def test_builds_one_preconditioner(self, params, rough64, monkeypatch):
+        # the transported density's mean drifts in the last bits; R = rho/dt - a takes it up
+        import lamelab.lagrangian
+
+        builds = record_builds(monkeypatch, lamelab.lagrangian)
+        u0 = random_band_field(rough64.grid, 1, 3, seed=7, ncomp=2)
+        eulerian_reference_solve(rough64, params, 0.05 * u0, 0.5, StepperConfig(dt=0.1))
+        assert [a for a, _ in builds] == [float(np.mean(rough64.rho)) / 0.1]
 
     def test_cfl_rejection(self, grid64_8, params, rough64):
         u0 = 10.0 * np.ones((2,) + grid64_8.shape)

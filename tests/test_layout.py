@@ -8,7 +8,9 @@ Nyquist rule of the half spectrum and the derivative symbol built on it are
 stated once, in grid.py, and grid.py alone calls a Fourier transform. The
 spectral symbol's internals stay in operators.py. Every
 imported name is used where it is imported, and is imported from the module
-that defines it; every name in an __all__ is bound in its module. The flow,
+that defines it; every name in an __all__ is bound in its module. The one
+module-level cache is besov.default_partition, keyed on an exact Grid: what a
+solve builds, such as its CG preconditioner, lives and dies with it. The flow,
 norm, interpolation and stepping functions whose spans the benchmark's tracer
 reads exist, and do their work when called."""
 
@@ -92,6 +94,41 @@ def test_every_default_is_passed_in_src():
                 if name not in keywords[fn.name] and not by_position:
                     unset.append(f"{module}.{fn.name}({name}=)")
     assert unset == []
+
+
+def test_one_module_level_cache():
+    # a memo decorator on a top-level function, or a top-level container that a
+    # function writes into, keeps state between calls; one keyed on floats (as
+    # the CG preconditioner's a = mean(rho)/dt was) holds a copy per last-bit
+    # variant of its key past the solve that made it
+    mutators = {"append", "add", "update", "setdefault", "extend", "insert", "__setitem__"}
+    caches = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        containers = {
+            t.id
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.value, (ast.Dict, ast.List, ast.Set, ast.Call))
+            for t in stmt.targets
+            if isinstance(t, ast.Name)
+        }
+        for fn in (stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)):
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) in ("cache", "lru_cache"):
+                    caches.append(f"{path.stem}.{fn.name}")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    caches += [f"{path.stem}.{name}" for name in node.names]
+                elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    owner = node.value
+                elif isinstance(node, ast.Attribute) and node.attr in mutators:
+                    owner = node.value
+                else:
+                    continue
+                if isinstance(owner, ast.Name) and owner.id in containers:
+                    caches.append(f"{path.stem}.{owner.id}")
+    assert sorted(set(caches)) == ["besov.default_partition"]
 
 
 def test_nyquist_rule_lives_in_grid():

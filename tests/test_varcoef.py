@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from lamelab.varcoef import (
     time_grid,
 )
 
-from conftest import plane_wave, rng_field
+from conftest import plane_wave, record_builds, rng_field
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +271,7 @@ class TestPredictor:
 
         starts, clock = [], [0.0]
 
-        def exact_step(grid, rho, params, u, dt, cfg, f_bar=None, u_guess=None):
+        def exact_step(grid, rho, params, u, dt, cfg, precond, f_bar=None, u_guess=None):
             clock[0] += dt
             starts.append((u_guess, u_of_t(clock[0])))
             return u_of_t(clock[0])
@@ -562,7 +563,7 @@ class TestPCG:
         def remainder(u):
             return (rho / dt - a) * u
 
-        return matvec, _preconditioner(grid, params, a), remainder
+        return matvec, _preconditioner(grid, params, a)[1], remainder
 
     def test_iterations_match_scipy_cg(self, rough16, params):
         import scipy.sparse.linalg as sla
@@ -606,7 +607,7 @@ class TestPCG:
         inv = _symbol_matrix(grid, params, lambda z: 1.0 / (a + 0.5 * z))
         r = np.random.default_rng(22).standard_normal((grid.dim,) + grid.shape)
         ref = ifftn(grid, np.sum(inv * fftn(grid, r)[None], axis=1))
-        assert np.array_equal(_preconditioner(grid, params, a)(r), ref)
+        assert np.array_equal(_preconditioner(grid, params, a)[1](r), ref)
 
     def test_zero_rhs_returns_zeros(self, rough16, params):
         matvec, psolve, remainder = self._system(rough16, params)
@@ -634,25 +635,30 @@ class TestPCG:
         monkeypatch.setattr(vc, "lame_apply", counted_lame)
         monkeypatch.setattr(vc, "_pcg", counted_pcg)
         u = random_band_field(rough16.grid, 1, 6, seed=17, ncomp=2)
-        theta_step(rough16.grid, rough16.rho, params, u, 1e-2, 1e-10)
+        precond = _preconditioner(rough16.grid, params, float(np.mean(rough16.rho)) / 1e-2)
+        theta_step(rough16.grid, rough16.rho, params, u, 1e-2, 1e-10, precond)
         assert iterations[0] > 2
         assert len(calls) <= 2
 
     def test_evolve_builds_preconditioner_once(self, rough16, params, monkeypatch):
-        # uniform steps share one a = mean(rho)/dt, so every step reuses one inverse symbol
         import lamelab.varcoef as vc
 
-        builds, symbol = [], vc._symbol_matrix
+        builds, dts, step = record_builds(monkeypatch, vc), set(), vc.theta_step
 
-        def counted_symbol(*args):
-            builds.append(1)
-            return symbol(*args)
+        def recording(grid, rho, params, u_old, dt, *args, **kwargs):
+            dts.add(dt)
+            return step(grid, rho, params, u_old, dt, *args, **kwargs)
 
-        monkeypatch.setattr(vc, "_symbol_matrix", counted_symbol)
-        vc._preconditioner.cache_clear()
+        monkeypatch.setattr(vc, "theta_step", recording)
         u0 = random_band_field(rough16.grid, 1, 3, seed=19, ncomp=2)
-        evolve(rough16, params, u0, [0.0, 0.1], StepperConfig(dt=1e-2))
+        # the steps of a linspace differ in their last bits, and share one inverse symbol
+        evolve(rough16, params, u0, time_grid(2.0, 0.01), StepperConfig(dt=0.01))
+        assert len(dts) > 1
         assert len(builds) == 1
+        # a short last interval is a step size of its own
+        builds.clear()
+        evolve(rough16, params, u0, [0.0, 0.1, 0.125], StepperConfig(dt=0.01))
+        assert len(builds) == 2
 
     def test_step_matches_dense_solve(self, params):
         grid = Grid(2, 8, 8.0)
@@ -664,7 +670,7 @@ class TestPCG:
         mat = np.diag(rho_v / dt) - theta * lame
         rhs = rho_v * u.ravel() / dt + (1.0 - theta) * lame @ u.ravel()
         ref = np.linalg.solve(mat, rhs).reshape(u.shape)
-        x = theta_step(grid, rho, params, u, dt, 1e-13)
+        x = theta_step(grid, rho, params, u, dt, 1e-13, _preconditioner(grid, params, float(np.mean(rho)) / dt))
         assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_steps_do_not_depend_on_blas_threads(self):
@@ -672,15 +678,17 @@ class TestPCG:
         # they go to BLAS at all, and its summation order follows its thread count
         code = (
             "import hashlib\n"
+            "import numpy as np\n"
             "from lamelab.fields import random_band_field, trig_density\n"
             "from lamelab.grid import Grid\n"
             "from lamelab.operators import LameParams\n"
-            "from lamelab.varcoef import theta_step\n"
+            "from lamelab.varcoef import _preconditioner, theta_step\n"
             "grid = Grid(2, 128, 16.0)\n"
             "rho = trig_density(grid, 0.5, 17, 2.0, 1.5)\n"
             "u = random_band_field(grid, 1, 6, seed=3, ncomp=2)\n"
+            "precond = _preconditioner(grid, LameParams(1.0, 1.0), float(np.mean(rho)) / 5e-3)\n"
             "for _ in range(3):\n"
-            "    u = theta_step(grid, rho, LameParams(1.0, 1.0), u, 5e-3, 1e-10)\n"
+            "    u = theta_step(grid, rho, LameParams(1.0, 1.0), u, 5e-3, 1e-10, precond)\n"
             "print(hashlib.sha256(u.tobytes()).hexdigest())\n"
         )
         digests = set()
@@ -690,3 +698,28 @@ class TestPCG:
             assert out.returncode == 0, out.stderr
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+class TestPreconditionerLifetime:
+    """A solve builds the preconditioner of each of its step sizes once (the
+    evolve case is TestPCG's) and drops it when it returns (module docstring)."""
+
+    def test_none_outlives_evolve(self, rough16, params, monkeypatch):
+        import lamelab.varcoef as vc
+
+        builds = record_builds(monkeypatch, vc)
+        u0 = random_band_field(rough16.grid, 1, 3, seed=19, ncomp=2)
+        evolve(rough16, params, u0, [0.0, 0.1, 0.125], StepperConfig(dt=0.01))
+        gc.collect()
+        assert len(builds) == 2
+        assert all(psolve() is None for _, psolve in builds)
+
+    def test_semigroup_builds_one_per_pole(self, rough16, params, monkeypatch):
+        import lamelab.varcoef as vc
+
+        builds = record_builds(monkeypatch, vc)
+        x = random_band_field(rough16.grid, 1, 4, seed=5, ncomp=2)
+        semigroup(rough16, params, x, [0.01, 0.1, 1.0])  # three poles, each used by several Krylov vectors
+        gc.collect()
+        assert len({a for a, _ in builds}) == len(builds) == 3
+        assert all(psolve() is None for _, psolve in builds)
