@@ -75,11 +75,11 @@ def torus_distance(grid: Grid, y0) -> np.ndarray:
 
 
 def check_kernel_times(grid: Grid, params: LameParams, t_list) -> list:
-    """t_list as sorted floats; raises ValueError unless every time is positive
-    and at least the resolvable threshold 4 h^2 / nu."""
+    """t_list as sorted floats; raises ValueError unless it is nonempty and every
+    time is positive and at least the resolvable threshold 4 h^2 / nu."""
     t_list = sorted(float(t) for t in t_list)
-    if t_list[0] <= 0:
-        raise ValueError("kernel times must be positive")
+    if not t_list or t_list[0] <= 0:
+        raise ValueError("kernel times must be a nonempty list of positive times")
     t_min_ok = 4.0 * grid.spacing**2 / params.nu
     if t_list[0] < t_min_ok:
         raise ValueError(f"t = {t_list[0]} below resolvable threshold {t_min_ok:.3e}")

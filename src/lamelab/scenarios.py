@@ -75,10 +75,13 @@ def _flag(cfg: dict, key: str, default: bool) -> bool:
 
 
 def _real(value, name: str) -> float:
-    """A real number: 2, 2.0 or 2e-3, not "2.0" or true."""
+    """A real number: 2, 2.0 or 2e-3, not "2.0" or true, nor an integer past the float range."""
     if not _is_number(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a number, got an integer too large for a float") from None
 
 
 def _reals(value, name: str) -> list:

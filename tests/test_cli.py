@@ -405,6 +405,9 @@ class TestConfigErrorWritesNothing:
         "besov_p_word": ("besov", {"p": "three"}, []),
         "maxreg_p_word": ("maxreg", {**MAXREG, "p": "three"}, []),
         "maxreg_T_zero": ("maxreg", {**MAXREG, "T": 0}, []),
+        # a JSON integer past the float range is refused, not an OverflowError
+        "maxreg_T_huge_integer": ("maxreg", {**MAXREG, "T": 10**400}, []),
+        "kernel_huge_integer_time": ("kernel", {**KERNEL, "times": [0.1, 10**400]}, []),
         # the stepper block takes only dt: the CG tolerance is not a config key
         "kernel_cg_tol_one": ("kernel", {**KERNEL, "stepper": {"dt": 0.01, "cg_tol": 1.0}}, []),
         # every step is Crank-Nicolson: a config asking for backward Euler is refused, not run as CN

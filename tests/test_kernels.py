@@ -8,6 +8,7 @@ from lamelab.grid import Grid, jacobian, lp_norm
 from lamelab.kernels import (
     EnvelopeFitError,
     KernelSlice,
+    check_kernel_times,
     conservation_defect,
     davies_probe,
     davies_twisted_norm,
@@ -119,6 +120,10 @@ class TestKernelColumn:
         coef = Coefficient.constant(grid, 1.0)
         with pytest.raises(ValueError):
             kernel_column(coef, LameParams(1.0, 1.0), (16, 16), [1e-4], StepperConfig(dt=1e-5))
+
+    def test_rejects_no_times(self):
+        with pytest.raises(ValueError, match="nonempty list"):
+            check_kernel_times(Grid(2, 32, 16.0), LameParams(1.0, 1.0), [])
 
 
 class TestTorusDistance:
